@@ -134,6 +134,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
                 )
+        if self.v_rule == "rotation_V" and self.alpha > 0.0:
+            r = self.v_params.get("r", 1.5)
+            if not isinstance(r, (int, float)) or not 1.0 <= r < 2.0:
+                raise ConfigError(f"rotation exponent r must lie in [1, 2), got {r!r}")
+            if not (r - 1.0) / r < self.alpha < 0.5:
+                raise ConfigError(
+                    f"alpha must lie in ({(r - 1.0) / r:.3f}, 0.5) for r={r}, got {self.alpha}"
+                )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -407,10 +415,8 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     return bundle, (EXIT_OK if bundle.all_passed else EXIT_CHECK_FAILED)
 
 
-def list_experiments(include_bundled: bool = True) -> list:
+def list_experiments() -> list:
     """Names of the bundled example configs."""
-    if not include_bundled:
-        return []
     root = resources.files("vschro") / "configs"
     return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".cfg"))
 

@@ -99,18 +99,14 @@ class MatrixField:
 
 
 def sample_field(rule, grid: Grid, kind: str) -> MatrixField:
-    """Evaluate a per-point matrix rule at every cell.
+    """Evaluate a batched matrix rule at every cell.
 
+    rule maps the (n_cells, d) cell centres to (n_cells, k, k) matrices.
     Diffusion samples are symmetrized; the recorded defect must stay below
     1e-8 or the sample is rejected.
     """
-    pts = grid.coords()
-    first = np.asarray(rule(pts[0]))
-    vals = np.empty((grid.n_cells,) + first.shape, dtype=np.result_type(first, np.float64))
-    vals[0] = first
-    for c in range(1, grid.n_cells):
-        vals[c] = rule(pts[c])
-    return MatrixField(grid=grid, kind=kind, values=vals)
+    vals = np.asarray(rule(grid.coords()))
+    return MatrixField(grid=grid, kind=kind, values=vals.astype(np.result_type(vals, np.float64)))
 
 
 def _padded_norm(M: np.ndarray) -> np.ndarray:
@@ -425,9 +421,12 @@ def shift_potential(V: MatrixField, beta: float | None = None) -> MatrixField:
 # ---------------------------------------------------------------------------
 # Named coefficient rules, selectable from configs.
 
+def _constant(mat: np.ndarray):
+    return lambda x: np.broadcast_to(mat, (len(x),) + mat.shape)
+
+
 def _rule_identity_q(dim, **_):
-    ident = np.eye(dim)
-    return lambda x: ident, DIFFUSION
+    return _constant(np.eye(dim)), DIFFUSION
 
 
 def _rule_anisotropic_q(dim, theta=0.0, ratio=1.0, **_):
@@ -437,14 +436,13 @@ def _rule_anisotropic_q(dim, theta=0.0, ratio=1.0, **_):
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s], [s, c]])
         mat = rot @ np.diag([1.0, float(ratio)]) @ rot.T
-    return lambda x: mat, DIFFUSION
+    return _constant(mat), DIFFUSION
 
 
 def _rule_cross_q(dim, q12=0.3, **_):
     if dim != 2:
         raise FieldError("cross_Q needs dim = 2")
-    mat = np.array([[1.0, float(q12)], [float(q12), 1.0]])
-    return lambda x: mat, DIFFUSION
+    return _constant(np.array([[1.0, float(q12)], [float(q12), 1.0]])), DIFFUSION
 
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -455,14 +453,16 @@ def _rule_rotation_v(dim, r=1.5, **_):
         raise FieldError(f"rotation exponent r must lie in [1, 2), got {r}")
 
     def rule(x):
-        return (1.0 + np.linalg.norm(x) ** r) * _J
+        return (1.0 + np.linalg.norm(x, axis=1) ** r)[:, None, None] * _J
 
     return rule, POTENTIAL
 
 
 def _rule_upper_triangular_v(dim, **_):
     def rule(x):
-        return np.array([[0.0, x[0]], [0.0, 0.0]])
+        vals = np.zeros((len(x), 2, 2))
+        vals[:, 0, 1] = x[:, 0]
+        return vals
 
     return rule, POTENTIAL
 
@@ -471,50 +471,53 @@ def _rule_degenerate_v(dim, **_):
     base = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
     def rule(x):
-        return np.linalg.norm(x) * base
+        return np.linalg.norm(x, axis=1)[:, None, None] * base
 
     return rule, POTENTIAL
 
 
 def _rule_diag_v(dim, c=-1.0, m=2, **_):
-    mat = float(c) * np.eye(int(m))
-    return lambda x: mat, POTENTIAL
+    return _constant(float(c) * np.eye(int(m))), POTENTIAL
 
 
 def _rule_coupled_v(dim, a=-2.0, b=1.0, c=0.5, **_):
     """Constant 2x2 potential [[a, b], [c, a]]; sign of b, c drives positivity."""
-    mat = np.array([[float(a), float(b)], [float(c), float(a)]])
-    return lambda x: mat, POTENTIAL
+    return _constant(np.array([[float(a), float(b)], [float(c), float(a)]])), POTENTIAL
 
 
 def _rule_complex_linear_v(dim, **_):
     """1-component potential -i x[0]; the non-analyticity witness."""
 
     def rule(x):
-        return np.array([[-1j * x[0]]])
+        return (-1j * x[:, 0])[:, None, None]
 
     return rule, POTENTIAL
 
 
 def _rule_custom_table(dim, path=None, kind=POTENTIAL, **_):
+    """Per-cell matrices from a CSV table with rows cell,row,col,value[,imag];
+    the table must list exactly one matrix per grid cell."""
     if path is None:
         raise FieldError("custom_table needs a path parameter")
-    table = np.loadtxt(path, delimiter=",", skiprows=1)
-    cells = table[:, 0].astype(int)
-    rows = table[:, 1].astype(int)
-    cols = table[:, 2].astype(int)
-    k = rows.max() + 1
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise FieldError(f"cannot read custom table {path}: {exc}") from None
+    if len(table) == 0 or table.shape[1] not in (4, 5) or table[:, :3].min() < 0:
+        raise FieldError(f"custom table {path} needs rows cell,row,col,value[,imag]")
+    cells, rows, cols = table[:, :3].astype(int).T
+    k = max(rows.max(), cols.max()) + 1
     n = cells.max() + 1
     vals = np.zeros((n, k, k), dtype=np.complex128 if table.shape[1] > 4 else np.float64)
     if table.shape[1] > 4:
         vals[cells, rows, cols] = table[:, 3] + 1j * table[:, 4]
     else:
         vals[cells, rows, cols] = table[:, 3]
-    holder = {"vals": vals, "i": -1}
 
     def rule(x):
-        holder["i"] += 1
-        return holder["vals"][holder["i"]]
+        if len(x) != n:
+            raise FieldError(f"custom table {path} lists {n} cells, the grid has {len(x)}")
+        return vals
 
     return rule, kind
 

@@ -219,20 +219,22 @@ def write_field_csv(f: VectorField, path):
 
 
 def read_field_csv(path, grid: Grid) -> VectorField:
-    """Inverse of write_field_csv for a known grid."""
+    """Inverse of write_field_csv for a known grid.
+
+    Each row's cell follows from its axis coordinates; a coordinate more
+    than 1e-9 h away from its cell centre is rejected.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
-    m = max(int(r[grid.dim]) for r in body) + 1
-    vals = np.zeros((grid.n_cells, m), dtype=np.complex128)
-    pts = grid.coords()
-    h = grid.spacing
-    for r in body:
-        x = np.array([float(t) for t in r[: grid.dim]])
-        cell = int(np.argmin(np.sum((pts - x) ** 2, axis=1)))
-        if np.max(np.abs(pts[cell] - x)) > 1e-9 * h:
-            raise GridError("CSV coordinates do not match the grid")
-        vals[cell, int(r[grid.dim])] = float(r[grid.dim + 1]) + 1j * float(r[grid.dim + 2])
+        body = list(csv.reader(fh))[1:]
+    d, N, h = grid.dim, grid.n_per_axis, grid.spacing
+    x = np.array([[float(t) for t in r[:d]] for r in body]).reshape(-1, d)
+    comp = np.array([int(r[d]) for r in body])
+    idx = np.rint((x + grid.extent) / h - 1.0).astype(int).clip(0, N - 1)
+    if not np.all(np.abs(grid.axis_coords[idx] - x) <= 1e-9 * h):
+        raise GridError("CSV coordinates do not match the grid")
+    vals = np.zeros((grid.n_cells, comp.max() + 1), dtype=np.complex128)
+    cell = np.ravel_multi_index(tuple(idx.T), (N,) * d)
+    vals[cell, comp] = [float(r[d + 1]) + 1j * float(r[d + 2]) for r in body]
     return VectorField(grid, vals)
 
 

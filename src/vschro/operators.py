@@ -95,58 +95,22 @@ def face_difference_matrices(grid: Grid) -> dict:
     across each axis-a face, with zero ghosts outside the box; 'T<a>' is the
     transverse difference at axis-a faces (the four-neighbor average), only
     present in 2D.  Face index layout: axis-0 faces are f0 * N + j, axis-1
-    faces are i * (N+1) + f1.
+    faces are i * (N+1) + f1, so the 2D matrices are Kronecker products of
+    the 1D face difference G, the two-cell face sum S and the centred cell
+    difference C (scaled by 1/4 for the four-neighbor average).
     """
     N, h = grid.n_per_axis, grid.spacing
+    G = sp.diags([1.0 / h, -1.0 / h], [0, -1], shape=(N + 1, N), format="csr")
     if grid.dim == 1:
-        rows, cols, vals = [], [], []
-        for f in range(N + 1):
-            if f < N:
-                rows.append(f); cols.append(f); vals.append(1.0 / h)
-            if f >= 1:
-                rows.append(f); cols.append(f - 1); vals.append(-1.0 / h)
-        G = sp.csr_matrix((vals, (rows, cols)), shape=(N + 1, N))
         return {"G0": G}
-
-    def cell(i, j):
-        return i * N + j
-
-    g0r, g0c, g0v = [], [], []
-    t0r, t0c, t0v = [], [], []
-    for f0 in range(N + 1):
-        for j in range(N):
-            face = f0 * N + j
-            if f0 < N:
-                g0r.append(face); g0c.append(cell(f0, j)); g0v.append(1.0 / h)
-            if f0 >= 1:
-                g0r.append(face); g0c.append(cell(f0 - 1, j)); g0v.append(-1.0 / h)
-            for i in (f0 - 1, f0):
-                if 0 <= i < N:
-                    if j + 1 < N:
-                        t0r.append(face); t0c.append(cell(i, j + 1)); t0v.append(0.25 / h)
-                    if j - 1 >= 0:
-                        t0r.append(face); t0c.append(cell(i, j - 1)); t0v.append(-0.25 / h)
-    g1r, g1c, g1v = [], [], []
-    t1r, t1c, t1v = [], [], []
-    for i in range(N):
-        for f1 in range(N + 1):
-            face = i * (N + 1) + f1
-            if f1 < N:
-                g1r.append(face); g1c.append(cell(i, f1)); g1v.append(1.0 / h)
-            if f1 >= 1:
-                g1r.append(face); g1c.append(cell(i, f1 - 1)); g1v.append(-1.0 / h)
-            for j in (f1 - 1, f1):
-                if 0 <= j < N:
-                    if i + 1 < N:
-                        t1r.append(face); t1c.append(cell(i + 1, j)); t1v.append(0.25 / h)
-                    if i - 1 >= 0:
-                        t1r.append(face); t1c.append(cell(i - 1, j)); t1v.append(-0.25 / h)
-    nf = (N + 1) * N
+    S = sp.diags([1.0, 1.0], [0, -1], shape=(N + 1, N), format="csr")
+    C = sp.diags([0.25 / h, -0.25 / h], [1, -1], shape=(N, N), format="csr")
+    ident = sp.identity(N, format="csr")
     return {
-        "G0": sp.csr_matrix((g0v, (g0r, g0c)), shape=(nf, N * N)),
-        "T0": sp.csr_matrix((t0v, (t0r, t0c)), shape=(nf, N * N)),
-        "G1": sp.csr_matrix((g1v, (g1r, g1c)), shape=(nf, N * N)),
-        "T1": sp.csr_matrix((t1v, (t1r, t1c)), shape=(nf, N * N)),
+        "G0": sp.kron(G, ident, format="csr"),
+        "T0": sp.kron(S, C, format="csr"),
+        "G1": sp.kron(ident, G, format="csr"),
+        "T1": sp.kron(C, S, format="csr"),
     }
 
 

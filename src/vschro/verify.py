@@ -47,8 +47,6 @@ from vschro.spectral import (
 
 __all__ = [
     "PropertyCheckResult",
-    "ExampleSpec",
-    "EXAMPLES",
     "dense_generator",
     "dense_expm_apply",
     "gaussian_heat_profile",
@@ -85,43 +83,6 @@ class PropertyCheckResult:
     measured: dict
     tolerance: float
     notes: str = ""
-
-
-@dataclass(frozen=True)
-class ExampleSpec:
-    """Named example configuration (the built-in model problems)."""
-
-    name: str
-    r: float | None = None
-    lam: float | None = None
-    sigmas: tuple = ()
-    alpha: float | None = None
-    grid_plan: tuple = ()  # (extent, n_per_axis) pairs
-
-    def __post_init__(self):
-        if self.r is not None and not 1.0 <= self.r < 2.0:
-            raise ValueError(f"r must lie in [1, 2), got {self.r}")
-        if self.name == "rotation" and self.alpha is not None:
-            lo = (self.r - 1.0) / self.r
-            if not lo < self.alpha < 0.5:
-                raise ValueError(
-                    f"alpha must lie in ({lo:.3f}, 0.5) for r={self.r}, got {self.alpha}"
-                )
-
-
-EXAMPLES = {
-    "rotation": ExampleSpec(
-        name="rotation", r=1.5, alpha=0.45, grid_plan=((8.0, 64), (8.0, 200))
-    ),
-    "nongeneration": ExampleSpec(
-        name="nongeneration", lam=1.0, grid_plan=((50.0, 799), (100.0, 1599), (200.0, 3199))
-    ),
-    "nonanalytic": ExampleSpec(
-        name="nonanalytic", lam=1.0, sigmas=(1.0, 2.0, 5.0), grid_plan=((40.0, 1600),)
-    ),
-    "degenerate": ExampleSpec(name="degenerate", grid_plan=((10.0, 400),)),
-    "diag_baseline": ExampleSpec(name="diag_baseline", grid_plan=((10.0, 2000),)),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ class TestConfig:
         assert names == sorted(names)
         assert len(names) == 5
         assert len(set(names)) == 5
-        assert list_experiments(include_bundled=False) == []
 
     def test_load_quick(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, QUICK))
@@ -216,3 +215,37 @@ class TestMain:
             "--format", "csv",
         ]) == EXIT_OK
         assert (redo / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+
+class TestConfigErrors:
+    def _exit_code(self, tmp_path, body):
+        return main(["validate", "--config", str(write_cfg(tmp_path, body))])
+
+    def test_rotation_alpha_window(self, tmp_path, capsys):
+        body = QUICK.replace("v_rule = diag_V\nv_params = c=-1.0", "v_rule = rotation_V\nv_params = r=1.5")
+        assert self._exit_code(tmp_path, body.replace("shift = none", "shift = auto\nalpha = 0.45")) == EXIT_OK
+        assert self._exit_code(tmp_path, body.replace("shift = none", "shift = auto\nalpha = 0.2")) == EXIT_CONFIG
+        assert "alpha must lie in (0.333, 0.5)" in capsys.readouterr().err
+        too_steep = body.replace("r=1.5", "r=2.5").replace("shift = none", "shift = auto\nalpha = 0.45")
+        assert self._exit_code(tmp_path, too_steep) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("n_cells", [63, 65])
+    def test_custom_table_cell_count_mismatch(self, tmp_path, capsys, n_cells):
+        rows = ["cell,row,col,value"]
+        for c in range(n_cells):
+            rows += [f"{c},0,0,-1.0", f"{c},1,1,-1.0"]
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(rows) + "\n")
+        body = QUICK.replace("v_rule = diag_V\nv_params = c=-1.0", f"v_rule = custom_table\nv_params = path={table}")
+        assert self._exit_code(tmp_path, body) == EXIT_CONFIG
+        assert f"lists {n_cells} cells, the grid has 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [None, "cell,row,col\n0,0,0\n"], ids=["missing", "three_columns"]
+    )
+    def test_custom_table_unreadable_or_malformed(self, tmp_path, content):
+        table = tmp_path / "table.csv"
+        if content is not None:
+            table.write_text(content)
+        body = QUICK.replace("v_rule = diag_V\nv_params = c=-1.0", f"v_rule = custom_table\nv_params = path={table}")
+        assert self._exit_code(tmp_path, body) == EXIT_CONFIG

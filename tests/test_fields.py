@@ -63,14 +63,15 @@ class TestSampling:
         np.testing.assert_allclose(V.values, np.abs(x)[:, None, None] * base)
 
     def test_symmetry_enforced_for_diffusion(self):
-        g = build_grid(1, 1.0, 4)
-        with pytest.raises(FieldError):
-            sample_field(lambda x: np.array([[1.0, 0.1]] + [[0.0, 1.0]]), g, "diffusion")
+        g = build_grid(2, 1.0, 4)
+        asym = np.array([[1.0, 0.1], [0.0, 1.0]])
+        with pytest.raises(FieldError, match="symmetry defect"):
+            sample_field(lambda x: np.broadcast_to(asym, (len(x), 2, 2)), g, "diffusion")
 
     def test_nonfinite_rejected(self):
         g = build_grid(1, 1.0, 4)
-        with pytest.raises(FieldError):
-            sample_field(lambda x: np.array([[np.inf]]), g, "potential")
+        with pytest.raises(FieldError, match="non-finite"):
+            sample_field(lambda x: np.full((len(x), 1, 1), np.inf), g, "potential")
 
     def test_anisotropic_q_eigenvalues(self):
         g = build_grid(2, 1.0, 4)

@@ -194,6 +194,29 @@ class TestSerialization:
         back = read_field_csv(path, g)
         np.testing.assert_allclose(back.values, f.values, rtol=1e-12)
 
+    def test_csv_roundtrip_2d_any_row_order(self, tmp_path):
+        g = build_grid(2, 2.5, 17)
+        f = random_field(g, 3, seed=11)
+        path = tmp_path / "field.csv"
+        write_field_csv(f, path)
+        lines = path.read_text().splitlines()
+        body = lines[1:]
+        np.random.default_rng(0).shuffle(body)
+        path.write_text("\n".join([lines[0]] + body) + "\n")
+        np.testing.assert_array_equal(read_field_csv(path, g).values, f.values)
+
+    @pytest.mark.parametrize("offset", [1.0 / 3.0, 5.0])
+    def test_csv_off_grid_rejected(self, tmp_path, offset):
+        g = build_grid(2, 1.5, 4)
+        path = tmp_path / "field.csv"
+        write_field_csv(random_field(g, 1, seed=2), path)
+        lines = path.read_text().splitlines()
+        x0, rest = lines[3].split(",", 1)
+        lines[3] = f"{float(x0) + offset * g.spacing!r},{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridError, match="do not match"):
+            read_field_csv(path, g)
+
     def test_pgm_bytes(self, tmp_path):
         g = build_grid(2, 1.0, 5)
         f = random_field(g, 1, seed=8)

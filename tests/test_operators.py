@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, dual_pairing, lp_norm
@@ -25,10 +27,94 @@ def identity_q(grid):
     return sample_field(make_rule("identity_Q", grid.dim)[0], grid, "diffusion")
 
 
+def loop_face_difference_matrices(grid):
+    """Reference build of face_difference_matrices, one face at a time."""
+    N, h = grid.n_per_axis, grid.spacing
+    if grid.dim == 1:
+        rows, cols, vals = [], [], []
+        for f in range(N + 1):
+            if f < N:
+                rows.append(f); cols.append(f); vals.append(1.0 / h)
+            if f >= 1:
+                rows.append(f); cols.append(f - 1); vals.append(-1.0 / h)
+        return {"G0": sp.csr_matrix((vals, (rows, cols)), shape=(N + 1, N))}
+
+    def cell(i, j):
+        return i * N + j
+
+    entries = {key: ([], [], []) for key in ("G0", "T0", "G1", "T1")}
+
+    def add(key, face, c, v):
+        r, cc, vv = entries[key]
+        r.append(face); cc.append(c); vv.append(v)
+
+    for f0 in range(N + 1):
+        for j in range(N):
+            face = f0 * N + j
+            if f0 < N:
+                add("G0", face, cell(f0, j), 1.0 / h)
+            if f0 >= 1:
+                add("G0", face, cell(f0 - 1, j), -1.0 / h)
+            for i in (f0 - 1, f0):
+                if 0 <= i < N:
+                    if j + 1 < N:
+                        add("T0", face, cell(i, j + 1), 0.25 / h)
+                    if j - 1 >= 0:
+                        add("T0", face, cell(i, j - 1), -0.25 / h)
+    for i in range(N):
+        for f1 in range(N + 1):
+            face = i * (N + 1) + f1
+            if f1 < N:
+                add("G1", face, cell(i, f1), 1.0 / h)
+            if f1 >= 1:
+                add("G1", face, cell(i, f1 - 1), -1.0 / h)
+            for j in (f1 - 1, f1):
+                if 0 <= j < N:
+                    if i + 1 < N:
+                        add("T1", face, cell(i + 1, j), 0.25 / h)
+                    if i - 1 >= 0:
+                        add("T1", face, cell(i - 1, j), -0.25 / h)
+    nf = (N + 1) * N
+    return {
+        key: sp.csr_matrix((v, (r, c)), shape=(nf, N * N)) for key, (r, c, v) in entries.items()
+    }
+
+
 def random_field(grid, m, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((grid.n_cells, m)) + 1j * rng.standard_normal((grid.n_cells, m))
     return VectorField(grid, vals)
+
+
+class TestFaceDifferences:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 7, 40])
+    def test_bitwise_equal_to_loop_build(self, dim, n):
+        g = build_grid(dim, 1.7, n)
+        built, ref = face_difference_matrices(g), loop_face_difference_matrices(g)
+        assert built.keys() == ref.keys()
+        for key, R in ref.items():
+            B = built[key]
+            assert B.format == "csr" and B.shape == R.shape and B.dtype == R.dtype
+            np.testing.assert_array_equal(B.indptr, R.indptr)
+            np.testing.assert_array_equal(B.indices, R.indices)
+            np.testing.assert_array_equal(B.data, R.data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_cross_q_symmetric_negative_definite(self, n, seed):
+        # per-cell q12^2 < q11 q22; face averages of such matrices stay positive definite
+        g = build_grid(2, 1.0, n)
+        rng = np.random.default_rng(seed)
+        q11, q22 = rng.uniform(0.1, 3.0, (2, g.n_cells))
+        q12 = rng.uniform(-0.99, 0.99, g.n_cells) * np.sqrt(q11 * q22)
+        vals = np.stack([np.stack([q11, q12], -1), np.stack([q12, q22], -1)], -2)
+        A = assemble_diffusion(MatrixField(g, "diffusion", vals), g, 1).matrix
+        assert abs(A - A.T).max() == 0.0
+        assert np.linalg.eigvalsh(A.toarray()).max() <= -1.0 + 1e-10
 
 
 class TestDiffusionAssembly:
@@ -42,7 +128,7 @@ class TestDiffusionAssembly:
         g = build_grid(1, 1.0, 5)
         q = 2.7
         Aq = assemble_scalar_diffusion(
-            sample_field(lambda x: np.array([[q]]), g, "diffusion"), g
+            sample_field(lambda x: np.full((len(x), 1, 1), q), g, "diffusion"), g
         ).toarray()
         A1 = assemble_scalar_diffusion(identity_q(g), g).toarray()
         np.testing.assert_allclose(Aq, q * A1, atol=1e-12)
@@ -63,11 +149,14 @@ class TestDiffusionAssembly:
 
     def test_symmetry_invariant(self):
         g = build_grid(2, 1.5, 9)
-        Q = sample_field(
-            lambda x: np.array([[1.5 + 0.2 * math.sin(x[0]), 0.25], [0.25, 1.0 + 0.1 * x[1] ** 2]]),
-            g,
-            "diffusion",
-        )
+
+        def rule(x):
+            vals = np.full((len(x), 2, 2), 0.25)
+            vals[:, 0, 0] = 1.5 + 0.2 * np.sin(x[:, 0])
+            vals[:, 1, 1] = 1.0 + 0.1 * x[:, 1] ** 2
+            return vals
+
+        Q = sample_field(rule, g, "diffusion")
         A = assemble_diffusion(Q, g, 2)
         defect = abs(A.matrix - A.matrix.T)
         assert defect.nnz == 0 or defect.max() <= 1e-12
@@ -98,7 +187,7 @@ class TestDiffusionAssembly:
     def test_ellipticity_violation_rejected(self):
         g = build_grid(1, 1.0, 6)
         x0 = g.axis_coords[2]
-        bad = sample_field(lambda x: np.array([[x[0] - x0]]), g, "diffusion")
+        bad = sample_field(lambda x: (x[:, 0] - x0)[:, None, None], g, "diffusion")
         with pytest.raises(EllipticityError):
             assemble_scalar_diffusion(bad, g)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from vschro.evolve import SplitConfig, trotter_evolve
@@ -143,6 +144,21 @@ class TestEigenpairs:
         dense = np.linalg.eigvals(L.matrix.toarray())
         for lam in res.eigenvalues:
             assert np.min(np.abs(dense - lam)) <= 1e-7 * (1.0 + abs(lam))
+
+    def test_2d_coupled_matches_dense_eigvals(self):
+        # the k eigenvalues nearest the shift, as the dense solver sees them
+        g = build_grid(2, 2.0, 9)
+        Q = sample_field(make_rule("cross_Q", 2, q12=0.3)[0], g, "diffusion")
+        V = sample_field(make_rule("coupled_V", 2, a=-2.0, b=1.0, c=-0.5)[0], g, "potential")
+        L = assemble_diffusion(Q, g, 2) + assemble_potential(V, 2)
+        shift = -20.0 + 1.0j
+        res = eigenpairs(L, k=8, shift=shift)
+        dense = scipy.linalg.eigvals(L.matrix.toarray())
+        for lam in res.eigenvalues:
+            assert np.min(np.abs(dense - lam)) <= 1e-9 * abs(lam)
+        eighth_nearest = np.sort(np.abs(dense - shift))[7]
+        assert max(abs(lam - shift) for lam in res.eigenvalues) <= eighth_nearest * (1 + 1e-9)
+        assert max(res.residuals) <= 1e-8
 
     def test_residual_invariant(self):
         g, A, V, L = rotation_problem(R=6.0, n=150)

@@ -12,8 +12,6 @@ from vschro.operators import assemble_diffusion, assemble_potential
 from vschro.problems import build_problem
 from vschro.spectral import KernelEstimate
 from vschro.verify import (
-    EXAMPLES,
-    ExampleSpec,
     dense_expm_apply,
     dense_generator,
     gaussian_heat_profile,
@@ -273,17 +271,6 @@ class TestCounterexampleChecks:
 
 
 class TestExampleRegistry:
-    def test_examples_present(self):
-        assert set(EXAMPLES) == {
-            "rotation", "nongeneration", "nonanalytic", "degenerate", "diag_baseline",
-        }
-
-    def test_rotation_alpha_window(self):
-        with pytest.raises(ValueError):
-            ExampleSpec(name="rotation", r=1.5, alpha=0.2)  # below (r-1)/r
-        with pytest.raises(ValueError):
-            ExampleSpec(name="rotation", r=2.5)
-
     def test_consistency_check_passes_on_rotation(self):
         p = build_problem(
             1, 5.0, 120, 2, v_rule="rotation_V", v_params={"r": 1.5}, shift="auto", alpha=0.45
