@@ -8,7 +8,8 @@ checks and writes a reproducible report bundle (bundle.json, report.txt,
 report.csv and a manifest of content hashes).
 
 Exit-code contract: 0 all checks passed, 1 at least one check failed,
-2 configuration error, 3 numerical failure.
+2 configuration error, 3 numerical failure, 4 internal error (any other
+exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -62,6 +64,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 _HARD_CAP_UNKNOWNS = 4_000_000
 _NUMERICAL_ERRORS = (SolverError, SpectralProximityError, np.linalg.LinAlgError, FloatingPointError)
@@ -178,8 +181,10 @@ def load_config(path) -> ExperimentConfig:
                 n_steps=int(run.get("n_steps", 100)),
                 t_final=float(run.get("t_final", 1.0)),
                 linear_solver_tol=float(run.get("solver_tol", 1e-10)),
-                max_solver_iters=int(run.get("max_iters", 20000)),
             )
+            if "max_iters" in run:
+                print("warning: [run] max_iters is ignored; diffusion solves are direct",
+                      file=sys.stderr)
         if parser.has_section("checks"):
             names = parser["checks"].get("names", "")
             cfg.checks = [n.strip() for n in names.split(",") if n.strip()]
@@ -345,7 +350,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
             "n_steps": cfg.run.n_steps,
             "t_final": cfg.run.t_final,
             "solver_tol": cfg.run.linear_solver_tol,
-            "max_iters": cfg.run.max_solver_iters,
         },
         "checks": list(cfg.checks),
         "overrides": cfg.overrides,
@@ -496,23 +500,6 @@ def emit_report(bundle: ReportBundle, out_dir, formats=("text", "csv")) -> dict:
     return manifest
 
 
-def _apply_threads(value: int | None):
-    if value is None or value == 0:
-        env = os.environ.get("VSCHRO_THREADS", "")
-        value = int(env) if env.isdigit() and int(env) > 0 else 0
-    if value <= 0:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(value)
-    try:
-        import threadpoolctl
-
-        global _THREAD_LIMITS
-        _THREAD_LIMITS = threadpoolctl.threadpool_limits(limits=value)
-    except ImportError:
-        pass
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -644,7 +631,6 @@ def main(argv=None) -> int:
         prog="vschro",
         description="coupled-Schrodinger semigroup toolbox and property-check harness",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (0 = auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_config=True):
@@ -703,7 +689,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_export_operator)
 
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -712,6 +697,10 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

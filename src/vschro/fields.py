@@ -135,6 +135,9 @@ _PADE13 = np.array(
 )
 
 
+_EXP_CHUNK = 4096  # matrices per Pade evaluation: bounds the temporaries; s is the batch's
+
+
 def matrix_exp(M: np.ndarray) -> np.ndarray:
     """exp(M) by scaling and squaring with the [13/13] Pade approximant.
 
@@ -151,10 +154,18 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     if not np.isfinite(nrm) or nrm > _NORM_OVERFLOW_LIMIT:
         raise FieldError(f"matrix norm {nrm:.3e} too large for exp")
     s = max(0, int(np.ceil(np.log2(nrm))) + 1) if nrm > 1.0 else 0
-    A = A / (2.0**s)
+    flat = A.reshape(-1, k, k)
+    E = np.empty_like(flat)
+    for lo in range(0, len(flat), _EXP_CHUNK):
+        E[lo:lo + _EXP_CHUNK] = _pade13_squared(flat[lo:lo + _EXP_CHUNK] / (2.0**s), s)
+    E = E.reshape(A.shape)
+    return E[0] if single else E
 
+
+def _pade13_squared(A: np.ndarray, s: int) -> np.ndarray:
+    """[13/13] Pade approximant of exp on a (n, k, k) batch, squared s times."""
     b = _PADE13
-    ident = np.broadcast_to(np.eye(k, dtype=A.dtype), A.shape).copy()
+    ident = np.broadcast_to(np.eye(A.shape[-1], dtype=A.dtype), A.shape).copy()
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A2 @ A4
@@ -175,7 +186,7 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     E = np.linalg.solve(W - U, W + U)
     for _ in range(s):
         E = E @ E
-    return E[0] if single else E
+    return E
 
 
 def _eig_power(M: np.ndarray, z: complex, cond_limit: float = 1e8):

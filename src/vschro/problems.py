@@ -2,18 +2,20 @@
 
 A Problem carries everything the checks and the CLI need for one (Q, V)
 configuration: the sampled coefficient fields, the hypothesis report, the
-diffusion and potential blocks and their sum.  Shift normalization is
-applied here when requested: a potential whose quadratic form only satisfies
-<V xi, xi> <= beta |xi|^2 is replaced by V - (beta+1) I, and the recorded
-shift lets reports un-rescale by e^{t (1 + shift)} when comparing against
-the unshifted dynamics.
+diffusion block and, assembled on first use, the full generator.  Shift
+normalization is applied here when requested: a potential whose quadratic
+form only satisfies <V xi, xi> <= beta |xi|^2 is replaced by V - (beta+1) I,
+and the recorded shift lets reports un-rescale by e^{t (1 + shift)} when
+comparing against the unshifted dynamics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from vschro.fields import (
+    POTENTIAL,
     HypothesisReport,
     MatrixField,
     make_rule,
@@ -39,8 +41,12 @@ class Problem:
     V: MatrixField
     report: HypothesisReport
     diffusion: SparseOperator = field(repr=False)
-    potential: SparseOperator = field(repr=False)
-    generator: SparseOperator = field(repr=False)
+
+    @cached_property
+    def generator(self) -> SparseOperator:
+        """A + V as one sparse operator.  Splitting runs never read it, so it
+        is only built (and held in memory) for the spectral and oracle paths."""
+        return self.diffusion + assemble_potential(self.V, self.m)
 
     @property
     def unrescale_rate(self) -> float:
@@ -70,23 +76,16 @@ def build_problem(
     Q = sample_field(qr, grid, qkind)
     vr, vkind = make_rule(v_rule, dim, **(v_params or {}), m=m)
     V = sample_field(vr, grid, vkind)
-    if V.rows != m:
-        raise ValueError(f"rule {v_rule!r} produced {V.rows} components, expected {m}")
+    if V.kind != POTENTIAL or V.rows != m:
+        raise ValueError(
+            f"rule {v_rule!r} gave a {V.rows}x{V.rows} {V.kind} field; m = {m} needs a potential"
+        )
     report = validate_hypotheses(Q, V, alpha)
     if shift == "auto" and report.dissipativity_margin > 1e-12:
         V = shift_potential(V, report.shift_beta)
         report = validate_hypotheses(Q, V, alpha)
     elif shift not in ("auto", "none"):
         raise ValueError(f"shift must be 'auto' or 'none', got {shift!r}")
-    A = assemble_diffusion(Q, grid, m)
-    Vop = assemble_potential(V, m)
     return Problem(
-        grid=grid,
-        m=m,
-        Q=Q,
-        V=V,
-        report=report,
-        diffusion=A,
-        potential=Vop,
-        generator=A + Vop,
+        grid=grid, m=m, Q=Q, V=V, report=report, diffusion=assemble_diffusion(Q, grid, m)
     )

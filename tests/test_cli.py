@@ -8,6 +8,8 @@ from vschro.cli import (
     ConfigError,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
+    EXIT_NUMERICAL,
     EXIT_OK,
     bundled_config_path,
     list_experiments,
@@ -229,6 +231,11 @@ class TestConfigErrors:
         too_steep = body.replace("r=1.5", "r=2.5").replace("shift = none", "shift = auto\nalpha = 0.45")
         assert self._exit_code(tmp_path, too_steep) == EXIT_CONFIG
 
+    def test_diffusion_rule_as_potential_rejected(self, tmp_path, capsys):
+        body = QUICK.replace("m = 2", "m = 1").replace("v_rule = diag_V\nv_params = c=-1.0", "v_rule = identity_Q")
+        assert self._exit_code(tmp_path, body) == EXIT_CONFIG
+        assert "needs a potential" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_cells", [63, 65])
     def test_custom_table_cell_count_mismatch(self, tmp_path, capsys, n_cells):
         rows = ["cell,row,col,value"]
@@ -249,3 +256,30 @@ class TestConfigErrors:
             table.write_text(content)
         body = QUICK.replace("v_rule = diag_V\nv_params = c=-1.0", f"v_rule = custom_table\nv_params = path={table}")
         assert self._exit_code(tmp_path, body) == EXIT_CONFIG
+
+
+class TestExitCodes:
+    def _verify(self, tmp_path, body):
+        cfg = write_cfg(tmp_path, body)
+        return main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    def test_max_iters_warns_and_is_ignored(self, tmp_path, capsys):
+        body = QUICK.replace("t_final = 0.2", "t_final = 0.2\nmax_iters = 5")
+        assert self._verify(tmp_path, body) == EXIT_OK
+        assert capsys.readouterr().err.count("max_iters") == 1
+        bundle = json.loads((tmp_path / "o" / "bundle.json").read_text())
+        assert "max_iters" not in bundle["config"]["run"]
+
+    def test_unreachable_solver_tol_is_numerical_failure(self, tmp_path, capsys):
+        body = QUICK.replace("t_final = 0.2", "t_final = 0.2\nsolver_tol = 1e-300")
+        assert self._verify(tmp_path, body) == EXIT_NUMERICAL
+        assert "residual" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken check")
+
+        monkeypatch.setitem(CHECKS, "contraction", broken)
+        assert self._verify(tmp_path, QUICK) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal error" in err and "broken check" in err

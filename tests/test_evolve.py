@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vschro.evolve import (
     SolverError,
     SplitConfig,
     diffusion_step,
-    pcg,
     potential_step,
     scalar_heat_evolve,
     trotter_evolve,
 )
-from vschro.fields import make_rule, sample_field, shift_potential
+from vschro.fields import MatrixField, make_rule, sample_field, shift_potential
 from vschro.mesh import VectorField, build_grid, lp_norm
-from vschro.operators import assemble_diffusion, assemble_potential
+from vschro.operators import SparseOperator, assemble_diffusion, assemble_potential
 
 
 def identity_q(grid):
@@ -42,29 +44,94 @@ class TestSplitConfig:
             SplitConfig(linear_solver_tol=1.0)
 
 
-class TestPcg:
-    def test_solves_spd_system(self):
-        rng = np.random.default_rng(0)
-        n = 60
-        M = rng.standard_normal((n, n))
-        A = M @ M.T + n * np.eye(n)
-        import scipy.sparse as sp
+class TestDirectSolve:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "dim,q_rule,q_params",
+        [
+            (1, "identity_Q", {}),
+            (1, "anisotropic_Q", {"ratio": 0.25}),
+            (2, "identity_Q", {}),
+            (2, "anisotropic_Q", {"theta": 0.6, "ratio": 0.25}),
+            (2, "cross_Q", {"q12": 0.3}),
+        ],
+    )
+    def test_matches_dense_solve(self, dim, q_rule, q_params, m):
+        g = build_grid(dim, 2.0, 24 if dim == 1 else 7)
+        Q = sample_field(make_rule(q_rule, dim, **q_params)[0], g, "diffusion")
+        A = assemble_diffusion(Q, g, m)
+        dense = A.matrix.toarray()
+        ident = np.eye(A.dims)
+        rng = np.random.default_rng(dim * 10 + m)
+        real = rng.standard_normal((g.n_cells, m))
+        tau = 0.07
+        for vals in (real, real + 1j * rng.standard_normal((g.n_cells, m))):
+            flat = vals.ravel()
+            refs = {
+                "backward_euler": np.linalg.solve(ident - tau * dense, flat),
+                "crank_nicolson": np.linalg.solve(
+                    ident - 0.5 * tau * dense, (ident + 0.5 * tau * dense) @ flat
+                ),
+            }
+            for substep, ref in refs.items():
+                cfg = SplitConfig(diffusion_substep=substep, linear_solver_tol=1e-12)
+                out = diffusion_step(A, VectorField(g, vals), tau, cfg).values.ravel()
+                assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
-        As = sp.csr_matrix(A)
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x, iters = pcg(As, b, atol=1e-12 * np.linalg.norm(b), max_iters=500)
-        assert np.linalg.norm(As @ x - b) <= 1e-11 * np.linalg.norm(b)
-        assert iters > 0
+    def test_rejects_symmetric_component_coupling(self):
+        g = build_grid(1, 2.0, 8)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        swap = sp.kron(sp.identity(8), sp.csr_matrix([[0.0, 0.1], [0.1, 0.0]]))
+        coupled = SparseOperator((A.matrix + swap).tocsr(), g, 2, symmetric=True)
+        V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
+        f = bump_field(g, 2)
+        with pytest.raises(ValueError, match="kron"):
+            diffusion_step(coupled, f, 0.1, SplitConfig())
+        with pytest.raises(ValueError, match="kron"):
+            trotter_evolve(coupled, V, f, SplitConfig(n_steps=2, t_final=0.1))
 
-    def test_raises_on_iteration_budget(self):
-        import scipy.sparse as sp
+    def test_residual_miss_raises(self):
+        g = build_grid(1, 2.0, 16)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        rng = np.random.default_rng(5)
+        f = VectorField(g, rng.standard_normal((16, 2)))
+        with pytest.raises(SolverError, match="residual"):
+            diffusion_step(A, f, 0.1, SplitConfig(linear_solver_tol=1e-300))
 
-        rng = np.random.default_rng(1)
-        M = rng.standard_normal((40, 40))
-        A = sp.csr_matrix(M @ M.T + 40 * np.eye(40))
-        b = rng.standard_normal(40)
-        with pytest.raises(SolverError):
-            pcg(A, b, atol=1e-300, max_iters=2)
+    @pytest.mark.parametrize("exc", [RuntimeError("Factor is exactly singular"), MemoryError()])
+    def test_factorization_failure_raises_solver_error(self, monkeypatch, exc):
+        def failing_splu(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("scipy.sparse.linalg.splu", failing_splu)
+        g = build_grid(1, 2.0, 16)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        with pytest.raises(SolverError, match="16-cell"):
+            diffusion_step(A, bump_field(g, 2), 0.1, SplitConfig())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=2),
+        n=st.integers(min_value=3, max_value=12),
+        tau=st.floats(min_value=1e-3, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_backward_euler_positive_and_contractive(self, dim, n, tau, seed):
+        # diagonal Q makes I - tau A an M-matrix: its inverse is entrywise
+        # nonnegative with row and column sums <= 1
+        g = build_grid(dim, 2.0, n)
+        rng = np.random.default_rng(seed)
+        q = np.zeros((g.n_cells, dim, dim))
+        for a in range(dim):
+            q[:, a, a] = rng.uniform(0.1, 10.0, g.n_cells)
+        A = assemble_diffusion(MatrixField(g, "diffusion", q), g, 2)
+        f = VectorField(g, rng.random((g.n_cells, 2)))
+        cfg = SplitConfig(diffusion_substep="backward_euler", linear_solver_tol=1e-12)
+        out = diffusion_step(A, f, tau, cfg)
+        assert np.all(out.values.imag == 0.0)
+        assert out.values.real.min() >= -1e-14 * f.values.real.max()
+        for p in (1, math.inf):
+            assert lp_norm(out, p) <= lp_norm(f, p) * (1.0 + 1e-14)
 
 
 class TestPotentialStep:

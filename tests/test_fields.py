@@ -127,6 +127,18 @@ class TestMatrixExp:
         for i in (0, 5, 10):
             np.testing.assert_allclose(E[i], matrix_exp(batch[i]), atol=1e-13)
 
+    def test_chunked_batch_bit_identical(self):
+        # one Pade evaluation of the whole batch is the reference: chunking
+        # under the batch's scaling power must not change a bit
+        from vschro.fields import _EXP_CHUNK, _pade13_squared
+
+        rng = np.random.default_rng(12)
+        shape = (2 * _EXP_CHUNK + 8, 2, 2)
+        batch = 30.0 * rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        E = matrix_exp(batch.reshape(2, -1, 2, 2))
+        s = max(0, int(np.ceil(np.log2(np.abs(batch).sum(axis=1).max()))) + 1)
+        np.testing.assert_array_equal(E.reshape(batch.shape), _pade13_squared(batch / 2.0**s, s))
+
     def test_overflow_rejected(self):
         with pytest.raises(FieldError):
             matrix_exp(np.eye(2) * 2e8)

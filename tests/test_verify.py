@@ -152,6 +152,15 @@ class TestDomination:
         for key, val in res.measured.items():
             assert val <= 1e-8
 
+    def test_diag_v_domination_to_rounding(self):
+        # vector and scalar runs are matched backward-Euler M-matrix solves:
+        # the inequality holds to rounding error, not to a solver tolerance
+        p = small_problem(v_params={"c": -1.0}, n=400, R=10.0)
+        res = run_domination_check(p, ts=(0.1, 0.5, 1.0))
+        assert res.passed
+        for key, val in res.measured.items():
+            assert val <= 1e-14, key
+
 
 class TestUltracontractivity:
     def test_fit_on_synthetic_kernels(self):
