@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -125,17 +126,23 @@ class ExperimentConfig:
     seed: int = 1
 
     def validate(self):
-        if self.q_rule not in RULE_NAMES or self.v_rule not in RULE_NAMES:
-            raise ConfigError(
-                f"unknown rule {self.q_rule!r} or {self.v_rule!r}; known: {', '.join(RULE_NAMES)}"
-            )
+        for rule in (self.q_rule, self.v_rule):
+            if rule not in RULE_NAMES:
+                raise ConfigError(f"unknown rule {rule!r}; known: {', '.join(RULE_NAMES)}")
         unknowns = self.n_per_axis**self.dim * self.m
         if unknowns > _HARD_CAP_UNKNOWNS:
             raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
-        for name in self.checks:
+        for name in (*self.checks, *self.overrides):
             if name not in CHECKS:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
+                )
+        for name, keys in self.overrides.items():
+            unknown = sorted(set(keys) - set(_OVERRIDE_KEYS[name]))
+            if unknown:
+                raise ConfigError(
+                    f"[check.{name}] has no key {unknown[0]!r}; it takes: "
+                    f"{', '.join(_OVERRIDE_KEYS[name])}"
                 )
         if self.v_rule == "rotation_V" and self.alpha > 0.0:
             r = self.v_params.get("r", 1.5)
@@ -217,7 +224,8 @@ class ReportBundle:
 
 
 # ---------------------------------------------------------------------------
-# Check registry.  Each entry takes (problem, run_cfg, seed, **overrides).
+# Check registry.  Each entry takes (problem, run_cfg, seed); its keyword
+# parameters are the [check.<name>] override keys it accepts.
 
 def _random_field(problem: Problem, seed: int) -> VectorField:
     rng = np.random.default_rng(seed)
@@ -227,94 +235,68 @@ def _random_field(problem: Problem, seed: int) -> VectorField:
     return VectorField(problem.grid, vals)
 
 
-def _check_contraction(problem, run_cfg, seed, slack=1e-8, **_):
+def _check_contraction(problem, run_cfg, seed, slack=1e-8):
     cfg = replace(run_cfg, scheme="lie", diffusion_substep="backward_euler")
     traj = trotter_evolve(problem.diffusion, problem.V, _random_field(problem, seed), cfg)
     return run_contraction_check(traj, slack=slack)
 
 
-def _check_consistency(problem, run_cfg, seed, **ov):
-    return run_consistency_check(
-        problem,
-        lam=ov.get("lam", 2.0),
-        horizon=ov.get("horizon", 6.0),
-        n_steps=int(ov.get("n_steps", 300)),
-        tol=ov.get("tol", 0.01),
-    )
+def _check_consistency(problem, run_cfg, seed, lam=2.0, horizon=6.0, n_steps=300, tol=0.01):
+    return run_consistency_check(problem, lam=lam, horizon=horizon, n_steps=int(n_steps), tol=tol)
 
 
-def _check_positivity(problem, run_cfg, seed, **ov):
+def _check_positivity(problem, run_cfg, seed, n_random=50, t_forward=0.1, floor=1e-10):
     return run_positivity_check(
-        problem,
-        n_random=int(ov.get("n_random", 50)),
-        t_forward=ov.get("t_forward", 0.1),
-        seed=seed,
-        floor=ov.get("floor", 1e-10),
+        problem, n_random=int(n_random), t_forward=t_forward, seed=seed, floor=floor
     )
 
 
-def _check_domination(problem, run_cfg, seed, **ov):
-    ts = ov.get("ts", [0.1, 0.5, 1.0])
-    if not isinstance(ts, list):
+def _check_domination(problem, run_cfg, seed, ts=(0.1, 0.5, 1.0), slack=1e-8):
+    if not isinstance(ts, (list, tuple)):
         ts = [ts]
-    return run_domination_check(problem, ts=tuple(float(t) for t in ts),
-                                slack=ov.get("slack", 1e-8))
+    return run_domination_check(problem, ts=tuple(float(t) for t in ts), slack=slack)
 
 
-def _check_ultracontractivity(problem, run_cfg, seed, **ov):
-    kernels = ultracontractive_sweep(problem, n_points=int(ov.get("n_points", 5)))
-    return run_ultracontractivity_fit(kernels, problem.grid.dim, tol=ov.get("tol", 0.1))
+def _check_ultracontractivity(problem, run_cfg, seed, n_points=5, tol=0.1):
+    kernels = ultracontractive_sweep(problem, n_points=int(n_points))
+    return run_ultracontractivity_fit(kernels, problem.grid.dim, tol=tol)
 
 
-def _check_trotter_order(problem, run_cfg, seed, **ov):
-    schedule = ov.get("n_schedule", [8, 16, 32, 64])
-    return run_trotter_order_check(problem, t=ov.get("t", 0.5),
-                                   n_schedule=tuple(int(n) for n in schedule))
+def _check_trotter_order(problem, run_cfg, seed, t=0.5, n_schedule=(8, 16, 32, 64)):
+    return run_trotter_order_check(problem, t=t, n_schedule=tuple(int(n) for n in n_schedule))
 
 
-def _check_nongeneration(problem, run_cfg, seed, **ov):
-    extents = ov.get("extents", [50.0, 100.0, 200.0])
+def _check_nongeneration(problem, run_cfg, seed, lam=1.0, extents=(50.0, 100.0, 200.0),
+                         h_target=0.125):
     return run_nongeneration_demo(
-        lam=ov.get("lam", 1.0),
-        extents=tuple(float(r) for r in extents),
-        h_target=ov.get("h_target", 0.125),
+        lam=lam, extents=tuple(float(r) for r in extents), h_target=h_target
     )
 
 
-def _check_shift_invariance(problem, run_cfg, seed, **ov):
-    sigmas = ov.get("sigmas", [1.0, 2.0, 5.0])
+def _check_shift_invariance(problem, run_cfg, seed, mu=1.0, sigmas=(1.0, 2.0, 5.0),
+                            extent=40.0, n_per_axis=1600, tol=0.02):
     return run_shift_invariance_check(
-        mu=ov.get("mu", 1.0),
+        mu=mu,
         sigmas=tuple(float(s) for s in sigmas),
-        extent=ov.get("extent", 40.0),
-        n_per_axis=int(ov.get("n_per_axis", 1600)),
-        tol=ov.get("tol", 0.02),
+        extent=extent,
+        n_per_axis=int(n_per_axis),
+        tol=tol,
     )
 
 
-def _check_degenerate_kernel(problem, run_cfg, seed, **ov):
+def _check_degenerate_kernel(problem, run_cfg, seed, extent=10.0, n_per_axis=400, t=0.2,
+                             n_steps=200):
     return run_degenerate_kernel_check(
-        extent=ov.get("extent", 10.0),
-        n_per_axis=int(ov.get("n_per_axis", 400)),
-        t=ov.get("t", 0.2),
-        n_steps=int(ov.get("n_steps", 200)),
+        extent=extent, n_per_axis=int(n_per_axis), t=t, n_steps=int(n_steps)
     )
 
 
-def _check_commutator(problem, run_cfg, seed, **ov):
-    schedule = ov.get("n_schedule", [200, 400])
-    return run_commutator_rate_check(
-        extent=ov.get("extent", 10.0),
-        n_schedule=tuple(int(n) for n in schedule),
-    )
+def _check_commutator(problem, run_cfg, seed, extent=10.0, n_schedule=(200, 400)):
+    return run_commutator_rate_check(extent=extent, n_schedule=tuple(int(n) for n in n_schedule))
 
 
-def _check_compactness(problem, run_cfg, seed, **ov):
-    return run_compactness_contrast(
-        h_target=ov.get("h_target", 0.05),
-        extent=ov.get("extent", 10.0),
-        k=int(ov.get("k", 20)),
-    )
+def _check_compactness(problem, run_cfg, seed, h_target=0.05, extent=10.0, k=20):
+    return run_compactness_contrast(h_target=h_target, extent=extent, k=int(k))
 
 
 CHECKS = {
@@ -330,6 +312,8 @@ CHECKS = {
     "commutator": _check_commutator,
     "compactness": _check_compactness,
 }
+# Read at import, so a wrapper installed around an entry later cannot hide them.
+_OVERRIDE_KEYS = {name: list(inspect.signature(fn).parameters)[3:] for name, fn in CHECKS.items()}
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

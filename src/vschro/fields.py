@@ -13,6 +13,7 @@ smallest singular value of V(x).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -436,11 +437,11 @@ def _constant(mat: np.ndarray):
     return lambda x: np.broadcast_to(mat, (len(x),) + mat.shape)
 
 
-def _rule_identity_q(dim, **_):
+def _rule_identity_q(dim):
     return _constant(np.eye(dim)), DIFFUSION
 
 
-def _rule_anisotropic_q(dim, theta=0.0, ratio=1.0, **_):
+def _rule_anisotropic_q(dim, theta=0.0, ratio=1.0):
     if dim == 1:
         mat = np.array([[float(ratio)]])
     else:
@@ -450,7 +451,7 @@ def _rule_anisotropic_q(dim, theta=0.0, ratio=1.0, **_):
     return _constant(mat), DIFFUSION
 
 
-def _rule_cross_q(dim, q12=0.3, **_):
+def _rule_cross_q(dim, q12=0.3):
     if dim != 2:
         raise FieldError("cross_Q needs dim = 2")
     return _constant(np.array([[1.0, float(q12)], [float(q12), 1.0]])), DIFFUSION
@@ -459,7 +460,7 @@ def _rule_cross_q(dim, q12=0.3, **_):
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _rule_rotation_v(dim, r=1.5, **_):
+def _rule_rotation_v(dim, r=1.5):
     if not 1.0 <= r < 2.0:
         raise FieldError(f"rotation exponent r must lie in [1, 2), got {r}")
 
@@ -469,7 +470,7 @@ def _rule_rotation_v(dim, r=1.5, **_):
     return rule, POTENTIAL
 
 
-def _rule_upper_triangular_v(dim, **_):
+def _rule_upper_triangular_v(dim):
     def rule(x):
         vals = np.zeros((len(x), 2, 2))
         vals[:, 0, 1] = x[:, 0]
@@ -478,7 +479,7 @@ def _rule_upper_triangular_v(dim, **_):
     return rule, POTENTIAL
 
 
-def _rule_degenerate_v(dim, **_):
+def _rule_degenerate_v(dim):
     base = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
     def rule(x):
@@ -487,16 +488,16 @@ def _rule_degenerate_v(dim, **_):
     return rule, POTENTIAL
 
 
-def _rule_diag_v(dim, c=-1.0, m=2, **_):
+def _rule_diag_v(dim, c=-1.0, m=2):
     return _constant(float(c) * np.eye(int(m))), POTENTIAL
 
 
-def _rule_coupled_v(dim, a=-2.0, b=1.0, c=0.5, **_):
+def _rule_coupled_v(dim, a=-2.0, b=1.0, c=0.5):
     """Constant 2x2 potential [[a, b], [c, a]]; sign of b, c drives positivity."""
     return _constant(np.array([[float(a), float(b)], [float(c), float(a)]])), POTENTIAL
 
 
-def _rule_complex_linear_v(dim, **_):
+def _rule_complex_linear_v(dim):
     """1-component potential -i x[0]; the non-analyticity witness."""
 
     def rule(x):
@@ -505,7 +506,7 @@ def _rule_complex_linear_v(dim, **_):
     return rule, POTENTIAL
 
 
-def _rule_custom_table(dim, path=None, kind=POTENTIAL, **_):
+def _rule_custom_table(dim, path=None, kind=POTENTIAL):
     """Per-cell matrices from a CSV table with rows cell,row,col,value[,imag];
     the table must list exactly one matrix per grid cell."""
     if path is None:
@@ -550,9 +551,20 @@ RULE_NAMES = tuple(sorted(_RULES))
 
 
 def make_rule(name: str, dim: int, **params):
-    """Look up a named coefficient rule; returns (callable, kind)."""
+    """Look up a named coefficient rule; returns (callable, kind).
+
+    A parameter the rule does not take is rejected, except m (the component
+    count build_problem passes to every potential rule), which only reaches
+    the rules that take it.
+    """
     try:
         factory = _RULES[name]
     except KeyError:
         raise FieldError(f"unknown rule {name!r}; known: {', '.join(RULE_NAMES)}") from None
-    return factory(dim, **params)
+    accepted = list(inspect.signature(factory).parameters)[1:]
+    unknown = sorted(set(params) - set(accepted) - {"m"})
+    if unknown:
+        raise FieldError(
+            f"rule {name!r} has no parameter {unknown[0]!r}; it takes: {', '.join(accepted) or 'none'}"
+        )
+    return factory(dim, **{k: v for k, v in params.items() if k in accepted})

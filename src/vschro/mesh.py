@@ -174,23 +174,27 @@ def build_grid(dim: int, extent: float, n_per_axis: int) -> Grid:
 
 def lp_norm(f: VectorField, p) -> float:
     """Discrete L^p norm (sum_cells |f(x)|^p h^d)^(1/p); p = inf gives the
-    max over cells of the per-cell Euclidean amplitude.
+    max over cells of the per-cell Euclidean amplitude."""
+    return values_lp_norm(f.values, p, f.grid.cell_measure)
+
+
+def values_lp_norm(values: np.ndarray, p, cell_measure: float) -> float:
+    """lp_norm of a raw (n_cells, m) real or complex value array.
 
     Reductions rely on numpy's pairwise summation, so the result is
     deterministic for fixed data.
     """
-    amp = f.cell_amplitudes()
+    amp = np.sqrt(np.sum(np.abs(values) ** 2, axis=1))
     if p == math.inf or p == "inf":
         return float(amp.max(initial=0.0))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    w = f.grid.cell_measure
     if p == 1.0:
-        return float(np.sum(amp) * w)
+        return float(np.sum(amp) * cell_measure)
     if p == 2.0:
-        return float(math.sqrt(np.sum(amp**2) * w))
-    return float((np.sum(amp**p) * w) ** (1.0 / p))
+        return float(math.sqrt(np.sum(amp**2) * cell_measure))
+    return float((np.sum(amp**p) * cell_measure) ** (1.0 / p))
 
 
 def dual_pairing(f: VectorField, g: VectorField) -> complex:

@@ -63,13 +63,14 @@ class EigenResult:
 
 @dataclass
 class KernelEstimate:
-    """Discrete kernel column K_h(t, ., y) e_j and its sup norm."""
+    """Discrete kernel column K_h(t, ., y) e_j and its sup norm; kernel_sweep
+    keeps the sup norm only (column None)."""
 
     t: float
     source_cell: int
     source_component: int
-    column: VectorField = field(repr=False)
     sup_abs: float
+    column: VectorField | None = field(default=None, repr=False)
 
 
 def _factorize(matrix: sp.spmatrix):
@@ -199,7 +200,7 @@ def kernel_column(
     vals = np.zeros((grid.n_cells, A.m), dtype=np.complex128)
     vals[source_cell, source_component] = 1.0 / grid.cell_measure
     delta = VectorField(grid, vals)
-    traj = trotter_evolve(A, V, delta, replace(cfg, t_final=t), norm_ps=(1,))
+    traj = trotter_evolve(A, V, delta, replace(cfg, t_final=t), norm_ps=())
     column = traj.final
     return KernelEstimate(
         t=t,
@@ -239,13 +240,12 @@ def kernel_sweep(
     for i, t in enumerate(sorted(t_values)):
         steps = first_segment_steps if i == 0 else steps_per_segment
         seg = replace(cfg, n_steps=steps, t_final=t - t_prev)
-        state = trotter_evolve(A, V, state, seg, norm_ps=(1,)).final
+        state = trotter_evolve(A, V, state, seg, norm_ps=()).final
         out.append(
             KernelEstimate(
                 t=t,
                 source_cell=source_cell,
                 source_component=source_component,
-                column=state,
                 sup_abs=float(np.abs(state.values).max()),
             )
         )

@@ -75,8 +75,9 @@ class TestConfig:
 
     def test_unknown_rule_rejected(self, tmp_path):
         bad = QUICK.replace("diag_V", "nonsense_V")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown rule 'nonsense_V';") as info:
             load_config(write_cfg(tmp_path, bad))
+        assert "'identity_Q'" not in str(info.value)  # the valid rule is not named
 
     def test_unknown_count_cap(self, tmp_path):
         bad = QUICK.replace("n_per_axis = 64", "n_per_axis = 4000000")
@@ -256,6 +257,55 @@ class TestConfigErrors:
             table.write_text(content)
         body = QUICK.replace("v_rule = diag_V\nv_params = c=-1.0", f"v_rule = custom_table\nv_params = path={table}")
         assert self._exit_code(tmp_path, body) == EXIT_CONFIG
+
+
+def _table_body(tmp_path, n_cells, value="-1.0"):
+    rows = ["cell,row,col,value"]
+    for c in range(n_cells):
+        rows += [f"{c},0,0,{value if c == 5 else -1.0}", f"{c},1,1,-1.0"]
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(rows) + "\n")
+    return QUICK.replace("v_rule = diag_V\nv_params = c=-1.0", f"v_rule = custom_table\nv_params = path={table}")
+
+
+# Malformed inputs and the stderr fragment each must produce; every one exits 2.
+MALFORMED = {
+    "short_table": (lambda tmp: _table_body(tmp, 63), "lists 63 cells"),
+    "nan_coefficient": (lambda tmp: QUICK.replace("c=-1.0", "c=nan"), "non-finite"),
+    "nan_table_entry": (lambda tmp: _table_body(tmp, 64, value="nan"), "non-finite"),
+    "oversize_grid": (lambda tmp: QUICK.replace("n_per_axis = 64", "n_per_axis = 2000001"), "hard cap"),
+    "unknown_check": (lambda tmp: QUICK.replace("contraction, positivity", "contraction, frobnicate"),
+                      "unknown check 'frobnicate'"),
+    "unknown_override_section": (lambda tmp: QUICK.replace("[check.positivity]", "[check.frobnicate]"),
+                                 "unknown check 'frobnicate'"),
+    "unknown_rule": (lambda tmp: QUICK.replace("diag_V", "nonsense_V"), "unknown rule 'nonsense_V'"),
+    "unknown_rule_parameter": (lambda tmp: QUICK.replace("c=-1.0", "C=1.0"),
+                               "rule 'diag_V' has no parameter 'C'"),
+    "unknown_rule_parameter_extra": (lambda tmp: QUICK.replace("c=-1.0", "c=-1.0, zz=1.0"),
+                                     "no parameter 'zz'"),
+    "unknown_override_key": (lambda tmp: QUICK.replace("n_random = 5", "n_random = 5\nslakc = 1e-3"),
+                             "[check.positivity] has no key 'slakc'"),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_config_error(self, tmp_path, capsys, case):
+        make_body, fragment = MALFORMED[case]
+        cfg = write_cfg(tmp_path, make_body(tmp_path))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bundled_and_benchmark_overrides_accepted(self, tmp_path):
+        body = QUICK.replace("[check.positivity]", "[check.trotter_order]\nt = 0.5\n\n"
+                             "[check.shift_invariance]\nmu = 1.0\nn_per_axis = 400\n\n"
+                             "[check.nongeneration]\nlam = 1.0\nextents = 50.0, 100.0\n\n"
+                             "[check.positivity]")
+        cfg = load_config(write_cfg(tmp_path, body))
+        assert cfg.overrides["positivity"] == {"n_random": 5}
+        assert cfg.overrides["shift_invariance"] == {"mu": 1.0, "n_per_axis": 400}
 
 
 class TestExitCodes:

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from vschro.evolve import (
     SolverError,
+    _DiffusionStepper,
+    _PotentialStepper,
     SplitConfig,
     diffusion_step,
     potential_step,
     scalar_heat_evolve,
     trotter_evolve,
 )
-from vschro.fields import MatrixField, make_rule, sample_field, shift_potential
+from vschro.fields import MatrixField, make_rule, matrix_exp, sample_field, shift_potential
 from vschro.mesh import VectorField, build_grid, lp_norm
 from vschro.operators import SparseOperator, assemble_diffusion, assemble_potential
 
@@ -410,3 +412,102 @@ class TestScalarHeat:
         out = scalar_heat_evolve(Q, w0, 0.3, cfg)
         assert out.values.real.min() >= -1e-12
         assert np.sum(out.values.real) * g.cell_measure <= np.sum(w0.values.real) * g.cell_measure
+
+
+def random_real_potential(grid, m, seed):
+    """Per-cell real m x m potentials with full coupling."""
+    rng = np.random.default_rng(seed)
+    return MatrixField(grid, "potential", rng.uniform(-1.0, 0.5, (grid.n_cells, m, m)))
+
+
+def random_parts(grid, m, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((2, grid.n_cells, m))
+
+
+class TestRealPath:
+    """Real data under a real potential is stepped in float64: m LU columns
+    instead of 2m, and the result must equal the complex path's by linearity."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("substep", ["backward_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("scheme", ["lie", "strang"])
+    def test_complex_run_is_sum_of_real_runs(self, scheme, substep, dim, m):
+        g = build_grid(dim, 3.0, 30 if dim == 1 else 9)
+        A = assemble_diffusion(identity_q(g), g, m)
+        V = random_real_potential(g, m, seed=m)
+        re, im = random_parts(g, m, seed=10 + m)
+        cfg = SplitConfig(scheme=scheme, diffusion_substep=substep, n_steps=6, t_final=0.3)
+        whole = trotter_evolve(A, V, VectorField(g, re + 1j * im), cfg).final.values
+        parts = [trotter_evolve(A, V, VectorField(g, x), cfg).final.values for x in (re, im)]
+        combined = parts[0] + 1j * parts[1]
+        assert np.linalg.norm(whole - combined) <= 1e-13 * np.linalg.norm(whole)
+
+    def test_real_data_under_complex_potential_stays_complex(self):
+        g = build_grid(1, 10.0, 60)
+        V = sample_field(make_rule("complex_linear_V", 1)[0], g, "potential")
+        A = assemble_diffusion(identity_q(g), g, 1)
+        f = bump_field(g, 1)
+        assert f.is_real
+        out = trotter_evolve(A, V, f, SplitConfig(n_steps=10, t_final=0.5)).final
+        assert np.abs(out.values.imag).max() > 1e-3
+
+    def test_snapshots_complex_with_exact_zero_imaginary_part(self):
+        g = build_grid(2, 3.0, 8)
+        V = random_real_potential(g, 2, seed=4)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        f = VectorField(g, random_parts(g, 2, seed=5)[0])
+        traj = trotter_evolve(A, V, f, SplitConfig(n_steps=6, t_final=0.3), snapshot_stride=2)
+        assert len(traj.snapshots) == 4
+        for snap in traj.snapshots:
+            assert snap.values.dtype == np.complex128
+            assert np.all(snap.values.imag == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_solve_columns(self, monkeypatch, m):
+        seen = []
+        apply = _DiffusionStepper.apply
+
+        def counting(self, values):
+            seen.append(values.view(np.float64).shape[1])
+            return apply(self, values)
+
+        monkeypatch.setattr(_DiffusionStepper, "apply", counting)
+        g = build_grid(1, 3.0, 20)
+        A = assemble_diffusion(identity_q(g), g, m)
+        V = random_real_potential(g, m, seed=6)
+        re, im = random_parts(g, m, seed=7)
+        cfg = SplitConfig(n_steps=3, t_final=0.1)
+        trotter_evolve(A, V, VectorField(g, re), cfg)
+        assert seen == [m] * 3
+        seen.clear()
+        trotter_evolve(A, V, VectorField(g, re + 1j * im), cfg)
+        assert seen == [2 * m] * 3
+
+    @pytest.mark.parametrize("substep", ["backward_euler", "crank_nicolson"])
+    def test_scalar_heat_real_matches_complex(self, substep):
+        g = build_grid(2, 3.0, 10)
+        Q = identity_q(g)
+        re, im = random_parts(g, 1, seed=8)
+        cfg = SplitConfig(diffusion_substep=substep, n_steps=5)
+        whole = scalar_heat_evolve(Q, VectorField(g, re + 1j * im), 0.2, cfg).values
+        parts = [scalar_heat_evolve(Q, VectorField(g, x), 0.2, cfg).values for x in (re, im)]
+        assert np.all(parts[0].imag == 0.0) and np.all(parts[1].imag == 0.0)
+        combined = parts[0] + 1j * parts[1]
+        assert np.linalg.norm(whole - combined) <= 1e-13 * np.linalg.norm(whole)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_potential_apply_matches_complex_einsum(self, m):
+        # the multiply-add sums over j in order, as complex einsum does, so a
+        # real run reproduces the complex run's real part bit for bit
+        g = build_grid(2, 3.0, 12)
+        V = random_real_potential(g, m, seed=9)
+        stepper = _PotentialStepper(V, 0.2)
+        expm = matrix_exp(0.2 * V.values).astype(complex)
+        re, im = random_parts(g, m, seed=10)
+        for vals in (re, re + 1j * im):
+            ref = np.einsum("cij,cj->ci", expm, vals.astype(complex))
+            out = stepper.apply(vals)
+            assert out.dtype == vals.dtype
+            assert out.tobytes() == (ref if np.iscomplexobj(vals) else ref.real.copy()).tobytes()

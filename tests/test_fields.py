@@ -93,6 +93,19 @@ class TestSampling:
         with pytest.raises(FieldError):
             make_rule("bogus_rule", 1)
 
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(FieldError, match="rule 'diag_V' has no parameter 'C'; it takes: c, m"):
+            make_rule("diag_V", 1, C=1.0)
+        with pytest.raises(FieldError, match="no parameter 'zz'; it takes: none"):
+            make_rule("identity_Q", 1, zz=1.0)
+
+    def test_component_count_reaches_only_rules_that_take_it(self):
+        g = build_grid(1, 2.0, 5)
+        V = sample_field(make_rule("diag_V", 1, c=-2.0, m=3)[0], g, "potential")
+        assert V.rows == 3
+        W = sample_field(make_rule("rotation_V", 1, r=1.5, m=2)[0], g, "potential")
+        assert W.rows == 2
+
 
 class TestMatrixExp:
     def test_zero_gives_identity(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from vschro.spectral import (
     SpectralProximityError,
     eigenpairs,
     kernel_column,
+    kernel_sweep,
     operator_norm_estimate,
     resolvent_norm,
     solve_resolvent,
@@ -207,6 +209,18 @@ class TestKernel:
         for j in (0, 1):
             est = kernel_column(A, V, 0.1, g.center_cell(), j, cfg)
             assert est.column.values.real.min() >= -1e-10
+
+    def test_sweep_keeps_sup_norms_not_columns(self):
+        g = build_grid(1, 6.0, 200)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        V = sample_field(make_rule("coupled_V", 1, a=-2.0, b=1.0, c=0.5)[0], g, "potential")
+        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler")
+        sweep = kernel_sweep(A, V, (0.05, 0.1), g.center_cell(), 1, cfg,
+                             steps_per_segment=8, first_segment_steps=8)
+        assert [k.t for k in sweep] == [0.05, 0.1]
+        assert all(k.column is None for k in sweep)
+        first = kernel_column(A, V, 0.05, g.center_cell(), 1, replace(cfg, n_steps=8))
+        assert sweep[0].sup_abs == first.sup_abs
 
     def test_adjoint_kernel_symmetry(self):
         # strang steps: the discrete evolution matrix of (Q, V^T) is the
