@@ -129,6 +129,9 @@ class ExperimentConfig:
         for rule in (self.q_rule, self.v_rule):
             if rule not in RULE_NAMES:
                 raise ConfigError(f"unknown rule {rule!r}; known: {', '.join(RULE_NAMES)}")
+        for key, params in (("q_params", self.q_params), ("v_params", self.v_params)):
+            if "m" in params:
+                raise ConfigError(f"{key} sets m; the component count is [problem] m")
         unknowns = self.n_per_axis**self.dim * self.m
         if unknowns > _HARD_CAP_UNKNOWNS:
             raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
@@ -235,6 +238,11 @@ def _random_field(problem: Problem, seed: int) -> VectorField:
     return VectorField(problem.grid, vals)
 
 
+def _as_tuple(value, cast) -> tuple:
+    """A list-valued override as a tuple; a single value is a one-entry list."""
+    return tuple(cast(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+
+
 def _check_contraction(problem, run_cfg, seed, slack=1e-8):
     cfg = replace(run_cfg, scheme="lie", diffusion_substep="backward_euler")
     traj = trotter_evolve(problem.diffusion, problem.V, _random_field(problem, seed), cfg)
@@ -252,9 +260,7 @@ def _check_positivity(problem, run_cfg, seed, n_random=50, t_forward=0.1, floor=
 
 
 def _check_domination(problem, run_cfg, seed, ts=(0.1, 0.5, 1.0), slack=1e-8):
-    if not isinstance(ts, (list, tuple)):
-        ts = [ts]
-    return run_domination_check(problem, ts=tuple(float(t) for t in ts), slack=slack)
+    return run_domination_check(problem, ts=_as_tuple(ts, float), slack=slack)
 
 
 def _check_ultracontractivity(problem, run_cfg, seed, n_points=5, tol=0.1):
@@ -263,21 +269,19 @@ def _check_ultracontractivity(problem, run_cfg, seed, n_points=5, tol=0.1):
 
 
 def _check_trotter_order(problem, run_cfg, seed, t=0.5, n_schedule=(8, 16, 32, 64)):
-    return run_trotter_order_check(problem, t=t, n_schedule=tuple(int(n) for n in n_schedule))
+    return run_trotter_order_check(problem, t=t, n_schedule=_as_tuple(n_schedule, int))
 
 
 def _check_nongeneration(problem, run_cfg, seed, lam=1.0, extents=(50.0, 100.0, 200.0),
                          h_target=0.125):
-    return run_nongeneration_demo(
-        lam=lam, extents=tuple(float(r) for r in extents), h_target=h_target
-    )
+    return run_nongeneration_demo(lam=lam, extents=_as_tuple(extents, float), h_target=h_target)
 
 
 def _check_shift_invariance(problem, run_cfg, seed, mu=1.0, sigmas=(1.0, 2.0, 5.0),
                             extent=40.0, n_per_axis=1600, tol=0.02):
     return run_shift_invariance_check(
         mu=mu,
-        sigmas=tuple(float(s) for s in sigmas),
+        sigmas=_as_tuple(sigmas, float),
         extent=extent,
         n_per_axis=int(n_per_axis),
         tol=tol,
@@ -292,7 +296,7 @@ def _check_degenerate_kernel(problem, run_cfg, seed, extent=10.0, n_per_axis=400
 
 
 def _check_commutator(problem, run_cfg, seed, extent=10.0, n_schedule=(200, 400)):
-    return run_commutator_rate_check(extent=extent, n_schedule=tuple(int(n) for n in n_schedule))
+    return run_commutator_rate_check(extent=extent, n_schedule=_as_tuple(n_schedule, int))
 
 
 def _check_compactness(problem, run_cfg, seed, h_target=0.05, extent=10.0, k=20):

@@ -550,7 +550,7 @@ _RULES = {
 RULE_NAMES = tuple(sorted(_RULES))
 
 
-def make_rule(name: str, dim: int, **params):
+def make_rule(name: str, dim: int, /, **params):
     """Look up a named coefficient rule; returns (callable, kind).
 
     A parameter the rule does not take is rejected, except m (the component

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from vschro.fields import DIFFUSION, POTENTIAL, MatrixField, matrix_field_gradient
@@ -296,4 +295,6 @@ def commutator_defect(Q: MatrixField, M: MatrixField, f: VectorField) -> float:
 
 def export_matrix_market(op: SparseOperator, path):
     """Coordinate-format text dump for external inspection."""
+    import scipy.io  # deferred: only export-operator needs it
+
     scipy.io.mmwrite(str(path), op.matrix)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.integrate import quad
 
 from vschro.evolve import SplitConfig, Trajectory, scalar_heat_evolve, trotter_evolve
 from vschro.fields import MatrixField, make_rule, sample_field
@@ -120,6 +119,8 @@ def u2_closed_form(x: float, lam: float) -> float:
     Evaluated by adaptive quadrature; the integration constant is fixed by
     the boundary matching at x = 1.
     """
+    from scipy.integrate import quad  # deferred: only nongeneration needs it
+
     a = math.sqrt(lam)
     if x < 1.0:
         return 0.0
@@ -309,6 +310,8 @@ def run_domination_check(
     Both evolutions use matched backward Euler step grids; the identity
     shift in the vector generator only strengthens the inequality.
     """
+    if not ts:
+        raise ValueError("ts needs at least 1 time")
     grid = problem.grid
     profile = _bump(grid, 0.0, width)
     fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
@@ -405,6 +408,8 @@ def run_trotter_order_check(
     strang_window=(1.6, 2.4),
 ) -> PropertyCheckResult:
     """Empirical splitting orders against the dense exponential oracle."""
+    if len(n_schedule) < 2:
+        raise ValueError("n_schedule needs at least 2 step counts to measure an order")
     grid = problem.grid
     fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
     fvals[:, 0] = _bump(grid, 0.0, 1.0)
@@ -457,6 +462,8 @@ def run_nongeneration_demo(
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if len(extents) < 2:
+        raise ValueError("extents needs at least 2 box sizes to measure growth")
     anchor = anchor_x * u2_closed_form(anchor_x, lam)
     anchor_ok = abs(anchor * lam - 1.0) <= anchor_tol
 
@@ -607,6 +614,8 @@ def run_commutator_rate_check(
 ) -> PropertyCheckResult:
     """Defect of the commutator identity halves when N doubles (first-order
     consistency of the discretized right-hand side)."""
+    if len(n_schedule) < 2:
+        raise ValueError("n_schedule needs at least 2 grid sizes to measure a ratio")
     defects = []
     for n in n_schedule:
         grid = build_grid(1, extent, n)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from vschro.cli import (
     main,
     run_experiment,
 )
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -285,7 +292,29 @@ MALFORMED = {
                                      "no parameter 'zz'"),
     "unknown_override_key": (lambda tmp: QUICK.replace("n_random = 5", "n_random = 5\nslakc = 1e-3"),
                              "[check.positivity] has no key 'slakc'"),
+    "m_in_v_params": (lambda tmp: QUICK.replace("c=-1.0", "c=-1.0, m=3"), "v_params sets m"),
+    "m_in_q_params": (lambda tmp: QUICK.replace("q_rule = identity_Q", "q_rule = identity_Q\nq_params = m=3"),
+                      "q_params sets m; the component count is [problem] m"),
+    "dim_in_q_params": (lambda tmp: QUICK.replace("q_rule = identity_Q", "q_rule = identity_Q\nq_params = dim=2"),
+                        "rule 'identity_Q' has no parameter 'dim'"),
+    "single_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 16,"),
+                                "n_schedule needs at least 2"),
+    "scalar_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 16"),
+                                "n_schedule needs at least 2"),
+    "single_extent": (lambda tmp: _override_body("nongeneration", "extents = 50.0,"),
+                      "extents needs at least 2"),
+    "scalar_extent": (lambda tmp: _override_body("nongeneration", "extents = 50.0"),
+                      "extents needs at least 2"),
+    "scalar_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 200"),
+                                   "n_schedule needs at least 2"),
+    "empty_domination_times": (lambda tmp: _override_body("domination", "ts = ,"), "ts needs at least 1"),
 }
+
+
+def _override_body(check, line):
+    """QUICK running only `check`, with one [check.<name>] override line."""
+    return QUICK.replace("contraction, positivity", check).replace(
+        "[check.positivity]\nn_random = 5", f"[check.{check}]\n{line}")
 
 
 class TestMalformedInputs:
@@ -307,6 +336,15 @@ class TestMalformedInputs:
         assert cfg.overrides["positivity"] == {"n_random": 5}
         assert cfg.overrides["shift_invariance"] == {"mu": 1.0, "n_per_axis": 400}
 
+    @pytest.mark.parametrize("check, line", [
+        ("shift_invariance", "sigmas = 1.0\nn_per_axis = 200"),
+        ("domination", "ts = 0.1"),
+    ], ids=["sigmas", "ts"])
+    def test_scalar_list_override_runs(self, tmp_path, check, line):
+        cfg = write_cfg(tmp_path, _override_body(check, line))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        results = json.loads((tmp_path / "o" / "bundle.json").read_text())["results"]
+        assert len(results) == 1 and len(results[0]["measured"]) >= 1
 
 class TestExitCodes:
     def _verify(self, tmp_path, body):
@@ -333,3 +371,13 @@ class TestExitCodes:
         assert self._verify(tmp_path, QUICK) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert "internal error" in err and "broken check" in err
+
+
+class TestImports:
+    def test_import_defers_single_command_modules(self):
+        code = ("import sys, vschro.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.io') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "[]"

@@ -88,7 +88,7 @@ class TestOperatorNorm:
         n = 30
         d = np.arange(1.0, n + 1.0)
         est = operator_norm_estimate(lambda v: d * v, lambda v: d * v, n)
-        assert est == pytest.approx(n, rel=1e-2)
+        assert est == pytest.approx(n, rel=1e-12)
 
     def test_resolvent_norm_against_dense_svd(self):
         # complex Airy-type generator at modest resolution
@@ -100,7 +100,24 @@ class TestOperatorNorm:
         est = resolvent_norm(B, lam)
         dense = np.linalg.inv(lam * np.eye(200) - B.matrix.toarray())
         truth = np.linalg.svd(dense, compute_uv=False)[0]
-        assert est == pytest.approx(truth, rel=0.02)
+        assert est == pytest.approx(truth, rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.0 + 1.0j, 3.0 - 2.0j])
+    def test_2d_coupled_resolvent_norm_against_dense_svd(self, lam):
+        # anisotropic diffusion and a non-symmetric coupling: L is not normal
+        g = build_grid(2, 3.0, 12)
+        Q = sample_field(make_rule("anisotropic_Q", 2, theta=0.5, ratio=0.5)[0], g, "diffusion")
+        V = sample_field(make_rule("coupled_V", 2, a=-2.0, b=1.0, c=-0.5)[0], g, "potential")
+        L = assemble_diffusion(Q, g, 2) + assemble_potential(V, 2)
+        dense = L.matrix.toarray()
+        assert np.abs(dense @ dense.T - dense.T @ dense).max() > 1e-3
+        truth = np.linalg.svd(np.linalg.inv(lam * np.eye(L.dims) - dense), compute_uv=False)[0]
+        assert resolvent_norm(L, lam) == pytest.approx(truth, rel=1e-10)
+
+    def test_arpack_failure_is_spectral_proximity(self):
+        d = np.arange(1.0, 201.0)
+        with pytest.raises(SpectralProximityError, match="ARPACK"):
+            operator_norm_estimate(lambda v: d * v, lambda v: d * v, 200, max_iters=1)
 
 
 class TestEigenpairs:

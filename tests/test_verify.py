@@ -248,6 +248,13 @@ class TestCounterexampleChecks:
         assert res.passed
         assert res.measured["ratio_sigma0"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_shift_invariance_to_rounding(self):
+        # the discrete norm is translation-invariant up to boundary terms that
+        # are negligible in this box, so the ratios are 1 to rounding
+        res = run_shift_invariance_check(n_per_axis=200)
+        for s in (1, 2, 5):
+            assert res.measured[f"ratio_sigma{s}"] == pytest.approx(1.0, abs=1e-9)
+
     def test_shift_invariance_precondition(self):
         with pytest.raises(ValueError):
             run_shift_invariance_check(sigmas=(10.0,), extent=40.0)
