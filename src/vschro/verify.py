@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.integrate import quad
 
 from vschro.evolve import SplitConfig, Trajectory, scalar_heat_evolve, trotter_evolve
 from vschro.fields import MatrixField, make_rule, sample_field
@@ -119,8 +120,6 @@ def u2_closed_form(x: float, lam: float) -> float:
     Evaluated by adaptive quadrature; the integration constant is fixed by
     the boundary matching at x = 1.
     """
-    from scipy.integrate import quad  # deferred: only nongeneration needs it
-
     a = math.sqrt(lam)
     if x < 1.0:
         return 0.0
