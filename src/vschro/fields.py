@@ -8,7 +8,9 @@ M^(-a) = sin(pi a)/pi * int_0^inf t^(-a) (t+M)^(-1) dt), and a validator that
 measures the structural assumptions the evolution and spectral layers rely
 on: uniform ellipticity of Q, the dissipativity margin of V, the growth of
 D_jV (-V)^(-a), off-diagonal signs, and the coercivity profile kappa(x) =
-smallest singular value of V(x).
+smallest singular value of V(x).  The shift normalization needs only the
+top eigenvalue of the Hermitian part of V, so a problem is validated once, on
+its final potential.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "matrix_power_field",
     "matrix_field_gradient",
     "validate_hypotheses",
+    "hermitian_top_eigenvalue",
     "shift_potential",
     "make_rule",
     "RULE_NAMES",
@@ -193,8 +196,10 @@ def _pade13_squared(A: np.ndarray, s: int) -> np.ndarray:
 def _eig_power(M: np.ndarray, z: complex, cond_limit: float = 1e8):
     """Principal power by eigendecomposition; returns (result, ok_mask).
 
-    ok is False where the eigenbasis is ill-conditioned.  Raises if the
-    spectrum touches the branch cut (-inf, 0].
+    ok is False where the eigenbasis S is ill-conditioned, judged by the
+    Frobenius bound ||S||_F ||S^-1||_F, which lies in [cond_2, k cond_2] and
+    reuses the inverse the power needs (no second batched SVD).  Raises if
+    the spectrum touches the branch cut (-inf, 0].
     """
     w, S = np.linalg.eig(M)
     scale = np.abs(w).max(axis=-1)
@@ -202,9 +207,9 @@ def _eig_power(M: np.ndarray, z: complex, cond_limit: float = 1e8):
     if np.any(on_cut):
         raise BranchCutError("eigenvalue on (-inf, 0]; principal power undefined")
     powered = np.exp(z * np.log(w))
-    res = S @ (powered[..., :, None] * np.linalg.inv(S))
-    cond = np.linalg.cond(S)
-    return res, cond <= cond_limit
+    Sinv = np.linalg.inv(S)
+    cond = np.linalg.norm(S, axis=(-2, -1)) * np.linalg.norm(Sinv, axis=(-2, -1))
+    return S @ (powered[..., :, None] * Sinv), cond <= cond_limit
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
@@ -356,6 +361,13 @@ class HypothesisReport:
         return self.elliptic and self.dissipative and np.isfinite(self.growth_sup)
 
 
+def hermitian_top_eigenvalue(V: MatrixField) -> float:
+    """Largest eigenvalue of the Hermitian part (V + V^H)/2 over all cells:
+    the beta in <V xi, xi> <= beta |xi|^2."""
+    vsym = 0.5 * (V.values + np.conj(V.values.transpose(0, 2, 1)))
+    return float(np.linalg.eigvalsh(vsym)[:, -1].max())
+
+
 def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> HypothesisReport:
     """Measure the coefficient assumptions on the sampled grid.
 
@@ -373,17 +385,16 @@ def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> Hypothe
     eta1 = float(qeigs[:, 0].min())
     eta2 = float(qeigs[:, -1].max())
 
-    vsym = 0.5 * (V.values + np.conj(V.values.transpose(0, 2, 1)))
-    lam_max = float(np.linalg.eigvalsh(vsym)[:, -1].max())
+    lam_max = hermitian_top_eigenvalue(V)
     margin = lam_max + 1.0
     shift_beta = max(0.0, lam_max)
 
     gradV = matrix_field_gradient(V)
     try:
-        P = matrix_power_field(V, -alpha) if alpha > 0.0 else np.broadcast_to(
-            np.eye(V.rows, dtype=np.complex128), V.values.shape
-        )
-        prod = gradV.astype(np.complex128) @ P[:, None, :, :]
+        prod = gradV  # (-V)^0 = I: a = 0 measures gradV itself, no power, no product
+        if alpha > 0.0:  # the power first, so the complex copy of gradV is not live in eig
+            P = matrix_power_field(V, -alpha)
+            prod = gradV.astype(np.complex128) @ P[:, None, :, :]
         growth_sup = float(np.sqrt((np.abs(prod) ** 2).sum(axis=(-2, -1))).max())
     except (BranchCutError, FieldError, np.linalg.LinAlgError):
         growth_sup = np.inf
@@ -418,8 +429,7 @@ def shift_potential(V: MatrixField, beta: float | None = None) -> MatrixField:
     the unshifted one.
     """
     if beta is None:
-        vsym = 0.5 * (V.values + np.conj(V.values.transpose(0, 2, 1)))
-        beta = max(0.0, float(np.linalg.eigvalsh(vsym)[:, -1].max()))
+        beta = max(0.0, hermitian_top_eigenvalue(V))
     s = beta + 1.0
     ident = np.eye(V.rows, dtype=V.values.dtype)
     return MatrixField(

@@ -142,9 +142,9 @@ def u2_closed_form(x: float, lam: float) -> float:
 
 
 def _bump(grid, center=0.0, width=1.0):
-    """Smooth Gaussian bump sampled on the grid (1D helper)."""
-    x = grid.axis_coords
-    return np.exp(-((x - center) ** 2) / (2.0 * width**2))
+    """Smooth Gaussian bump sampled on the grid, centred at (center, ..., center)."""
+    r2 = ((grid.coords() - center) ** 2).sum(axis=1)
+    return np.exp(-r2 / (2.0 * width**2))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,11 @@ def run_consistency_check(
 
     The discrete pairing is p-independent, so the identity is verified under
     two dual normalizations of the same data, (p, p') = (2, 2) and (4, 4/3).
+    A pairing that vanishes (f and g in decoupled components) measures
+    nothing and is rejected as inconclusive.
     """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     grid = problem.grid
     if f is None:
         vals = np.zeros((grid.n_cells, problem.m), dtype=complex)
@@ -195,6 +199,9 @@ def run_consistency_check(
     direct = dual_pairing(
         solve_resolvent(problem.generator, ResolventQuery(lam=lam, rhs=f)), g
     )
+    if abs(direct) <= 1e-12 * lp_norm(f, 2) * lp_norm(g, 2) / lam:
+        raise ValueError("inconclusive: <(lam - L)^-1 f, g> vanishes; the potential "
+                         "does not couple the components of f and g")
     cfg = SplitConfig(
         scheme="strang",
         diffusion_substep="crank_nicolson",
@@ -515,6 +522,8 @@ def run_shift_invariance_check(
     'absolute_control' operator (Delta - |x|, self-adjoint) is the designed
     negative control whose norm does decay.
     """
+    if not sigmas:
+        raise ValueError("sigmas needs at least 1 shift")
     if max(abs(s) for s in sigmas) > extent / 8.0:
         raise ValueError("sigma values must stay below R/8 (translation must stay in the box)")
     grid = build_grid(1, extent, n_per_axis)

@@ -308,6 +308,13 @@ MALFORMED = {
     "scalar_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 200"),
                                    "n_schedule needs at least 2"),
     "empty_domination_times": (lambda tmp: _override_body("domination", "ts = ,"), "ts needs at least 1"),
+    "empty_shift_invariance_sigmas": (lambda tmp: _override_body("shift_invariance", "sigmas = ,"),
+                                      "sigmas needs at least 1"),
+    # diag_V does not couple component 0 (f) to component m-1 (g): both sides are 0.
+    "decoupled_consistency": (lambda tmp: _override_body("consistency", "lam = 2.0"),
+                              "inconclusive"),
+    "nonpositive_consistency_lam": (lambda tmp: _override_body("consistency", "lam = 0.0"),
+                                    "lam must be positive"),
 }
 
 
@@ -345,6 +352,21 @@ class TestMalformedInputs:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         results = json.loads((tmp_path / "o" / "bundle.json").read_text())["results"]
         assert len(results) == 1 and len(results[0]["measured"]) >= 1
+
+
+QUICK_2D = QUICK.replace("dim = 1", "dim = 2").replace("n_per_axis = 64", "n_per_axis = 24").replace(
+    "v_rule = diag_V\nv_params = c=-1.0\nshift = none", "v_rule = rotation_V\nv_params = r=1.5\nshift = auto")
+
+
+class TestTwoDimensional:
+    @pytest.mark.parametrize("check", ["consistency", "domination", "trotter_order"])
+    def test_bump_checks_pass_in_2d(self, tmp_path, check):
+        cfg = write_cfg(tmp_path, QUICK_2D.replace("contraction, positivity", check))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        bundle = json.loads((tmp_path / "o" / "bundle.json").read_text())
+        assert bundle["config"]["dim"] == 2 and bundle["config"]["n_per_axis"] == 24
+        assert [r["name"] for r in bundle["results"]] == [check]
+
 
 class TestExitCodes:
     def _verify(self, tmp_path, body):

@@ -8,6 +8,8 @@ from vschro.fields import (
     FieldError,
     MatrixField,
     _balakrishnan_power,
+    _eig_power,
+    hermitian_top_eigenvalue,
     make_rule,
     matrix_exp,
     matrix_field_gradient,
@@ -18,6 +20,7 @@ from vschro.fields import (
     validate_hypotheses,
 )
 from vschro.mesh import build_grid
+from vschro.problems import build_problem
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -218,6 +221,20 @@ class TestMatrixPower:
         out = matrix_power(M, -0.3)
         np.testing.assert_allclose(out, [[1.0, -0.3], [0.0, 1.0]], atol=1e-8)
 
+    def test_ill_conditioned_eigenbasis_takes_quadrature_route(self):
+        # [[1, 1], [0, 1 + e]] has eigenvectors (1, 0) and (1, e): cond_2 ~ 2/e.
+        g = build_grid(1, 1.0, 6)
+        eps = np.array([1e-1, 1e-3, 1e-9, 1e-10, 1e-11, 1e-12])
+        M = np.zeros((6, 2, 2))
+        M[:, 0, 0], M[:, 0, 1], M[:, 1, 1] = 1.0, 1.0, 1.0 + eps
+        _, ok = _eig_power(M.astype(np.complex128), -0.3)
+        cond2 = np.linalg.cond(np.linalg.eig(M)[1])
+        assert not ok[cond2 > 1e8].any() and ok[:2].all() and not ok[2:].any()
+        out = matrix_power_field(MatrixField(g, "potential", -M), -0.3)
+        np.testing.assert_array_equal(out[~ok], _balakrishnan_power(M[~ok], 0.3))
+        jordan = np.array([[1.0, -0.3], [0.0, 1.0]])  # the e -> 0 limit, as in the test below
+        np.testing.assert_allclose(out[2:], np.broadcast_to(jordan, (4, 2, 2)), atol=1e-8)
+
     def test_defective_matrix_complex_power_rejected(self):
         M = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(FieldError):
@@ -276,6 +293,58 @@ class TestValidator:
         assert shifted.shift == pytest.approx(1.0)
         rep2 = validate_hypotheses(identity_q(g), shifted, 0.45)
         assert rep2.dissipative
+
+
+def _assert_same_report(rep, ref):
+    for name in ("eta1", "eta2", "dissipativity_margin", "alpha", "growth_sup",
+                 "offdiag_min", "shift_beta"):
+        assert getattr(rep, name) == getattr(ref, name), name
+    np.testing.assert_array_equal(rep.kappa_profile, ref.kappa_profile)
+
+
+class TestSinglePass:
+    def test_auto_shift_validates_once(self, monkeypatch):
+        import vschro.problems
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return validate_hypotheses(*args)
+
+        monkeypatch.setattr(vschro.problems, "validate_hypotheses", counting)
+        p = build_problem(1, 8.0, 64, 2, v_rule="rotation_V", v_params={"r": 1.5},
+                          shift="auto", alpha=0.45)
+        assert len(calls) == 1 and calls[0][1] is p.V and p.V.shift == 1.0
+
+    @pytest.mark.parametrize("dim, n, v_rule, v_params, alpha, shifted", [
+        (1, 200, "rotation_V", {"r": 1.5}, 0.45, True),
+        (2, 24, "rotation_V", {"r": 1.5}, 0.45, True),
+        (1, 200, "degenerate_V", {}, 0.0, True),
+        (2, 24, "degenerate_V", {}, 0.3, True),
+        (1, 200, "diag_V", {"c": -2.0}, 0.2, False),  # margin -1: auto leaves it as sampled
+    ], ids=["rotation_1d", "rotation_2d", "degenerate_1d", "degenerate_2d", "no_shift_needed"])
+    def test_report_equals_validation_of_shifted_potential(self, dim, n, v_rule, v_params, alpha,
+                                                           shifted):
+        p = build_problem(dim, 6.0, n, 2, v_rule=v_rule, v_params=v_params, shift="auto",
+                          alpha=alpha)
+        raw = sample_field(make_rule(v_rule, dim, **v_params, m=2)[0], p.grid, "potential")
+        V = shift_potential(raw) if shifted else raw
+        assert p.V.shift == V.shift == (1.0 + max(0.0, hermitian_top_eigenvalue(raw))) * shifted
+        np.testing.assert_array_equal(p.V.values, V.values)
+        _assert_same_report(p.report, validate_hypotheses(p.Q, V, alpha))
+
+    @pytest.mark.parametrize("dim, v_rule", [(1, "rotation_V"), (2, "rotation_V"),
+                                             (1, "complex_linear_V")])
+    def test_alpha_zero_growth_equals_identity_product(self, dim, v_rule):
+        g = build_grid(dim, 4.0, 40)
+        V = sample_field(make_rule(v_rule, dim)[0], g, "potential")
+        gradV = matrix_field_gradient(V)
+        assert np.abs(gradV).max() > 0.0
+        ident = np.broadcast_to(np.eye(V.rows, dtype=np.complex128), V.values.shape)
+        prod = gradV.astype(np.complex128) @ ident[:, None, :, :]
+        ref = float(np.sqrt((np.abs(prod) ** 2).sum(axis=(-2, -1))).max())
+        assert validate_hypotheses(identity_q(g), V, 0.0).growth_sup == ref
 
 
 class TestGradient:
