@@ -98,6 +98,11 @@ class MatrixField:
     def cols(self) -> int:
         return self.values.shape[2]
 
+    @property
+    def is_constant(self) -> bool:
+        """Whether every cell holds the same matrix."""
+        return bool((self.values == self.values[:1]).all())
+
     def at(self, cell: int) -> np.ndarray:
         return self.values[cell]
 

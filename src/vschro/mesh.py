@@ -141,9 +141,6 @@ class VectorField:
         """Euclidean norm over the m components at every cell."""
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1))
 
-    def real_part(self) -> "VectorField":
-        return VectorField(self.grid, self.values.real.astype(np.complex128))
-
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_compatible(self, other)
         return VectorField(self.grid, self.values + other.values)

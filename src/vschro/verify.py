@@ -413,9 +413,16 @@ def run_trotter_order_check(
     lie_window=(0.7, 1.3),
     strang_window=(1.6, 2.4),
 ) -> PropertyCheckResult:
-    """Empirical splitting orders against the dense exponential oracle."""
+    """Empirical splitting orders against the dense exponential oracle.
+
+    A constant potential commutes with the diffusion, so there is no
+    splitting error to measure; that case is rejected as inconclusive.
+    """
     if len(n_schedule) < 2:
         raise ValueError("n_schedule needs at least 2 step counts to measure an order")
+    if problem.V.is_constant:
+        raise ValueError("inconclusive: a constant potential commutes with the diffusion, "
+                         "so there is no splitting error to measure")
     grid = problem.grid
     fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
     fvals[:, 0] = _bump(grid, 0.0, 1.0)

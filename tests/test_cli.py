@@ -315,6 +315,9 @@ MALFORMED = {
                               "inconclusive"),
     "nonpositive_consistency_lam": (lambda tmp: _override_body("consistency", "lam = 0.0"),
                                     "lam must be positive"),
+    # diag_V is constant, so it commutes with the diffusion: no splitting error.
+    "commuting_trotter_order": (lambda tmp: _override_body("trotter_order", "t = 0.5"),
+                                "inconclusive"),
 }
 
 

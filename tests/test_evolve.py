@@ -511,3 +511,97 @@ class TestRealPath:
             out = stepper.apply(vals)
             assert out.dtype == vals.dtype
             assert out.tobytes() == (ref if np.iscomplexobj(vals) else ref.real.copy()).tobytes()
+
+
+class CountingLU:
+    """Stands in for a stepper's SuperLU factor and records each solve's width."""
+
+    def __init__(self, lu):
+        self.lu, self.widths = lu, []
+
+    def solve(self, rhs):
+        self.widths.append(rhs.shape[1])
+        return self.lu.solve(rhs)
+
+
+class TestZeroColumns:
+    """A right-hand-side column that is exactly zero is not solved; the
+    columns that are solved equal the full solve's bit for bit."""
+
+    @pytest.mark.parametrize("zero_corner", [False, True], ids=["dense", "zero_corner"])
+    @pytest.mark.parametrize("substep", ["backward_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("data, dead", [("real", []), ("real", [1]), ("complex", [1, 2])])
+    def test_live_columns_match_full_solve(self, substep, data, dead, zero_corner):
+        g = build_grid(2, 3.0, 9)
+        D = assemble_diffusion(identity_q(g), g, 1).matrix
+        stepper = _DiffusionStepper(D, 0.07, SplitConfig(diffusion_substep=substep))
+        re, im = random_parts(g, 3, seed=21)
+        vals = re if data == "real" else re + 1j * im
+        cols = vals.view(np.float64)  # complex: re0, im0, re1, im1, re2, im2
+        cols[:, dead] = 0.0
+        if zero_corner:  # row 0 no longer proves the columns live
+            cols[0, 0] = 0.0
+        live = [j for j in range(cols.shape[1]) if j not in dead]
+        rhs = cols if stepper.rhs_mat is None else stepper.rhs_mat @ cols
+        full = stepper.lu.solve(rhs)
+        stepper.lu = CountingLU(stepper.lu)
+        out = stepper.apply(vals).view(np.float64)
+        assert stepper.lu.widths == [len(live)]
+        np.testing.assert_array_equal(out[:, live], full[:, live])
+        assert np.all(out[:, dead] == 0.0)
+
+        zero = stepper.apply(np.zeros_like(vals))
+        assert stepper.lu.widths == [len(live)]
+        assert zero.dtype == vals.dtype and not zero.any()
+
+    def test_residual_miss_raises_with_zero_column(self):
+        g = build_grid(1, 2.0, 16)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        vals = np.random.default_rng(5).standard_normal((16, 2))
+        vals[:, 1] = 0.0
+        with pytest.raises(SolverError, match="residual"):
+            diffusion_step(A, VectorField(g, vals), 0.1, SplitConfig(linear_solver_tol=1e-300))
+
+
+class TestConstantPotential:
+    """A constant V is exponentiated once and copied to every cell, with the
+    same result as the per-cell batch, bit for bit."""
+
+    @staticmethod
+    def record_batches(monkeypatch):
+        batches = []
+
+        def recording(M):
+            batches.append(len(M))
+            return matrix_exp(M)
+
+        monkeypatch.setattr("vschro.evolve.matrix_exp", recording)
+        return batches
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_per_cell_batch(self, monkeypatch, m, dtype):
+        g = build_grid(2, 3.0, 12)
+        rng = np.random.default_rng(30 + m)
+        M = rng.uniform(-1.0, 0.5, (m, m)).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.uniform(-0.5, 0.5, (m, m))
+        V = MatrixField(g, "potential", np.broadcast_to(M, (g.n_cells, m, m)))
+        assert V.is_constant
+        batches = self.record_batches(monkeypatch)
+        once = _PotentialStepper(V, 0.3)
+        monkeypatch.setattr(MatrixField, "is_constant", property(lambda self: False))
+        per_cell = _PotentialStepper(V, 0.3)
+        assert batches == [1, g.n_cells]
+        np.testing.assert_array_equal(once.expm, per_cell.expm)
+        re, im = random_parts(g, m, seed=40 + m)
+        for vals in (re, re + 1j * im):
+            np.testing.assert_array_equal(once.apply(vals), per_cell.apply(vals))
+
+    def test_nonconstant_potential_takes_per_cell_path(self, monkeypatch):
+        g = build_grid(1, 6.0, 40)
+        V = sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential")
+        assert not V.is_constant
+        batches = self.record_batches(monkeypatch)
+        _PotentialStepper(V, 0.2)
+        assert batches == [g.n_cells]

@@ -1,12 +1,14 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from vschro.evolve import SplitConfig, trotter_evolve
+from vschro import evolve
+from vschro.evolve import SplitConfig, sparse_lu, trotter_evolve
 from vschro.fields import MatrixField, make_rule, sample_field, shift_potential
 from vschro.mesh import VectorField, build_grid, dual_pairing, lp_norm
 from vschro.operators import (
@@ -279,3 +281,41 @@ class TestKernel:
         vals = np.array([dual_pairing(s, gfld) for s in traj.snapshots])
         quad = np.trapezoid(np.exp(-lam * times) * vals, times)
         assert abs(quad - direct) <= 0.01 * abs(direct)
+
+    def test_decoupled_sweep_skips_the_zero_component(self, monkeypatch):
+        # V = -I keeps component 1 at exact zero: the m = 2 sweep solves one
+        # column per step, and its values equal the two-column solves' bit for bit
+        g = build_grid(2, 3.2, 40)
+        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler")
+        times = (0.16, 0.32, 0.64)
+
+        def sweep(m):
+            A = assemble_diffusion(identity_q(g), g, m)
+            V = sample_field(make_rule("diag_V", 2, c=-1.0, m=m)[0], g, "potential")
+            out = kernel_sweep(A, V, times, g.center_cell(), 0, cfg, steps_per_segment=6)
+            return [k.sup_abs for k in out]
+
+        widths = []
+
+        def counting_lu(matrix):
+            lu = sparse_lu(matrix)
+
+            def solve(rhs):
+                widths.append(rhs.shape[1])
+                return lu.solve(rhs)
+
+            return SimpleNamespace(solve=solve)
+
+        monkeypatch.setattr(evolve, "sparse_lu", counting_lu)
+        skipped = sweep(2)
+        assert widths and set(widths) == {1}
+
+        def solve_all(self, values):
+            return np.ascontiguousarray(self._solve(values, values))
+
+        monkeypatch.setattr(evolve._DiffusionStepper, "apply", solve_all)
+        widths.clear()
+        assert sweep(2) == skipped and set(widths) == {2}
+        # the scalar sweep does the same solves; its 1x1 Pade exponential of
+        # -tau can differ from the 2x2 one in the last bit, hence the rtol
+        np.testing.assert_allclose(sweep(1), skipped, rtol=1e-14, atol=0.0)
