@@ -13,7 +13,6 @@ from vschro.fields import (
     HypothesisReport,
     MatrixField,
     matrix_exp,
-    matrix_power,
     sample_field,
     validate_hypotheses,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "HypothesisReport",
     "sample_field",
     "matrix_exp",
-    "matrix_power",
     "validate_hypotheses",
     "SparseOperator",
     "assemble_diffusion",

@@ -28,7 +28,6 @@ __all__ = [
     "HypothesisReport",
     "sample_field",
     "matrix_exp",
-    "matrix_power",
     "matrix_power_field",
     "matrix_field_gradient",
     "validate_hypotheses",
@@ -256,26 +255,6 @@ def _balakrishnan_power(M: np.ndarray, alpha: float, window: float = 40.0) -> np
     total = total + upper + lower
     res = (np.sin(np.pi * alpha) / np.pi) * total
     return res[0] if single else res
-
-
-def matrix_power(M: np.ndarray, z: complex) -> np.ndarray:
-    """Principal power M^z for a spectrum avoiding (-inf, 0].
-
-    Diagonalizable matrices go through the eigendecomposition.  When the
-    eigenbasis is ill-conditioned the real-exponent case z = -a, a in (0, 1),
-    falls back to the resolvent quadrature; complex powers of defective
-    matrices are rejected.
-    """
-    A = np.asarray(M)
-    z = complex(z)
-    res, ok = _eig_power(A.astype(np.complex128), z)
-    if bool(np.all(ok)):
-        if not np.iscomplexobj(M) and z.imag == 0.0 and np.allclose(res.imag, 0.0, atol=1e-10):
-            return res.real
-        return res
-    if z.imag == 0.0 and -1.0 < z.real < 0.0:
-        return _balakrishnan_power(A, -z.real)
-    raise FieldError("ill-conditioned eigenbasis; only real exponents in (-1,0) supported")
 
 
 def matrix_power_field(V: MatrixField, z: complex, negate: bool = True) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "lp_norm",
     "dual_pairing",
     "write_field_csv",
-    "read_field_csv",
     "write_field_pgm",
 ]
 
@@ -87,11 +86,6 @@ class Grid:
             return pts
         return pts[flat_index]
 
-    def multi_index(self, flat_index: int) -> tuple:
-        if self.dim == 1:
-            return (flat_index,)
-        return divmod(flat_index, self.n_per_axis)
-
     def flat_index(self, *ij) -> int:
         if len(ij) != self.dim:
             raise GridError(f"expected {self.dim} indices, got {len(ij)}")
@@ -136,10 +130,6 @@ class VectorField:
     @property
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
-
-    def cell_amplitudes(self) -> np.ndarray:
-        """Euclidean norm over the m components at every cell."""
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_compatible(self, other)
@@ -217,26 +207,6 @@ def write_field_csv(f: VectorField, path):
                 writer.writerow(
                     [f"{x:.17g}" for x in pts[c]] + [k, f"{v.real:.17g}", f"{v.imag:.17g}"]
                 )
-
-
-def read_field_csv(path, grid: Grid) -> VectorField:
-    """Inverse of write_field_csv for a known grid.
-
-    Each row's cell follows from its axis coordinates; a coordinate more
-    than 1e-9 h away from its cell centre is rejected.
-    """
-    with open(path, newline="") as fh:
-        body = list(csv.reader(fh))[1:]
-    d, N, h = grid.dim, grid.n_per_axis, grid.spacing
-    x = np.array([[float(t) for t in r[:d]] for r in body]).reshape(-1, d)
-    comp = np.array([int(r[d]) for r in body])
-    idx = np.rint((x + grid.extent) / h - 1.0).astype(int).clip(0, N - 1)
-    if not np.all(np.abs(grid.axis_coords[idx] - x) <= 1e-9 * h):
-        raise GridError("CSV coordinates do not match the grid")
-    vals = np.zeros((grid.n_cells, comp.max() + 1), dtype=np.complex128)
-    cell = np.ravel_multi_index(tuple(idx.T), (N,) * d)
-    vals[cell, comp] = [float(r[d + 1]) + 1j * float(r[d + 2]) for r in body]
-    return VectorField(grid, vals)
 
 
 def write_field_pgm(f: VectorField, component: int, path):

@@ -370,6 +370,17 @@ class TestTwoDimensional:
         assert bundle["config"]["dim"] == 2 and bundle["config"]["n_per_axis"] == 24
         assert [r["name"] for r in bundle["results"]] == [check]
 
+    def test_trotter_order_above_the_old_dense_cap(self, tmp_path):
+        # 56^2 cells, m = 2: 6272 unknowns, past the 5000 a dense exponential allowed
+        body = QUICK_2D.replace("n_per_axis = 24", "n_per_axis = 56").replace(
+            "contraction, positivity", "trotter_order")
+        cfg = write_cfg(tmp_path, body)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        (result,) = json.loads((tmp_path / "o" / "bundle.json").read_text())["results"]
+        orders = result["measured"]
+        assert all(0.7 <= orders[f"lie_order_{i}"] <= 1.3 for i in range(3))
+        assert all(1.6 <= orders[f"strang_order_{i}"] <= 2.4 for i in range(3))
+
 
 class TestExitCodes:
     def _verify(self, tmp_path, body):
@@ -400,10 +411,13 @@ class TestExitCodes:
 
 class TestImports:
     def test_import_defers_single_command_modules(self):
-        # scipy.integrate (and the scipy.optimize it pulls in) loads with
-        # vschro.verify: deferred, its ~18 MB would land mid-run at whichever
-        # job first needs it, so a run's peak memory would depend on job order.
-        code = "import sys, vschro.cli; print(sorted(m for m in ('scipy.io',) if m in sys.modules))"
+        # Every oracle is a closed form or a scipy.sparse/scipy.special call, so
+        # nothing loads scipy.integrate or the scipy.optimize it pulls in.  What
+        # vschro.cli does load, it loads at import: a module first loaded
+        # mid-run would land at whichever job needs it, and a run's peak memory
+        # would depend on job order.
+        code = ("import sys, vschro.cli; print(sorted(m for m in "
+                "('scipy.io', 'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"

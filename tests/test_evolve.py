@@ -156,7 +156,7 @@ class TestPotentialStep:
         f = bump_field(g, 2)
         out = potential_step(V, f, 0.37)
         np.testing.assert_allclose(
-            out.cell_amplitudes(), f.cell_amplitudes(), atol=1e-12
+            np.linalg.norm(out.values, axis=1), np.linalg.norm(f.values, axis=1), atol=1e-12
         )
 
     def test_shifted_potential_contracts(self):
@@ -313,8 +313,6 @@ class TestTrotter:
         ],
     )
     def test_strang_beats_lie(self, v_rule, v_params, do_shift):
-        from vschro.verify import dense_expm_apply
-
         g = build_grid(1, 8.0, 64)
         V = sample_field(make_rule(v_rule, 1, **v_params)[0], g, "potential")
         if do_shift:
@@ -323,7 +321,7 @@ class TestTrotter:
         L = A + assemble_potential(V, 2)
         f = bump_field(g, 2)
         t = 0.5
-        ref = dense_expm_apply(L, t, f)
+        ref = VectorField(g, (scipy.linalg.expm(t * L.matrix.toarray()) @ f.values.ravel()).reshape(64, 2))
         errs = {}
         for scheme in ("lie", "strang"):
             cfg = SplitConfig(scheme=scheme, diffusion_substep="crank_nicolson",

@@ -13,7 +13,6 @@ from vschro.fields import (
     make_rule,
     matrix_exp,
     matrix_field_gradient,
-    matrix_power,
     matrix_power_field,
     sample_field,
     shift_potential,
@@ -167,6 +166,13 @@ class TestMatrixExp:
             E = matrix_exp(tau * V.values)
             norms = np.linalg.svd(E, compute_uv=False)[:, 0]
             np.testing.assert_allclose(norms, math.exp(-tau), atol=1e-10)
+
+
+def matrix_power(M, z):
+    """Principal power M^z of one matrix, through a field on the smallest grid
+    (three cells, all equal to M)."""
+    cells = MatrixField(build_grid(1, 1.0, 3), "potential", np.broadcast_to(M, (3,) + np.shape(M)))
+    return matrix_power_field(cells, z, negate=False)[0]
 
 
 class TestMatrixPower:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import quad
 from scipy.special import exp1, expi
 
 from vschro.evolve import SplitConfig, trotter_evolve
@@ -12,8 +13,8 @@ from vschro.operators import assemble_diffusion, assemble_potential
 from vschro.problems import build_problem
 from vschro.spectral import KernelEstimate
 from vschro.verify import (
-    dense_expm_apply,
-    dense_generator,
+    _bump,
+    expm_apply,
     gaussian_heat_profile,
     heat_kernel_sup,
     run_consistency_check,
@@ -28,10 +29,52 @@ from vschro.verify import (
 )
 
 
+def dense_expm_apply(L, t, f):
+    """Reference e^{tL} f through the dense matrix exponential (small grids only)."""
+    E = scipy.linalg.expm(t * L.matrix.toarray())
+    return VectorField(f.grid, (E @ f.values.ravel()).reshape(f.grid.n_cells, L.m))
+
+
+def quad_u2(x, lam):
+    """u2 by adaptive quadrature of its two integrals; about 5e-9 relative."""
+    a = math.sqrt(lam)
+    if x < 1.0:
+        return 0.0
+
+    def tail(xx):
+        return quad(lambda s: math.exp(-a * s) / (xx + s), 0.0, np.inf)[0]
+
+    body = 0.0
+    if x > 1.0:
+        body = quad(lambda tt: math.exp(-a * (x - tt)) / tt, 1.0, x,
+                    points=[max(1.0, x - 40.0 / a)], limit=200)[0]
+    c_term = -tail(1.0) / (2.0 * a) * math.exp(-a * (x - 1.0))
+    return tail(x) / (2.0 * a) + body / (2.0 * a) + c_term
+
+
+def trotter_input(grid, m):
+    """The bump input run_trotter_order_check evolves."""
+    vals = np.zeros((grid.n_cells, m), dtype=complex)
+    vals[:, 0] = _bump(grid, 0.0, 1.0)
+    if m > 1:
+        vals[:, 1] = 0.5 * _bump(grid, 0.0, 1.0)
+    return VectorField(grid, vals)
+
+
+def rotation_r15():
+    return build_problem(
+        1, 8.0, 200, 2, v_rule="rotation_V", v_params={"r": 1.5}, shift="auto", alpha=0.45
+    )
+
+
+def rotation_2d(n):
+    return build_problem(2, 6.0, n, 2, v_rule="rotation_V", v_params={"r": 1.5}, shift="auto")
+
+
 class TestOracles:
     def test_dense_expm_against_per_cell_route(self):
-        # for a pure potential operator the dense exponential must agree
-        # with the cell-local exponential
+        # for a pure potential operator both the dense and the sparse
+        # exponential must agree with the cell-local exponential
         from vschro.fields import matrix_exp
 
         g = build_grid(1, 2.0, 12)
@@ -40,16 +83,43 @@ class TestOracles:
         rng = np.random.default_rng(0)
         f = VectorField(g, rng.standard_normal((12, 2)) + 0j)
         t = 0.7
-        out = dense_expm_apply(Vop, t, f)
         cellwise = np.einsum("cij,cj->ci", matrix_exp(t * V.values), f.values)
-        np.testing.assert_allclose(out.values, cellwise, atol=1e-12)
+        np.testing.assert_allclose(dense_expm_apply(Vop, t, f).values, cellwise, atol=1e-12)
+        np.testing.assert_allclose(expm_apply(Vop, t, f).values, cellwise, atol=1e-12)
 
-    def test_dense_oracle_size_guard(self):
+    @pytest.mark.parametrize("make_problem", [rotation_r15, lambda: rotation_2d(24)],
+                             ids=["rotation_r15", "2d_24"])
+    def test_sparse_oracle_matches_dense(self, make_problem):
+        p = make_problem()
+        f = trotter_input(p.grid, p.m)
+        ref = dense_expm_apply(p.generator, 0.5, f)
+        err = lp_norm(expm_apply(p.generator, 0.5, f) - ref, 2) / lp_norm(ref, 2)
+        assert err <= 1e-12
+
+    def test_sparse_oracle_ignores_global_seed(self):
+        # expm_multiply's 1-norm estimator draws from numpy's global RNG
+        p = rotation_r15()
+        f = trotter_input(p.grid, p.m)
+        state = np.random.get_state()
+        try:
+            outs = []
+            for seed in (0, 12345):
+                np.random.seed(seed)
+                outs.append(expm_apply(p.generator, 0.5, f).values)
+        finally:
+            np.random.set_state(state)
+        np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_sparse_oracle_above_old_dense_cap(self):
+        # 6000 unknowns, past the 5000 the dense oracle allowed: the semigroup
+        # property e^{2tA} f = e^{tA} e^{tA} f holds to rounding
         g = build_grid(1, 10.0, 2000)
         Q = sample_field(make_rule("identity_Q", 1)[0], g, "diffusion")
         A = assemble_diffusion(Q, g, 3)
-        with pytest.raises(ValueError):
-            dense_generator(A)
+        f = trotter_input(g, 3)
+        once = expm_apply(A, 2e-3, f)
+        twice = expm_apply(A, 1e-3, expm_apply(A, 1e-3, f))
+        assert lp_norm(once - twice, 2) <= 1e-12 * lp_norm(once, 2)
 
     def test_gaussian_profile_solves_heat_equation(self):
         x = np.linspace(-3, 3, 401)
@@ -81,6 +151,25 @@ class TestOracles:
             c_term = -math.exp(a) * exp1(a) * math.exp(-a * (x - 1.0))
             ref = (tail + body + c_term) / (2.0 * a)
             assert u2_closed_form(x, lam) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 4.0])
+    def test_u2_against_quadrature(self, lam):
+        # x spans both sides of the switch to the asymptotic series at sqrt(lam) x = 40
+        for x in (1.5, 3.0, 10.0, 37.36979166666667, 39.9, 40.1, 80.0, 300.0, 1000.0):
+            assert u2_closed_form(x, lam) == pytest.approx(quad_u2(x, lam), rel=1e-8)
+
+    @pytest.mark.parametrize("lam, x, ref", [
+        (1.0, 2.0, 0.27797554291974697),
+        (1.0, 39.99, 0.025037764246175967),
+        (1.0, 40.01, 0.025025216768321219),
+        (0.5, 37.36979166666667, 0.053675216999373941),
+        (4.0, 10.0, 0.025129081265285842),
+        (0.25, 160.0, 0.025007827217711494),
+        (1.0, 1000.0, 0.0010000020000240007),
+    ])
+    def test_u2_mpmath_values(self, lam, x, ref):
+        # references from mpmath at 40 digits
+        assert u2_closed_form(x, lam) == pytest.approx(ref, rel=1e-13)
 
     def test_u2_anchor_both_lambdas(self):
         assert 1000.0 * u2_closed_form(1000.0, 1.0) == pytest.approx(1.0, abs=0.01)
@@ -118,7 +207,7 @@ class TestPositivity:
     def test_dense_exponential_oracle_entrywise(self):
         # e^{tL} is entrywise nonnegative for the nonneg-coupling potential
         p = small_problem(v_rule="coupled_V", v_params={"a": -2.0, "b": 1.0, "c": 0.5}, n=24)
-        E = scipy.linalg.expm(0.2 * dense_generator(p.generator))
+        E = scipy.linalg.expm(0.2 * p.generator.matrix.toarray())
         assert E.min() >= -1e-12
 
     def test_diagonal_potential_positive(self):
