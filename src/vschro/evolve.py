@@ -13,12 +13,20 @@ substep (second order, but only a 2-norm contraction).
 
 Diffusion substeps are direct solves, no iteration: the diffusion block is
 kron(D, I_m) in the cell-major layout, so the scalar step matrix I - tau D
-is factored once per step size by SuperLU's sparse LU (Demmel et al., SIAM
-J. Matrix Anal. Appl. 20(3), 1999) and the m components are solved as
-right-hand-side columns.  Columns that are exactly zero are not solved (a
-decoupled potential keeps an unexcited component at zero), and every solve is
-checked against a residual bound relative to the step input.  A constant
-potential is exponentiated once per step size, not once per cell.
+is factored by SuperLU's sparse LU (Demmel et al., SIAM J. Matrix Anal.
+Appl. 20(3), 1999) and the m components are solved as right-hand-side
+columns.  Columns that are exactly zero are not solved (a decoupled
+potential keeps an unexcited component at zero), and every solve is checked
+against a residual bound relative to the step input.  A constant potential
+is exponentiated once per step size, not once per cell.
+
+Building a step is separate from stepping: a SplitStep holds the e^{tau V}
+cache and the LU factor for one step size, and its run() evolves any number
+of fields with them.  trotter_evolve and scalar_heat_evolve build one step
+per call; a check that evolves many fields, or several horizons at one step
+size, builds one per check and step size.  Nothing is cached across calls,
+so a caller that drops a step before building the next holds one factor at
+a time.
 
 Real coefficients commute with complex conjugation, so real data under a real
 potential stays real: such runs step a float64 array and solve m real
@@ -37,13 +45,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from vschro.fields import MatrixField, matrix_exp
-from vschro.mesh import VectorField, values_lp_norm
+from vschro.mesh import Grid, VectorField, values_lp_norms
 from vschro.operators import SparseOperator, assemble_scalar_diffusion
 
 __all__ = [
     "SplitConfig",
     "Trajectory",
     "SolverError",
+    "SplitStep",
+    "split_step",
+    "heat_step",
     "potential_step",
     "diffusion_step",
     "trotter_evolve",
@@ -224,24 +235,67 @@ def diffusion_step(A: SparseOperator, f: VectorField, tau: float, cfg: SplitConf
     return VectorField(f.grid, stepper.apply(f.values))
 
 
-def trotter_evolve(
-    A: SparseOperator,
-    V: MatrixField,
-    f: VectorField,
-    cfg: SplitConfig,
-    norm_ps=DEFAULT_NORM_PS,
-    snapshot_stride: int = 0,
-) -> Trajectory:
-    """Split evolution to cfg.t_final in cfg.n_steps steps.
+@dataclass(frozen=True)
+class SplitStep:
+    """One split step of size tau, built once and stepped any number of times.
 
-    Lie: each step is diffusion(tau) o potential(tau); Strang: half potential
-    steps around a full diffusion step.  Norms are logged at every step
-    boundary; snapshots at every snapshot_stride-th step (0 = endpoints
-    only).  The initial state and the final state are always stored.
+    Building holds the costly parts: the cell-wise e^{tau V} cache, the
+    scalar block D of A = kron(D, I_m) and the SuperLU factor of its step
+    matrix.  run() only steps, so a check that evolves many fields, or
+    several horizons at one tau, factors once.  Every solve of every run is
+    still checked against its residual bound.
     """
-    if V.grid != A.grid or V.rows != A.m or f.grid != A.grid or f.components != A.m:
+
+    grid: Grid
+    m: int
+    tau: float
+    substeps: tuple = field(repr=False)
+    real_coefficients: bool = True
+
+    def run(self, f: VectorField, n_steps: int, norm_ps=DEFAULT_NORM_PS,
+            snapshot_stride: int = 0) -> Trajectory:
+        """n_steps steps from f.
+
+        Norms are logged at every step boundary, from one pass over the cell
+        amplitudes per step; snapshots at every snapshot_stride-th step
+        (0 = endpoints only).  The initial state and the final state are
+        always stored.
+        """
+        if f.grid != self.grid or f.components != self.m:
+            raise ValueError("field does not match the step's grid and components")
+        if n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
+        u = _state(f, self.real_coefficients)
+        measure = f.grid.cell_measure
+        times = [0.0]
+        norm_rows = [values_lp_norms(u, norm_ps, measure)]
+        snapshot_times, snapshots = [0.0], [f]
+        for k in range(1, n_steps + 1):
+            for op in self.substeps:
+                u = op(u)
+            t = k * self.tau
+            times.append(t)
+            norm_rows.append(values_lp_norms(u, norm_ps, measure))
+            if (snapshot_stride and k % snapshot_stride == 0) or k == n_steps:
+                snapshot_times.append(t)
+                snapshots.append(VectorField(f.grid, u))
+        return Trajectory(
+            times=np.array(times),
+            norm_log={p: np.array(col) for p, col in zip(norm_ps, zip(*norm_rows))},
+            snapshot_times=snapshot_times,
+            snapshots=snapshots,
+        )
+
+
+def split_step(A: SparseOperator, V: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:
+    """The Lie or Strang step of size tau for A + V (scheme, substep and
+    residual bound from cfg; its n_steps and t_final are not read).
+
+    Lie: diffusion(tau) o potential(tau); Strang: half potential steps
+    around a full diffusion step.
+    """
+    if V.grid != A.grid or V.rows != A.m:
         raise ValueError("operator, potential and field layouts disagree")
-    tau = cfg.t_final / cfg.n_steps
     # the potential exponentials go first, so their transient batch memory is
     # freed before the LU factor is allocated
     pot = _PotentialStepper(V, tau if cfg.scheme == "lie" else 0.5 * tau)
@@ -250,28 +304,30 @@ def trotter_evolve(
         substeps = (pot.apply, diff.apply)
     else:
         substeps = (pot.apply, diff.apply, pot.apply)
+    return SplitStep(A.grid, A.m, tau, substeps, real_coefficients=np.isrealobj(V.values))
 
-    u = _state(f, real_coefficients=np.isrealobj(V.values))
-    measure = f.grid.cell_measure
-    times = [0.0]
-    norms = {p: [values_lp_norm(u, p, measure)] for p in norm_ps}
-    snapshot_times, snapshots = [0.0], [f]
-    for k in range(1, cfg.n_steps + 1):
-        for op in substeps:
-            u = op(u)
-        t = k * tau
-        times.append(t)
-        for p in norm_ps:
-            norms[p].append(values_lp_norm(u, p, measure))
-        if (snapshot_stride and k % snapshot_stride == 0) or k == cfg.n_steps:
-            snapshot_times.append(t)
-            snapshots.append(VectorField(f.grid, u))
-    return Trajectory(
-        times=np.array(times),
-        norm_log={p: np.array(v) for p, v in norms.items()},
-        snapshot_times=snapshot_times,
-        snapshots=snapshots,
-    )
+
+def heat_step(Q: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:
+    """The step of size tau of scalar_heat_evolve's unshifted comparison
+    equation w_t = div(Q grad w), with cfg's substep and residual bound."""
+    D = assemble_scalar_diffusion(Q, Q.grid, shifted=False)
+    return SplitStep(Q.grid, 1, tau, (_DiffusionStepper(D, tau, cfg).apply,))
+
+
+def trotter_evolve(
+    A: SparseOperator,
+    V: MatrixField,
+    f: VectorField,
+    cfg: SplitConfig,
+    norm_ps=DEFAULT_NORM_PS,
+    snapshot_stride: int = 0,
+) -> Trajectory:
+    """Split evolution to cfg.t_final in cfg.n_steps steps: the step of
+    split_step, built for this call, run as SplitStep.run describes."""
+    if V.grid != A.grid or V.rows != A.m or f.grid != A.grid or f.components != A.m:
+        raise ValueError("operator, potential and field layouts disagree")
+    step = split_step(A, V, cfg.t_final / cfg.n_steps, cfg)
+    return step.run(f, cfg.n_steps, norm_ps, snapshot_stride)
 
 
 def scalar_heat_evolve(Q: MatrixField, g: VectorField, t: float, cfg: SplitConfig) -> VectorField:
@@ -285,10 +341,4 @@ def scalar_heat_evolve(Q: MatrixField, g: VectorField, t: float, cfg: SplitConfi
         raise ValueError("scalar evolution expects a one-component field")
     if Q.grid != g.grid:
         raise ValueError("Q does not live on the field's grid")
-    D = assemble_scalar_diffusion(Q, g.grid, shifted=False)
-    tau = t / cfg.n_steps
-    stepper = _DiffusionStepper(D, tau, cfg)
-    w = _state(g)
-    for _ in range(cfg.n_steps):
-        w = stepper.apply(w)
-    return VectorField(g.grid, w)
+    return heat_step(Q, t / cfg.n_steps, cfg).run(g, cfg.n_steps, norm_ps=()).final

@@ -150,8 +150,9 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     """exp(M) by scaling and squaring with the [13/13] Pade approximant.
 
     Accepts a single (k, k) matrix or a batch (..., k, k); the scaling power
-    is chosen from the largest 1-norm in the batch.  Rejects norms above 1e8
-    (the squaring chain would overflow long before being meaningful).
+    is chosen from the largest 1-norm in the batch.  An exactly-zero matrix
+    gets the exact identity.  Rejects norms above 1e8 (the squaring chain
+    would overflow long before being meaningful).
     """
     A = np.asarray(M, dtype=np.complex128 if np.iscomplexobj(M) else np.float64)
     single = A.ndim == 2
@@ -166,6 +167,8 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     E = np.empty_like(flat)
     for lo in range(0, len(flat), _EXP_CHUNK):
         E[lo:lo + _EXP_CHUNK] = _pade13_squared(flat[lo:lo + _EXP_CHUNK] / (2.0**s), s)
+    # the Pade solve misses exp(0) = I in the last bit for k >= 2
+    E[~flat.reshape(len(flat), k * k).any(axis=1)] = np.eye(k)
     E = E.reshape(A.shape)
     return E[0] if single else E
 

@@ -171,7 +171,20 @@ def values_lp_norm(values: np.ndarray, p, cell_measure: float) -> float:
     Reductions rely on numpy's pairwise summation, so the result is
     deterministic for fixed data.
     """
+    return values_lp_norms(values, (p,), cell_measure)[0]
+
+
+def values_lp_norms(values: np.ndarray, ps, cell_measure: float) -> list:
+    """values_lp_norm for every p in ps, from one pass over the per-cell
+    amplitudes (none for empty ps); each norm equals its single-p value bit
+    for bit."""
+    if not len(ps):
+        return []
     amp = np.sqrt(np.sum(np.abs(values) ** 2, axis=1))
+    return [_amplitude_lp_norm(amp, p, cell_measure) for p in ps]
+
+
+def _amplitude_lp_norm(amp: np.ndarray, p, cell_measure: float) -> float:
     if p == math.inf or p == "inf":
         return float(amp.max(initial=0.0))
     p = float(p)

@@ -13,8 +13,10 @@ from vschro.evolve import (
     _PotentialStepper,
     SplitConfig,
     diffusion_step,
+    heat_step,
     potential_step,
     scalar_heat_evolve,
+    split_step,
     trotter_evolve,
 )
 from vschro.fields import MatrixField, make_rule, matrix_exp, sample_field, shift_potential
@@ -603,3 +605,102 @@ class TestConstantPotential:
         batches = self.record_batches(monkeypatch)
         _PotentialStepper(V, 0.2)
         assert batches == [g.n_cells]
+
+
+def same_trajectory(a, b):
+    assert np.array_equal(a.times, b.times) and a.snapshot_times == b.snapshot_times
+    assert list(a.norm_log) == list(b.norm_log)
+    for p in a.norm_log:
+        assert np.array_equal(a.norm_log[p], b.norm_log[p])
+    for x, y in zip(a.snapshots, b.snapshots, strict=True):
+        assert x.values.tobytes() == y.values.tobytes()
+
+
+class TestSplitStep:
+    """A step built once and run on many fields, or to several horizons at
+    one step size, gives what a fresh trotter_evolve gives for each."""
+
+    @pytest.mark.parametrize("scheme", ["lie", "strang"])
+    @pytest.mark.parametrize("substep", ["backward_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reused_step_matches_fresh_runs(self, dim, substep, scheme):
+        g = build_grid(dim, 3.0, 24 if dim == 1 else 10)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        V = random_real_potential(g, 2, seed=50)
+        cfg = SplitConfig(scheme=scheme, diffusion_substep=substep, n_steps=6, t_final=0.3)
+        step = split_step(A, V, cfg.t_final / cfg.n_steps, cfg)
+        for seed in (51, 52):
+            re, im = random_parts(g, 2, seed)
+            for vals in (re, re + 1j * im):
+                f = VectorField(g, vals)
+                same_trajectory(step.run(f, 6, snapshot_stride=2),
+                                trotter_evolve(A, V, f, cfg, snapshot_stride=2))
+
+    def test_one_step_size_serves_several_horizons(self):
+        g = build_grid(1, 3.0, 30)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        V = sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential")
+        f = bump_field(g, 2)
+        cfg = SplitConfig(n_steps=20, t_final=0.1)
+        step = split_step(A, V, 0.1 / 20, cfg)
+        for t, n in ((0.1, 20), (0.5, 100), (0.25, 50)):
+            assert t / n == step.tau
+            same_trajectory(step.run(f, n, norm_ps=(2, math.inf)),
+                            trotter_evolve(A, V, f, SplitConfig(n_steps=n, t_final=t),
+                                           norm_ps=(2, math.inf)))
+
+    def test_complex_potential_steps_in_complex(self):
+        g = build_grid(1, 3.0, 30)
+        A = assemble_diffusion(identity_q(g), g, 1)
+        V = sample_field(make_rule("complex_linear_V", 1)[0], g, "potential")
+        step = split_step(A, V, 0.01, SplitConfig())
+        assert not step.real_coefficients
+        f = VectorField(g, np.exp(-g.axis_coords**2)[:, None])
+        out = step.run(f, 10).final
+        assert np.any(out.values.imag != 0.0)
+        same_trajectory(step.run(f, 10), trotter_evolve(A, V, f, SplitConfig(n_steps=10, t_final=0.1)))
+
+    @pytest.mark.parametrize("substep", ["backward_euler", "crank_nicolson"])
+    def test_heat_step_matches_scalar_heat_evolve(self, substep):
+        g = build_grid(2, 3.0, 10)
+        Q = identity_q(g)
+        cfg = SplitConfig(diffusion_substep=substep, n_steps=8)
+        step = heat_step(Q, 0.4 / 8, cfg)
+        re, im = random_parts(g, 1, seed=53)
+        for vals in (re, re + 1j * im, np.abs(re)):
+            w = VectorField(g, vals)
+            out = step.run(w, 8, norm_ps=()).final
+            assert out.values.tobytes() == scalar_heat_evolve(Q, w, 0.4, cfg).values.tobytes()
+
+    def test_norm_log_matches_lp_norm_of_snapshots(self):
+        g = build_grid(2, 3.0, 10)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        V = random_real_potential(g, 2, seed=54)
+        re, im = random_parts(g, 2, seed=55)
+        for vals in (re, re + 1j * im):
+            traj = trotter_evolve(A, V, VectorField(g, vals), SplitConfig(n_steps=4, t_final=0.2),
+                                  snapshot_stride=1)
+            for p, log in traj.norm_log.items():
+                assert log.tolist() == [lp_norm(s, p) for s in traj.snapshots]
+
+    def test_no_norms_logged_when_none_asked(self):
+        g = build_grid(1, 3.0, 20)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        V = random_real_potential(g, 2, seed=56)
+        traj = split_step(A, V, 0.1, SplitConfig()).run(bump_field(g, 2), 3, norm_ps=())
+        assert traj.norm_log == {} and len(traj.times) == 4
+
+    def test_layout_guards(self):
+        g = build_grid(1, 2.0, 8)
+        A = assemble_diffusion(identity_q(g), g, 2)
+        V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
+        V3 = sample_field(make_rule("diag_V", 1, c=-1.0, m=3)[0], g, "potential")
+        with pytest.raises(ValueError, match="layouts disagree"):
+            split_step(A, V3, 0.1, SplitConfig())
+        step = split_step(A, V, 0.1, SplitConfig())
+        with pytest.raises(ValueError, match="grid and components"):
+            step.run(VectorField(g, np.ones((8, 3))), 2)
+        with pytest.raises(ValueError, match="grid and components"):
+            step.run(VectorField(build_grid(1, 2.0, 9), np.ones((9, 2))), 2)
+        with pytest.raises(ValueError, match="n_steps"):
+            step.run(VectorField(g, np.ones((8, 2))), 0)

@@ -113,6 +113,31 @@ class TestMatrixExp:
     def test_zero_gives_identity(self):
         np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_gives_exact_identity(self, k, dtype):
+        E = matrix_exp(np.zeros((k, k), dtype=dtype))
+        assert E.dtype == np.dtype(dtype) and np.array_equal(E, np.eye(k))
+        batch = matrix_exp(np.zeros((2, 3, k, k), dtype=dtype))
+        assert np.array_equal(batch, np.broadcast_to(np.eye(k), (2, 3, k, k)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_zero_cell_in_a_mixed_batch(self, k):
+        # the zero cell gets the exact identity; every other cell is what the
+        # batch without it gives, bit for bit (a zero cell leaves the scaling
+        # power unchanged)
+        rng = np.random.default_rng(20 + k)
+        batch = rng.standard_normal((7, k, k))
+        batch[3] = 0.0
+        batch[5, 0, 0] = 0.0  # zero entries alone do not make a zero cell
+        E = matrix_exp(batch)
+        assert np.array_equal(E[3], np.eye(k))
+        rest = [0, 1, 2, 4, 5, 6]
+        np.testing.assert_array_equal(E[rest], matrix_exp(batch[rest]))
+
+    def test_empty_batch(self):
+        assert matrix_exp(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
     def test_rotation_closed_form(self):
         th = 0.83
         E = matrix_exp(th * np.array([[0.0, 1.0], [-1.0, 0.0]]))

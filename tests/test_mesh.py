@@ -12,6 +12,8 @@ from vschro.mesh import (
     build_grid,
     dual_pairing,
     lp_norm,
+    values_lp_norm,
+    values_lp_norms,
     write_field_csv,
     write_field_pgm,
 )
@@ -83,6 +85,33 @@ class TestNorms:
         g = build_grid(1, 1.0, 4)
         with pytest.raises(ValueError):
             lp_norm(random_field(g, 1), 0.5)
+
+    @staticmethod
+    def one_p_norm(values, p, measure):
+        """One norm from its own amplitude pass: the per-p loop the shared
+        amplitude pass replaced."""
+        amp = np.sqrt(np.sum(np.abs(values) ** 2, axis=1))
+        if p == math.inf or p == "inf":
+            return float(amp.max(initial=0.0))
+        p = float(p)
+        if p == 1.0:
+            return float(np.sum(amp) * measure)
+        if p == 2.0:
+            return float(math.sqrt(np.sum(amp**2) * measure))
+        return float((np.sum(amp**p) * measure) ** (1.0 / p))
+
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    def test_one_amplitude_pass_matches_per_p_norms(self, data):
+        g = build_grid(2, 3.0, 17)
+        f = random_field(g, 3, seed=11)
+        values = f.values.real.copy() if data == "real" else f.values
+        ps = (1, 2, 4, math.inf, 3.5, "inf", 1.0)
+        ref = [self.one_p_norm(values, p, g.cell_measure) for p in ps]
+        assert values_lp_norms(values, ps, g.cell_measure) == ref
+        assert [values_lp_norm(values, p, g.cell_measure) for p in ps] == ref
+        assert values_lp_norms(values, (), g.cell_measure) == []
+        with pytest.raises(ValueError):
+            values_lp_norms(values, (2, 0.5), g.cell_measure)
 
     def test_norm_squared_equals_self_pairing(self):
         g = build_grid(1, 3.0, 16)

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.special import exp1, expi
 
-from vschro.evolve import SplitConfig, trotter_evolve
+import vschro.evolve
+from vschro.evolve import SolverError, SplitConfig, _scalar_block, scalar_heat_evolve, trotter_evolve
 from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, lp_norm
-from vschro.operators import assemble_diffusion, assemble_potential
+from vschro.operators import assemble_diffusion, assemble_potential, assemble_scalar_diffusion
 from vschro.problems import build_problem
 from vschro.spectral import KernelEstimate
 from vschro.verify import (
@@ -19,6 +21,7 @@ from vschro.verify import (
     heat_kernel_sup,
     run_consistency_check,
     run_contraction_check,
+    run_degenerate_kernel_check,
     run_domination_check,
     run_nongeneration_demo,
     run_positivity_check,
@@ -249,6 +252,234 @@ class TestDomination:
         assert res.passed
         for key, val in res.measured.items():
             assert val <= 1e-14, key
+
+
+# The three loops below are the checks as they were before each built its
+# split step once: one trotter_evolve (and scalar_heat_evolve) per field or
+# horizon.  The checks must reproduce them bit for bit.
+
+def positivity_reference(problem, n_random, t_forward=0.1, seed=2024):
+    rng = np.random.default_rng(seed)
+    cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=10,
+                      t_final=t_forward, linear_solver_tol=1e-12)
+    worst = np.inf
+    for _ in range(n_random):
+        f = VectorField(problem.grid, rng.random((problem.grid.n_cells, problem.m)).astype(complex))
+        out = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(2,)).final
+        worst = min(worst, float(out.values.real.min()))
+    return {"min_value": worst, "offdiag_min": problem.report.offdiag_min}
+
+
+def domination_reference(problem, ts=(0.1, 0.5, 1.0), width=1.0, tau_target=5e-3):
+    grid = problem.grid
+    profile = _bump(grid, 0.0, width)
+    fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
+    fvals[:, 0] = profile
+    if problem.m > 1:
+        fvals[:, 1] = 0.5 * profile
+    f = VectorField(grid, fvals)
+    sq0 = VectorField(grid, (np.abs(fvals) ** 2).sum(axis=1).astype(complex)[:, None])
+    measured = {}
+    for t in ts:
+        n = max(20, int(math.ceil(t / tau_target)))
+        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=n,
+                          t_final=t, linear_solver_tol=1e-11)
+        u = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(2,)).final
+        w = scalar_heat_evolve(problem.Q, sq0, t, cfg)
+        usq = (np.abs(u.values) ** 2).sum(axis=1)
+        wvals = w.values[:, 0].real
+        measured[f"excess_t{t:g}"] = float(np.max(usq - wvals) / max(wvals.max(), 1e-300))
+    return measured
+
+
+def degenerate_reference(extent, n_per_axis, t, n_steps, center=1.0, width=1.0):
+    problem = build_problem(1, extent, n_per_axis, 2, v_rule="degenerate_V", shift="none", alpha=0.0)
+    grid = problem.grid
+    profile = _bump(grid, center, width).astype(complex)
+    cfg = SplitConfig(scheme="lie", diffusion_substep="crank_nicolson", n_steps=n_steps,
+                      t_final=t, linear_solver_tol=1e-12)
+    wref = scalar_heat_evolve(problem.Q, VectorField(grid, profile[:, None]), t, cfg).values[:, 0]
+    wnorm = max(np.linalg.norm(wref), 1e-300)
+    scale = math.exp(t * problem.unrescale_rate)
+    diag0 = VectorField(grid, np.column_stack([profile, profile]))
+    ud = trotter_evolve(problem.diffusion, problem.V, diag0, cfg, norm_ps=(2,)).final
+    gen0 = VectorField(grid, np.column_stack([profile, 0.0 * profile]))
+    ug = trotter_evolve(problem.diffusion, problem.V, gen0, cfg, norm_ps=(2,)).final
+    return {
+        "match_err_comp0": float(np.linalg.norm(scale * ud.values[:, 0] - wref) / wnorm),
+        "match_err_comp1": float(np.linalg.norm(scale * ud.values[:, 1] - wref) / wnorm),
+        "generic_mismatch": float(np.linalg.norm(scale * ug.values[:, 0] - wref) / wnorm),
+    }
+
+
+def step_problem(dim, v_rule):
+    """Real (diag_V, m = 2) or complex (complex_linear_V, m = 1) potential,
+    both on the forward branch of the positivity check."""
+    m = 2 if v_rule == "diag_V" else 1
+    n = 64 if dim == 1 else 16
+    return build_problem(dim, 6.0, n, m, v_rule=v_rule, shift="none")
+
+
+PROBLEM_CASES = [(1, "diag_V"), (1, "complex_linear_V"), (2, "diag_V"), (2, "complex_linear_V")]
+
+
+@pytest.fixture
+def factor_log(monkeypatch):
+    """Records the step matrix of every LU the split steps build, and the
+    batch size of every matrix_exp call they make."""
+    log = {"lu": [], "exp": []}
+    sparse_lu, matrix_exp = vschro.evolve.sparse_lu, vschro.evolve.matrix_exp
+
+    def counting_lu(matrix):
+        log["lu"].append(matrix)
+        return sparse_lu(matrix)
+
+    def counting_exp(M):
+        log["exp"].append(len(M))
+        return matrix_exp(M)
+
+    monkeypatch.setattr(vschro.evolve, "sparse_lu", counting_lu)
+    monkeypatch.setattr(vschro.evolve, "matrix_exp", counting_exp)
+    return log
+
+
+def step_matrix(D, tau):
+    return (sp.identity(D.shape[0], format="csr") - tau * D).tocsc()
+
+
+def same_matrix(a, b):
+    return a.shape == b.shape and abs(a - b).max() == 0.0
+
+
+class CorruptingLU:
+    """Stands in for a SuperLU factor; the solve with index bad_call returns
+    a perturbed solution, which misses any residual bound."""
+
+    def __init__(self, lu, calls, bad_call):
+        self.lu, self.calls, self.bad_call = lu, calls, bad_call
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        self.calls.append(rhs.shape[1])
+        if len(self.calls) - 1 == self.bad_call:
+            x = x + 1e-3
+        return x
+
+
+class TestBuiltSteps:
+    """Positivity, domination and the degenerate-kernel check build each
+    split step once per step size and reuse it for every field or horizon,
+    with the results of one trotter_evolve per field, bit for bit."""
+
+    def test_positivity_factors_once(self, factor_log):
+        p = small_problem()
+        res = run_positivity_check(p, n_random=50)
+        assert res.passed
+        assert len(factor_log["lu"]) == 1
+        assert factor_log["exp"] == [1]  # diag_V is constant: one cell exponentiated
+        assert same_matrix(factor_log["lu"][0], step_matrix(_scalar_block(p.diffusion), 0.01))
+
+    def test_default_domination_factors_one_vector_and_one_scalar_step(self, factor_log):
+        p = small_problem()
+        res = run_domination_check(p)
+        assert list(res.measured) == ["excess_t0.1", "excess_t0.5", "excess_t1"]
+        vector, scalar = factor_log["lu"]
+        assert same_matrix(vector, step_matrix(_scalar_block(p.diffusion), 0.005))
+        D = assemble_scalar_diffusion(p.Q, p.grid, shifted=False)
+        assert same_matrix(scalar, step_matrix(D, 0.005))
+        assert factor_log["exp"] == [1]
+
+    @pytest.mark.parametrize("ts, n_steps", [
+        ((0.1, 0.33), 1),  # 0.33 / 66 == 0.005 == 0.1 / 20 exactly: one step size
+        ((0.1, 0.333), 2),  # 0.333 / 67 != 0.005
+    ])
+    def test_domination_builds_one_step_per_step_size(self, factor_log, ts, n_steps):
+        p = small_problem()
+        taus = [t / max(20, math.ceil(t / 5e-3)) for t in ts]
+        assert len(set(taus)) == n_steps
+        res = run_domination_check(p, ts=ts)
+        assert len(factor_log["lu"]) == 2 * n_steps and len(factor_log["exp"]) == n_steps
+        # every vector step first, then every scalar step
+        D = assemble_scalar_diffusion(p.Q, p.grid, shifted=False)
+        vector = [step_matrix(_scalar_block(p.diffusion), tau) for tau in sorted(set(taus), key=taus.index)]
+        scalar = [step_matrix(D, tau) for tau in sorted(set(taus), key=taus.index)]
+        for got, want in zip(factor_log["lu"], vector + scalar, strict=True):
+            assert same_matrix(got, want)
+        assert res.measured == domination_reference(p, ts=ts)
+
+    def test_domination_keeps_the_order_of_ts(self, factor_log):
+        # the step size changes at 0.333 and back at 0.1: three builds
+        p = small_problem()
+        ts = (1.0, 0.333, 0.1, 0.5)
+        res = run_domination_check(p, ts=ts)
+        assert list(res.measured) == ["excess_t1", "excess_t0.333", "excess_t0.1", "excess_t0.5"]
+        assert len(factor_log["lu"]) == 6
+        assert res.measured == domination_reference(p, ts=ts)
+
+    def test_degenerate_kernel_factors_once_for_both_runs(self, factor_log):
+        run_degenerate_kernel_check(n_per_axis=100, n_steps=50)
+        assert len(factor_log["lu"]) == 2  # the scalar flow and the shared vector step
+        assert len(factor_log["exp"]) == 1
+
+    @pytest.mark.parametrize("check", [
+        lambda: run_positivity_check(small_problem(), n_random=5),
+        lambda: run_domination_check(small_problem(), ts=(0.1, 0.333, 0.5)),
+        lambda: run_degenerate_kernel_check(n_per_axis=100, n_steps=50),
+    ], ids=["positivity", "domination", "degenerate_kernel"])
+    def test_one_factor_alive_at_a_time(self, monkeypatch, check):
+        # the 2D step matrices' factors dominate peak memory: a check may
+        # reuse a factor, but never hold two
+        live, peak = [0], [0]
+
+        class TrackedLU:
+            def __init__(self, lu):
+                self.lu = lu
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+            def __del__(self):
+                live[0] -= 1
+
+        sparse_lu = vschro.evolve.sparse_lu
+        monkeypatch.setattr(vschro.evolve, "sparse_lu", lambda matrix: TrackedLU(sparse_lu(matrix)))
+        check()
+        assert peak[0] == 1 and live[0] == 0
+
+    @pytest.mark.parametrize("dim, v_rule", PROBLEM_CASES)
+    def test_positivity_matches_per_field_loop(self, dim, v_rule):
+        p = step_problem(dim, v_rule)
+        assert np.iscomplexobj(p.V.values) == (v_rule == "complex_linear_V")
+        res = run_positivity_check(p, n_random=6)
+        assert res.measured == positivity_reference(p, n_random=6)
+
+    @pytest.mark.parametrize("dim, v_rule", PROBLEM_CASES)
+    def test_domination_matches_per_horizon_loop(self, dim, v_rule):
+        p = step_problem(dim, v_rule)
+        ts = (0.1, 0.33, 0.5)
+        res = run_domination_check(p, ts=ts)
+        assert res.measured == domination_reference(p, ts=ts)
+
+    @pytest.mark.parametrize("n_per_axis, n_steps", [(100, 50), (160, 80)])
+    def test_degenerate_kernel_matches_separate_runs(self, n_per_axis, n_steps):
+        res = run_degenerate_kernel_check(n_per_axis=n_per_axis, n_steps=n_steps)
+        assert res.measured == degenerate_reference(10.0, n_per_axis, 0.2, n_steps)
+
+    @pytest.mark.parametrize("check, n_solves", [
+        (lambda p: run_positivity_check(p, n_random=50), 50 * 10),
+        (lambda p: run_domination_check(p), 20 + 100 + 200),
+    ], ids=["positivity", "domination"])
+    def test_residual_miss_mid_loop_raises(self, monkeypatch, check, n_solves):
+        calls = []
+        bad_call = n_solves // 2
+        sparse_lu = vschro.evolve.sparse_lu
+        monkeypatch.setattr(vschro.evolve, "sparse_lu",
+                            lambda matrix: CorruptingLU(sparse_lu(matrix), calls, bad_call))
+        with pytest.raises(SolverError, match="residual"):
+            check(small_problem())
+        assert len(calls) == bad_call + 1
 
 
 class TestUltracontractivity:
