@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import inspect
 import json
 import os
 import sys
@@ -140,13 +139,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
                 )
-        for name, keys in self.overrides.items():
-            unknown = sorted(set(keys) - set(_OVERRIDE_KEYS[name]))
+        for name, values in self.overrides.items():
+            unknown = sorted(set(values) - set(CHECK_KEYS[name]))
             if unknown:
                 raise ConfigError(
                     f"[check.{name}] has no key {unknown[0]!r}; it takes: "
-                    f"{', '.join(_OVERRIDE_KEYS[name])}"
+                    f"{', '.join(CHECK_KEYS[name])}"
                 )
+            _cast_overrides(name, values)
         if self.v_rule == "rotation_V" and self.alpha > 0.0:
             r = self.v_params.get("r", 1.5)
             if not isinstance(r, (int, float)) or not 1.0 <= r < 2.0:
@@ -227,97 +227,71 @@ class ReportBundle:
 
 
 # ---------------------------------------------------------------------------
-# Check registry.  Each entry takes (problem, run_cfg, seed); its keyword
-# parameters are the [check.<name>] override keys it accepts.
+# Check registry.  Each entry takes (problem, run_cfg, seed, **overrides) and
+# leaves every default to its verify function.  CHECK_KEYS gives the keys a
+# [check.<name>] section takes and the cast of each; (float,) marks a list of
+# floats, and a single value is a one-entry list.
 
-def _random_field(problem: Problem, seed: int) -> VectorField:
+CHECK_KEYS = {
+    "contraction": {"slack": float},
+    "consistency": {"lam": float, "horizon": float, "n_steps": int, "tol": float},
+    "positivity": {"n_random": int, "t_forward": float, "floor": float},
+    "domination": {"ts": (float,), "slack": float},
+    "ultracontractivity": {"n_points": int, "tol": float},
+    "trotter_order": {"t": float, "n_schedule": (int,)},
+    "nongeneration": {"lam": float, "extents": (float,), "h_target": float},
+    "shift_invariance": {"mu": float, "sigmas": (float,), "extent": float, "n_per_axis": int,
+                         "tol": float},
+    "degenerate_kernel": {"extent": float, "n_per_axis": int, "t": float, "n_steps": int},
+    "commutator": {"extent": float, "n_schedule": (int,)},
+    "compactness": {"h_target": float, "extent": float, "k": int},
+}
+
+
+def _cast_overrides(name: str, values: dict) -> dict:
+    out = {}
+    for key, value in values.items():
+        cast = CHECK_KEYS[name][key]
+        try:
+            if isinstance(cast, tuple):
+                out[key] = tuple(map(cast[0], value if isinstance(value, list) else [value]))
+            else:
+                out[key] = cast(value)
+        except (TypeError, ValueError):
+            kind = f"a list of {cast[0].__name__}" if isinstance(cast, tuple) else cast.__name__
+            raise ConfigError(f"[check.{name}] {key} takes {kind}, got {value!r}") from None
+    return out
+
+
+def _contraction(problem, run_cfg, seed, **kw):
+    """Contraction along a Lie / backward-Euler run from a seeded random field."""
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((problem.grid.n_cells, problem.m)) + 1j * rng.standard_normal(
-        (problem.grid.n_cells, problem.m)
-    )
-    return VectorField(problem.grid, vals)
-
-
-def _as_tuple(value, cast) -> tuple:
-    """A list-valued override as a tuple; a single value is a one-entry list."""
-    return tuple(cast(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
-
-
-def _check_contraction(problem, run_cfg, seed, slack=1e-8):
+    shape = (problem.grid.n_cells, problem.m)
+    f = VectorField(problem.grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     cfg = replace(run_cfg, scheme="lie", diffusion_substep="backward_euler")
-    traj = trotter_evolve(problem.diffusion, problem.V, _random_field(problem, seed), cfg)
-    return run_contraction_check(traj, slack=slack)
+    return run_contraction_check(trotter_evolve(problem.diffusion, problem.V, f, cfg), **kw)
 
 
-def _check_consistency(problem, run_cfg, seed, lam=2.0, horizon=6.0, n_steps=300, tol=0.01):
-    return run_consistency_check(problem, lam=lam, horizon=horizon, n_steps=int(n_steps), tol=tol)
-
-
-def _check_positivity(problem, run_cfg, seed, n_random=50, t_forward=0.1, floor=1e-10):
-    return run_positivity_check(
-        problem, n_random=int(n_random), t_forward=t_forward, seed=seed, floor=floor
-    )
-
-
-def _check_domination(problem, run_cfg, seed, ts=(0.1, 0.5, 1.0), slack=1e-8):
-    return run_domination_check(problem, ts=_as_tuple(ts, float), slack=slack)
-
-
-def _check_ultracontractivity(problem, run_cfg, seed, n_points=5, tol=0.1):
-    kernels = ultracontractive_sweep(problem, n_points=int(n_points))
-    return run_ultracontractivity_fit(kernels, problem.grid.dim, tol=tol)
-
-
-def _check_trotter_order(problem, run_cfg, seed, t=0.5, n_schedule=(8, 16, 32, 64)):
-    return run_trotter_order_check(problem, t=t, n_schedule=_as_tuple(n_schedule, int))
-
-
-def _check_nongeneration(problem, run_cfg, seed, lam=1.0, extents=(50.0, 100.0, 200.0),
-                         h_target=0.125):
-    return run_nongeneration_demo(lam=lam, extents=_as_tuple(extents, float), h_target=h_target)
-
-
-def _check_shift_invariance(problem, run_cfg, seed, mu=1.0, sigmas=(1.0, 2.0, 5.0),
-                            extent=40.0, n_per_axis=1600, tol=0.02):
-    return run_shift_invariance_check(
-        mu=mu,
-        sigmas=_as_tuple(sigmas, float),
-        extent=extent,
-        n_per_axis=int(n_per_axis),
-        tol=tol,
-    )
-
-
-def _check_degenerate_kernel(problem, run_cfg, seed, extent=10.0, n_per_axis=400, t=0.2,
-                             n_steps=200):
-    return run_degenerate_kernel_check(
-        extent=extent, n_per_axis=int(n_per_axis), t=t, n_steps=int(n_steps)
-    )
-
-
-def _check_commutator(problem, run_cfg, seed, extent=10.0, n_schedule=(200, 400)):
-    return run_commutator_rate_check(extent=extent, n_schedule=_as_tuple(n_schedule, int))
-
-
-def _check_compactness(problem, run_cfg, seed, h_target=0.05, extent=10.0, k=20):
-    return run_compactness_contrast(h_target=h_target, extent=extent, k=int(k))
+def _ultracontractivity(problem, run_cfg, seed, **kw):
+    """n_points goes to the kernel sweep, the other keys to the fit."""
+    sweep = {"n_points": kw.pop("n_points")} if "n_points" in kw else {}
+    kernels = ultracontractive_sweep(problem, **sweep)
+    return run_ultracontractivity_fit(kernels, problem.grid.dim, **kw)
 
 
 CHECKS = {
-    "contraction": _check_contraction,
-    "consistency": _check_consistency,
-    "positivity": _check_positivity,
-    "domination": _check_domination,
-    "ultracontractivity": _check_ultracontractivity,
-    "trotter_order": _check_trotter_order,
-    "nongeneration": _check_nongeneration,
-    "shift_invariance": _check_shift_invariance,
-    "degenerate_kernel": _check_degenerate_kernel,
-    "commutator": _check_commutator,
-    "compactness": _check_compactness,
+    "contraction": _contraction,
+    "consistency": lambda problem, run, seed, **kw: run_consistency_check(problem, **kw),
+    "positivity": lambda problem, run, seed, **kw: run_positivity_check(problem, seed=seed, **kw),
+    "domination": lambda problem, run, seed, **kw: run_domination_check(problem, **kw),
+    "ultracontractivity": _ultracontractivity,
+    "trotter_order": lambda problem, run, seed, **kw: run_trotter_order_check(problem, **kw),
+    "nongeneration": lambda problem, run, seed, **kw: run_nongeneration_demo(**kw),
+    "shift_invariance": lambda problem, run, seed, **kw: run_shift_invariance_check(**kw),
+    "degenerate_kernel": lambda problem, run, seed, **kw: run_degenerate_kernel_check(**kw),
+    "commutator": lambda problem, run, seed, **kw: run_commutator_rate_check(**kw),
+    "compactness": lambda problem, run, seed, **kw: run_compactness_contrast(**kw),
 }
-# Read at import, so a wrapper installed around an entry later cannot hide them.
-_OVERRIDE_KEYS = {name: list(inspect.signature(fn).parameters)[3:] for name, fn in CHECKS.items()}
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
@@ -393,7 +367,7 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     problem = build_problem_from_config(cfg)
     results = []
     for name in cfg.checks:
-        overrides = cfg.overrides.get(name, {})
+        overrides = _cast_overrides(name, cfg.overrides.get(name, {}))
         try:
             results.append(CHECKS[name](problem, cfg.run, cfg.seed, **overrides))
         except ValueError as exc:

@@ -10,7 +10,9 @@ on: uniform ellipticity of Q, the dissipativity margin of V, the growth of
 D_jV (-V)^(-a), off-diagonal signs, and the coercivity profile kappa(x) =
 smallest singular value of V(x).  The shift normalization needs only the
 top eigenvalue of the Hermitian part of V, so a problem is validated once, on
-its final potential.
+its final potential.  The one grid stencil, cell_gradient, takes centred
+differences along each axis in turn (one-sided at the boundary layer); the
+validator's D_jV and the commutator identity in operators both use it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
     "sample_field",
     "matrix_exp",
     "matrix_power_field",
-    "matrix_field_gradient",
+    "cell_gradient",
     "validate_hypotheses",
     "hermitian_top_eigenvalue",
     "shift_potential",
@@ -281,40 +283,21 @@ def matrix_power_field(V: MatrixField, z: complex, negate: bool = True) -> np.nd
     return res
 
 
-def matrix_field_gradient(M: MatrixField) -> np.ndarray:
-    """Centered-difference gradient of the entries, shape (n_cells, d, r, c).
+def cell_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Centred differences of per-cell data, (n_cells, ...) -> (n_cells, d, ...).
 
-    One-sided differences at the boundary layer (the ghost values are not
-    part of the coefficient field, so the stencil shortens there).
+    One-sided at the boundary layer: ghost values are not part of the data,
+    so the stencil shortens there.
     """
-    grid = M.grid
-    N, h = grid.n_per_axis, grid.spacing
-    if grid.dim == 1:
-        v = M.values
-        g = np.empty((N, 1) + v.shape[1:], dtype=v.dtype)
-        g[1:-1, 0] = (v[2:] - v[:-2]) / (2.0 * h)
-        g[0, 0] = (v[1] - v[0]) / h
-        g[-1, 0] = (v[-1] - v[-2]) / h
-        return g
-    v = M.values.reshape((N, N) + M.values.shape[1:])
-    g = np.empty((N, N, 2) + v.shape[2:], dtype=v.dtype)
-    for axis in range(2):
-        sl = [slice(None)] * 2
-        lo, mid, hi = [slice(None)] * 2, [slice(None)] * 2, [slice(None)] * 2
-        mid[axis] = slice(1, -1)
-        lo[axis] = slice(0, 1)
-        hi[axis] = slice(-1, None)
-        up, dn = [slice(None)] * 2, [slice(None)] * 2
-        up[axis] = slice(2, None)
-        dn[axis] = slice(0, -2)
-        g[tuple(mid) + (axis,)] = (v[tuple(up)] - v[tuple(dn)]) / (2.0 * h)
-        first, second = [slice(None)] * 2, [slice(None)] * 2
-        first[axis], second[axis] = slice(0, 1), slice(1, 2)
-        g[tuple(lo) + (axis,)] = (v[tuple(second)] - v[tuple(first)]) / h
-        last, prev = [slice(None)] * 2, [slice(None)] * 2
-        last[axis], prev[axis] = slice(-1, None), slice(-2, -1)
-        g[tuple(hi) + (axis,)] = (v[tuple(last)] - v[tuple(prev)]) / h
-    return g.reshape((grid.n_cells, 2) + M.values.shape[1:])
+    N, h, d = grid.n_per_axis, grid.spacing, grid.dim
+    v = values.reshape((N,) * d + values.shape[1:])
+    g = np.empty((N,) * d + (d,) + values.shape[1:], dtype=values.dtype)
+    for axis in range(d):
+        va, ga = np.moveaxis(v, axis, 0), np.moveaxis(g[(slice(None),) * d + (axis,)], axis, 0)
+        ga[1:-1] = (va[2:] - va[:-2]) / (2.0 * h)
+        ga[0] = (va[1] - va[0]) / h
+        ga[-1] = (va[-1] - va[-2]) / h
+    return g.reshape((grid.n_cells, d) + values.shape[1:])
 
 
 @dataclass
@@ -376,7 +359,7 @@ def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> Hypothe
     margin = lam_max + 1.0
     shift_beta = max(0.0, lam_max)
 
-    gradV = matrix_field_gradient(V)
+    gradV = cell_gradient(V.grid, V.values)
     try:
         prod = gradV  # (-V)^0 = I: a = 0 measures gradV itself, no power, no product
         if alpha > 0.0:  # the power first, so the complex copy of gradV is not live in eig

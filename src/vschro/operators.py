@@ -10,6 +10,10 @@ is symmetric negative definite by construction, not just up to O(h).
 The potential block is block-diagonal multiplication: the m x m matrix V(x_i)
 couples the components of cell i.  Unknown ordering is cell-major, index =
 cell * m + component, which makes the diffusion block kron(D_scalar, I_m).
+
+Each cell stencil is written once for any dimension, as a loop over the axes
+on np.moveaxis views: the face average here, the backward divergence of the
+commutator identity, and the centred gradient fields.cell_gradient.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from vschro.fields import DIFFUSION, POTENTIAL, MatrixField, matrix_field_gradient
+from vschro.fields import DIFFUSION, POTENTIAL, MatrixField, cell_gradient
 from vschro.mesh import Grid, VectorField, lp_norm
 
 __all__ = [
@@ -120,24 +124,12 @@ def _face_average(grid: Grid, cellvals: np.ndarray, axis: int) -> np.ndarray:
     (n_cells,); the output is ordered like face_difference_matrices.
     """
     N = grid.n_per_axis
-    if grid.dim == 1:
-        out = np.empty(N + 1)
-        out[1:N] = 0.5 * (cellvals[:-1] + cellvals[1:])
-        out[0] = cellvals[0]
-        out[N] = cellvals[-1]
-        return out
-    v = cellvals.reshape(N, N)
-    if axis == 0:
-        out = np.empty((N + 1, N))
-        out[1:N, :] = 0.5 * (v[:-1, :] + v[1:, :])
-        out[0, :] = v[0, :]
-        out[N, :] = v[-1, :]
-    else:
-        out = np.empty((N, N + 1))
-        out[:, 1:N] = 0.5 * (v[:, :-1] + v[:, 1:])
-        out[:, 0] = v[:, 0]
-        out[:, N] = v[:, -1]
-    return out.ravel()
+    v = np.moveaxis(cellvals.reshape((N,) * grid.dim), axis, 0)
+    out = np.empty((N + 1,) + v.shape[1:])
+    out[1:N] = 0.5 * (v[:-1] + v[1:])
+    out[0] = v[0]
+    out[N] = v[-1]
+    return np.moveaxis(out, 0, axis).ravel()
 
 
 def assemble_scalar_diffusion(Q: MatrixField, grid: Grid, shifted: bool = False) -> sp.csr_matrix:
@@ -217,51 +209,18 @@ def apply_operator(op: SparseOperator, f: VectorField) -> VectorField:
     return VectorField(f.grid, out.reshape(f.grid.n_cells, op.m))
 
 
-def grid_function_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Centered gradient of per-cell data (n_cells, m) -> (n_cells, d, m);
-    one-sided at the boundary layer."""
-    N, h = grid.n_per_axis, grid.spacing
-    m = values.shape[1]
-    if grid.dim == 1:
-        g = np.empty((N, 1, m), dtype=values.dtype)
-        g[1:-1, 0] = (values[2:] - values[:-2]) / (2.0 * h)
-        g[0, 0] = (values[1] - values[0]) / h
-        g[-1, 0] = (values[-1] - values[-2]) / h
-        return g
-    v = values.reshape(N, N, m)
-    g = np.empty((N, N, 2, m), dtype=values.dtype)
-    for axis in range(2):
-        up = np.roll(v, -1, axis=axis)
-        dn = np.roll(v, 1, axis=axis)
-        g[..., axis, :] = (up - dn) / (2.0 * h)
-        if axis == 0:
-            g[0, :, axis, :] = (v[1] - v[0]) / h
-            g[-1, :, axis, :] = (v[-1] - v[-2]) / h
-        else:
-            g[:, 0, axis, :] = (v[:, 1] - v[:, 0]) / h
-            g[:, -1, axis, :] = (v[:, -1] - v[:, -2]) / h
-    return g.reshape(N * N, 2, m)
-
-
 def _backward_divergence(grid: Grid, w: np.ndarray) -> np.ndarray:
     """Flux-consistent divergence of per-cell vector data w (n_cells, m, d):
-    cell values act as their forward-face fluxes, so the cell divergence is
-    the one-sided difference (w_i - w_{i-1})/h with zero ghosts."""
+    cell values act as their forward-face fluxes, so along each axis the cell
+    divergence is the one-sided difference (w_i - w_{i-1})/h with zero ghosts."""
     N, h = grid.n_per_axis, grid.spacing
-    m = w.shape[1]
-    if grid.dim == 1:
-        wa = w[:, :, 0]
-        out = np.empty_like(wa)
-        out[0] = wa[0] / h
-        out[1:] = (wa[1:] - wa[:-1]) / h
-        return out
-    v = w.reshape(N, N, m, 2)
-    out = np.zeros((N, N, m), dtype=w.dtype)
-    out[0, :, :] += v[0, :, :, 0] / h
-    out[1:, :, :] += (v[1:, :, :, 0] - v[:-1, :, :, 0]) / h
-    out[:, 0, :] += v[:, 0, :, 1] / h
-    out[:, 1:, :] += (v[:, 1:, :, 1] - v[:, :-1, :, 1]) / h
-    return out.reshape(N * N, m)
+    shape = (N,) * grid.dim + w.shape[1:-1]
+    out = np.zeros(shape, dtype=w.dtype)
+    for axis in range(grid.dim):
+        wa, oa = np.moveaxis(w[..., axis].reshape(shape), axis, 0), np.moveaxis(out, axis, 0)
+        oa[0] += wa[0] / h
+        oa[1:] += (wa[1:] - wa[:-1]) / h
+    return out.reshape(w.shape[:-1])
 
 
 def commutator_defect(Q: MatrixField, M: MatrixField, f: VectorField) -> float:
@@ -283,8 +242,8 @@ def commutator_defect(Q: MatrixField, M: MatrixField, f: VectorField) -> float:
         Mop, apply_operator(A, f)
     )
 
-    gradM = matrix_field_gradient(M)  # (n, d, m, m), gradM[c, j, k, l] = D_j m_kl
-    gradf = grid_function_gradient(grid, f.values)  # (n, d, m)
+    gradM = cell_gradient(M.grid, M.values)  # (n, d, m, m), gradM[c, j, k, l] = D_j m_kl
+    gradf = cell_gradient(grid, f.values)  # (n, d, m)
     qv = Q.values.astype(np.result_type(gradM.dtype, f.values.dtype))
     w = np.einsum("cij,cjkl,cl->cki", qv, gradM, f.values)  # (n, m, d)
     div_part = _backward_divergence(grid, w)

@@ -129,16 +129,12 @@ def operator_norm_estimate(
     return float(np.sqrt(max(top[0], 0.0)))
 
 
-def resolvent_norm(L: SparseOperator, lam: complex, **kwargs) -> float:
+def resolvent_norm(L: SparseOperator, lam: complex) -> float:
     """2-norm of (lam - L)^{-1}: operator_norm_estimate on solves with the
     LU of (lam - L) and its conjugate transpose, exact to rounding."""
     lu = _factorize(L.shifted(lam))
-    return operator_norm_estimate(
-        lambda v: lu.solve(v.astype(np.complex128)),
-        lambda v: lu.solve(v.astype(np.complex128), trans="H"),
-        L.dims,
-        **kwargs,
-    )
+    return operator_norm_estimate(lambda v: lu.solve(v.astype(np.complex128)),
+                                  lambda v: lu.solve(v.astype(np.complex128), trans="H"), L.dims)
 
 
 def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0, seed: int = 99) -> EigenResult:

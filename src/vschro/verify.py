@@ -213,7 +213,7 @@ def run_consistency_check(
         t_final=horizon,
         linear_solver_tol=1e-11,
     )
-    traj = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(2,), snapshot_stride=1)
+    traj = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(), snapshot_stride=1)
     times = np.array(traj.snapshot_times)
     pair = np.array([dual_pairing(s, g) for s in traj.snapshots])
     quad_side = complex(np.trapezoid(np.exp(-lam * times) * pair, times))
@@ -294,7 +294,7 @@ def run_positivity_check(
     )
     fvals = np.zeros((grid.n_cells, m), dtype=complex)
     fvals[cell, l] = 1.0
-    out = trotter_evolve(problem.diffusion, problem.V, VectorField(grid, fvals), cfg, norm_ps=(2,)).final
+    out = trotter_evolve(problem.diffusion, problem.V, VectorField(grid, fvals), cfg, norm_ps=()).final
     dip = float(out.values.real[:, k].min())
     return PropertyCheckResult(
         name="positivity",
@@ -469,7 +469,7 @@ def run_trotter_order_check(
                 t_final=t,
                 linear_solver_tol=1e-12,
             )
-            out = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(2,)).final
+            out = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=()).final
             errs.append(lp_norm(out - ref, 2))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         for i, n in enumerate(n_schedule):

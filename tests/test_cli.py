@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vschro import cli, verify
 from vschro.cli import (
+    CHECK_KEYS,
     CHECKS,
     ConfigError,
     EXIT_CHECK_FAILED,
@@ -318,6 +321,14 @@ MALFORMED = {
     # diag_V is constant, so it commutes with the diffusion: no splitting error.
     "commuting_trotter_order": (lambda tmp: _override_body("trotter_order", "t = 0.5"),
                                 "inconclusive"),
+    "word_for_float_slack": (lambda tmp: _override_body("contraction", "slack = abc"),
+                             "[check.contraction] slack takes float, got 'abc'"),
+    "list_for_float_slack": (lambda tmp: _override_body("contraction", "slack = 1e-8, 2e-8"),
+                             "[check.contraction] slack takes float, got [1e-08, 2e-08]"),
+    "word_for_float_trotter_t": (lambda tmp: _override_body("trotter_order", "t = fast"),
+                                 "[check.trotter_order] t takes float, got 'fast'"),
+    "word_in_int_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 200, many"),
+                             "[check.commutator] n_schedule takes a list of int"),
 }
 
 
@@ -355,6 +366,71 @@ class TestMalformedInputs:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         results = json.loads((tmp_path / "o" / "bundle.json").read_text())["results"]
         assert len(results) == 1 and len(results[0]["measured"]) >= 1
+
+
+# The verify function that receives each check's override keys.
+RECEIVERS = {
+    "contraction": "run_contraction_check",
+    "consistency": "run_consistency_check",
+    "positivity": "run_positivity_check",
+    "domination": "run_domination_check",
+    "ultracontractivity": "run_ultracontractivity_fit",
+    "trotter_order": "run_trotter_order_check",
+    "nongeneration": "run_nongeneration_demo",
+    "shift_invariance": "run_shift_invariance_check",
+    "degenerate_kernel": "run_degenerate_kernel_check",
+    "commutator": "run_commutator_rate_check",
+    "compactness": "run_compactness_contrast",
+}
+
+
+def _receiver(check, key):
+    if (check, key) == ("ultracontractivity", "n_points"):
+        return "ultracontractive_sweep"
+    return RECEIVERS[check]
+
+
+class TestCheckKeys:
+    def test_cast_table_names_every_registered_check(self):
+        assert list(CHECK_KEYS) == list(CHECKS) == list(RECEIVERS)
+
+    @pytest.mark.parametrize("check", list(CHECK_KEYS))
+    def test_each_cast_matches_the_receiving_default(self, check):
+        for key, cast in CHECK_KEYS[check].items():
+            params = inspect.signature(getattr(verify, _receiver(check, key))).parameters
+            assert key in params, (check, key)
+            default = params[key].default
+            if isinstance(cast, tuple):
+                assert type(default) is tuple and {type(v) for v in default} == {cast[0]}
+            else:
+                assert type(default) is cast, (check, key)
+
+    @pytest.mark.parametrize("check", list(CHECK_KEYS))
+    def test_each_key_reaches_its_receiver_cast(self, check, monkeypatch, tmp_path):
+        # Integers, as "2" and "2, 3" parse, so every float key must be cast.
+        received = {}
+
+        def recorder(name):
+            def record(*args, **kwargs):
+                received[name] = kwargs
+                return name
+            return record
+
+        for name in {RECEIVERS[check], _receiver(check, "n_points")}:
+            monkeypatch.setattr(cli, name, recorder(name))
+        cfg = load_config(write_cfg(tmp_path, QUICK))
+        overrides = {key: [2, 3] if isinstance(cast, tuple) else 2
+                     for key, cast in CHECK_KEYS[check].items()}
+        CHECKS[check](cli.build_problem_from_config(cfg), cfg.run, 3,
+                      **cli._cast_overrides(check, overrides))
+        for key, cast in CHECK_KEYS[check].items():
+            got = received[_receiver(check, key)][key]
+            if isinstance(cast, tuple):
+                assert got == (2, 3) and {type(v) for v in got} == {cast[0]}, (check, key)
+            else:
+                assert got == 2 and type(got) is cast, (check, key)
+        if check == "positivity":
+            assert received[RECEIVERS[check]]["seed"] == 3  # the run's seed, not the default
 
 
 QUICK_2D = QUICK.replace("dim = 1", "dim = 2").replace("n_per_axis = 64", "n_per_axis = 24").replace(

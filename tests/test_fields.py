@@ -9,10 +9,10 @@ from vschro.fields import (
     MatrixField,
     _balakrishnan_power,
     _eig_power,
+    cell_gradient,
     hermitian_top_eigenvalue,
     make_rule,
     matrix_exp,
-    matrix_field_gradient,
     matrix_power_field,
     sample_field,
     shift_potential,
@@ -370,7 +370,7 @@ class TestSinglePass:
     def test_alpha_zero_growth_equals_identity_product(self, dim, v_rule):
         g = build_grid(dim, 4.0, 40)
         V = sample_field(make_rule(v_rule, dim)[0], g, "potential")
-        gradV = matrix_field_gradient(V)
+        gradV = cell_gradient(g, V.values)
         assert np.abs(gradV).max() > 0.0
         ident = np.broadcast_to(np.eye(V.rows, dtype=np.complex128), V.values.shape)
         prod = gradV.astype(np.complex128) @ ident[:, None, :, :]
@@ -378,14 +378,85 @@ class TestSinglePass:
         assert validate_hypotheses(identity_q(g), V, 0.0).growth_sup == ref
 
 
+def slice_matrix_field_gradient(grid, values):
+    """Reference: centred differences of (n_cells, r, c) matrix data, built
+    from explicit slices per axis, one-sided at the boundary layer."""
+    N, h = grid.n_per_axis, grid.spacing
+    if grid.dim == 1:
+        v = values
+        g = np.empty((N, 1) + v.shape[1:], dtype=v.dtype)
+        g[1:-1, 0] = (v[2:] - v[:-2]) / (2.0 * h)
+        g[0, 0] = (v[1] - v[0]) / h
+        g[-1, 0] = (v[-1] - v[-2]) / h
+        return g
+    v = values.reshape((N, N) + values.shape[1:])
+    g = np.empty((N, N, 2) + v.shape[2:], dtype=v.dtype)
+    for axis in range(2):
+        lo, mid, hi = [slice(None)] * 2, [slice(None)] * 2, [slice(None)] * 2
+        mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(0, 1), slice(-1, None)
+        up, dn = [slice(None)] * 2, [slice(None)] * 2
+        up[axis], dn[axis] = slice(2, None), slice(0, -2)
+        g[tuple(mid) + (axis,)] = (v[tuple(up)] - v[tuple(dn)]) / (2.0 * h)
+        first, second = [slice(None)] * 2, [slice(None)] * 2
+        first[axis], second[axis] = slice(0, 1), slice(1, 2)
+        g[tuple(lo) + (axis,)] = (v[tuple(second)] - v[tuple(first)]) / h
+        last, prev = [slice(None)] * 2, [slice(None)] * 2
+        last[axis], prev[axis] = slice(-1, None), slice(-2, -1)
+        g[tuple(hi) + (axis,)] = (v[tuple(last)] - v[tuple(prev)]) / h
+    return g.reshape((grid.n_cells, 2) + values.shape[1:])
+
+
+def roll_grid_function_gradient(grid, values):
+    """Reference: centred differences of (n_cells, m) data through np.roll,
+    with the wrapped boundary layer overwritten by one-sided differences."""
+    N, h = grid.n_per_axis, grid.spacing
+    m = values.shape[1]
+    if grid.dim == 1:
+        g = np.empty((N, 1, m), dtype=values.dtype)
+        g[1:-1, 0] = (values[2:] - values[:-2]) / (2.0 * h)
+        g[0, 0] = (values[1] - values[0]) / h
+        g[-1, 0] = (values[-1] - values[-2]) / h
+        return g
+    v = values.reshape(N, N, m)
+    g = np.empty((N, N, 2, m), dtype=values.dtype)
+    for axis in range(2):
+        g[..., axis, :] = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+        if axis == 0:
+            g[0, :, axis, :] = (v[1] - v[0]) / h
+            g[-1, :, axis, :] = (v[-1] - v[-2]) / h
+        else:
+            g[:, 0, axis, :] = (v[:, 1] - v[:, 0]) / h
+            g[:, -1, axis, :] = (v[:, -1] - v[:, -2]) / h
+    return g.reshape(N * N, 2, m)
+
+
 class TestGradient:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_bitwise_equal_to_both_reference_stencils(self, dim, n, m, dtype):
+        g = build_grid(dim, 2.3, n)
+        rng = np.random.default_rng(7 * n + m)
+        raw = rng.standard_normal((2, g.n_cells, m, m))
+        data = (raw[0] + 1j * raw[1]).astype(dtype) if dtype == np.complex128 else raw[0]
+        matrix_grad = cell_gradient(g, data)
+        ref = slice_matrix_field_gradient(g, data)
+        assert matrix_grad.shape == ref.shape == (g.n_cells, dim, m, m)
+        assert matrix_grad.dtype == ref.dtype and matrix_grad.tobytes() == ref.tobytes()
+        column = np.ascontiguousarray(data[:, :, 0])
+        vector_grad = cell_gradient(g, column)
+        ref = roll_grid_function_gradient(g, column)
+        assert vector_grad.shape == ref.shape == (g.n_cells, dim, m)
+        assert vector_grad.dtype == ref.dtype and vector_grad.tobytes() == ref.tobytes()
+
     def test_matrix_field_gradient_centered(self):
         g = build_grid(1, 2.0, 200)
         x = g.axis_coords
         vals = np.zeros((200, 1, 1))
         vals[:, 0, 0] = np.sin(x)
         M = MatrixField(g, "potential", vals)
-        grad = matrix_field_gradient(M)
+        grad = cell_gradient(M.grid, M.values)
         err = np.abs(grad[5:-5, 0, 0, 0] - np.cos(x[5:-5])).max()
         assert err < 1e-4  # O(h^2), h ~ 0.02
 
@@ -394,7 +465,7 @@ class TestGradient:
         pts = g.coords()
         vals = (pts[:, 0] ** 2 + 3.0 * pts[:, 1])[:, None, None]
         M = MatrixField(g, "potential", vals)
-        grad = matrix_field_gradient(M)
+        grad = cell_gradient(M.grid, M.values)
         inner = (np.abs(pts) < 1.2).all(axis=1)
         np.testing.assert_allclose(grad[inner, 0, 0, 0], 2.0 * pts[inner, 0], atol=1e-10)
         np.testing.assert_allclose(grad[inner, 1, 0, 0], 3.0, atol=1e-10)

@@ -11,6 +11,8 @@ from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, dual_pairing, lp_norm
 from vschro.operators import (
     AssemblyError,
+    _backward_divergence,
+    _face_average,
     EllipticityError,
     SparseOperator,
     apply_operator,
@@ -115,6 +117,72 @@ class TestFaceDifferences:
         A = assemble_diffusion(MatrixField(g, "diffusion", vals), g, 1).matrix
         assert abs(A - A.T).max() == 0.0
         assert np.linalg.eigvalsh(A.toarray()).max() <= -1.0 + 1e-10
+
+
+def branch_face_average(grid, cellvals, axis):
+    """Reference: face means written out per dimension and axis."""
+    N = grid.n_per_axis
+    if grid.dim == 1:
+        out = np.empty(N + 1)
+        out[1:N] = 0.5 * (cellvals[:-1] + cellvals[1:])
+        out[0] = cellvals[0]
+        out[N] = cellvals[-1]
+        return out
+    v = cellvals.reshape(N, N)
+    if axis == 0:
+        out = np.empty((N + 1, N))
+        out[1:N, :] = 0.5 * (v[:-1, :] + v[1:, :])
+        out[0, :] = v[0, :]
+        out[N, :] = v[-1, :]
+    else:
+        out = np.empty((N, N + 1))
+        out[:, 1:N] = 0.5 * (v[:, :-1] + v[:, 1:])
+        out[:, 0] = v[:, 0]
+        out[:, N] = v[:, -1]
+    return out.ravel()
+
+
+def branch_backward_divergence(grid, w):
+    """Reference: one-sided flux divergence written out per dimension."""
+    N, h = grid.n_per_axis, grid.spacing
+    m = w.shape[1]
+    if grid.dim == 1:
+        wa = w[:, :, 0]
+        out = np.empty_like(wa)
+        out[0] = wa[0] / h
+        out[1:] = (wa[1:] - wa[:-1]) / h
+        return out
+    v = w.reshape(N, N, m, 2)
+    out = np.zeros((N, N, m), dtype=w.dtype)
+    out[0, :, :] += v[0, :, :, 0] / h
+    out[1:, :, :] += (v[1:, :, :, 0] - v[:-1, :, :, 0]) / h
+    out[:, 0, :] += v[:, 0, :, 1] / h
+    out[:, 1:, :] += (v[:, 1:, :, 1] - v[:, :-1, :, 1]) / h
+    return out.reshape(N * N, m)
+
+
+class TestCellStencils:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    def test_face_average_bitwise_equal_to_reference(self, dim, n):
+        g = build_grid(dim, 1.3, n)
+        cellvals = np.random.default_rng(n).uniform(0.1, 3.0, g.n_cells)
+        for axis in range(dim):
+            built, ref = _face_average(g, cellvals, axis), branch_face_average(g, cellvals, axis)
+            assert built.shape == ref.shape == ((n + 1) * n**(dim - 1),)
+            assert built.dtype == ref.dtype and built.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_backward_divergence_bitwise_equal_to_reference(self, dim, n, m, dtype):
+        g = build_grid(dim, 1.3, n)
+        raw = np.random.default_rng(5 * n + m).standard_normal((2, g.n_cells, m, dim))
+        w = (raw[0] + 1j * raw[1]).astype(dtype) if dtype == np.complex128 else raw[0]
+        built, ref = _backward_divergence(g, w), branch_backward_divergence(g, w)
+        assert built.shape == ref.shape == (g.n_cells, m)
+        assert built.dtype == ref.dtype and built.tobytes() == ref.tobytes()
 
 
 class TestDiffusionAssembly:
