@@ -23,14 +23,7 @@ from vschro.operators import (
     assemble_potential,
     commutator_defect,
 )
-from vschro.evolve import (
-    SplitConfig,
-    Trajectory,
-    diffusion_step,
-    potential_step,
-    scalar_heat_evolve,
-    trotter_evolve,
-)
+from vschro.evolve import SplitConfig, Trajectory, trotter_evolve
 
 __all__ = [
     "Grid",
@@ -50,10 +43,7 @@ __all__ = [
     "commutator_defect",
     "SplitConfig",
     "Trajectory",
-    "potential_step",
-    "diffusion_step",
     "trotter_evolve",
-    "scalar_heat_evolve",
 ]
 
 __version__ = "0.1.0"

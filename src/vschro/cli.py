@@ -248,16 +248,24 @@ CHECK_KEYS = {
 }
 
 
+def _strict(cast, value):
+    """An int key takes an int, a float key an int or a float; no key a bool."""
+    if isinstance(value, bool) or not isinstance(value, int if cast is int else (int, float)):
+        raise TypeError(value)
+    return cast(value)
+
+
 def _cast_overrides(name: str, values: dict) -> dict:
     out = {}
     for key, value in values.items():
         cast = CHECK_KEYS[name][key]
         try:
             if isinstance(cast, tuple):
-                out[key] = tuple(map(cast[0], value if isinstance(value, list) else [value]))
+                items = value if isinstance(value, list) else [value]
+                out[key] = tuple(_strict(cast[0], v) for v in items)
             else:
-                out[key] = cast(value)
-        except (TypeError, ValueError):
+                out[key] = _strict(cast, value)
+        except TypeError:
             kind = f"a list of {cast[0].__name__}" if isinstance(cast, tuple) else cast.__name__
             raise ConfigError(f"[check.{name}] {key} takes {kind}, got {value!r}") from None
     return out

@@ -20,13 +20,14 @@ potential keeps an unexcited component at zero), and every solve is checked
 against a residual bound relative to the step input.  A constant potential
 is exponentiated once per step size, not once per cell.
 
-Building a step is separate from stepping: a SplitStep holds the e^{tau V}
-cache and the LU factor for one step size, and its run() evolves any number
-of fields with them.  trotter_evolve and scalar_heat_evolve build one step
-per call; a check that evolves many fields, or several horizons at one step
-size, builds one per check and step size.  Nothing is cached across calls,
-so a caller that drops a step before building the next holds one factor at
-a time.
+Building a step is separate from stepping, and there is one way to do
+each: split_step (or heat_step, for the scalar comparison equation) builds a
+SplitStep, which holds the e^{tau V} cache and the LU factor for one step
+size, and its run() evolves any number of fields with them.  trotter_evolve
+builds one step per call; a check that evolves many fields, or several
+horizons at one step size, builds one per check and step size.  Nothing is
+cached across calls, so a caller that drops a step before building the next
+holds one factor at a time.
 
 Real coefficients commute with complex conjugation, so real data under a real
 potential stays real: such runs step a float64 array and solve m real
@@ -55,10 +56,7 @@ __all__ = [
     "SplitStep",
     "split_step",
     "heat_step",
-    "potential_step",
-    "diffusion_step",
     "trotter_evolve",
-    "scalar_heat_evolve",
 ]
 
 DEFAULT_NORM_PS = (1, 2, 4, math.inf)
@@ -215,26 +213,6 @@ def _state(f: VectorField, real_coefficients: bool = True) -> np.ndarray:
     return np.ascontiguousarray(f.values.real) if real_coefficients and f.is_real else f.values
 
 
-def potential_step(V: MatrixField, f: VectorField, tau: float) -> VectorField:
-    """u(x) <- e^{tau V(x)} u(x) at every cell."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if V.grid != f.grid or V.rows != f.components:
-        raise ValueError("potential does not match field layout")
-    return VectorField(f.grid, _PotentialStepper(V, tau).apply(f.values))
-
-
-def diffusion_step(A: SparseOperator, f: VectorField, tau: float, cfg: SplitConfig) -> VectorField:
-    """One implicit diffusion substep; both schemes are 2-norm contractions
-    for symmetric negative definite A."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if f.grid != A.grid or f.components != A.m:
-        raise ValueError("field does not match operator layout")
-    stepper = _DiffusionStepper(_scalar_block(A), tau, cfg)
-    return VectorField(f.grid, stepper.apply(f.values))
-
-
 @dataclass(frozen=True)
 class SplitStep:
     """One split step of size tau, built once and stepped any number of times.
@@ -308,8 +286,8 @@ def split_step(A: SparseOperator, V: MatrixField, tau: float, cfg: SplitConfig) 
 
 
 def heat_step(Q: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:
-    """The step of size tau of scalar_heat_evolve's unshifted comparison
-    equation w_t = div(Q grad w), with cfg's substep and residual bound."""
+    """The step of size tau of w_t = div(Q grad w), with cfg's substep and
+    residual bound; unshifted, as the semigroup that dominates |S(t)f|^2."""
     D = assemble_scalar_diffusion(Q, Q.grid, shifted=False)
     return SplitStep(Q.grid, 1, tau, (_DiffusionStepper(D, tau, cfg).apply,))
 
@@ -324,21 +302,6 @@ def trotter_evolve(
 ) -> Trajectory:
     """Split evolution to cfg.t_final in cfg.n_steps steps: the step of
     split_step, built for this call, run as SplitStep.run describes."""
-    if V.grid != A.grid or V.rows != A.m or f.grid != A.grid or f.components != A.m:
-        raise ValueError("operator, potential and field layouts disagree")
     step = split_step(A, V, cfg.t_final / cfg.n_steps, cfg)
     return step.run(f, cfg.n_steps, norm_ps, snapshot_stride)
 
-
-def scalar_heat_evolve(Q: MatrixField, g: VectorField, t: float, cfg: SplitConfig) -> VectorField:
-    """Evolve the scalar comparison equation w_t = div(Q grad w) to time t.
-
-    No identity shift here: this is the semigroup that dominates |S(t)f|^2.
-    The step count and substep come from cfg (t overrides cfg.t_final), so a
-    caller can keep the step grids of the vector and scalar runs aligned.
-    """
-    if g.components != 1:
-        raise ValueError("scalar evolution expects a one-component field")
-    if Q.grid != g.grid:
-        raise ValueError("Q does not live on the field's grid")
-    return heat_step(Q, t / cfg.n_steps, cfg).run(g, cfg.n_steps, norm_ps=()).final

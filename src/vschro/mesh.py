@@ -162,22 +162,17 @@ def build_grid(dim: int, extent: float, n_per_axis: int) -> Grid:
 def lp_norm(f: VectorField, p) -> float:
     """Discrete L^p norm (sum_cells |f(x)|^p h^d)^(1/p); p = inf gives the
     max over cells of the per-cell Euclidean amplitude."""
-    return values_lp_norm(f.values, p, f.grid.cell_measure)
+    return values_lp_norms(f.values, (p,), f.grid.cell_measure)[0]
 
 
-def values_lp_norm(values: np.ndarray, p, cell_measure: float) -> float:
-    """lp_norm of a raw (n_cells, m) real or complex value array.
+def values_lp_norms(values: np.ndarray, ps, cell_measure: float) -> list:
+    """lp_norm of a raw (n_cells, m) real or complex value array for every p
+    in ps, from one pass over the per-cell amplitudes (none for empty ps);
+    each norm equals its single-p value bit for bit.
 
     Reductions rely on numpy's pairwise summation, so the result is
     deterministic for fixed data.
     """
-    return values_lp_norms(values, (p,), cell_measure)[0]
-
-
-def values_lp_norms(values: np.ndarray, ps, cell_measure: float) -> list:
-    """values_lp_norm for every p in ps, from one pass over the per-cell
-    amplitudes (none for empty ps); each norm equals its single-p value bit
-    for bit."""
     if not len(ps):
         return []
     amp = np.sqrt(np.sum(np.abs(values) ** 2, axis=1))

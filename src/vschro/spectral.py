@@ -182,6 +182,13 @@ def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0, seed: int = 99) 
     )
 
 
+def _scaled_delta(A: SparseOperator, source_cell: int, source_component: int) -> VectorField:
+    """The scaled delta h^{-d} 1_{cell} e_j that both kernel functions evolve."""
+    vals = np.zeros((A.grid.n_cells, A.m), dtype=np.complex128)
+    vals[source_cell, source_component] = 1.0 / A.grid.cell_measure
+    return VectorField(A.grid, vals)
+
+
 def kernel_column(
     A: SparseOperator,
     V: MatrixField,
@@ -193,12 +200,8 @@ def kernel_column(
     """Evolve h^{-d} 1_{cell} e_j to time t; the result is K_h(t, ., y) e_j."""
     if not t > 0:
         raise ValueError("t must be positive")
-    grid = A.grid
-    vals = np.zeros((grid.n_cells, A.m), dtype=np.complex128)
-    vals[source_cell, source_component] = 1.0 / grid.cell_measure
-    delta = VectorField(grid, vals)
-    traj = trotter_evolve(A, V, delta, replace(cfg, t_final=t), norm_ps=())
-    column = traj.final
+    delta = _scaled_delta(A, source_cell, source_component)
+    column = trotter_evolve(A, V, delta, replace(cfg, t_final=t), norm_ps=()).final
     return KernelEstimate(
         t=t,
         source_cell=source_cell,
@@ -226,10 +229,7 @@ def kernel_sweep(
     leading segment starts from the delta at t = 0 and covers a whole decade
     of time on its own, so it defaults to 4x the substeps.
     """
-    grid = A.grid
-    vals = np.zeros((grid.n_cells, A.m), dtype=np.complex128)
-    vals[source_cell, source_component] = 1.0 / grid.cell_measure
-    state = VectorField(grid, vals)
+    state = _scaled_delta(A, source_cell, source_component)
     if first_segment_steps is None:
         first_segment_steps = 4 * steps_per_segment
     out = []

@@ -2,8 +2,8 @@
 
 Each criterion prints its own PASS/FAIL line with the measured quantities,
 so a plain `pytest -s tests/test_acceptance.py` reads as a checklist.  All
-tolerances are fixed here; the helpers under vschro.verify carry the
-independent oracles (dense exponentials, closed-form kernels, quadrature).
+tolerances are fixed here; vschro.verify carries the independent oracles
+(the sparse exponential action and the closed-form resolvent component u2).
 """
 
 import math

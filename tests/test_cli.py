@@ -329,6 +329,15 @@ MALFORMED = {
                                  "[check.trotter_order] t takes float, got 'fast'"),
     "word_in_int_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 200, many"),
                              "[check.commutator] n_schedule takes a list of int"),
+    # An int key is not truncated, and no numeric key takes true/false.
+    "fraction_for_int_steps": (lambda tmp: _override_body("consistency", "n_steps = 2.5"),
+                               "[check.consistency] n_steps takes int, got 2.5"),
+    "fraction_in_int_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 2.5, 5"),
+                                 "[check.trotter_order] n_schedule takes a list of int"),
+    "bool_for_float_slack": (lambda tmp: _override_body("contraction", "slack = true"),
+                             "[check.contraction] slack takes float, got True"),
+    "bool_for_int_k": (lambda tmp: _override_body("compactness", "k = false"),
+                       "[check.compactness] k takes int, got False"),
 }
 
 

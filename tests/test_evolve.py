@@ -12,10 +12,8 @@ from vschro.evolve import (
     _DiffusionStepper,
     _PotentialStepper,
     SplitConfig,
-    diffusion_step,
+    _scalar_block,
     heat_step,
-    potential_step,
-    scalar_heat_evolve,
     split_step,
     trotter_evolve,
 )
@@ -26,6 +24,39 @@ from vschro.operators import SparseOperator, assemble_diffusion, assemble_potent
 
 def identity_q(grid):
     return sample_field(make_rule("identity_Q", grid.dim)[0], grid, "diffusion")
+
+
+def potential_step(V, f, tau):
+    """The potential substep of split_step alone: u(x) <- e^{tau V(x)} u(x)."""
+    return VectorField(f.grid, _PotentialStepper(V, tau).apply(f.values))
+
+
+def diffusion_step(A, f, tau, cfg):
+    """The diffusion substep of split_step alone: one implicit step of A."""
+    return VectorField(f.grid, _DiffusionStepper(_scalar_block(A), tau, cfg).apply(f.values))
+
+
+def heat_evolve(Q, w, t, cfg):
+    """w_t = div(Q grad w) to time t in cfg.n_steps steps, from a fresh heat_step."""
+    return heat_step(Q, t / cfg.n_steps, cfg).run(w, cfg.n_steps, norm_ps=()).final
+
+
+def gaussian_heat_profile(x, t, sigma, q=1.0):
+    """Solution of w_t = q w_xx started from exp(-x^2 / (2 sigma^2))."""
+    s2 = sigma**2 + 2.0 * q * t
+    return sigma / np.sqrt(s2) * np.exp(-(x**2) / (2.0 * s2))
+
+
+def test_gaussian_profile_solves_heat_equation():
+    x = np.linspace(-3, 3, 401)
+    dx = x[1] - x[0]
+    t, dt, sigma = 0.3, 1e-5, 0.8
+    u0 = gaussian_heat_profile(x, t - dt, sigma)
+    u1 = gaussian_heat_profile(x, t, sigma)
+    u2 = gaussian_heat_profile(x, t + dt, sigma)
+    dudt = (u2 - u0) / (2 * dt)
+    lap = (u1[2:] - 2 * u1[1:-1] + u1[:-2]) / dx**2
+    assert np.abs(dudt[1:-1] - lap).max() < 1e-4
 
 
 def bump_field(grid, m, widths=(1.0, 0.7)):
@@ -203,8 +234,6 @@ class TestDiffusionStep:
         assert 2.6 < order < 3.4
 
     def test_gaussian_widening_against_closed_form(self):
-        from vschro.verify import gaussian_heat_profile
-
         R, n = 20.0, 800
         g = build_grid(1, R, n)
         A = assemble_diffusion(identity_q(g), g, 1)
@@ -397,7 +426,7 @@ class TestScalarHeat:
         t = 0.5
         cfg = SplitConfig(diffusion_substep="crank_nicolson", n_steps=400, t_final=t,
                           linear_solver_tol=1e-12)
-        out = scalar_heat_evolve(Q, VectorField(g, v[:, None].astype(complex)), t, cfg)
+        out = heat_evolve(Q, VectorField(g, v[:, None].astype(complex)), t, cfg)
         np.testing.assert_allclose(
             out.values[:, 0].real, math.exp(lam * t) * v, atol=5e-6
         )
@@ -409,7 +438,7 @@ class TestScalarHeat:
         w0 = VectorField(g, rng.random((80, 1)).astype(complex))
         cfg = SplitConfig(diffusion_substep="backward_euler", n_steps=20, t_final=0.3,
                           linear_solver_tol=1e-12)
-        out = scalar_heat_evolve(Q, w0, 0.3, cfg)
+        out = heat_evolve(Q, w0, 0.3, cfg)
         assert out.values.real.min() >= -1e-12
         assert np.sum(out.values.real) * g.cell_measure <= np.sum(w0.values.real) * g.cell_measure
 
@@ -491,8 +520,8 @@ class TestRealPath:
         Q = identity_q(g)
         re, im = random_parts(g, 1, seed=8)
         cfg = SplitConfig(diffusion_substep=substep, n_steps=5)
-        whole = scalar_heat_evolve(Q, VectorField(g, re + 1j * im), 0.2, cfg).values
-        parts = [scalar_heat_evolve(Q, VectorField(g, x), 0.2, cfg).values for x in (re, im)]
+        whole = heat_evolve(Q, VectorField(g, re + 1j * im), 0.2, cfg).values
+        parts = [heat_evolve(Q, VectorField(g, x), 0.2, cfg).values for x in (re, im)]
         assert np.all(parts[0].imag == 0.0) and np.all(parts[1].imag == 0.0)
         combined = parts[0] + 1j * parts[1]
         assert np.linalg.norm(whole - combined) <= 1e-13 * np.linalg.norm(whole)
@@ -661,7 +690,7 @@ class TestSplitStep:
         same_trajectory(step.run(f, 10), trotter_evolve(A, V, f, SplitConfig(n_steps=10, t_final=0.1)))
 
     @pytest.mark.parametrize("substep", ["backward_euler", "crank_nicolson"])
-    def test_heat_step_matches_scalar_heat_evolve(self, substep):
+    def test_reused_heat_step_matches_fresh_runs(self, substep):
         g = build_grid(2, 3.0, 10)
         Q = identity_q(g)
         cfg = SplitConfig(diffusion_substep=substep, n_steps=8)
@@ -670,7 +699,7 @@ class TestSplitStep:
         for vals in (re, re + 1j * im, np.abs(re)):
             w = VectorField(g, vals)
             out = step.run(w, 8, norm_ps=()).final
-            assert out.values.tobytes() == scalar_heat_evolve(Q, w, 0.4, cfg).values.tobytes()
+            assert out.values.tobytes() == heat_evolve(Q, w, 0.4, cfg).values.tobytes()
 
     def test_norm_log_matches_lp_norm_of_snapshots(self):
         g = build_grid(2, 3.0, 10)

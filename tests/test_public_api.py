@@ -1,0 +1,57 @@
+"""Every public function of a layer is used by the package itself.
+
+A function that only tests call belongs in the tests; one that nothing calls
+belongs nowhere.  The guard reads the source with ast, so a name in a
+docstring, a comment or an __all__ string does not count as a use, and the
+package's __init__ re-exports do not count either.
+"""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import vschro
+
+LAYERS = ("mesh", "fields", "operators", "evolve", "spectral", "problems", "verify", "cli")
+PACKAGE = Path(vschro.__file__).parent
+
+
+def used_names() -> set:
+    """Names loaded anywhere in the package outside __init__.py, except
+    inside the top-level def or class that defines the same name."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return used
+
+
+def public_functions(layer: str) -> list:
+    mod = importlib.import_module(f"vschro.{layer}")
+    return [name for name in mod.__all__
+            if isinstance(fn := getattr(mod, name), types.FunctionType) and fn.__module__ == mod.__name__]
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_public_function_is_used_in_the_package(layer):
+    unused = sorted(set(public_functions(layer)) - used_names())
+    assert unused == [], f"vschro.{layer} exports functions only tests use: {unused}"
+
+
+def test_guard_sees_functions():
+    assert "heat_step" in public_functions("evolve")
+    assert "heat_step" in used_names()

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import exp1, expi
 
 import vschro.evolve
-from vschro.evolve import SolverError, SplitConfig, _scalar_block, scalar_heat_evolve, trotter_evolve
+from vschro.evolve import SolverError, SplitConfig, _scalar_block, heat_step, trotter_evolve
 from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, lp_norm
 from vschro.operators import assemble_diffusion, assemble_potential, assemble_scalar_diffusion
@@ -17,8 +17,6 @@ from vschro.spectral import KernelEstimate
 from vschro.verify import (
     _bump,
     expm_apply,
-    gaussian_heat_profile,
-    heat_kernel_sup,
     run_consistency_check,
     run_contraction_check,
     run_degenerate_kernel_check,
@@ -123,21 +121,6 @@ class TestOracles:
         once = expm_apply(A, 2e-3, f)
         twice = expm_apply(A, 1e-3, expm_apply(A, 1e-3, f))
         assert lp_norm(once - twice, 2) <= 1e-12 * lp_norm(once, 2)
-
-    def test_gaussian_profile_solves_heat_equation(self):
-        x = np.linspace(-3, 3, 401)
-        dx = x[1] - x[0]
-        t, dt, sigma = 0.3, 1e-5, 0.8
-        u0 = gaussian_heat_profile(x, t - dt, sigma)
-        u1 = gaussian_heat_profile(x, t, sigma)
-        u2 = gaussian_heat_profile(x, t + dt, sigma)
-        dudt = (u2 - u0) / (2 * dt)
-        lap = (u1[2:] - 2 * u1[1:-1] + u1[:-2]) / dx**2
-        assert np.abs(dudt[1:-1] - lap).max() < 1e-4
-
-    def test_heat_kernel_sup_values(self):
-        assert heat_kernel_sup(0.25, 1) == pytest.approx(math.pi**-0.5, rel=1e-12)
-        assert heat_kernel_sup(0.25, 2) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_u2_boundary_matching(self):
         for lam in (1.0, 4.0):
@@ -255,7 +238,7 @@ class TestDomination:
 
 
 # The three loops below are the checks as they were before each built its
-# split step once: one trotter_evolve (and scalar_heat_evolve) per field or
+# split step once: one trotter_evolve (and one heat_step) per field or
 # horizon.  The checks must reproduce them bit for bit.
 
 def positivity_reference(problem, n_random, t_forward=0.1, seed=2024):
@@ -285,7 +268,7 @@ def domination_reference(problem, ts=(0.1, 0.5, 1.0), width=1.0, tau_target=5e-3
         cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=n,
                           t_final=t, linear_solver_tol=1e-11)
         u = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(2,)).final
-        w = scalar_heat_evolve(problem.Q, sq0, t, cfg)
+        w = heat_step(problem.Q, t / n, cfg).run(sq0, n, norm_ps=()).final
         usq = (np.abs(u.values) ** 2).sum(axis=1)
         wvals = w.values[:, 0].real
         measured[f"excess_t{t:g}"] = float(np.max(usq - wvals) / max(wvals.max(), 1e-300))
@@ -298,7 +281,8 @@ def degenerate_reference(extent, n_per_axis, t, n_steps, center=1.0, width=1.0):
     profile = _bump(grid, center, width).astype(complex)
     cfg = SplitConfig(scheme="lie", diffusion_substep="crank_nicolson", n_steps=n_steps,
                       t_final=t, linear_solver_tol=1e-12)
-    wref = scalar_heat_evolve(problem.Q, VectorField(grid, profile[:, None]), t, cfg).values[:, 0]
+    wref = heat_step(problem.Q, t / n_steps, cfg).run(
+        VectorField(grid, profile[:, None]), n_steps, norm_ps=()).final.values[:, 0]
     wnorm = max(np.linalg.norm(wref), 1e-300)
     scale = math.exp(t * problem.unrescale_rate)
     diag0 = VectorField(grid, np.column_stack([profile, profile]))
