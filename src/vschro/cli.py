@@ -131,6 +131,8 @@ class ExperimentConfig:
         for key, params in (("q_params", self.q_params), ("v_params", self.v_params)):
             if "m" in params:
                 raise ConfigError(f"{key} sets m; the component count is [problem] m")
+        if self.seed < 0:
+            raise ConfigError(f"[output] seed must be non-negative, got {self.seed}")
         unknowns = self.n_per_axis**self.dim * self.m
         if unknowns > _HARD_CAP_UNKNOWNS:
             raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
@@ -157,6 +159,17 @@ class ExperimentConfig:
                 )
 
 
+_SECTIONS = ("problem", "run", "checks", "output")
+
+
+def _number(parser, section: str, key: str, cast, default):
+    """[section] key read as a number of type cast (see _strict), or default
+    when the key is absent."""
+    if not parser.has_option(section, key):
+        return default
+    return _cast(section, key, cast, _parse_scalar(parser[section][key]))
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a config file; bare bundled names (e.g. 'rotation_r15') resolve
     to the packaged example configs."""
@@ -166,31 +179,42 @@ def load_config(path) -> ExperimentConfig:
         if name in list_experiments():
             path = str(bundled_config_path(name))
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a duplicate key or section, a missing section header, ...; the
+        # message names the line, on one line of its own
+        raise ConfigError(f"cannot parse config: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config {path}")
+    for section in parser.sections():
+        if section not in _SECTIONS and not section.startswith("check."):
+            raise ConfigError(
+                f"unknown section [{section}]; known: "
+                + ", ".join(f"[{s}]" for s in (*_SECTIONS, "check.<name>"))
+            )
     try:
         prob = parser["problem"] if parser.has_section("problem") else {}
         cfg = ExperimentConfig(
-            dim=int(prob.get("dim", 1)),
-            m=int(prob.get("m", 2)),
-            extent=float(prob.get("extent", 8.0)),
-            n_per_axis=int(prob.get("n_per_axis", 64)),
+            dim=_number(parser, "problem", "dim", int, 1),
+            m=_number(parser, "problem", "m", int, 2),
+            extent=_number(parser, "problem", "extent", float, 8.0),
+            n_per_axis=_number(parser, "problem", "n_per_axis", int, 64),
             q_rule=prob.get("q_rule", "identity_Q"),
             q_params=_parse_params(prob.get("q_params", "")),
             v_rule=prob.get("v_rule", "diag_V"),
             v_params=_parse_params(prob.get("v_params", "")),
             shift=prob.get("shift", "none"),
-            alpha=float(prob.get("alpha", 0.0)),
+            alpha=_number(parser, "problem", "alpha", float, 0.0),
         )
         if parser.has_section("run"):
             run = parser["run"]
             cfg.run = SplitConfig(
                 scheme=run.get("scheme", "lie"),
                 diffusion_substep=run.get("substep", "backward_euler"),
-                n_steps=int(run.get("n_steps", 100)),
-                t_final=float(run.get("t_final", 1.0)),
-                linear_solver_tol=float(run.get("solver_tol", 1e-10)),
+                n_steps=_number(parser, "run", "n_steps", int, 100),
+                t_final=_number(parser, "run", "t_final", float, 1.0),
+                linear_solver_tol=_number(parser, "run", "solver_tol", float, 1e-10),
             )
             if "max_iters" in run:
                 print("warning: [run] max_iters is ignored; diffusion solves are direct",
@@ -205,9 +229,10 @@ def load_config(path) -> ExperimentConfig:
                     k: _parse_value(v) for k, v in parser[section].items()
                 }
         if parser.has_section("output"):
-            out = parser["output"]
-            cfg.output_dir = out.get("dir", cfg.output_dir)
-            cfg.seed = int(out.get("seed", cfg.seed))
+            cfg.output_dir = parser["output"].get("dir", cfg.output_dir)
+            cfg.seed = _number(parser, "output", "seed", int, cfg.seed)
+    except configparser.InterpolationError as exc:
+        raise ConfigError(f"[{exc.section}] {exc.option}: {exc}") from None
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     cfg.validate()
@@ -255,20 +280,21 @@ def _strict(cast, value):
     return cast(value)
 
 
+def _cast(section: str, key: str, cast, value):
+    """value cast for [section] key; a ConfigError names both if it does not fit."""
+    try:
+        if isinstance(cast, tuple):
+            items = value if isinstance(value, list) else [value]
+            return tuple(_strict(cast[0], v) for v in items)
+        return _strict(cast, value)
+    except TypeError:
+        kind = f"a list of {cast[0].__name__}" if isinstance(cast, tuple) else cast.__name__
+        raise ConfigError(f"[{section}] {key} takes {kind}, got {value!r}") from None
+
+
 def _cast_overrides(name: str, values: dict) -> dict:
-    out = {}
-    for key, value in values.items():
-        cast = CHECK_KEYS[name][key]
-        try:
-            if isinstance(cast, tuple):
-                items = value if isinstance(value, list) else [value]
-                out[key] = tuple(_strict(cast[0], v) for v in items)
-            else:
-                out[key] = _strict(cast, value)
-        except TypeError:
-            kind = f"a list of {cast[0].__name__}" if isinstance(cast, tuple) else cast.__name__
-            raise ConfigError(f"[check.{name}] {key} takes {kind}, got {value!r}") from None
-    return out
+    return {key: _cast(f"check.{name}", key, CHECK_KEYS[name][key], value)
+            for key, value in values.items()}
 
 
 def _contraction(problem, run_cfg, seed, **kw):
@@ -368,6 +394,8 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     output directory.
     """
     cfg = load_config(config_path)
+    if not cfg.checks:
+        raise ConfigError("[checks] names lists no check; verify needs at least one")
     if out_dir is not None:
         cfg.output_dir = str(out_dir)
     if seed is not None:

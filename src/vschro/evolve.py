@@ -17,8 +17,9 @@ is factored by SuperLU's sparse LU (Demmel et al., SIAM J. Matrix Anal.
 Appl. 20(3), 1999) and the m components are solved as right-hand-side
 columns.  Columns that are exactly zero are not solved (a decoupled
 potential keeps an unexcited component at zero), and every solve is checked
-against a residual bound relative to the step input.  A constant potential
-is exponentiated once per step size, not once per cell.
+against a residual bound relative to the step input.  The potential is
+exponentiated once per step size and distinct cell matrix, not once per
+cell.
 
 Building a step is separate from stepping, and there is one way to do
 each: split_step (or heat_step, for the scalar comparison equation) builds a
@@ -117,12 +118,15 @@ class _PotentialStepper:
 
     def __init__(self, V: MatrixField, tau: float):
         # stored column-major, (j, cell, i): each term of the sum over j reads
-        # one contiguous (n_cells, m) slab.  A constant V is exponentiated
-        # once and copied to every cell: broadcasting its (1, m) rows in
-        # apply measured twice as slow as reading full slabs.
-        cells = V.values[:1] if V.is_constant else V.values
-        self.expm = None if tau == 0.0 else np.ascontiguousarray(
-            np.broadcast_to(matrix_exp(tau * cells), V.values.shape).transpose(2, 0, 1))
+        # one contiguous (n_cells, m) slab.  Each distinct cell matrix is
+        # exponentiated once and gathered to its cells: broadcasting a
+        # constant V's (1, m) rows in apply measured twice as slow as
+        # reading full slabs.
+        if tau == 0.0:
+            self.expm = None
+            return
+        first, inverse = V.distinct
+        self.expm = np.take(matrix_exp(tau * V.values[first]).transpose(2, 0, 1), inverse, axis=1)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         if self.expm is None:

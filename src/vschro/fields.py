@@ -10,7 +10,10 @@ on: uniform ellipticity of Q, the dissipativity margin of V, the growth of
 D_jV (-V)^(-a), off-diagonal signs, and the coercivity profile kappa(x) =
 smallest singular value of V(x).  The shift normalization needs only the
 top eigenvalue of the Hermitian part of V, so a problem is validated once, on
-its final potential.  The one grid stencil, cell_gradient, takes centred
+its final potential.  Sampled fields repeat their matrices (a constant field
+has one), so the validator and the matrix powers run each per-cell matrix
+function once per distinct cell matrix (MatrixField.distinct) and scatter the
+results back to the cells.  The one grid stencil, cell_gradient, takes centred
 differences along each axis in turn (one-sided at the boundary layer); the
 validator's D_jV and the commutator identity in operators both use it.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -103,6 +107,22 @@ class MatrixField:
     def is_constant(self) -> bool:
         """Whether every cell holds the same matrix."""
         return bool((self.values == self.values[:1]).all())
+
+    @cached_property
+    def distinct(self) -> tuple:
+        """(first, inverse) with values == values[first][inverse]: the first
+        cell holding each distinct matrix, and each cell's index into them.
+
+        Cells are keyed by their bytes, so 0.0 and -0.0 stay apart (float
+        equality would merge them) and a matrix function evaluated on
+        values[first] and gathered by inverse is bit-identical per cell.
+        """
+        flat = self.values.reshape(len(self.values), -1)
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first.setflags(write=False)
+        inverse.setflags(write=False)
+        return first, inverse
 
     def at(self, cell: int) -> np.ndarray:
         return self.values[cell]
@@ -267,20 +287,22 @@ def matrix_power_field(V: MatrixField, z: complex, negate: bool = True) -> np.nd
 
     Cells whose eigenbasis is too ill-conditioned are recomputed with the
     quadrature route (real exponents only); cells on the branch cut make the
-    whole call raise BranchCutError.
+    whole call raise BranchCutError.  Each distinct cell matrix is powered
+    once.
     """
-    A = (-V.values if negate else V.values).astype(np.complex128)
+    first, inverse = V.distinct
+    A = (-V.values[first] if negate else V.values[first]).astype(np.complex128)
     z = complex(z)
     res, ok = _eig_power(A, z)
     bad = ~ok
     if np.any(bad):
         if z.imag != 0.0 or not -1.0 < z.real < 0.0:
             raise FieldError(
-                f"{int(bad.sum())} cells have defective matrices; "
+                f"{int(bad[inverse].sum())} cells have defective matrices; "
                 "only real exponents in (-1,0) supported there"
             )
         res[bad] = _balakrishnan_power(A[bad], -z.real)
-    return res
+    return res[inverse]
 
 
 def cell_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -334,7 +356,8 @@ class HypothesisReport:
 def hermitian_top_eigenvalue(V: MatrixField) -> float:
     """Largest eigenvalue of the Hermitian part (V + V^H)/2 over all cells:
     the beta in <V xi, xi> <= beta |xi|^2."""
-    vsym = 0.5 * (V.values + np.conj(V.values.transpose(0, 2, 1)))
+    v = V.values[V.distinct[0]]
+    vsym = 0.5 * (v + np.conj(v.transpose(0, 2, 1)))
     return float(np.linalg.eigvalsh(vsym)[:, -1].max())
 
 
@@ -344,13 +367,16 @@ def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> Hypothe
     Never raises on a violation: the report records margins and the caller
     decides.  Derivatives of V come from grid finite differences, so
     growth_sup carries the same O(h^2) sampling error as everything else.
+    The eigenvalues, powers and singular values are taken once per distinct
+    cell matrix; kappa_profile is gathered back to every cell.
     """
     if Q.grid != V.grid:
         raise FieldError("Q and V live on different grids")
     if not 0.0 <= alpha < 0.5:
         raise ValueError(f"alpha must lie in [0, 0.5), got {alpha}")
 
-    qsym = 0.5 * (Q.values + Q.values.transpose(0, 2, 1))
+    q = Q.values[Q.distinct[0]]
+    qsym = 0.5 * (q + q.transpose(0, 2, 1))
     qeigs = np.linalg.eigvalsh(qsym)
     eta1 = float(qeigs[:, 0].min())
     eta2 = float(qeigs[:, -1].max())
@@ -376,7 +402,8 @@ def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> Hypothe
     else:
         offdiag_min = 0.0
 
-    kappa = np.linalg.svd(V.values, compute_uv=False)[:, -1]
+    first, inverse = V.distinct
+    kappa = np.linalg.svd(V.values[first], compute_uv=False)[:, -1][inverse]
 
     return HypothesisReport(
         eta1=eta1,

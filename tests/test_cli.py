@@ -234,6 +234,12 @@ class TestConfigErrors:
     def _exit_code(self, tmp_path, body):
         return main(["validate", "--config", str(write_cfg(tmp_path, body))])
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe[problem]\n")
+        assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "cannot parse config" in capsys.readouterr().err
+
     def test_rotation_alpha_window(self, tmp_path, capsys):
         body = QUICK.replace("v_rule = diag_V\nv_params = c=-1.0", "v_rule = rotation_V\nv_params = r=1.5")
         assert self._exit_code(tmp_path, body.replace("shift = none", "shift = auto\nalpha = 0.45")) == EXIT_OK
@@ -338,6 +344,40 @@ MALFORMED = {
                              "[check.contraction] slack takes float, got True"),
     "bool_for_int_k": (lambda tmp: _override_body("compactness", "k = false"),
                        "[check.compactness] k takes int, got False"),
+    # configparser's own errors name the line.
+    "duplicate_key": (lambda tmp: QUICK.replace("m = 2", "m = 2\nm = 2"),
+                      "[line 5]: option 'm' in section 'problem' already exists"),
+    "duplicate_section": (lambda tmp: QUICK + "\n[run]\nn_steps = 5\n",
+                          "[line 27]: section 'run' already exists"),
+    "no_section_header": (lambda tmp: "dim = 1\n" + QUICK, "no section headers. file: "),
+    "no_section_header_line": (lambda tmp: "dim = 1\n" + QUICK, "line: 1 'dim = 1\\n'"),
+    # verify runs nothing it was not asked for, and nothing less.
+    "empty_check_list": (lambda tmp: QUICK.replace("contraction, positivity", ""),
+                         "[checks] names lists no check"),
+    "no_checks_section": (lambda tmp: QUICK.replace("[checks]\nnames = contraction, positivity", ""),
+                          "[checks] names lists no check"),
+    "unknown_section": (lambda tmp: QUICK.replace("[run]", "[runx]"), "unknown section [runx]"),
+    # [problem], [run] and [output] numbers take the casts of [check.<name>] keys.
+    "fraction_for_run_steps": (lambda tmp: QUICK.replace("n_steps = 20", "n_steps = 2.5"),
+                               "[run] n_steps takes int, got 2.5"),
+    "bool_for_run_t_final": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = true"),
+                             "[run] t_final takes float, got True"),
+    "float_for_problem_cells": (lambda tmp: QUICK.replace("n_per_axis = 64", "n_per_axis = 64.0"),
+                                "[problem] n_per_axis takes int, got 64.0"),
+    "word_for_problem_extent": (lambda tmp: QUICK.replace("extent = 6.0", "extent = wide"),
+                                "[problem] extent takes float, got 'wide'"),
+    "negative_seed": (lambda tmp: QUICK.replace("seed = 3", "seed = -1"),
+                      "[output] seed must be non-negative, got -1"),
+    "fraction_for_seed": (lambda tmp: QUICK.replace("seed = 3", "seed = 2.5"),
+                          "[output] seed takes int, got 2.5"),
+    "float_for_problem_dim": (lambda tmp: QUICK.replace("dim = 1", "dim = 1.0"),
+                              "[problem] dim takes int, got 1.0"),
+    "word_for_problem_m": (lambda tmp: QUICK.replace("m = 2", "m = two"),
+                           "[problem] m takes int, got 'two'"),
+    "bool_for_problem_alpha": (lambda tmp: QUICK.replace("shift = none", "shift = none\nalpha = true"),
+                               "[problem] alpha takes float, got True"),
+    "word_for_run_solver_tol": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = 0.2\nsolver_tol = tight"),
+                                "[run] solver_tol takes float, got 'tight'"),
 }
 
 
@@ -356,6 +396,26 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert fragment in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["fraction_for_run_steps", "bool_for_run_t_final",
+                                      "float_for_problem_cells", "negative_seed",
+                                      "duplicate_key", "unknown_section"])
+    def test_refused_at_load(self, tmp_path, monkeypatch, case):
+        """Refused by load_config itself, before any problem is built."""
+        monkeypatch.setattr(cli, "build_problem", None)
+        make_body, fragment = MALFORMED[case]
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, make_body(tmp_path)))
+        assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("command", [["validate"], ["spectrum", "--k", "2"],
+                                         ["resolvent", "--lam-re", "2.0"]])
+    def test_empty_check_list_serves_other_commands(self, tmp_path, command):
+        """The benchmark's validate, spectrum and resolvent configs list no check."""
+        cfg = write_cfg(tmp_path, QUICK.replace("contraction, positivity", ""))
+        assert load_config(cfg).checks == []
+        out = ["--out", str(tmp_path / "o")] if command[0] != "validate" else []
+        assert main([command[0], "--config", str(cfg), *out, *command[1:]]) == EXIT_OK
 
     def test_bundled_and_benchmark_overrides_accepted(self, tmp_path):
         body = QUICK.replace("[check.positivity]", "[check.trotter_order]\nt = 0.5\n\n"

@@ -592,9 +592,18 @@ class TestZeroColumns:
             diffusion_step(A, VectorField(g, vals), 0.1, SplitConfig(linear_solver_tol=1e-300))
 
 
+def per_cell_stepper(V, tau):
+    """A _PotentialStepper whose cache is one matrix_exp batch over every
+    cell, without V.distinct."""
+    stepper = object.__new__(_PotentialStepper)
+    stepper.expm = np.ascontiguousarray(matrix_exp(tau * V.values).transpose(2, 0, 1))
+    return stepper
+
+
 class TestConstantPotential:
-    """A constant V is exponentiated once and copied to every cell, with the
-    same result as the per-cell batch, bit for bit."""
+    """Each distinct cell matrix is exponentiated once and gathered to its
+    cells, with the same result as the all-cells batch, bit for bit; a
+    constant V is one matrix."""
 
     @staticmethod
     def record_batches(monkeypatch):
@@ -619,21 +628,29 @@ class TestConstantPotential:
         assert V.is_constant
         batches = self.record_batches(monkeypatch)
         once = _PotentialStepper(V, 0.3)
-        monkeypatch.setattr(MatrixField, "is_constant", property(lambda self: False))
-        per_cell = _PotentialStepper(V, 0.3)
-        assert batches == [1, g.n_cells]
-        np.testing.assert_array_equal(once.expm, per_cell.expm)
+        assert batches == [1]
+        per_cell = per_cell_stepper(V, 0.3)
+        assert once.expm.flags.c_contiguous and once.expm.tobytes() == per_cell.expm.tobytes()
         re, im = random_parts(g, m, seed=40 + m)
         for vals in (re, re + 1j * im):
             np.testing.assert_array_equal(once.apply(vals), per_cell.apply(vals))
 
-    def test_nonconstant_potential_takes_per_cell_path(self, monkeypatch):
+    def test_nonconstant_potential_exponentiates_each_distinct_matrix_once(self, monkeypatch):
         g = build_grid(1, 6.0, 40)
         V = sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential")
         assert not V.is_constant
         batches = self.record_batches(monkeypatch)
         _PotentialStepper(V, 0.2)
-        assert batches == [g.n_cells]
+        assert batches == [len(V.distinct[0])] and len(V.distinct[0]) < g.n_cells
+
+    def test_repeated_field_matches_per_cell_batch(self, repeated_field):
+        V, _ = repeated_field
+        stepper, per_cell = _PotentialStepper(V, 0.3), per_cell_stepper(V, 0.3)
+        assert stepper.expm.flags.c_contiguous
+        assert stepper.expm.tobytes() == per_cell.expm.tobytes()
+        re, im = random_parts(V.grid, V.rows, seed=41)
+        vals = re + 1j * im
+        assert stepper.apply(vals).tobytes() == per_cell.apply(vals).tobytes()
 
 
 def same_trajectory(a, b):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from vschro.fields import (
     BranchCutError,
     FieldError,
+    HypothesisReport,
     MatrixField,
     _balakrishnan_power,
     _eig_power,
@@ -469,3 +471,85 @@ class TestGradient:
         inner = (np.abs(pts) < 1.2).all(axis=1)
         np.testing.assert_allclose(grad[inner, 0, 0, 0], 2.0 * pts[inner, 0], atol=1e-10)
         np.testing.assert_allclose(grad[inner, 1, 0, 0], 3.0, atol=1e-10)
+
+
+def per_cell_power(V, z):
+    """matrix_power_field computed over every cell, without V.distinct."""
+    A = (-V.values).astype(np.complex128)
+    res, ok = _eig_power(A, complex(z))
+    if not ok.all():
+        res[~ok] = _balakrishnan_power(A[~ok], -complex(z).real)
+    return res
+
+
+def per_cell_report(Q, V, alpha):
+    """validate_hypotheses computed over every cell, without Q.distinct or
+    V.distinct."""
+    qeigs = np.linalg.eigvalsh(0.5 * (Q.values + Q.values.transpose(0, 2, 1)))
+    vsym = 0.5 * (V.values + np.conj(V.values.transpose(0, 2, 1)))
+    lam_max = float(np.linalg.eigvalsh(vsym)[:, -1].max())
+    prod = cell_gradient(V.grid, V.values)
+    if alpha > 0.0:
+        prod = prod.astype(np.complex128) @ per_cell_power(V, -alpha)[:, None, :, :]
+    off = ~np.eye(V.rows, dtype=bool)
+    return HypothesisReport(
+        eta1=float(qeigs[:, 0].min()),
+        eta2=float(qeigs[:, -1].max()),
+        dissipativity_margin=lam_max + 1.0,
+        alpha=float(alpha),
+        growth_sup=float(np.sqrt((np.abs(prod) ** 2).sum(axis=(-2, -1))).max()),
+        offdiag_min=float(V.values.real[:, off].min()) if V.rows > 1 else 0.0,
+        kappa_profile=np.linalg.svd(V.values, compute_uv=False)[:, -1],
+        shift_beta=max(0.0, lam_max),
+    )
+
+
+def report_bytes(rep):
+    return {f.name: np.asarray(getattr(rep, f.name)).tobytes() for f in dataclasses.fields(rep)}
+
+
+class TestDistinct:
+    """Matrix functions run once per distinct cell matrix and gathered back
+    equal the same functions run over every cell, bit for bit."""
+
+    def test_cells_are_gathered_from_their_distinct_matrices(self, repeated_field):
+        V, _ = repeated_field
+        first, inverse = V.distinct
+        assert V.values[first][inverse].tobytes() == V.values.tobytes()
+        assert len(np.unique(inverse)) == len(first) < V.grid.n_cells
+        assert (first[inverse] <= np.arange(V.grid.n_cells)).all()  # first is the first cell
+
+    def test_signed_zeros_stay_distinct(self):
+        vals = np.zeros((3, 2, 2))
+        vals[1, 0, 1] = -0.0
+        V = MatrixField(build_grid(1, 1.0, 3), "potential", vals)
+        assert V.is_constant
+        first, inverse = V.distinct
+        assert len(first) == 2 and inverse[0] == inverse[2] != inverse[1]
+
+    def test_constant_field_has_one(self):
+        g = build_grid(2, 3.0, 16)
+        assert identity_q(g).distinct[0].tolist() == [0]
+        assert identity_q(g).distinct[1].tolist() == [0] * g.n_cells
+
+    def test_report_matches_per_cell_report(self, repeated_field):
+        V, alpha = repeated_field
+        Q = sample_field(make_rule("anisotropic_Q", V.grid.dim, theta=0.3, ratio=0.5)[0],
+                         V.grid, "diffusion")
+        rep = validate_hypotheses(Q, V, alpha)
+        assert np.isfinite(rep.growth_sup)
+        assert report_bytes(rep) == report_bytes(per_cell_report(Q, V, alpha))
+
+    def test_power_matches_per_cell_power(self, repeated_field):
+        V, alpha = repeated_field
+        for z in (-alpha, 0.5j):
+            assert matrix_power_field(V, z).tobytes() == per_cell_power(V, z).tobytes()
+
+    def test_quadrature_route_matches_per_cell_power(self):
+        # Jordan-like cells, each twice: the ill-conditioned ones take the quadrature route.
+        eps = np.array([1e-1, 1e-10, 1e-12])
+        M = np.zeros((3, 2, 2))
+        M[:, 0, 0], M[:, 0, 1], M[:, 1, 1] = 1.0, 1.0, 1.0 + eps
+        V = MatrixField(build_grid(1, 1.0, 6), "potential", -np.concatenate([M, M[::-1]]))
+        assert len(V.distinct[0]) == 3
+        assert matrix_power_field(V, -0.3).tobytes() == per_cell_power(V, -0.3).tobytes()
