@@ -159,15 +159,37 @@ class ExperimentConfig:
                 )
 
 
-_SECTIONS = ("problem", "run", "checks", "output")
+# The keys of each fixed section and the cast of each value: str keeps the
+# text, _parse_params reads rule parameters, and int and float go through
+# _cast.  A key that is not set keeps its ExperimentConfig or SplitConfig
+# default, except that a [run] section steps 100 times unless it says otherwise.
+_SECTION_KEYS = {
+    "problem": {"dim": int, "m": int, "extent": float, "n_per_axis": int, "q_rule": str,
+                "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
+                "shift": str, "alpha": float},
+    "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float, "solver_tol": float},
+    "checks": {"names": str},
+    "output": {"dir": str, "seed": int},
+}
+_SPLIT_FIELDS = {"substep": "diffusion_substep", "solver_tol": "linear_solver_tol"}
 
 
-def _number(parser, section: str, key: str, cast, default):
-    """[section] key read as a number of type cast (see _strict), or default
-    when the key is absent."""
-    if not parser.has_option(section, key):
-        return default
-    return _cast(section, key, cast, _parse_scalar(parser[section][key]))
+def _section(parser, section: str) -> dict:
+    """The keys set in [section], cast; a key the section does not take is a
+    ConfigError, except [run] max_iters, which only warns."""
+    casts, out = _SECTION_KEYS[section], {}
+    for key, text in parser[section].items() if parser.has_section(section) else ():
+        if section == "run" and key == "max_iters":
+            print("warning: [run] max_iters is ignored; diffusion solves are direct",
+                  file=sys.stderr)
+        elif key not in casts:
+            raise ConfigError(f"unknown key [{section}] {key}; [{section}] takes: "
+                              + ", ".join(casts))
+        elif casts[key] in (str, _parse_params):
+            out[key] = casts[key](text)
+        else:
+            out[key] = _cast(section, key, casts[key], _parse_scalar(text))
+    return out
 
 
 def load_config(path) -> ExperimentConfig:
@@ -188,49 +210,27 @@ def load_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"cannot read config {path}")
     for section in parser.sections():
-        if section not in _SECTIONS and not section.startswith("check."):
+        if section not in _SECTION_KEYS and not section.startswith("check."):
             raise ConfigError(
                 f"unknown section [{section}]; known: "
-                + ", ".join(f"[{s}]" for s in (*_SECTIONS, "check.<name>"))
+                + ", ".join(f"[{s}]" for s in (*_SECTION_KEYS, "check.<name>"))
             )
     try:
-        prob = parser["problem"] if parser.has_section("problem") else {}
-        cfg = ExperimentConfig(
-            dim=_number(parser, "problem", "dim", int, 1),
-            m=_number(parser, "problem", "m", int, 2),
-            extent=_number(parser, "problem", "extent", float, 8.0),
-            n_per_axis=_number(parser, "problem", "n_per_axis", int, 64),
-            q_rule=prob.get("q_rule", "identity_Q"),
-            q_params=_parse_params(prob.get("q_params", "")),
-            v_rule=prob.get("v_rule", "diag_V"),
-            v_params=_parse_params(prob.get("v_params", "")),
-            shift=prob.get("shift", "none"),
-            alpha=_number(parser, "problem", "alpha", float, 0.0),
-        )
+        cfg = ExperimentConfig(**_section(parser, "problem"))
         if parser.has_section("run"):
-            run = parser["run"]
-            cfg.run = SplitConfig(
-                scheme=run.get("scheme", "lie"),
-                diffusion_substep=run.get("substep", "backward_euler"),
-                n_steps=_number(parser, "run", "n_steps", int, 100),
-                t_final=_number(parser, "run", "t_final", float, 1.0),
-                linear_solver_tol=_number(parser, "run", "solver_tol", float, 1e-10),
-            )
-            if "max_iters" in run:
-                print("warning: [run] max_iters is ignored; diffusion solves are direct",
-                      file=sys.stderr)
-        if parser.has_section("checks"):
-            names = parser["checks"].get("names", "")
-            cfg.checks = [n.strip() for n in names.split(",") if n.strip()]
+            run = {"n_steps": 100, **_section(parser, "run")}
+            cfg.run = SplitConfig(**{_SPLIT_FIELDS.get(k, k): v for k, v in run.items()})
+        names = _section(parser, "checks").get("names", "")
+        cfg.checks = [n.strip() for n in names.split(",") if n.strip()]
         for section in parser.sections():
             if section.startswith("check."):
                 name = section[len("check."):]
                 cfg.overrides[name] = {
                     k: _parse_value(v) for k, v in parser[section].items()
                 }
-        if parser.has_section("output"):
-            cfg.output_dir = parser["output"].get("dir", cfg.output_dir)
-            cfg.seed = _number(parser, "output", "seed", int, cfg.seed)
+        output = _section(parser, "output")
+        cfg.output_dir = output.get("dir", cfg.output_dir)
+        cfg.seed = output.get("seed", cfg.seed)
     except configparser.InterpolationError as exc:
         raise ConfigError(f"[{exc.section}] {exc.option}: {exc}") from None
     except (ValueError, KeyError) as exc:
@@ -274,9 +274,12 @@ CHECK_KEYS = {
 
 
 def _strict(cast, value):
-    """An int key takes an int, a float key an int or a float; no key a bool."""
+    """An int key takes an int, a float key an int or float that is a finite
+    float; no key a bool."""
     if isinstance(value, bool) or not isinstance(value, int if cast is int else (int, float)):
         raise TypeError(value)
+    if cast is float and not abs(value) <= sys.float_info.max:  # nan, +-inf, a huge int
+        raise ValueError(value)
     return cast(value)
 
 
@@ -290,6 +293,8 @@ def _cast(section: str, key: str, cast, value):
     except TypeError:
         kind = f"a list of {cast[0].__name__}" if isinstance(cast, tuple) else cast.__name__
         raise ConfigError(f"[{section}] {key} takes {kind}, got {value!r}") from None
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be finite, got {value!r}") from None
 
 
 def _cast_overrides(name: str, values: dict) -> dict:
@@ -329,24 +334,10 @@ CHECKS = {
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
+    """The config as the keys of its file (bundle.json sorts them)."""
     return {
-        "dim": cfg.dim,
-        "m": cfg.m,
-        "extent": cfg.extent,
-        "n_per_axis": cfg.n_per_axis,
-        "q_rule": cfg.q_rule,
-        "q_params": cfg.q_params,
-        "v_rule": cfg.v_rule,
-        "v_params": cfg.v_params,
-        "shift": cfg.shift,
-        "alpha": cfg.alpha,
-        "run": {
-            "scheme": cfg.run.scheme,
-            "substep": cfg.run.diffusion_substep,
-            "n_steps": cfg.run.n_steps,
-            "t_final": cfg.run.t_final,
-            "solver_tol": cfg.run.linear_solver_tol,
-        },
+        **{key: getattr(cfg, key) for key in _SECTION_KEYS["problem"]},
+        "run": {key: getattr(cfg.run, _SPLIT_FIELDS.get(key, key)) for key in _SECTION_KEYS["run"]},
         "checks": list(cfg.checks),
         "overrides": cfg.overrides,
         "seed": cfg.seed,

@@ -11,15 +11,15 @@ an inverse M-matrix, which makes positivity and the per-p contraction hold
 exactly on the grid, not asymptotically.  Crank-Nicolson is the accuracy
 substep (second order, but only a 2-norm contraction).
 
-Diffusion substeps are direct solves, no iteration: the diffusion block is
-kron(D, I_m) in the cell-major layout, so the scalar step matrix I - tau D
-is factored by SuperLU's sparse LU (Demmel et al., SIAM J. Matrix Anal.
-Appl. 20(3), 1999) and the m components are solved as right-hand-side
-columns.  Columns that are exactly zero are not solved (a decoupled
-potential keeps an unexcited component at zero), and every solve is checked
-against a residual bound relative to the step input.  The potential is
-exponentiated once per step size and distinct cell matrix, not once per
-cell.
+Diffusion substeps are direct solves, no iteration: the diffusion acts as
+the scalar block D on each of the m components (kron(D, I_m) in the
+cell-major layout), so a step takes D itself, SuperLU's sparse LU (Demmel et
+al., SIAM J. Matrix Anal. Appl. 20(3), 1999) factors its step matrix
+I - tau D, and the m components are solved as right-hand-side columns.
+Columns that are exactly zero are not solved (a decoupled potential keeps an
+unexcited component at zero), and every solve is checked against a residual
+bound relative to the step input.  The potential is exponentiated once per
+step size and distinct cell matrix, not once per cell.
 
 Building a step is separate from stepping, and there is one way to do
 each: split_step (or heat_step, for the scalar comparison equation) builds a
@@ -191,26 +191,6 @@ class _DiffusionStepper:
         return x
 
 
-def _scalar_block(A: SparseOperator) -> sp.csr_matrix:
-    """The scalar block D of a diffusion operator A = kron(D, I_m).
-
-    Anything else would be solved wrongly column by column, so a symmetric
-    operator that couples components is rejected, not approximated.
-    """
-    if not A.symmetric:
-        raise ValueError("diffusion substep expects a symmetric operator")
-    m, M = A.m, A.matrix
-    if m == 1:
-        return M
-    # m value-equal copies of D on the component diagonal and no other nonzero
-    D = M[::m, ::m].tocsr()
-    if np.count_nonzero(M.data) != m * np.count_nonzero(D.data) or any(
-        (M[k::m, k::m] != D).nnz for k in range(1, m)
-    ):
-        raise ValueError("diffusion operator is not kron(D, I_m): it couples components")
-    return D
-
-
 def _state(f: VectorField, real_coefficients: bool = True) -> np.ndarray:
     """The array a run steps: float64 for real data under real
     coefficients, else the complex values."""
@@ -221,11 +201,11 @@ def _state(f: VectorField, real_coefficients: bool = True) -> np.ndarray:
 class SplitStep:
     """One split step of size tau, built once and stepped any number of times.
 
-    Building holds the costly parts: the cell-wise e^{tau V} cache, the
-    scalar block D of A = kron(D, I_m) and the SuperLU factor of its step
-    matrix.  run() only steps, so a check that evolves many fields, or
-    several horizons at one tau, factors once.  Every solve of every run is
-    still checked against its residual bound.
+    Building holds the costly parts: the cell-wise e^{tau V} cache and the
+    SuperLU factor of the step matrix of the scalar diffusion block D.
+    run() only steps, so a check that evolves many fields, or several
+    horizons at one tau, factors once.  Every solve of every run is still
+    checked against its residual bound.
     """
 
     grid: Grid
@@ -269,24 +249,26 @@ class SplitStep:
         )
 
 
-def split_step(A: SparseOperator, V: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:
-    """The Lie or Strang step of size tau for A + V (scheme, substep and
-    residual bound from cfg; its n_steps and t_final are not read).
+def split_step(D: SparseOperator, V: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:
+    """The Lie or Strang step of size tau for kron(D, I_m) + V (scheme,
+    substep and residual bound from cfg; its n_steps and t_final are not
+    read).  D is the scalar diffusion block (m = 1, as Problem.diffusion
+    holds it); m is the potential's.
 
     Lie: diffusion(tau) o potential(tau); Strang: half potential steps
     around a full diffusion step.
     """
-    if V.grid != A.grid or V.rows != A.m:
-        raise ValueError("operator, potential and field layouts disagree")
+    if D.m != 1 or V.grid != D.grid:
+        raise ValueError("split_step takes the scalar diffusion block (m = 1) on V's grid")
     # the potential exponentials go first, so their transient batch memory is
     # freed before the LU factor is allocated
     pot = _PotentialStepper(V, tau if cfg.scheme == "lie" else 0.5 * tau)
-    diff = _DiffusionStepper(_scalar_block(A), tau, cfg)
+    diff = _DiffusionStepper(D.matrix, tau, cfg)
     if cfg.scheme == "lie":
         substeps = (pot.apply, diff.apply)
     else:
         substeps = (pot.apply, diff.apply, pot.apply)
-    return SplitStep(A.grid, A.m, tau, substeps, real_coefficients=np.isrealobj(V.values))
+    return SplitStep(D.grid, V.rows, tau, substeps, real_coefficients=np.isrealobj(V.values))
 
 
 def heat_step(Q: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:
@@ -297,7 +279,7 @@ def heat_step(Q: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:
 
 
 def trotter_evolve(
-    A: SparseOperator,
+    D: SparseOperator,
     V: MatrixField,
     f: VectorField,
     cfg: SplitConfig,
@@ -306,6 +288,6 @@ def trotter_evolve(
 ) -> Trajectory:
     """Split evolution to cfg.t_final in cfg.n_steps steps: the step of
     split_step, built for this call, run as SplitStep.run describes."""
-    step = split_step(A, V, cfg.t_final / cfg.n_steps, cfg)
+    step = split_step(D, V, cfg.t_final / cfg.n_steps, cfg)
     return step.run(f, cfg.n_steps, norm_ps, snapshot_stride)
 

@@ -21,6 +21,7 @@ validator's D_jV and the commutator identity in operators both use it.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -115,11 +116,18 @@ class MatrixField:
 
         Cells are keyed by their bytes, so 0.0 and -0.0 stay apart (float
         equality would merge them) and a matrix function evaluated on
-        values[first] and gathered by inverse is bit-identical per cell.
+        values[first] and gathered by inverse is bit-identical per cell.  A
+        stable lexsort of the bytes as unsigned words groups the cells (faster
+        than sorting them as one np.void key).
         """
-        flat = self.values.reshape(len(self.values), -1)
-        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        n = len(self.values)
+        keys = self.values.reshape(n, -1).view(f"u{math.gcd(self.values.itemsize, 8)}")
+        order = np.lexsort(keys.T[::-1])  # stable: each group's first cell leads it
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = (np.diff(keys[order], axis=0) != 0).any(axis=1)
+        first = order[starts]
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
         first.setflags(write=False)
         inverse.setflags(write=False)
         return first, inverse

@@ -1,15 +1,17 @@
 """Assembly of the discrete generator blocks.
 
 The diffusion block realizes div(Q grad .) - 1 componentwise in flux form:
-A = -G^T W_Q G - I, where G collects forward differences to cell faces and
+D = -G^T W_Q G - I, where G collects forward differences to cell faces and
 W_Q multiplies face gradients by the face-averaged Q (arithmetic mean of the
 adjacent cells).  In 2D the q12 cross terms use face-tangential averaged
-differences and enter in explicitly symmetrized pairs, so the assembled block
-is symmetric negative definite by construction, not just up to O(h).
+differences and enter in explicitly symmetrized pairs, so the block is
+symmetric negative definite by construction, not just up to O(h).  D is
+written directly as its cell stencil, without forming G.
 
 The potential block is block-diagonal multiplication: the m x m matrix V(x_i)
 couples the components of cell i.  Unknown ordering is cell-major, index =
-cell * m + component, which makes the diffusion block kron(D_scalar, I_m).
+cell * m + component, so the diffusion acts as kron(D, I_m); only the whole
+generator forms that product (SparseOperator.on_components).
 
 Each cell stencil is written once for any dimension, as a loop over the axes
 on np.moveaxis views: the face average here, the backward divergence of the
@@ -33,11 +35,8 @@ __all__ = [
     "assemble_potential",
     "apply_operator",
     "commutator_defect",
-    "face_difference_matrices",
     "export_matrix_market",
 ]
-
-_SYMMETRY_TOL = 1e-12
 
 
 class AssemblyError(ValueError):
@@ -55,7 +54,6 @@ class SparseOperator:
     matrix: sp.csr_matrix
     grid: Grid
     m: int
-    symmetric: bool = False
 
     def __post_init__(self):
         mat = self.matrix.tocsr()
@@ -65,10 +63,6 @@ class SparseOperator:
         n = self.grid.n_cells * self.m
         if mat.shape != (n, n):
             raise AssemblyError(f"operator shape {mat.shape} != ({n}, {n})")
-        if self.symmetric:
-            defect = abs(mat - mat.T)
-            if defect.nnz and defect.max() > _SYMMETRY_TOL:
-                raise AssemblyError(f"symmetry flag set but defect {defect.max():.3e}")
 
     @property
     def dims(self) -> int:
@@ -77,12 +71,14 @@ class SparseOperator:
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         if self.grid != other.grid or self.m != other.m:
             raise AssemblyError("operators live on different spaces")
-        return SparseOperator(
-            matrix=(self.matrix + other.matrix).tocsr(),
-            grid=self.grid,
-            m=self.m,
-            symmetric=self.symmetric and other.symmetric,
-        )
+        return SparseOperator(matrix=(self.matrix + other.matrix).tocsr(), grid=self.grid, m=self.m)
+
+    def on_components(self, m: int) -> "SparseOperator":
+        """kron(matrix, I_m): this scalar operator acting alike on each of m
+        components in the cell-major layout."""
+        if self.m != 1:
+            raise AssemblyError(f"on_components needs a scalar operator, not m = {self.m}")
+        return SparseOperator(sp.kron(self.matrix, sp.identity(m), format="csr"), self.grid, m)
 
     def shifted(self, lam: complex) -> sp.csr_matrix:
         """Matrix of (lam I - Op)."""
@@ -91,37 +87,11 @@ class SparseOperator:
                 - self.matrix).tocsr()
 
 
-def face_difference_matrices(grid: Grid) -> dict:
-    """Sparse difference operators from cells to faces.
-
-    Keys per axis a: 'G<a>' is the normal difference (u_right - u_left)/h
-    across each axis-a face, with zero ghosts outside the box; 'T<a>' is the
-    transverse difference at axis-a faces (the four-neighbor average), only
-    present in 2D.  Face index layout: axis-0 faces are f0 * N + j, axis-1
-    faces are i * (N+1) + f1, so the 2D matrices are Kronecker products of
-    the 1D face difference G, the two-cell face sum S and the centred cell
-    difference C (scaled by 1/4 for the four-neighbor average).
-    """
-    N, h = grid.n_per_axis, grid.spacing
-    G = sp.diags([1.0 / h, -1.0 / h], [0, -1], shape=(N + 1, N), format="csr")
-    if grid.dim == 1:
-        return {"G0": G}
-    S = sp.diags([1.0, 1.0], [0, -1], shape=(N + 1, N), format="csr")
-    C = sp.diags([0.25 / h, -0.25 / h], [1, -1], shape=(N, N), format="csr")
-    ident = sp.identity(N, format="csr")
-    return {
-        "G0": sp.kron(G, ident, format="csr"),
-        "T0": sp.kron(S, C, format="csr"),
-        "G1": sp.kron(ident, G, format="csr"),
-        "T1": sp.kron(C, S, format="csr"),
-    }
-
-
 def _face_average(grid: Grid, cellvals: np.ndarray, axis: int) -> np.ndarray:
     """Arithmetic mean of a per-cell quantity on the two cells of each face.
 
     Boundary faces take the single interior neighbor.  cellvals has shape
-    (n_cells,); the output is ordered like face_difference_matrices.
+    (n_cells,); the output has the grid's shape with N + 1 faces along axis.
     """
     N = grid.n_per_axis
     v = np.moveaxis(cellvals.reshape((N,) * grid.dim), axis, 0)
@@ -129,59 +99,107 @@ def _face_average(grid: Grid, cellvals: np.ndarray, axis: int) -> np.ndarray:
     out[1:N] = 0.5 * (v[:-1] + v[1:])
     out[0] = v[0]
     out[N] = v[-1]
-    return np.moveaxis(out, 0, axis).ravel()
+    return np.moveaxis(out, 0, axis)
+
+
+# A stencil maps an offset o to the per-cell coefficients of the entries
+# (c, c + o).  A face operator's row at the face below cell c maps (offset
+# along the face normal, offset across it) to a sign: the normal difference G
+# (times 1/h) and, in 2D, the transverse difference T (times 1/4h).
+_G_ROW = {(0, 0): 1, (-1, 0): -1}
+_T_ROW = {(0, 1): 1, (0, -1): -1, (-1, 1): 1, (-1, -1): -1}
+
+
+def _face_product(P: np.ndarray, axis: int, row: dict) -> dict:
+    """Stencil of G_axis^T diag(q) R, R the face operator with the given row
+    and P = fl(fl(q / h) r) per face, r the magnitude of R's entries (the
+    sparse product's rounding): cell c is the upper cell of face c, where
+    G = +1/h, and the lower cell of face c + 1, where G = -1/h."""
+    N, e = P.shape[axis] - 1, np.eye(P.ndim, dtype=int)  # in 2D e[-1 - axis] runs across
+    lo, hi = (P[(slice(None),) * axis + (slice(k, N + k),)] for k in (0, 1))
+    st = {}
+    for (normal, across), sign in row.items():
+        o = normal * e[axis] + across * e[-1 - axis]
+        for key, val in ((tuple(o.tolist()), sign * lo),
+                         (tuple((o + e[axis]).tolist()), -sign * hi)):
+            st[key] = st.get(key, 0.0) + val
+    return st
+
+
+def _shifted(a: np.ndarray, offset: tuple) -> np.ndarray:
+    """out[c] = a[c + offset], zero where c + offset leaves the array."""
+    out = np.zeros_like(a)
+    out[tuple(slice(max(-k, 0), n - max(k, 0)) for k, n in zip(offset, a.shape))] = \
+        a[tuple(slice(max(k, 0), n + min(k, 0)) for k, n in zip(offset, a.shape))]
+    return out
+
+
+def _transpose(st: dict) -> dict:
+    """The stencil of the transposed matrix."""
+    return {o: _shifted(st[tuple(-k for k in o)], o) for o in st}
+
+
+def _plus(s: dict, t: dict, scale: float = 1.0) -> dict:
+    """s + scale * t, entry by entry (a missing offset is zero)."""
+    return {o: s.get(o, 0.0) + scale * t.get(o, 0.0) for o in s.keys() | t.keys()}
+
+
+def _stencil_csr(st: dict, grid: Grid) -> sp.csr_matrix:
+    """The CSR matrix of a stencil, without entries off the grid or exact zeros."""
+    N, n = grid.n_per_axis, grid.n_cells
+    offsets = sorted(st)  # lexicographic offsets are ascending columns in every row
+    vals = np.empty((n, len(offsets)))
+    for i, o in enumerate(offsets):
+        col = vals[:, i].reshape((N,) * grid.dim)
+        col[...] = st[o]
+        for axis, k in enumerate(o):
+            if k:  # the boundary layer whose neighbour is off the grid
+                col[(slice(None),) * axis + (-1 if k > 0 else 0,)] = 0.0
+    keep = vals != 0.0
+    cols = np.arange(n)[:, None] + [np.dot(o, N ** np.arange(grid.dim)[::-1]) for o in offsets]
+    indptr = np.concatenate(([0], np.cumsum(sum(keep.T))))  # faster than keep.sum(axis=1)
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
 def assemble_scalar_diffusion(Q: MatrixField, grid: Grid, shifted: bool = False) -> sp.csr_matrix:
     """Scalar flux-form matrix for div(Q grad .), minus the identity if shifted.
 
-    Checks the face-averaged Q for positive definiteness and symmetrizes the
-    result exactly (the construction is symmetric in exact arithmetic; this
-    removes the last rounding crumbs).
+    Checks the face-averaged Q for positive definiteness.  The stencil is
+    written cell by cell with the rounding of the sparse products
+    -(G0^T W11 G0 + G1^T W22 G1 + 1/2 (G0^T W12 T0 + T0^T W12 G0)
+    + 1/2 (G1^T W12 T1 + T1^T W12 G1)), term by term and in that order, then
+    symmetrized exactly as 1/2 (D + D^T) (the construction is symmetric in
+    exact arithmetic; this removes the last rounding crumbs).
     """
     if Q.kind != DIFFUSION or Q.grid != grid:
         raise AssemblyError("Q must be a diffusion field on the target grid")
-    mats = face_difference_matrices(grid)
-    if grid.dim == 1:
-        q = Q.values[:, 0, 0]
-        qf = _face_average(grid, q, 0)
-        if qf.min() <= 0.0:
-            raise EllipticityError(f"face-averaged Q has eta1 = {qf.min():.3e} <= 0")
-        G = mats["G0"]
-        D = -(G.T @ sp.diags(qf) @ G)
-    else:
-        q11 = _face_average(grid, Q.values[:, 0, 0], 0)
-        q12x = _face_average(grid, Q.values[:, 0, 1], 0)
-        q22 = _face_average(grid, Q.values[:, 1, 1], 1)
-        q12y = _face_average(grid, Q.values[:, 0, 1], 1)
-        q11y = _face_average(grid, Q.values[:, 0, 0], 1)
-        q22x = _face_average(grid, Q.values[:, 1, 1], 0)
-        for a, b, c in ((q11, q22x, q12x), (q11y, q22, q12y)):
-            if np.min(a) <= 0.0 or np.min(b) <= 0.0 or np.min(a * b - c * c) <= 0.0:
-                raise EllipticityError("face-averaged Q not positive definite")
-        G0, T0 = mats["G0"], mats["T0"]
-        G1, T1 = mats["G1"], mats["T1"]
-        D = -(
-            G0.T @ sp.diags(q11) @ G0
-            + G1.T @ sp.diags(q22) @ G1
-            + 0.5 * (G0.T @ sp.diags(q12x) @ T0 + T0.T @ sp.diags(q12x) @ G0)
-            + 0.5 * (G1.T @ sp.diags(q12y) @ T1 + T1.T @ sp.diags(q12y) @ G1)
-        )
-    D = (0.5 * (D + D.T)).tocsr()
+    d, g, t = grid.dim, 1.0 / grid.spacing, 0.25 / grid.spacing
+    faces = [[_face_average(grid, Q.values[:, k, k], a) for k in range(d)] for a in range(d)]
+    cross = [_face_average(grid, Q.values[:, 0, 1], a) for a in range(d)] if d == 2 else []
+    if d == 1 and faces[0][0].min() <= 0.0:
+        raise EllipticityError(f"face-averaged Q has eta1 = {faces[0][0].min():.3e} <= 0")
+    for (q11, q22), q12 in zip(faces, cross):
+        if np.min(q11) <= 0.0 or np.min(q22) <= 0.0 or np.min(q11 * q22 - q12 * q12) <= 0.0:
+            raise EllipticityError("face-averaged Q not positive definite")
+    S = {}
+    for a in range(d):
+        S = _plus(S, _face_product((g * faces[a][a]) * g, a, _G_ROW))
+    for a, q in enumerate(cross):
+        if q.any():  # else the pair adds only signed zeros
+            pair = _plus(_face_product((g * q) * t, a, _T_ROW),
+                         _transpose(_face_product((t * q) * g, a, _T_ROW)))
+            S = _plus(S, pair, 0.5)
+    D = {o: -v for o, v in S.items()}
+    D = {o: 0.5 * v for o, v in _plus(D, _transpose(D)).items()}
     if shifted:
-        D = (D - sp.identity(grid.n_cells)).tocsr()
-    return D
+        D[(0,) * d] = D[(0,) * d] - 1.0
+    return _stencil_csr(D, grid)
 
 
-def assemble_diffusion(Q: MatrixField, grid: Grid, m: int) -> SparseOperator:
-    """Discrete A = [div(Q grad u_k) - u_k], acting identically on each of
-    the m components."""
-    D = assemble_scalar_diffusion(Q, grid, shifted=True)
-    if m == 1:
-        full = D
-    else:
-        full = sp.kron(D, sp.identity(m), format="csr")
-    return SparseOperator(matrix=full.tocsr(), grid=grid, m=m, symmetric=True)
+def assemble_diffusion(Q: MatrixField, grid: Grid) -> SparseOperator:
+    """The scalar block D of A = [div(Q grad u_k) - u_k], which acts as D on
+    each of the m components: A = kron(D, I_m) (SparseOperator.on_components)."""
+    return SparseOperator(assemble_scalar_diffusion(Q, grid, shifted=True), grid, 1)
 
 
 def assemble_potential(V: MatrixField, m: int) -> SparseOperator:
@@ -195,11 +213,7 @@ def assemble_potential(V: MatrixField, m: int) -> SparseOperator:
     bsr = sp.bsr_matrix(
         (blocks, np.arange(n), np.arange(n + 1)), shape=(n * m, n * m)
     )
-    mat = bsr.tocsr()
-    defect = np.max(np.abs(V.values - V.values.transpose(0, 2, 1))) if m > 1 else 0.0
-    return SparseOperator(
-        matrix=mat, grid=V.grid, m=m, symmetric=bool(defect <= _SYMMETRY_TOL) and not np.iscomplexobj(V.values)
-    )
+    return SparseOperator(bsr.tocsr(), V.grid, m)
 
 
 def apply_operator(op: SparseOperator, f: VectorField) -> VectorField:
@@ -236,11 +250,10 @@ def commutator_defect(Q: MatrixField, M: MatrixField, f: VectorField) -> float:
     m = f.components
     if M.kind != POTENTIAL or M.rows != m:
         raise AssemblyError("M must be an m x m potential-kind field")
-    A = assemble_diffusion(Q, grid, m)
+    D = assemble_diffusion(Q, grid).matrix  # A acts as D on each component column
     Mop = assemble_potential(M, m)
-    comm = apply_operator(A, apply_operator(Mop, f)) - apply_operator(
-        Mop, apply_operator(A, f)
-    )
+    comm = (VectorField(grid, D @ apply_operator(Mop, f).values)
+            - apply_operator(Mop, VectorField(grid, D @ f.values)))
 
     gradM = cell_gradient(M.grid, M.values)  # (n, d, m, m), gradM[c, j, k, l] = D_j m_kl
     gradf = cell_gradient(grid, f.values)  # (n, d, m)

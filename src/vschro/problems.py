@@ -2,7 +2,8 @@
 
 A Problem carries everything the checks and the CLI need for one (Q, V)
 configuration: the sampled coefficient fields, the hypothesis report, the
-diffusion block and, assembled on first use, the full generator.  Shift
+scalar diffusion block D, which the splitting path factors as it is, and,
+assembled on first use, the full generator kron(D, I_m) + V.  Shift
 normalization is applied here when requested: a potential whose quadratic
 form only satisfies <V xi, xi> <= beta |xi|^2 is replaced by V - (beta+1) I,
 and the recorded shift lets reports un-rescale by e^{t (1 + shift)} when
@@ -41,13 +42,14 @@ class Problem:
     Q: MatrixField
     V: MatrixField
     report: HypothesisReport
-    diffusion: SparseOperator = field(repr=False)
+    diffusion: SparseOperator = field(repr=False)  # scalar block D - I, m = 1
 
     @cached_property
     def generator(self) -> SparseOperator:
-        """A + V as one sparse operator.  Splitting runs never read it, so it
-        is only built (and held in memory) for the spectral and oracle paths."""
-        return self.diffusion + assemble_potential(self.V, self.m)
+        """kron(D, I_m) + V as one sparse operator.  Splitting runs never read
+        it, so it is only built (and held in memory) for the spectral and
+        oracle paths."""
+        return self.diffusion.on_components(self.m) + assemble_potential(self.V, self.m)
 
     @property
     def unrescale_rate(self) -> float:
@@ -91,5 +93,5 @@ def build_problem(
             V = shift_potential(V, max(0.0, lam_max))
     return Problem(
         grid=grid, m=m, Q=Q, V=V, report=validate_hypotheses(Q, V, alpha),
-        diffusion=assemble_diffusion(Q, grid, m),
+        diffusion=assemble_diffusion(Q, grid),
     )

@@ -182,26 +182,28 @@ def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0, seed: int = 99) 
     )
 
 
-def _scaled_delta(A: SparseOperator, source_cell: int, source_component: int) -> VectorField:
-    """The scaled delta h^{-d} 1_{cell} e_j that both kernel functions evolve."""
-    vals = np.zeros((A.grid.n_cells, A.m), dtype=np.complex128)
-    vals[source_cell, source_component] = 1.0 / A.grid.cell_measure
-    return VectorField(A.grid, vals)
+def _scaled_delta(V: MatrixField, source_cell: int, source_component: int) -> VectorField:
+    """The scaled delta h^{-d} 1_{cell} e_j that both kernel functions evolve,
+    with the potential's m components."""
+    vals = np.zeros((V.grid.n_cells, V.rows), dtype=np.complex128)
+    vals[source_cell, source_component] = 1.0 / V.grid.cell_measure
+    return VectorField(V.grid, vals)
 
 
 def kernel_column(
-    A: SparseOperator,
+    D: SparseOperator,
     V: MatrixField,
     t: float,
     source_cell: int,
     source_component: int,
     cfg: SplitConfig,
 ) -> KernelEstimate:
-    """Evolve h^{-d} 1_{cell} e_j to time t; the result is K_h(t, ., y) e_j."""
+    """Evolve h^{-d} 1_{cell} e_j to time t under D (scalar) and V; the
+    result is K_h(t, ., y) e_j."""
     if not t > 0:
         raise ValueError("t must be positive")
-    delta = _scaled_delta(A, source_cell, source_component)
-    column = trotter_evolve(A, V, delta, replace(cfg, t_final=t), norm_ps=()).final
+    delta = _scaled_delta(V, source_cell, source_component)
+    column = trotter_evolve(D, V, delta, replace(cfg, t_final=t), norm_ps=()).final
     return KernelEstimate(
         t=t,
         source_cell=source_cell,
@@ -212,7 +214,7 @@ def kernel_column(
 
 
 def kernel_sweep(
-    A: SparseOperator,
+    D: SparseOperator,
     V: MatrixField,
     t_values,
     source_cell: int,
@@ -229,7 +231,7 @@ def kernel_sweep(
     leading segment starts from the delta at t = 0 and covers a whole decade
     of time on its own, so it defaults to 4x the substeps.
     """
-    state = _scaled_delta(A, source_cell, source_component)
+    state = _scaled_delta(V, source_cell, source_component)
     if first_segment_steps is None:
         first_segment_steps = 4 * steps_per_segment
     out = []
@@ -237,7 +239,7 @@ def kernel_sweep(
     for i, t in enumerate(sorted(t_values)):
         steps = first_segment_steps if i == 0 else steps_per_segment
         seg = replace(cfg, n_steps=steps, t_final=t - t_prev)
-        state = trotter_evolve(A, V, state, seg, norm_ps=()).final
+        state = trotter_evolve(D, V, state, seg, norm_ps=()).final
         out.append(
             KernelEstimate(
                 t=t,

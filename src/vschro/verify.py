@@ -497,12 +497,9 @@ def run_nongeneration_demo(
         n = int(round(2.0 * R / h_target)) - 1
         grid = build_grid(1, R, n)
         Q = sample_field(make_rule("identity_Q", 1)[0], grid, "diffusion")
-        D = assemble_scalar_diffusion(Q, grid, shifted=False)
+        D = SparseOperator(assemble_scalar_diffusion(Q, grid, shifted=False), grid, 1)
         V = sample_field(make_rule("upper_triangular_V", 1)[0], grid, "potential")
-        Vop = assemble_potential(V, 2)
-        L = SparseOperator(
-            (sp.kron(D, sp.identity(2)) + Vop.matrix).tocsr(), grid, 2, symmetric=False
-        )
+        L = D.on_components(2) + assemble_potential(V, 2)
         x = grid.axis_coords
         rhs = np.zeros((grid.n_cells, 2), dtype=complex)
         rhs[:, 1] = np.where(x >= 1.0, 1.0 / np.maximum(x, 1.0), 0.0)
@@ -550,10 +547,10 @@ def run_shift_invariance_check(
     D = assemble_scalar_diffusion(Q, grid, shifted=False)
     x = grid.axis_coords
     if operator == "imaginary":
-        B = SparseOperator((D - sp.diags(1j * x)).tocsr(), grid, 1, symmetric=False)
+        B = SparseOperator((D - sp.diags(1j * x)).tocsr(), grid, 1)
         lam_of = lambda s: mu - 1j * s
     elif operator == "absolute_control":
-        B = SparseOperator((D - sp.diags(np.abs(x))).tocsr(), grid, 1, symmetric=True)
+        B = SparseOperator((D - sp.diags(np.abs(x))).tocsr(), grid, 1)
         lam_of = lambda s: mu + 1j * s
     else:
         raise ValueError(f"unknown operator {operator!r}")

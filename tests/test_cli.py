@@ -378,6 +378,35 @@ MALFORMED = {
                                "[problem] alpha takes float, got True"),
     "word_for_run_solver_tol": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = 0.2\nsolver_tol = tight"),
                                 "[run] solver_tol takes float, got 'tight'"),
+    # A misspelt key in a fixed section is refused, not left to its default.
+    "unknown_run_key": (lambda tmp: QUICK.replace("n_steps = 20", "nsteps = 5"),
+                        "unknown key [run] nsteps; [run] takes: scheme, substep, n_steps, t_final, "
+                        "solver_tol"),
+    "unknown_problem_key": (lambda tmp: QUICK.replace("n_per_axis = 64", "n_per_axes = 64"),
+                            "unknown key [problem] n_per_axes; [problem] takes: dim, m, extent, "
+                            "n_per_axis, q_rule, q_params, v_rule, v_params, shift, alpha"),
+    "unknown_checks_key": (lambda tmp: QUICK.replace("names = contraction, positivity",
+                                                     "names = contraction\nname = positivity"),
+                           "unknown key [checks] name; [checks] takes: names"),
+    "unknown_output_key": (lambda tmp: QUICK.replace("seed = 3", "seed = 3\ndirectory = out"),
+                           "unknown key [output] directory; [output] takes: dir, seed"),
+    # Every float key takes a finite value only.
+    "nan_slack": (lambda tmp: _override_body("contraction", "slack = nan"),
+                  "[check.contraction] slack must be finite, got nan"),
+    "inf_consistency_lam": (lambda tmp: _override_body("consistency", "lam = inf"),
+                            "[check.consistency] lam must be finite, got inf"),
+    "nan_in_domination_times": (lambda tmp: _override_body("domination", "ts = 0.1, nan"),
+                                "[check.domination] ts must be finite, got [0.1, nan]"),
+    "inf_problem_extent": (lambda tmp: QUICK.replace("extent = 6.0", "extent = inf"),
+                           "[problem] extent must be finite, got inf"),
+    "float_overflowing_problem_extent": (lambda tmp: QUICK.replace("extent = 6.0", "extent = 1" + "0" * 400),
+                                         "[problem] extent must be finite, got 1000"),
+    "nan_problem_alpha": (lambda tmp: QUICK.replace("shift = none", "shift = none\nalpha = nan"),
+                          "[problem] alpha must be finite, got nan"),
+    "inf_run_t_final": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = inf"),
+                        "[run] t_final must be finite, got inf"),
+    "minus_inf_run_solver_tol": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = 0.2\nsolver_tol = -inf"),
+                                 "[run] solver_tol must be finite, got -inf"),
 }
 
 
@@ -399,7 +428,9 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("case", ["fraction_for_run_steps", "bool_for_run_t_final",
                                       "float_for_problem_cells", "negative_seed",
-                                      "duplicate_key", "unknown_section"])
+                                      "duplicate_key", "unknown_section", "unknown_run_key",
+                                      "unknown_output_key", "nan_slack", "inf_consistency_lam",
+                                      "inf_problem_extent"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)

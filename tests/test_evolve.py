@@ -12,14 +12,14 @@ from vschro.evolve import (
     _DiffusionStepper,
     _PotentialStepper,
     SplitConfig,
-    _scalar_block,
     heat_step,
     split_step,
     trotter_evolve,
 )
 from vschro.fields import MatrixField, make_rule, matrix_exp, sample_field, shift_potential
 from vschro.mesh import VectorField, build_grid, lp_norm
-from vschro.operators import SparseOperator, assemble_diffusion, assemble_potential
+from vschro.operators import assemble_diffusion, assemble_potential
+from vschro.problems import build_problem
 
 
 def identity_q(grid):
@@ -31,9 +31,10 @@ def potential_step(V, f, tau):
     return VectorField(f.grid, _PotentialStepper(V, tau).apply(f.values))
 
 
-def diffusion_step(A, f, tau, cfg):
-    """The diffusion substep of split_step alone: one implicit step of A."""
-    return VectorField(f.grid, _DiffusionStepper(_scalar_block(A), tau, cfg).apply(f.values))
+def diffusion_step(D, f, tau, cfg):
+    """The diffusion substep of split_step alone: one implicit step of the
+    scalar block D on every component of f."""
+    return VectorField(f.grid, _DiffusionStepper(D.matrix, tau, cfg).apply(f.values))
 
 
 def heat_evolve(Q, w, t, cfg):
@@ -94,9 +95,9 @@ class TestDirectSolve:
     def test_matches_dense_solve(self, dim, q_rule, q_params, m):
         g = build_grid(dim, 2.0, 24 if dim == 1 else 7)
         Q = sample_field(make_rule(q_rule, dim, **q_params)[0], g, "diffusion")
-        A = assemble_diffusion(Q, g, m)
-        dense = A.matrix.toarray()
-        ident = np.eye(A.dims)
+        A = assemble_diffusion(Q, g)
+        dense = np.kron(A.matrix.toarray(), np.eye(m))  # A acts on each component
+        ident = np.eye(g.n_cells * m)
         rng = np.random.default_rng(dim * 10 + m)
         real = rng.standard_normal((g.n_cells, m))
         tau = 0.07
@@ -113,21 +114,20 @@ class TestDirectSolve:
                 out = diffusion_step(A, VectorField(g, vals), tau, cfg).values.ravel()
                 assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_rejects_symmetric_component_coupling(self):
+    def test_rejects_a_component_operator(self):
+        # the step takes the scalar block itself; kron(D, I_m) is not sliced back
         g = build_grid(1, 2.0, 8)
-        A = assemble_diffusion(identity_q(g), g, 2)
-        swap = sp.kron(sp.identity(8), sp.csr_matrix([[0.0, 0.1], [0.1, 0.0]]))
-        coupled = SparseOperator((A.matrix + swap).tocsr(), g, 2, symmetric=True)
+        full = assemble_diffusion(identity_q(g), g).on_components(2)
         V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
         f = bump_field(g, 2)
-        with pytest.raises(ValueError, match="kron"):
-            diffusion_step(coupled, f, 0.1, SplitConfig())
-        with pytest.raises(ValueError, match="kron"):
-            trotter_evolve(coupled, V, f, SplitConfig(n_steps=2, t_final=0.1))
+        with pytest.raises(ValueError, match="scalar"):
+            split_step(full, V, 0.1, SplitConfig())
+        with pytest.raises(ValueError, match="scalar"):
+            trotter_evolve(full, V, f, SplitConfig(n_steps=2, t_final=0.1))
 
     def test_residual_miss_raises(self):
         g = build_grid(1, 2.0, 16)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(5)
         f = VectorField(g, rng.standard_normal((16, 2)))
         with pytest.raises(SolverError, match="residual"):
@@ -140,7 +140,7 @@ class TestDirectSolve:
 
         monkeypatch.setattr("scipy.sparse.linalg.splu", failing_splu)
         g = build_grid(1, 2.0, 16)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         with pytest.raises(SolverError, match="16-cell"):
             diffusion_step(A, bump_field(g, 2), 0.1, SplitConfig())
 
@@ -159,7 +159,7 @@ class TestDirectSolve:
         q = np.zeros((g.n_cells, dim, dim))
         for a in range(dim):
             q[:, a, a] = rng.uniform(0.1, 10.0, g.n_cells)
-        A = assemble_diffusion(MatrixField(g, "diffusion", q), g, 2)
+        A = assemble_diffusion(MatrixField(g, "diffusion", q), g)
         f = VectorField(g, rng.random((g.n_cells, 2)))
         cfg = SplitConfig(diffusion_substep="backward_euler", linear_solver_tol=1e-12)
         out = diffusion_step(A, f, tau, cfg)
@@ -205,7 +205,7 @@ class TestDiffusionStep:
     def test_backward_euler_eigenvector(self):
         R, n = 2.0, 40
         g = build_grid(1, R, n)
-        A = assemble_diffusion(identity_q(g), g, 1)
+        A = assemble_diffusion(identity_q(g), g)
         h = g.spacing
         k = 3
         # discrete Dirichlet eigenvector and its exact discrete eigenvalue
@@ -221,7 +221,7 @@ class TestDiffusionStep:
 
     def test_crank_nicolson_third_order_local(self):
         g = build_grid(1, 4.0, 32)
-        A = assemble_diffusion(identity_q(g), g, 1)
+        A = assemble_diffusion(identity_q(g), g)
         f = bump_field(g, 1)
         dense = A.matrix.toarray()
         errs = []
@@ -236,7 +236,7 @@ class TestDiffusionStep:
     def test_gaussian_widening_against_closed_form(self):
         R, n = 20.0, 800
         g = build_grid(1, R, n)
-        A = assemble_diffusion(identity_q(g), g, 1)
+        A = assemble_diffusion(identity_q(g), g)
         sigma = 0.5
         x = g.axis_coords
         f = VectorField(g, np.exp(-(x**2) / (2 * sigma**2))[:, None].astype(complex))
@@ -257,7 +257,7 @@ class TestDiffusionStep:
 
     def test_norm_never_increases(self):
         g = build_grid(1, 3.0, 48)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(4)
         f = VectorField(g, rng.standard_normal((48, 2)) + 1j * rng.standard_normal((48, 2)))
         for substep in ("backward_euler", "crank_nicolson"):
@@ -271,7 +271,7 @@ class TestTrotter:
         g = build_grid(1, 6.0, 96)
         Q = identity_q(g)
         V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
-        A = assemble_diffusion(Q, g, 2)
+        A = assemble_diffusion(Q, g)
         f = bump_field(g, 2)
         t = 0.4
         cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
@@ -281,7 +281,7 @@ class TestTrotter:
         for k in range(2):
             comp0 = VectorField(g, f.values[:, k][:, None])
             scalar = comp0
-            A1 = assemble_diffusion(Q, g, 1)
+            A1 = assemble_diffusion(Q, g)
             for _ in range(cfg.n_steps):
                 scalar = diffusion_step(A1, scalar, t / cfg.n_steps, cfg)
             expected = math.exp(-t) * scalar.values[:, 0]
@@ -291,7 +291,7 @@ class TestTrotter:
     def test_realness_preserved(self):
         g = build_grid(1, 4.0, 32)
         V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         f = VectorField(g, np.real(bump_field(g, 2).values).astype(complex))
         cfg = SplitConfig(scheme="strang", diffusion_substep="crank_nicolson",
                           n_steps=20, t_final=0.5)
@@ -301,7 +301,7 @@ class TestTrotter:
     def test_semigroup_property(self):
         g = build_grid(1, 4.0, 48)
         V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         f = bump_field(g, 2)
         mk = lambda t, n: SplitConfig(scheme="lie", diffusion_substep="backward_euler",
                                       n_steps=n, t_final=t, linear_solver_tol=1e-12)
@@ -313,7 +313,7 @@ class TestTrotter:
     def test_all_p_norms_nonincreasing_backward_euler(self):
         g = build_grid(1, 4.0, 64)
         V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(8)
         f = VectorField(g, rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2)))
         cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
@@ -325,7 +325,7 @@ class TestTrotter:
     def test_crank_nicolson_l2_nonincreasing(self):
         g = build_grid(1, 4.0, 64)
         V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(9)
         f = VectorField(g, rng.standard_normal((64, 2)) + 0j)
         cfg = SplitConfig(scheme="strang", diffusion_substep="crank_nicolson",
@@ -348,8 +348,8 @@ class TestTrotter:
         V = sample_field(make_rule(v_rule, 1, **v_params)[0], g, "potential")
         if do_shift:
             V = shift_potential(V)
-        A = assemble_diffusion(identity_q(g), g, 2)
-        L = A + assemble_potential(V, 2)
+        A = assemble_diffusion(identity_q(g), g)
+        L = A.on_components(2) + assemble_potential(V, 2)
         f = bump_field(g, 2)
         t = 0.5
         ref = VectorField(g, (scipy.linalg.expm(t * L.matrix.toarray()) @ f.values.ravel()).reshape(64, 2))
@@ -367,7 +367,7 @@ class TestTrotter:
         # part of its numerical range is <= -1, so the 2-norm contracts
         g = build_grid(1, 10.0, 200)
         V = sample_field(make_rule("complex_linear_V", 1)[0], g, "potential")
-        A = assemble_diffusion(identity_q(g), g, 1)
+        A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(2)
         f = VectorField(g, rng.standard_normal((200, 1)) + 1j * rng.standard_normal((200, 1)))
         cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
@@ -380,7 +380,7 @@ class TestTrotter:
     def test_snapshot_stride(self):
         g = build_grid(1, 2.0, 16)
         V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         cfg = SplitConfig(n_steps=10, t_final=0.1)
         traj = trotter_evolve(A, V, bump_field(g, 2), cfg, snapshot_stride=2)
         assert traj.snapshot_times == [0.0] + [0.02 * k for k in range(1, 6)]
@@ -388,18 +388,16 @@ class TestTrotter:
 
 
 class TestLayoutGuards:
-    def test_diffusion_step_rejects_unflagged_operator(self):
-        import scipy.sparse as sp
-        from vschro.operators import SparseOperator
-
+    def test_split_step_rejects_a_block_on_another_grid(self):
         g = build_grid(1, 1.0, 4)
-        op = SparseOperator(sp.csr_matrix(-np.eye(4)), g, 1, symmetric=False)
-        with pytest.raises(ValueError):
-            diffusion_step(op, VectorField(g, np.ones((4, 1))), 0.1, SplitConfig())
+        D = assemble_diffusion(identity_q(g), g)
+        V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], build_grid(1, 1.0, 5), "potential")
+        with pytest.raises(ValueError, match="on V's grid"):
+            split_step(D, V, 0.1, SplitConfig())
 
     def test_trotter_rejects_mismatched_layouts(self):
         g = build_grid(1, 2.0, 8)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
         wrong = VectorField(g, np.ones((8, 3)))
         with pytest.raises(ValueError):
@@ -409,9 +407,9 @@ class TestLayoutGuards:
         from vschro.operators import AssemblyError, apply_operator
 
         g = build_grid(1, 2.0, 8)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         with pytest.raises(AssemblyError):
-            apply_operator(A, VectorField(g, np.ones((8, 1))))
+            apply_operator(A, VectorField(g, np.ones((8, 2))))
 
 
 class TestScalarHeat:
@@ -464,7 +462,7 @@ class TestRealPath:
     @pytest.mark.parametrize("scheme", ["lie", "strang"])
     def test_complex_run_is_sum_of_real_runs(self, scheme, substep, dim, m):
         g = build_grid(dim, 3.0, 30 if dim == 1 else 9)
-        A = assemble_diffusion(identity_q(g), g, m)
+        A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, m, seed=m)
         re, im = random_parts(g, m, seed=10 + m)
         cfg = SplitConfig(scheme=scheme, diffusion_substep=substep, n_steps=6, t_final=0.3)
@@ -476,7 +474,7 @@ class TestRealPath:
     def test_real_data_under_complex_potential_stays_complex(self):
         g = build_grid(1, 10.0, 60)
         V = sample_field(make_rule("complex_linear_V", 1)[0], g, "potential")
-        A = assemble_diffusion(identity_q(g), g, 1)
+        A = assemble_diffusion(identity_q(g), g)
         f = bump_field(g, 1)
         assert f.is_real
         out = trotter_evolve(A, V, f, SplitConfig(n_steps=10, t_final=0.5)).final
@@ -485,7 +483,7 @@ class TestRealPath:
     def test_snapshots_complex_with_exact_zero_imaginary_part(self):
         g = build_grid(2, 3.0, 8)
         V = random_real_potential(g, 2, seed=4)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         f = VectorField(g, random_parts(g, 2, seed=5)[0])
         traj = trotter_evolve(A, V, f, SplitConfig(n_steps=6, t_final=0.3), snapshot_stride=2)
         assert len(traj.snapshots) == 4
@@ -504,7 +502,7 @@ class TestRealPath:
 
         monkeypatch.setattr(_DiffusionStepper, "apply", counting)
         g = build_grid(1, 3.0, 20)
-        A = assemble_diffusion(identity_q(g), g, m)
+        A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, m, seed=6)
         re, im = random_parts(g, m, seed=7)
         cfg = SplitConfig(n_steps=3, t_final=0.1)
@@ -562,7 +560,7 @@ class TestZeroColumns:
     @pytest.mark.parametrize("data, dead", [("real", []), ("real", [1]), ("complex", [1, 2])])
     def test_live_columns_match_full_solve(self, substep, data, dead, zero_corner):
         g = build_grid(2, 3.0, 9)
-        D = assemble_diffusion(identity_q(g), g, 1).matrix
+        D = assemble_diffusion(identity_q(g), g).matrix
         stepper = _DiffusionStepper(D, 0.07, SplitConfig(diffusion_substep=substep))
         re, im = random_parts(g, 3, seed=21)
         vals = re if data == "real" else re + 1j * im
@@ -585,7 +583,7 @@ class TestZeroColumns:
 
     def test_residual_miss_raises_with_zero_column(self):
         g = build_grid(1, 2.0, 16)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         vals = np.random.default_rng(5).standard_normal((16, 2))
         vals[:, 1] = 0.0
         with pytest.raises(SolverError, match="residual"):
@@ -671,7 +669,7 @@ class TestSplitStep:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_reused_step_matches_fresh_runs(self, dim, substep, scheme):
         g = build_grid(dim, 3.0, 24 if dim == 1 else 10)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, 2, seed=50)
         cfg = SplitConfig(scheme=scheme, diffusion_substep=substep, n_steps=6, t_final=0.3)
         step = split_step(A, V, cfg.t_final / cfg.n_steps, cfg)
@@ -684,7 +682,7 @@ class TestSplitStep:
 
     def test_one_step_size_serves_several_horizons(self):
         g = build_grid(1, 3.0, 30)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential")
         f = bump_field(g, 2)
         cfg = SplitConfig(n_steps=20, t_final=0.1)
@@ -697,7 +695,7 @@ class TestSplitStep:
 
     def test_complex_potential_steps_in_complex(self):
         g = build_grid(1, 3.0, 30)
-        A = assemble_diffusion(identity_q(g), g, 1)
+        A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("complex_linear_V", 1)[0], g, "potential")
         step = split_step(A, V, 0.01, SplitConfig())
         assert not step.real_coefficients
@@ -720,7 +718,7 @@ class TestSplitStep:
 
     def test_norm_log_matches_lp_norm_of_snapshots(self):
         g = build_grid(2, 3.0, 10)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, 2, seed=54)
         re, im = random_parts(g, 2, seed=55)
         for vals in (re, re + 1j * im):
@@ -731,18 +729,17 @@ class TestSplitStep:
 
     def test_no_norms_logged_when_none_asked(self):
         g = build_grid(1, 3.0, 20)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, 2, seed=56)
         traj = split_step(A, V, 0.1, SplitConfig()).run(bump_field(g, 2), 3, norm_ps=())
         assert traj.norm_log == {} and len(traj.times) == 4
 
     def test_layout_guards(self):
         g = build_grid(1, 2.0, 8)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
-        V3 = sample_field(make_rule("diag_V", 1, c=-1.0, m=3)[0], g, "potential")
-        with pytest.raises(ValueError, match="layouts disagree"):
-            split_step(A, V3, 0.1, SplitConfig())
+        with pytest.raises(ValueError, match="scalar"):
+            split_step(A.on_components(2), V, 0.1, SplitConfig())
         step = split_step(A, V, 0.1, SplitConfig())
         with pytest.raises(ValueError, match="grid and components"):
             step.run(VectorField(g, np.ones((8, 3))), 2)
@@ -750,3 +747,41 @@ class TestSplitStep:
             step.run(VectorField(build_grid(1, 2.0, 9), np.ones((9, 2))), 2)
         with pytest.raises(ValueError, match="n_steps"):
             step.run(VectorField(g, np.ones((8, 2))), 0)
+
+
+class TestScalarBlock:
+    """The splitting path holds and factors the scalar diffusion block D as
+    it is: no kron(D, I_m) is formed when a step is built and run."""
+
+    def test_split_step_on_a_2d_problem_forms_no_kron(self, monkeypatch):
+        calls = []
+        kron = sp.kron
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kron(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "kron", counting)
+        problem = build_problem(2, 3.0, 12, 2, v_rule="rotation_V", v_params={"r": 1.5},
+                                shift="auto")
+        n = problem.grid.n_cells
+        step = split_step(problem.diffusion, problem.V, 0.01, SplitConfig())
+        step.run(VectorField(problem.grid, random_parts(problem.grid, 2, seed=59)[0]), 3)
+        assert problem.diffusion.matrix.shape == (n, n)
+        assert "generator" not in problem.__dict__
+        assert calls == []
+        assert problem.generator.matrix.shape == (2 * n, 2 * n) and len(calls) == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_components_step_alike(self, m):
+        # each component column of a decoupled field evolves as the m = 1 run
+        g = build_grid(2, 3.0, 9)
+        D = assemble_diffusion(identity_q(g), g)
+        cfg = SplitConfig(n_steps=4, t_final=0.2, linear_solver_tol=1e-12)
+        V = sample_field(make_rule("diag_V", 2, c=-1.0, m=m)[0], g, "potential")
+        V1 = sample_field(make_rule("diag_V", 2, c=-1.0, m=1)[0], g, "potential")
+        vals = random_parts(g, m, seed=60)[0]
+        out = trotter_evolve(D, V, VectorField(g, vals), cfg).final.values
+        for k in range(m):
+            one = trotter_evolve(D, V1, VectorField(g, vals[:, k:k + 1]), cfg).final.values
+            np.testing.assert_allclose(out[:, k], one[:, 0], rtol=1e-13, atol=1e-15)

@@ -174,7 +174,7 @@ class TestPairing:
 
         g = build_grid(1, 2.0, 8)
         Q = sample_field(make_rule("identity_Q", 1)[0], g, "diffusion")
-        A = assemble_diffusion(Q, g, 2)
+        A = assemble_diffusion(Q, g).on_components(2)
         f, gfld = random_field(g, 2, seed=4), random_field(g, 2, seed=9)
         lhs = dual_pairing(apply_operator(A, f), gfld)
         rhs = dual_pairing(f, apply_operator(A, gfld))

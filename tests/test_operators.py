@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vschro.fields import MatrixField, make_rule, sample_field
-from vschro.mesh import VectorField, build_grid, dual_pairing, lp_norm
+from vschro.mesh import Grid, VectorField, build_grid, dual_pairing, lp_norm
 from vschro.operators import (
     AssemblyError,
     _backward_divergence,
@@ -21,12 +21,63 @@ from vschro.operators import (
     assemble_scalar_diffusion,
     commutator_defect,
     export_matrix_market,
-    face_difference_matrices,
 )
 
 
 def identity_q(grid):
     return sample_field(make_rule("identity_Q", grid.dim)[0], grid, "diffusion")
+
+
+def face_difference_matrices(grid: Grid) -> dict:
+    """Sparse difference operators from cells to faces, the reference for the
+    diffusion stencil.
+
+    Keys per axis a: 'G<a>' is the normal difference (u_right - u_left)/h
+    across each axis-a face, with zero ghosts outside the box; 'T<a>' is the
+    transverse difference at axis-a faces (the four-neighbor average), only
+    present in 2D.  Face index layout: axis-0 faces are f0 * N + j, axis-1
+    faces are i * (N+1) + f1, so the 2D matrices are Kronecker products of
+    the 1D face difference G, the two-cell face sum S and the centred cell
+    difference C (scaled by 1/4 for the four-neighbor average).
+    """
+    N, h = grid.n_per_axis, grid.spacing
+    G = sp.diags([1.0 / h, -1.0 / h], [0, -1], shape=(N + 1, N), format="csr")
+    if grid.dim == 1:
+        return {"G0": G}
+    S = sp.diags([1.0, 1.0], [0, -1], shape=(N + 1, N), format="csr")
+    C = sp.diags([0.25 / h, -0.25 / h], [1, -1], shape=(N, N), format="csr")
+    ident = sp.identity(N, format="csr")
+    return {
+        "G0": sp.kron(G, ident, format="csr"),
+        "T0": sp.kron(S, C, format="csr"),
+        "G1": sp.kron(ident, G, format="csr"),
+        "T1": sp.kron(C, S, format="csr"),
+    }
+
+
+def spgemm_scalar_diffusion(Q, grid, shifted=False):
+    """Reference D for assemble_scalar_diffusion: the flux form
+    -(G^T W_Q G) built from the face matrices by sparse products, then
+    0.5 (D + D^T) and, if shifted, D - I."""
+    mats = face_difference_matrices(grid)
+    if grid.dim == 1:
+        G = mats["G0"]
+        D = -(G.T @ sp.diags(_face_average(grid, Q.values[:, 0, 0], 0).ravel()) @ G)
+    else:
+        def W(entry, axis):
+            return sp.diags(_face_average(grid, Q.values[:, entry[0], entry[1]], axis).ravel())
+
+        G0, T0, G1, T1 = mats["G0"], mats["T0"], mats["G1"], mats["T1"]
+        D = -(
+            G0.T @ W((0, 0), 0) @ G0
+            + G1.T @ W((1, 1), 1) @ G1
+            + 0.5 * (G0.T @ W((0, 1), 0) @ T0 + T0.T @ W((0, 1), 0) @ G0)
+            + 0.5 * (G1.T @ W((0, 1), 1) @ T1 + T1.T @ W((0, 1), 1) @ G1)
+        )
+    D = (0.5 * (D + D.T)).tocsr()
+    if shifted:
+        D = (D - sp.identity(grid.n_cells)).tocsr()
+    return D
 
 
 def loop_face_difference_matrices(grid):
@@ -82,6 +133,18 @@ def loop_face_difference_matrices(grid):
     }
 
 
+def varying_q(grid, seed=0):
+    """A per-cell Q: random positive q in 1D; in 2D random q11, q22 and a
+    random q12 with q12^2 < q11 q22."""
+    rng = np.random.default_rng(seed)
+    if grid.dim == 1:
+        return MatrixField(grid, "diffusion", rng.uniform(0.1, 3.0, (grid.n_cells, 1, 1)))
+    q11, q22 = rng.uniform(0.1, 3.0, (2, grid.n_cells))
+    q12 = rng.uniform(-0.99, 0.99, grid.n_cells) * np.sqrt(q11 * q22)
+    return MatrixField(grid, "diffusion",
+                       np.stack([np.stack([q11, q12], -1), np.stack([q12, q22], -1)], -2))
+
+
 def random_field(grid, m, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((grid.n_cells, m)) + 1j * rng.standard_normal((grid.n_cells, m))
@@ -110,13 +173,50 @@ class TestFaceDifferences:
     def test_random_cross_q_symmetric_negative_definite(self, n, seed):
         # per-cell q12^2 < q11 q22; face averages of such matrices stay positive definite
         g = build_grid(2, 1.0, n)
-        rng = np.random.default_rng(seed)
-        q11, q22 = rng.uniform(0.1, 3.0, (2, g.n_cells))
-        q12 = rng.uniform(-0.99, 0.99, g.n_cells) * np.sqrt(q11 * q22)
-        vals = np.stack([np.stack([q11, q12], -1), np.stack([q12, q22], -1)], -2)
-        A = assemble_diffusion(MatrixField(g, "diffusion", vals), g, 1).matrix
+        A = assemble_diffusion(varying_q(g, seed), g).matrix
         assert abs(A - A.T).max() == 0.0
         assert np.linalg.eigvalsh(A.toarray()).max() <= -1.0 + 1e-10
+
+
+class TestDirectStencil:
+    """assemble_scalar_diffusion writes the stencil that the sparse-product
+    reference builds, bit for bit in data, indices and indptr."""
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("n", [5, 8, 33])
+    @pytest.mark.parametrize("dim, rule, params", [
+        (1, "identity_Q", {}),
+        (1, "anisotropic_Q", {"ratio": 0.25}),
+        (1, "varying", {}),
+        (2, "identity_Q", {}),
+        (2, "anisotropic_Q", {"theta": 0.0, "ratio": 0.3}),
+        (2, "anisotropic_Q", {"theta": 0.6, "ratio": 0.25}),
+        (2, "cross_Q", {"q12": 0.3}),
+        (2, "varying", {}),
+    ])
+    def test_bitwise_equal_to_spgemm_reference(self, dim, rule, params, n, shifted):
+        g = build_grid(dim, 1.7, n)
+        if rule == "varying":
+            Q = varying_q(g, seed=n)
+        else:
+            Q = sample_field(make_rule(rule, dim, **params)[0], g, "diffusion")
+        built, ref = assemble_scalar_diffusion(Q, g, shifted), spgemm_scalar_diffusion(Q, g, shifted)
+        assert isinstance(built, sp.csr_matrix) and built.shape == ref.shape == (g.n_cells,) * 2
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(built, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert np.all(built.data != 0.0)  # no explicit zeros, as in the reference
+
+    def test_on_components_is_kron(self):
+        g = build_grid(2, 1.0, 5)
+        D = assemble_diffusion(varying_q(g), g)
+        assert D.m == 1 and D.matrix.shape == (g.n_cells, g.n_cells)
+        A = D.on_components(3)
+        assert A.m == 3 and A.grid == g
+        assert abs(A.matrix - sp.kron(D.matrix, sp.identity(3))).nnz == 0
+        assert abs(D.on_components(1).matrix - D.matrix).nnz == 0
+        with pytest.raises(AssemblyError, match="scalar"):
+            A.on_components(2)
 
 
 def branch_face_average(grid, cellvals, axis):
@@ -169,8 +269,8 @@ class TestCellStencils:
         cellvals = np.random.default_rng(n).uniform(0.1, 3.0, g.n_cells)
         for axis in range(dim):
             built, ref = _face_average(g, cellvals, axis), branch_face_average(g, cellvals, axis)
-            assert built.shape == ref.shape == ((n + 1) * n**(dim - 1),)
-            assert built.dtype == ref.dtype and built.tobytes() == ref.tobytes()
+            assert built.shape == tuple(n + 1 if a == axis else n for a in range(dim))
+            assert built.dtype == ref.dtype and built.ravel().tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n", [3, 4, 17])
@@ -188,7 +288,7 @@ class TestCellStencils:
 class TestDiffusionAssembly:
     def test_three_point_stencil(self):
         g = build_grid(1, 1.0, 3)  # h = 0.5
-        A = assemble_diffusion(identity_q(g), g, 1).matrix.toarray()
+        A = assemble_diffusion(identity_q(g), g).matrix.toarray()
         expected = np.array([[-9.0, 4.0, 0.0], [4.0, -9.0, 4.0], [0.0, 4.0, -9.0]])
         np.testing.assert_allclose(A, expected, atol=1e-13)
 
@@ -205,7 +305,7 @@ class TestDiffusionAssembly:
         # <A u, u> <= -eta1 ||G u||^2 - ||u||^2, eta1 = 1 - |q12|
         g = build_grid(2, 2.0, 12)
         Q = sample_field(make_rule("cross_Q", 2, q12=0.3)[0], g, "diffusion")
-        A = assemble_diffusion(Q, g, 1)
+        A = assemble_diffusion(Q, g)
         eta1 = 1.0 - 0.3
         mats = face_difference_matrices(g)
         rng = np.random.default_rng(1)
@@ -225,14 +325,13 @@ class TestDiffusionAssembly:
             return vals
 
         Q = sample_field(rule, g, "diffusion")
-        A = assemble_diffusion(Q, g, 2)
-        defect = abs(A.matrix - A.matrix.T)
-        assert defect.nnz == 0 or defect.max() <= 1e-12
+        for A in (assemble_diffusion(Q, g), assemble_diffusion(Q, g).on_components(2)):
+            assert abs(A.matrix - A.matrix.T).nnz == 0
 
     def test_largest_eigenvalue_below_minus_one(self):
         # power iteration on A + cI locates lambda_max(A)
         g = build_grid(1, 3.0, 40)
-        A = assemble_diffusion(identity_q(g), g, 1).matrix
+        A = assemble_diffusion(identity_q(g), g).matrix
         c = abs(A).sum(axis=1).max() + 1.0
         shifted = (A + c * sp.identity(A.shape[0])).tocsr()
         v = np.ones(A.shape[0]) / math.sqrt(A.shape[0])
@@ -300,13 +399,13 @@ class TestPotentialAssembly:
 class TestApply:
     def test_identity(self):
         g = build_grid(1, 1.0, 8)
-        ident = SparseOperator(sp.identity(16, format="csr"), g, 2, symmetric=True)
+        ident = SparseOperator(sp.identity(16, format="csr"), g, 2)
         f = random_field(g, 2, seed=1)
         np.testing.assert_allclose(apply_operator(ident, f).values, f.values)
 
     def test_linearity_of_sum(self):
         g = build_grid(1, 3.0, 24)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g).on_components(2)
         V = assemble_potential(
             sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"), 2
         )
@@ -321,7 +420,7 @@ class TestApply:
         errs = []
         for n in (64, 128):
             g = build_grid(1, R, n)
-            A = assemble_diffusion(identity_q(g), g, 1)
+            A = assemble_diffusion(identity_q(g), g)
             x = g.axis_coords
             v = np.sin(math.pi * (x + R) / (2 * R))
             f = VectorField(g, v[:, None].astype(complex))
@@ -334,7 +433,7 @@ class TestApply:
         from vschro.fields import shift_potential
 
         g = build_grid(1, 4.0, 30)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g).on_components(2)
         V = shift_potential(
             sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential")
         )
@@ -380,23 +479,17 @@ class TestCommutator:
 class TestSparseLayout:
     def test_csr_invariants(self):
         g = build_grid(2, 2.0, 6)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g).on_components(2)
         mat = A.matrix
         assert mat.has_sorted_indices
         assert np.all(np.diff(mat.indptr) >= 0)
         assert A.dims == g.n_cells * 2
 
-    def test_symmetry_flag_enforced(self):
-        g = build_grid(1, 1.0, 4)
-        bad = sp.csr_matrix(np.array([[0.0, 1.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
-        with pytest.raises(AssemblyError):
-            SparseOperator(bad, g, 1, symmetric=True)
-
 
 class TestExport:
     def test_matrix_market_roundtrip(self, tmp_path):
         g = build_grid(1, 1.0, 6)
-        A = assemble_diffusion(identity_q(g), g, 1)
+        A = assemble_diffusion(identity_q(g), g)
         path = tmp_path / "op.mtx"
         export_matrix_market(A, path)
         back = scipy.io.mmread(path).tocsr()

@@ -42,15 +42,15 @@ def random_field(grid, m, seed=0):
 
 def rotation_problem(R=4.0, n=48, m=2):
     g = build_grid(1, R, n)
-    A = assemble_diffusion(identity_q(g), g, m)
+    D = assemble_diffusion(identity_q(g), g)
     V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
-    return g, A, V, A + assemble_potential(V, m)
+    return g, D, V, D.on_components(m) + assemble_potential(V, m)
 
 
 class TestResolvent:
     def test_minus_identity(self):
         g = build_grid(1, 1.0, 8)
-        L = SparseOperator(-sp.identity(8, format="csr"), g, 1, symmetric=True)
+        L = SparseOperator(-sp.identity(8, format="csr"), g, 1)
         rhs = random_field(g, 1, seed=1)
         u = solve_resolvent(L, ResolventQuery(lam=1.0, rhs=rhs))
         np.testing.assert_allclose(u.values, rhs.values / 2.0, rtol=1e-12)
@@ -76,7 +76,7 @@ class TestResolvent:
 
     def test_near_spectrum_diagnostic(self):
         g = build_grid(1, 1.0, 8)
-        L = SparseOperator(-sp.identity(8, format="csr"), g, 1, symmetric=True)
+        L = SparseOperator(-sp.identity(8, format="csr"), g, 1)
         with pytest.raises(SpectralProximityError):
             solve_resolvent(L, ResolventQuery(lam=-1.0, rhs=random_field(g, 1)))
 
@@ -97,7 +97,7 @@ class TestOperatorNorm:
         g = build_grid(1, 40.0, 200)
         D = assemble_scalar_diffusion(identity_q(g), g, shifted=False)
         x = g.axis_coords
-        B = SparseOperator((D - sp.diags(1j * x)).tocsr(), g, 1, symmetric=False)
+        B = SparseOperator((D - sp.diags(1j * x)).tocsr(), g, 1)
         lam = 2.0
         est = resolvent_norm(B, lam)
         dense = np.linalg.inv(lam * np.eye(200) - B.matrix.toarray())
@@ -110,7 +110,7 @@ class TestOperatorNorm:
         g = build_grid(2, 3.0, 12)
         Q = sample_field(make_rule("anisotropic_Q", 2, theta=0.5, ratio=0.5)[0], g, "diffusion")
         V = sample_field(make_rule("coupled_V", 2, a=-2.0, b=1.0, c=-0.5)[0], g, "potential")
-        L = assemble_diffusion(Q, g, 2) + assemble_potential(V, 2)
+        L = assemble_diffusion(Q, g).on_components(2) + assemble_potential(V, 2)
         dense = L.matrix.toarray()
         assert np.abs(dense @ dense.T - dense.T @ dense).max() > 1e-3
         truth = np.linalg.svd(np.linalg.inv(lam * np.eye(L.dims) - dense), compute_uv=False)[0]
@@ -126,7 +126,7 @@ class TestEigenpairs:
     def test_dirichlet_laplacian_closed_form(self):
         R, n = 5.0, 160
         g = build_grid(1, R, n)
-        A = assemble_diffusion(identity_q(g), g, 1)
+        A = assemble_diffusion(identity_q(g), g)
         res = eigenpairs(A, k=5, shift=0.0)
         h = g.spacing
         exact = [
@@ -142,7 +142,7 @@ class TestEigenpairs:
         # top of the spectrum matches the scalar Dirichlet eigenvalues - 1
         R, n = 8.0, 240
         g = build_grid(1, R, n)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g).on_components(2)
         V = sample_field(make_rule("degenerate_V", 1)[0], g, "potential")
         L = A + assemble_potential(V, 2)
         res = eigenpairs(L, k=4, shift=0.0)
@@ -171,7 +171,7 @@ class TestEigenpairs:
         g = build_grid(2, 2.0, 9)
         Q = sample_field(make_rule("cross_Q", 2, q12=0.3)[0], g, "diffusion")
         V = sample_field(make_rule("coupled_V", 2, a=-2.0, b=1.0, c=-0.5)[0], g, "potential")
-        L = assemble_diffusion(Q, g, 2) + assemble_potential(V, 2)
+        L = assemble_diffusion(Q, g).on_components(2) + assemble_potential(V, 2)
         shift = -20.0 + 1.0j
         res = eigenpairs(L, k=8, shift=shift)
         dense = scipy.linalg.eigvals(L.matrix.toarray())
@@ -208,7 +208,7 @@ class TestKernel:
 
     def test_heat_kernel_sup(self):
         g = build_grid(1, 10.0, 2000)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
         t = 0.01
         cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=64)
@@ -218,7 +218,7 @@ class TestKernel:
 
     def test_l1_contraction_of_columns(self):
         g = build_grid(1, 6.0, 400)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
         cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=40)
         for t in (0.05, 0.4):
@@ -228,7 +228,7 @@ class TestKernel:
 
     def test_positive_coupling_gives_nonnegative_kernel(self):
         g = build_grid(1, 6.0, 200)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("coupled_V", 1, a=-2.0, b=1.0, c=0.5)[0], g, "potential")
         cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=30,
                           linear_solver_tol=1e-12)
@@ -238,7 +238,7 @@ class TestKernel:
 
     def test_sweep_keeps_sup_norms_not_columns(self):
         g = build_grid(1, 6.0, 200)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("coupled_V", 1, a=-2.0, b=1.0, c=0.5)[0], g, "potential")
         cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler")
         sweep = kernel_sweep(A, V, (0.05, 0.1), g.center_cell(), 1, cfg,
@@ -252,7 +252,7 @@ class TestKernel:
         # strang steps: the discrete evolution matrix of (Q, V^T) is the
         # transpose of that of (Q, V), so kernel columns swap indices
         g = build_grid(1, 5.0, 80)
-        A = assemble_diffusion(identity_q(g), g, 2)
+        A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(17)
         raw = rng.standard_normal((80, 2, 2))
         raw[:, 0, 0] -= 2.5
@@ -297,7 +297,7 @@ class TestKernel:
         times = (0.16, 0.32, 0.64)
 
         def sweep(m):
-            A = assemble_diffusion(identity_q(g), g, m)
+            A = assemble_diffusion(identity_q(g), g)
             V = sample_field(make_rule("diag_V", 2, c=-1.0, m=m)[0], g, "potential")
             out = kernel_sweep(A, V, times, g.center_cell(), 0, cfg, steps_per_segment=6)
             return [k.sup_abs for k in out]

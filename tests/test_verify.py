@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import exp1, expi
 
 import vschro.evolve
-from vschro.evolve import SolverError, SplitConfig, _scalar_block, heat_step, trotter_evolve
+from vschro.evolve import SolverError, SplitConfig, heat_step, trotter_evolve
 from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, lp_norm
 from vschro.operators import assemble_diffusion, assemble_potential, assemble_scalar_diffusion
@@ -116,7 +116,7 @@ class TestOracles:
         # property e^{2tA} f = e^{tA} e^{tA} f holds to rounding
         g = build_grid(1, 10.0, 2000)
         Q = sample_field(make_rule("identity_Q", 1)[0], g, "diffusion")
-        A = assemble_diffusion(Q, g, 3)
+        A = assemble_diffusion(Q, g).on_components(3)
         f = trotter_input(g, 3)
         once = expm_apply(A, 2e-3, f)
         twice = expm_apply(A, 1e-3, expm_apply(A, 1e-3, f))
@@ -361,14 +361,14 @@ class TestBuiltSteps:
         assert res.passed
         assert len(factor_log["lu"]) == 1
         assert factor_log["exp"] == [1]  # diag_V is constant: one cell exponentiated
-        assert same_matrix(factor_log["lu"][0], step_matrix(_scalar_block(p.diffusion), 0.01))
+        assert same_matrix(factor_log["lu"][0], step_matrix(p.diffusion.matrix, 0.01))
 
     def test_default_domination_factors_one_vector_and_one_scalar_step(self, factor_log):
         p = small_problem()
         res = run_domination_check(p)
         assert list(res.measured) == ["excess_t0.1", "excess_t0.5", "excess_t1"]
         vector, scalar = factor_log["lu"]
-        assert same_matrix(vector, step_matrix(_scalar_block(p.diffusion), 0.005))
+        assert same_matrix(vector, step_matrix(p.diffusion.matrix, 0.005))
         D = assemble_scalar_diffusion(p.Q, p.grid, shifted=False)
         assert same_matrix(scalar, step_matrix(D, 0.005))
         assert factor_log["exp"] == [1]
@@ -385,7 +385,7 @@ class TestBuiltSteps:
         assert len(factor_log["lu"]) == 2 * n_steps and len(factor_log["exp"]) == n_steps
         # every vector step first, then every scalar step
         D = assemble_scalar_diffusion(p.Q, p.grid, shifted=False)
-        vector = [step_matrix(_scalar_block(p.diffusion), tau) for tau in sorted(set(taus), key=taus.index)]
+        vector = [step_matrix(p.diffusion.matrix, tau) for tau in sorted(set(taus), key=taus.index)]
         scalar = [step_matrix(D, tau) for tau in sorted(set(taus), key=taus.index)]
         for got, want in zip(factor_log["lu"], vector + scalar, strict=True):
             assert same_matrix(got, want)
@@ -525,8 +525,8 @@ class TestTrotterOrderCheck:
         vals[:, 0, 1] = np.sin(x)
         M = MatrixField(g, "potential", vals)
         Q = sample_field(make_rule("identity_Q", 1)[0], g, "diffusion")
-        A = assemble_diffusion(Q, g, 2)
-        L = A + assemble_potential(M, 2)
+        A = assemble_diffusion(Q, g)
+        L = A.on_components(2) + assemble_potential(M, 2)
         fvals = np.zeros((48, 2), dtype=complex)
         fvals[:, 0] = np.exp(-x**2)
         fvals[:, 1] = 0.3 * np.exp(-x**2)
