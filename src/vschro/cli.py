@@ -136,19 +136,8 @@ class ExperimentConfig:
         unknowns = self.n_per_axis**self.dim * self.m
         if unknowns > _HARD_CAP_UNKNOWNS:
             raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
-        for name in (*self.checks, *self.overrides):
-            if name not in CHECKS:
-                raise ConfigError(
-                    f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
-                )
-        for name, values in self.overrides.items():
-            unknown = sorted(set(values) - set(CHECK_KEYS[name]))
-            if unknown:
-                raise ConfigError(
-                    f"[check.{name}] has no key {unknown[0]!r}; it takes: "
-                    f"{', '.join(CHECK_KEYS[name])}"
-                )
-            _cast_overrides(name, values)
+        for name in self.checks:
+            _known_check(name)
         if self.v_rule == "rotation_V" and self.alpha > 0.0:
             r = self.v_params.get("r", 1.5)
             if not isinstance(r, (int, float)) or not 1.0 <= r < 2.0:
@@ -159,10 +148,13 @@ class ExperimentConfig:
                 )
 
 
-# The keys of each fixed section and the cast of each value: str keeps the
-# text, _parse_params reads rule parameters, and int and float go through
-# _cast.  A key that is not set keeps its ExperimentConfig or SplitConfig
-# default, except that a [run] section steps 100 times unless it says otherwise.
+# The keys of each section and the cast of each value, applied once, at load:
+# str keeps the text, _parse_params reads rule parameters, and int, float,
+# (int,) and (float,) go through _cast, where a one-entry tuple marks a list
+# of that type and a single value is a one-entry list.  A fixed-section key that is not set keeps its
+# ExperimentConfig or SplitConfig default, except that a [run] section steps
+# 100 times unless it says otherwise; a [check.<name>] key that is not set
+# keeps the default of the verify function its CHECKS entry calls.
 _SECTION_KEYS = {
     "problem": {"dim": int, "m": int, "extent": float, "n_per_axis": int, "q_rule": str,
                 "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
@@ -170,6 +162,18 @@ _SECTION_KEYS = {
     "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float, "solver_tol": float},
     "checks": {"names": str},
     "output": {"dir": str, "seed": int},
+    "check.contraction": {"slack": float},
+    "check.consistency": {"lam": float, "horizon": float, "n_steps": int, "tol": float},
+    "check.positivity": {"n_random": int, "t_forward": float, "floor": float},
+    "check.domination": {"ts": (float,), "slack": float},
+    "check.ultracontractivity": {"n_points": int, "tol": float},
+    "check.trotter_order": {"t": float, "n_schedule": (int,)},
+    "check.nongeneration": {"lam": float, "extents": (float,), "h_target": float},
+    "check.shift_invariance": {"mu": float, "sigmas": (float,), "extent": float,
+                               "n_per_axis": int, "tol": float},
+    "check.degenerate_kernel": {"extent": float, "n_per_axis": int, "t": float, "n_steps": int},
+    "check.commutator": {"extent": float, "n_schedule": (int,)},
+    "check.compactness": {"h_target": float, "extent": float, "k": int},
 }
 _SPLIT_FIELDS = {"substep": "diffusion_substep", "solver_tol": "linear_solver_tol"}
 
@@ -188,7 +192,7 @@ def _section(parser, section: str) -> dict:
         elif casts[key] in (str, _parse_params):
             out[key] = casts[key](text)
         else:
-            out[key] = _cast(section, key, casts[key], _parse_scalar(text))
+            out[key] = _cast(section, key, casts[key], _parse_value(text))
     return out
 
 
@@ -210,11 +214,11 @@ def load_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"cannot read config {path}")
     for section in parser.sections():
-        if section not in _SECTION_KEYS and not section.startswith("check."):
-            raise ConfigError(
-                f"unknown section [{section}]; known: "
-                + ", ".join(f"[{s}]" for s in (*_SECTION_KEYS, "check.<name>"))
-            )
+        if section.startswith("check."):
+            _known_check(section[len("check."):])
+        elif section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]; known: [problem], [run], [checks], "
+                              "[output], [check.<name>]")
     try:
         cfg = ExperimentConfig(**_section(parser, "problem"))
         if parser.has_section("run"):
@@ -222,12 +226,8 @@ def load_config(path) -> ExperimentConfig:
             cfg.run = SplitConfig(**{_SPLIT_FIELDS.get(k, k): v for k, v in run.items()})
         names = _section(parser, "checks").get("names", "")
         cfg.checks = [n.strip() for n in names.split(",") if n.strip()]
-        for section in parser.sections():
-            if section.startswith("check."):
-                name = section[len("check."):]
-                cfg.overrides[name] = {
-                    k: _parse_value(v) for k, v in parser[section].items()
-                }
+        cfg.overrides = {section[len("check."):]: _section(parser, section)
+                         for section in parser.sections() if section.startswith("check.")}
         output = _section(parser, "output")
         cfg.output_dir = output.get("dir", cfg.output_dir)
         cfg.seed = output.get("seed", cfg.seed)
@@ -249,28 +249,6 @@ class ReportBundle:
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-
-# ---------------------------------------------------------------------------
-# Check registry.  Each entry takes (problem, run_cfg, seed, **overrides) and
-# leaves every default to its verify function.  CHECK_KEYS gives the keys a
-# [check.<name>] section takes and the cast of each; (float,) marks a list of
-# floats, and a single value is a one-entry list.
-
-CHECK_KEYS = {
-    "contraction": {"slack": float},
-    "consistency": {"lam": float, "horizon": float, "n_steps": int, "tol": float},
-    "positivity": {"n_random": int, "t_forward": float, "floor": float},
-    "domination": {"ts": (float,), "slack": float},
-    "ultracontractivity": {"n_points": int, "tol": float},
-    "trotter_order": {"t": float, "n_schedule": (int,)},
-    "nongeneration": {"lam": float, "extents": (float,), "h_target": float},
-    "shift_invariance": {"mu": float, "sigmas": (float,), "extent": float, "n_per_axis": int,
-                         "tol": float},
-    "degenerate_kernel": {"extent": float, "n_per_axis": int, "t": float, "n_steps": int},
-    "commutator": {"extent": float, "n_schedule": (int,)},
-    "compactness": {"h_target": float, "extent": float, "k": int},
-}
 
 
 def _strict(cast, value):
@@ -297,10 +275,10 @@ def _cast(section: str, key: str, cast, value):
         raise ConfigError(f"[{section}] {key} must be finite, got {value!r}") from None
 
 
-def _cast_overrides(name: str, values: dict) -> dict:
-    return {key: _cast(f"check.{name}", key, CHECK_KEYS[name][key], value)
-            for key, value in values.items()}
-
+# ---------------------------------------------------------------------------
+# Check registry.  Each entry takes (problem, run_cfg, seed, **overrides), the
+# overrides cast by their [check.<name>] row of _SECTION_KEYS, and leaves
+# every default to its verify function.
 
 def _contraction(problem, run_cfg, seed, **kw):
     """Contraction along a Lie / backward-Euler run from a seeded random field."""
@@ -316,6 +294,11 @@ def _ultracontractivity(problem, run_cfg, seed, **kw):
     sweep = {"n_points": kw.pop("n_points")} if "n_points" in kw else {}
     kernels = ultracontractive_sweep(problem, **sweep)
     return run_ultracontractivity_fit(kernels, problem.grid.dim, **kw)
+
+
+def _known_check(name: str):
+    if name not in CHECKS:
+        raise ConfigError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
 
 
 CHECKS = {
@@ -394,9 +377,8 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     problem = build_problem_from_config(cfg)
     results = []
     for name in cfg.checks:
-        overrides = _cast_overrides(name, cfg.overrides.get(name, {}))
         try:
-            results.append(CHECKS[name](problem, cfg.run, cfg.seed, **overrides))
+            results.append(CHECKS[name](problem, cfg.run, cfg.seed, **cfg.overrides.get(name, {})))
         except ValueError as exc:
             raise ConfigError(f"check {name!r} rejected its configuration: {exc}") from exc
     bundle = ReportBundle(
@@ -559,15 +541,13 @@ def _cmd_kernel(args):
     cfg = load_config(args.config)
     problem = build_problem_from_config(cfg)
     cell = args.cell if args.cell is not None else problem.grid.center_cell()
-    est = kernel_column(
-        problem.diffusion, problem.V, args.t, cell, args.component, cfg.run
-    )
+    column = kernel_column(problem.diffusion, problem.V, args.t, cell, args.component, cfg.run)
     out = Path(args.out or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_field_csv(est.column, out / "kernel_column.csv")
+    write_field_csv(column, out / "kernel_column.csv")
     for comp in range(problem.m):
-        write_field_pgm(est.column, comp, out / f"kernel_component{comp}.pgm")
-    print(f"kernel column at t={args.t:g}, sup |K| = {est.sup_abs:.6g}")
+        write_field_pgm(column, comp, out / f"kernel_component{comp}.pgm")
+    print(f"kernel column at t={args.t:g}, sup |K| = {np.abs(column.values).max():.6g}")
     return EXIT_OK
 
 

@@ -73,7 +73,6 @@ class MatrixField:
     kind: str
     values: np.ndarray = field(repr=False)
     shift: float = 0.0
-    symmetry_defect: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -89,7 +88,6 @@ class MatrixField:
                 raise FieldError(f"diffusion symmetry defect {defect:.3e} > {_SYMMETRY_HARD_LIMIT}")
             if defect > 0.0:
                 v = 0.5 * (v + v.transpose(0, 2, 1))
-            object.__setattr__(self, "symmetry_defect", defect)
         elif self.kind != POTENTIAL:
             raise FieldError(f"unknown kind {self.kind!r}")
         v = np.ascontiguousarray(v)
@@ -99,10 +97,6 @@ class MatrixField:
     @property
     def rows(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[2]
 
     @property
     def is_constant(self) -> bool:
@@ -131,9 +125,6 @@ class MatrixField:
         first.setflags(write=False)
         inverse.setflags(write=False)
         return first, inverse
-
-    def at(self, cell: int) -> np.ndarray:
-        return self.values[cell]
 
 
 def sample_field(rule, grid: Grid, kind: str) -> MatrixField:

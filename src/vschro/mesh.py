@@ -70,21 +70,13 @@ class Grid:
         h = self.spacing
         return -self.extent + h * (1.0 + np.arange(self.n_per_axis))
 
-    def coords(self, flat_index=None) -> np.ndarray:
-        """Point(s) in R^dim for the given flat index (all cells if None).
-
-        Returns an array of shape (dim,) for a single index, else
-        (n_cells, dim) in flat-index order.
-        """
+    def coords(self) -> np.ndarray:
+        """Cell centres in R^dim, shape (n_cells, dim), in flat-index order."""
         c = self.axis_coords
         if self.dim == 1:
-            pts = c[:, None]
-        else:
-            x0, x1 = np.meshgrid(c, c, indexing="ij")
-            pts = np.column_stack([x0.ravel(), x1.ravel()])
-        if flat_index is None:
-            return pts
-        return pts[flat_index]
+            return c[:, None]
+        x0, x1 = np.meshgrid(c, c, indexing="ij")
+        return np.column_stack([x0.ravel(), x1.ravel()])
 
     def flat_index(self, *ij) -> int:
         if len(ij) != self.dim:

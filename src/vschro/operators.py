@@ -207,7 +207,7 @@ def assemble_potential(V: MatrixField, m: int) -> SparseOperator:
     if V.kind != POTENTIAL:
         raise AssemblyError("V must be a potential field")
     if V.rows != m:
-        raise AssemblyError(f"potential is {V.rows}x{V.cols} but m = {m}")
+        raise AssemblyError(f"potential is {V.rows}x{V.rows} but m = {m}")
     n = V.grid.n_cells
     blocks = np.ascontiguousarray(V.values)
     bsr = sp.bsr_matrix(

@@ -1,4 +1,4 @@
-"""Resolvent solves, operator-norm estimates, eigenpairs and kernel columns.
+"""Resolvent solves and norms, eigenpairs and kernel columns.
 
 Resolvent systems (lam - L)u = f are solved by sparse LU, with the ordering
 the diffusion substeps use (evolve.sparse_lu); closeness of lam to the
@@ -9,7 +9,9 @@ restarted Lanczos on R^H R gives the resolvent 2-norm ||R|| to rounding, and
 implicitly restarted Arnoldi in shift-invert mode gives the eigenvalues near
 a shift, with residuals measured on the original operator.  Kernel columns
 are read off by evolving scaled discrete deltas: on a fixed grid the
-discrete kernel is literally the matrix of the evolution map.
+discrete kernel is literally the matrix of the evolution map, so
+kernel_column returns the evolved field and kernel_sweep the sup norms along
+one continued evolution.
 """
 
 from __future__ import annotations
@@ -26,12 +28,9 @@ from vschro.mesh import VectorField
 from vschro.operators import SparseOperator
 
 __all__ = [
-    "ResolventQuery",
     "EigenResult",
-    "KernelEstimate",
     "SpectralProximityError",
     "solve_resolvent",
-    "operator_norm_estimate",
     "resolvent_norm",
     "eigenpairs",
     "kernel_column",
@@ -39,18 +38,12 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-8
+_SOLVE_TOL = 1e-10  # resolvent-solve residual bound, relative to the right-hand side
 
 
 class SpectralProximityError(RuntimeError):
     """The solve broke down or missed its residual; lam is likely near the
     spectrum.  Diagnostic, not necessarily a bug."""
-
-
-@dataclass(frozen=True)
-class ResolventQuery:
-    lam: complex
-    rhs: VectorField
-    solver_tol: float = 1e-10
 
 
 @dataclass
@@ -63,18 +56,6 @@ class EigenResult:
     residuals: list
 
 
-@dataclass
-class KernelEstimate:
-    """Discrete kernel column K_h(t, ., y) e_j and its sup norm; kernel_sweep
-    keeps the sup norm only (column None)."""
-
-    t: float
-    source_cell: int
-    source_component: int
-    sup_abs: float
-    column: VectorField | None = field(default=None, repr=False)
-
-
 def _factorize(matrix: sp.spmatrix):
     """Complex LU so real operators admit complex shifts and right-hand sides."""
     try:
@@ -83,58 +64,46 @@ def _factorize(matrix: sp.spmatrix):
         raise SpectralProximityError(f"LU breakdown: {exc}") from exc
 
 
-def solve_resolvent(L: SparseOperator, q: ResolventQuery) -> VectorField:
-    """Solve (lam - L) u = rhs; residual-checked against q.solver_tol."""
-    if q.rhs.grid != L.grid or q.rhs.components != L.m:
+def solve_resolvent(L: SparseOperator, lam: complex, rhs: VectorField) -> VectorField:
+    """Solve (lam - L) u = rhs; residual-checked against _SOLVE_TOL."""
+    if rhs.grid != L.grid or rhs.components != L.m:
         raise ValueError("rhs does not match operator layout")
-    shifted = L.shifted(q.lam)
+    shifted = L.shifted(lam)
     lu = _factorize(shifted)
-    b = q.rhs.values.ravel()
+    b = rhs.values.ravel()
     x = lu.solve(b)
     resid = np.linalg.norm(shifted @ x - b)
-    bound = q.solver_tol * max(np.linalg.norm(b), 1e-300)
+    bound = _SOLVE_TOL * max(np.linalg.norm(b), 1e-300)
     if not np.isfinite(resid) or resid > bound:
         raise SpectralProximityError(
-            f"residual {resid:.3e} above {bound:.3e}; lam={q.lam} may sit near the spectrum"
+            f"residual {resid:.3e} above {bound:.3e}; lam={lam} may sit near the spectrum"
         )
-    return VectorField(q.rhs.grid, x.reshape(q.rhs.grid.n_cells, L.m))
-
-
-def operator_norm_estimate(
-    apply_fn,
-    apply_adjoint_fn,
-    dim: int,
-    rel_tol: float = 1e-8,
-    max_iters: int = 2000,
-    seed: int = 1234,
-) -> float:
-    """Largest singular value: the square root of the top eigenvalue of the
-    Hermitian operator (adjoint o apply), by ARPACK's implicitly restarted
-    Lanczos (scipy.sparse.linalg.eigsh).
-
-    rel_tol is ARPACK's relative tolerance on that eigenvalue and max_iters
-    caps its restarts; the start vector is drawn from seed, so the estimate
-    is deterministic.  An ARPACK failure raises SpectralProximityError.
-    """
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    normal = spla.LinearOperator(
-        (dim, dim), matvec=lambda v: apply_adjoint_fn(apply_fn(v)), dtype=np.complex128
-    )
-    try:
-        top = spla.eigsh(normal, k=1, which="LM", ncv=min(10, dim), tol=rel_tol,
-                         maxiter=max_iters, v0=v0, return_eigenvectors=False)
-    except spla.ArpackError as exc:
-        raise SpectralProximityError(f"ARPACK norm estimate failed: {exc}") from exc
-    return float(np.sqrt(max(top[0], 0.0)))
+    return VectorField(rhs.grid, x.reshape(rhs.grid.n_cells, L.m))
 
 
 def resolvent_norm(L: SparseOperator, lam: complex) -> float:
-    """2-norm of (lam - L)^{-1}: operator_norm_estimate on solves with the
-    LU of (lam - L) and its conjugate transpose, exact to rounding."""
+    """2-norm of R = (lam - L)^{-1}, exact to rounding.
+
+    The square root of the top eigenvalue of R^H R, applied by solves with
+    the LU of (lam - L) and its conjugate transpose, by ARPACK's implicitly
+    restarted Lanczos (scipy.sparse.linalg.eigsh) to relative tolerance 1e-8
+    from a seeded start vector, so the value is deterministic.  An ARPACK
+    failure raises SpectralProximityError.
+    """
     lu = _factorize(L.shifted(lam))
-    return operator_norm_estimate(lambda v: lu.solve(v.astype(np.complex128)),
-                                  lambda v: lu.solve(v.astype(np.complex128), trans="H"), L.dims)
+    dim = L.dims
+    rng = np.random.default_rng(1234)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    normal = spla.LinearOperator(
+        (dim, dim), matvec=lambda v: lu.solve(lu.solve(v.astype(np.complex128)), trans="H"),
+        dtype=np.complex128,
+    )
+    try:
+        top = spla.eigsh(normal, k=1, which="LM", ncv=min(10, dim), tol=1e-8,
+                         maxiter=2000, v0=v0, return_eigenvectors=False)
+    except spla.ArpackError as exc:
+        raise SpectralProximityError(f"ARPACK norm estimate failed: {exc}") from exc
+    return float(np.sqrt(max(top[0], 0.0)))
 
 
 def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0, seed: int = 99) -> EigenResult:
@@ -190,63 +159,33 @@ def _scaled_delta(V: MatrixField, source_cell: int, source_component: int) -> Ve
     return VectorField(V.grid, vals)
 
 
-def kernel_column(
-    D: SparseOperator,
-    V: MatrixField,
-    t: float,
-    source_cell: int,
-    source_component: int,
-    cfg: SplitConfig,
-) -> KernelEstimate:
+def kernel_column(D: SparseOperator, V: MatrixField, t: float, source_cell: int,
+                  source_component: int, cfg: SplitConfig) -> VectorField:
     """Evolve h^{-d} 1_{cell} e_j to time t under D (scalar) and V; the
-    result is K_h(t, ., y) e_j."""
+    result is the kernel column K_h(t, ., y) e_j."""
     if not t > 0:
         raise ValueError("t must be positive")
     delta = _scaled_delta(V, source_cell, source_component)
-    column = trotter_evolve(D, V, delta, replace(cfg, t_final=t), norm_ps=()).final
-    return KernelEstimate(
-        t=t,
-        source_cell=source_cell,
-        source_component=source_component,
-        column=column,
-        sup_abs=float(np.abs(column.values).max()),
-    )
+    return trotter_evolve(D, V, delta, replace(cfg, t_final=t), norm_ps=()).final
 
 
-def kernel_sweep(
-    D: SparseOperator,
-    V: MatrixField,
-    t_values,
-    source_cell: int,
-    source_component: int,
-    cfg: SplitConfig,
-    steps_per_segment: int = 16,
-    first_segment_steps: int | None = None,
-) -> list:
-    """Kernel estimates at several times from one continued evolution.
+def kernel_sweep(D: SparseOperator, V: MatrixField, t_values, source_cell: int,
+                 source_component: int, cfg: SplitConfig, steps_per_segment: int = 16) -> list:
+    """Kernel sup norms sup |K_h(t, ., y) e_j| at the sorted t_values, from
+    one continued evolution.
 
     Each segment from t_i to t_{i+1} runs steps_per_segment substeps, so the
     local step stays proportional to the elapsed time on a geometric
     schedule (constant relative time-stepping error across the sweep).  The
     leading segment starts from the delta at t = 0 and covers a whole decade
-    of time on its own, so it defaults to 4x the substeps.
+    of time on its own, so it runs 4x the substeps.
     """
     state = _scaled_delta(V, source_cell, source_component)
-    if first_segment_steps is None:
-        first_segment_steps = 4 * steps_per_segment
-    out = []
+    sups = []
     t_prev = 0.0
     for i, t in enumerate(sorted(t_values)):
-        steps = first_segment_steps if i == 0 else steps_per_segment
-        seg = replace(cfg, n_steps=steps, t_final=t - t_prev)
+        seg = replace(cfg, n_steps=steps_per_segment * (4 if i == 0 else 1), t_final=t - t_prev)
         state = trotter_evolve(D, V, state, seg, norm_ps=()).final
-        out.append(
-            KernelEstimate(
-                t=t,
-                source_cell=source_cell,
-                source_component=source_component,
-                sup_abs=float(np.abs(state.values).max()),
-            )
-        )
+        sups.append(float(np.abs(state.values).max()))
         t_prev = t
-    return out
+    return sups

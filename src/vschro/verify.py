@@ -44,7 +44,6 @@ from vschro.operators import (
 )
 from vschro.problems import Problem, build_problem
 from vschro.spectral import (
-    ResolventQuery,
     SpectralProximityError,
     eigenpairs,
     kernel_sweep,
@@ -142,6 +141,8 @@ def _bump(grid, center=0.0, width=1.0):
 
 def run_contraction_check(traj: Trajectory, slack: float = 1e-8) -> PropertyCheckResult:
     """Every logged p-norm must be nonincreasing up to relative slack."""
+    if slack < 0:
+        raise ValueError(f"slack must be non-negative, got {slack}")
     worst, worst_p = -np.inf, math.nan
     for p, norms in traj.norm_log.items():
         prev = np.maximum(norms[:-1], 1e-300)
@@ -176,6 +177,8 @@ def run_consistency_check(
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if tol < 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     grid = problem.grid
     if f is None:
         vals = np.zeros((grid.n_cells, problem.m), dtype=complex)
@@ -186,9 +189,7 @@ def run_consistency_check(
         vals[:, -1] = _bump(grid, grid.extent / 4.0, grid.extent / 10.0)
         g = VectorField(grid, vals)
 
-    direct = dual_pairing(
-        solve_resolvent(problem.generator, ResolventQuery(lam=lam, rhs=f)), g
-    )
+    direct = dual_pairing(solve_resolvent(problem.generator, lam, f), g)
     if abs(direct) <= 1e-12 * lp_norm(f, 2) * lp_norm(g, 2) / lam:
         raise ValueError("inconclusive: <(lam - L)^-1 f, g> vanishes; the potential "
                          "does not couple the components of f and g")
@@ -234,6 +235,10 @@ def run_positivity_check(
     -floor.  Converse branch: a bump placed in component l at the cell where
     v_kl < 0 must push component k strictly negative within t ~ 4 h^2.
     """
+    if n_random < 1:
+        raise ValueError(f"n_random must be at least 1, got {n_random}")
+    if floor < 0:
+        raise ValueError(f"floor must be non-negative, got {floor}")
     grid = problem.grid
     m = problem.m
     if grid.dim == 2 and float(np.max(np.abs(problem.Q.values[:, 0, 1]))) > 1e-14:
@@ -326,6 +331,8 @@ def run_domination_check(
     """
     if not ts:
         raise ValueError("ts needs at least 1 time")
+    if slack < 0:
+        raise ValueError(f"slack must be non-negative, got {slack}")
     grid = problem.grid
     profile = _bump(grid, 0.0, width)
     fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
@@ -372,10 +379,12 @@ def ultracontractive_sweep(
     steps_per_segment: int | None = None,
     component: int = 0,
 ):
-    """Kernel-sup sweep on a geometric t-window with h^2 << t << R^2/16.
+    """(t_values, kernel sups) on a geometric t-window with h^2 << t << R^2/16.
 
     Raises with a sizing hint when the window is empty for the grid.
     """
+    if n_points < 2:
+        raise ValueError(f"n_points needs at least 2 times to fit a slope, got {n_points}")
     grid = problem.grid
     h = grid.spacing
     ratio = 2.0 if grid.dim == 1 else math.sqrt(2.0)
@@ -390,23 +399,18 @@ def ultracontractive_sweep(
     if steps_per_segment is None:
         steps_per_segment = 16 if grid.dim == 1 else 12
     cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler")
-    return kernel_sweep(
-        problem.diffusion,
-        problem.V,
-        t_values,
-        grid.center_cell(),
-        component,
-        cfg,
-        steps_per_segment=steps_per_segment,
-    )
+    sups = kernel_sweep(problem.diffusion, problem.V, t_values, grid.center_cell(), component,
+                        cfg, steps_per_segment=steps_per_segment)
+    return t_values, sups
 
 
-def run_ultracontractivity_fit(kernels, dim: int, tol: float = 0.1) -> PropertyCheckResult:
-    """Least-squares slope of log sup |K(t)| against log t; the smoothing
-    exponent must match -d/2 within tol.  The intercept is the measured
-    log of the smoothing constant."""
-    ts = np.array([k.t for k in kernels])
-    sups = np.array([k.sup_abs for k in kernels])
+def run_ultracontractivity_fit(sweep, dim: int, tol: float = 0.1) -> PropertyCheckResult:
+    """Least-squares slope of log sup |K(t)| against log t over the
+    (t_values, sups) of a sweep; the smoothing exponent must match -d/2
+    within tol.  The intercept is the measured log of the smoothing constant."""
+    if tol < 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    ts, sups = sweep
     slope, intercept = np.polyfit(np.log(ts), np.log(sups), 1)
     passed = abs(slope + dim / 2.0) <= tol
     return PropertyCheckResult(
@@ -503,7 +507,7 @@ def run_nongeneration_demo(
         x = grid.axis_coords
         rhs = np.zeros((grid.n_cells, 2), dtype=complex)
         rhs[:, 1] = np.where(x >= 1.0, 1.0 / np.maximum(x, 1.0), 0.0)
-        u = solve_resolvent(L, ResolventQuery(lam=lam, rhs=VectorField(grid, rhs)))
+        u = solve_resolvent(L, lam, VectorField(grid, rhs))
         norms.append(
             float(np.sqrt(np.sum(np.abs(u.values[:, 0]) ** 2) * grid.cell_measure))
         )
@@ -540,6 +544,8 @@ def run_shift_invariance_check(
     """
     if not sigmas:
         raise ValueError("sigmas needs at least 1 shift")
+    if tol < 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     if max(abs(s) for s in sigmas) > extent / 8.0:
         raise ValueError("sigma values must stay below R/8 (translation must stay in the box)")
     grid = build_grid(1, extent, n_per_axis)

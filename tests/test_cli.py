@@ -10,7 +10,6 @@ import pytest
 
 from vschro import cli, verify
 from vschro.cli import (
-    CHECK_KEYS,
     CHECKS,
     ConfigError,
     EXIT_CHECK_FAILED,
@@ -27,6 +26,10 @@ from vschro.cli import (
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# The [check.<name>] rows of the config table: each check's keys and casts.
+CHECK_KEYS = {section[len("check."):]: keys for section, keys in cli._SECTION_KEYS.items()
+              if section.startswith("check.")}
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -300,7 +303,8 @@ MALFORMED = {
     "unknown_rule_parameter_extra": (lambda tmp: QUICK.replace("c=-1.0", "c=-1.0, zz=1.0"),
                                      "no parameter 'zz'"),
     "unknown_override_key": (lambda tmp: QUICK.replace("n_random = 5", "n_random = 5\nslakc = 1e-3"),
-                             "[check.positivity] has no key 'slakc'"),
+                             "unknown key [check.positivity] slakc; [check.positivity] takes: n_random, "
+                             "t_forward, floor"),
     "m_in_v_params": (lambda tmp: QUICK.replace("c=-1.0", "c=-1.0, m=3"), "v_params sets m"),
     "m_in_q_params": (lambda tmp: QUICK.replace("q_rule = identity_Q", "q_rule = identity_Q\nq_params = m=3"),
                       "q_params sets m; the component count is [problem] m"),
@@ -407,7 +411,35 @@ MALFORMED = {
                         "[run] t_final must be finite, got inf"),
     "minus_inf_run_solver_tol": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = 0.2\nsolver_tol = -inf"),
                                  "[run] solver_tol must be finite, got -inf"),
+    # Values that leave nothing measured or no verdict to reach.
+    "no_positivity_draws": (lambda tmp: _override_body("positivity", "n_random = 0"),
+                            "n_random must be at least 1, got 0"),
+    "negative_converse_positivity_floor": (lambda tmp: _coupled(_override_body("positivity", "floor = -1")),
+                                           "floor must be non-negative, got -1.0"),
+    "negative_forward_positivity_floor": (lambda tmp: _override_body("positivity", "floor = -1e-3"),
+                                          "floor must be non-negative, got -0.001"),
+    "negative_contraction_slack": (lambda tmp: _override_body("contraction", "slack = -1"),
+                                   "slack must be non-negative, got -1.0"),
+    "negative_domination_slack": (lambda tmp: _override_body("domination", "slack = -1"),
+                                  "slack must be non-negative, got -1.0"),
+    "negative_consistency_tol": (lambda tmp: _coupled(_override_body("consistency", "tol = -0.01")),
+                                 "tol must be non-negative, got -0.01"),
+    "negative_ultracontractivity_tol": (
+        lambda tmp: _override_body("ultracontractivity", "tol = -0.1").replace("n_per_axis = 64",
+                                                                               "n_per_axis = 200"),
+        "tol must be non-negative, got -0.1"),
+    "negative_shift_invariance_tol": (lambda tmp: _override_body("shift_invariance",
+                                                                 "tol = -0.02\nn_per_axis = 200"),
+                                      "tol must be non-negative, got -0.02"),
+    "single_ultracontractivity_point": (lambda tmp: _override_body("ultracontractivity", "n_points = 1"),
+                                        "n_points needs at least 2 times to fit a slope, got 1"),
 }
+
+
+def _coupled(body):
+    """body with a coupling of negative off-diagonal entry b that couples both components."""
+    return body.replace("v_rule = diag_V\nv_params = c=-1.0",
+                        "v_rule = coupled_V\nv_params = a=-2.0, b=-0.5, c=0.5")
 
 
 def _override_body(check, line):
@@ -429,8 +461,8 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("case", ["fraction_for_run_steps", "bool_for_run_t_final",
                                       "float_for_problem_cells", "negative_seed",
                                       "duplicate_key", "unknown_section", "unknown_run_key",
-                                      "unknown_output_key", "nan_slack", "inf_consistency_lam",
-                                      "inf_problem_extent"])
+                                      "unknown_output_key", "unknown_override_key", "nan_slack",
+                                      "inf_consistency_lam", "inf_problem_extent"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)
@@ -507,7 +539,8 @@ class TestCheckKeys:
 
     @pytest.mark.parametrize("check", list(CHECK_KEYS))
     def test_each_key_reaches_its_receiver_cast(self, check, monkeypatch, tmp_path):
-        # Integers, as "2" and "2, 3" parse, so every float key must be cast.
+        # Integers, as "2" and "2, 3" parse, so every float key must be cast
+        # by load_config and reach its receiver as it was cast.
         received = {}
 
         def recorder(name):
@@ -518,11 +551,10 @@ class TestCheckKeys:
 
         for name in {RECEIVERS[check], _receiver(check, "n_points")}:
             monkeypatch.setattr(cli, name, recorder(name))
-        cfg = load_config(write_cfg(tmp_path, QUICK))
-        overrides = {key: [2, 3] if isinstance(cast, tuple) else 2
-                     for key, cast in CHECK_KEYS[check].items()}
-        CHECKS[check](cli.build_problem_from_config(cfg), cfg.run, 3,
-                      **cli._cast_overrides(check, overrides))
+        lines = "\n".join(f"{key} = {'2, 3' if isinstance(cast, tuple) else '2'}"
+                          for key, cast in CHECK_KEYS[check].items())
+        cfg = load_config(write_cfg(tmp_path, _override_body(check, lines)))
+        CHECKS[check](cli.build_problem_from_config(cfg), cfg.run, 3, **cfg.overrides[check])
         for key, cast in CHECK_KEYS[check].items():
             got = received[_receiver(check, key)][key]
             if isinstance(cast, tuple):
@@ -531,6 +563,37 @@ class TestCheckKeys:
                 assert got == 2 and type(got) is cast, (check, key)
         if check == "positivity":
             assert received[RECEIVERS[check]]["seed"] == 3  # the run's seed, not the default
+
+
+class TestCastOnce:
+    BODY = _override_body("domination", "ts = 0.5\nslack = 1")
+
+    def test_load_config_returns_cast_overrides(self, tmp_path):
+        overrides = load_config(write_cfg(tmp_path, self.BODY)).overrides
+        assert overrides == {"domination": {"ts": (0.5,), "slack": 1.0}}
+        assert type(overrides["domination"]["slack"]) is float
+
+    def test_run_experiment_passes_them_on_unchanged(self, tmp_path, monkeypatch):
+        loaded, received = [], []
+
+        def load(path):
+            loaded.append(load_config(path))
+            return loaded[-1]
+
+        def record(problem, run_cfg, seed, **kw):
+            received.append(kw)
+            return verify.PropertyCheckResult("domination", True, {}, kw["slack"])
+
+        monkeypatch.setattr(cli, "load_config", load)
+        monkeypatch.setitem(CHECKS, "domination", record)
+        run_experiment(write_cfg(tmp_path, self.BODY), out_dir=tmp_path / "o")
+        (kw,) = received
+        assert kw == loaded[0].overrides["domination"]
+        assert all(kw[key] is loaded[0].overrides["domination"][key] for key in kw)
+        # the bundle echoes the overrides as cast: a one-entry list and a float
+        echo = json.loads((tmp_path / "o" / "bundle.json").read_text())["config"]["overrides"]
+        assert echo == {"domination": {"ts": [0.5], "slack": 1.0}}
+        assert '"slack": 1.0' in (tmp_path / "o" / "bundle.json").read_text()
 
 
 QUICK_2D = QUICK.replace("dim = 1", "dim = 2").replace("n_per_axis = 64", "n_per_axis = 24").replace(

@@ -13,7 +13,6 @@ from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, lp_norm
 from vschro.operators import assemble_diffusion, assemble_potential, assemble_scalar_diffusion
 from vschro.problems import build_problem
-from vschro.spectral import KernelEstimate
 from vschro.verify import (
     _bump,
     expm_apply,
@@ -468,28 +467,15 @@ class TestBuiltSteps:
 
 class TestUltracontractivity:
     def test_fit_on_synthetic_kernels(self):
-        g = build_grid(1, 4.0, 8)
-        zero = VectorField(g, np.zeros((8, 1)))
         ts = 0.01 * 2.0 ** np.arange(5)
-        kernels = [
-            KernelEstimate(t=t, source_cell=0, source_component=0, column=zero,
-                           sup_abs=0.3 * t**-0.5)
-            for t in ts
-        ]
-        res = run_ultracontractivity_fit(kernels, dim=1)
+        res = run_ultracontractivity_fit((ts, [0.3 * t**-0.5 for t in ts]), dim=1)
         assert res.passed
         assert res.measured["slope"] == pytest.approx(-0.5, abs=1e-12)
         assert res.measured["M"] == pytest.approx(0.3, rel=1e-10)
 
     def test_wrong_exponent_fails(self):
-        g = build_grid(1, 4.0, 8)
-        zero = VectorField(g, np.zeros((8, 1)))
-        kernels = [
-            KernelEstimate(t=t, source_cell=0, source_component=0, column=zero,
-                           sup_abs=t**-1.0)
-            for t in (0.01, 0.02, 0.04)
-        ]
-        assert not run_ultracontractivity_fit(kernels, dim=1).passed
+        ts = (0.01, 0.02, 0.04)
+        assert not run_ultracontractivity_fit((ts, [t**-1.0 for t in ts]), dim=1).passed
 
     def test_sizing_hint_rejection(self):
         p = small_problem(n=8, R=6.0)  # h^2 too coarse for the box window
@@ -602,13 +588,13 @@ class TestExampleRegistry:
 
     def test_consistency_positive_real_pairing(self):
         from vschro.mesh import dual_pairing
-        from vschro.spectral import ResolventQuery, solve_resolvent
+        from vschro.spectral import solve_resolvent
 
         p = small_problem(n=100, R=5.0)
         x = p.grid.axis_coords
         fvals = np.zeros((100, 2), dtype=complex)
         fvals[:, 0] = np.exp(-x**2)
         f = VectorField(p.grid, fvals)
-        val = dual_pairing(solve_resolvent(p.generator, ResolventQuery(lam=2.0, rhs=f)), f)
+        val = dual_pairing(solve_resolvent(p.generator, 2.0, f), f)
         assert abs(val.imag) < 1e-12
         assert val.real > 0.0
