@@ -138,6 +138,10 @@ class ExperimentConfig:
             raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
         for name in self.checks:
             _known_check(name)
+        for name in self.overrides:
+            if name not in self.checks:
+                raise ConfigError(f"[check.{name}] is set but {name!r} is not in [checks] names; "
+                                  "remove the section or list the check")
         if self.v_rule == "rotation_V" and self.alpha > 0.0:
             r = self.v_params.get("r", 1.5)
             if not isinstance(r, (int, float)) or not 1.0 <= r < 2.0:
@@ -148,13 +152,31 @@ class ExperimentConfig:
                 )
 
 
+@dataclass(frozen=True)
+class _Domain:
+    """A cast whose value must also pass test; `says` completes "must be ..."."""
+
+    cast: object
+    says: str
+    test: object
+
+
+def _increasing(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+_NON_NEGATIVE = _Domain(float, "non-negative", lambda v: v >= 0)
+
+
 # The keys of each section and the cast of each value, applied once, at load:
 # str keeps the text, _parse_params reads rule parameters, and int, float,
 # (int,) and (float,) go through _cast, where a one-entry tuple marks a list
-# of that type and a single value is a one-entry list.  A fixed-section key that is not set keeps its
-# ExperimentConfig or SplitConfig default, except that a [run] section steps
-# 100 times unless it says otherwise; a [check.<name>] key that is not set
-# keeps the default of the verify function its CHECKS entry calls.
+# of that type and a single value is a one-entry list.  A _Domain is such a
+# cast with a test its value must pass, so the key is refused at load.  A
+# fixed-section key that is not set keeps its ExperimentConfig or SplitConfig
+# default, except that a [run] section steps 100 times unless it says
+# otherwise; a [check.<name>] key that is not set keeps the default of the
+# verify function its CHECKS entry calls.
 _SECTION_KEYS = {
     "problem": {"dim": int, "m": int, "extent": float, "n_per_axis": int, "q_rule": str,
                 "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
@@ -162,17 +184,23 @@ _SECTION_KEYS = {
     "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float, "solver_tol": float},
     "checks": {"names": str},
     "output": {"dir": str, "seed": int},
-    "check.contraction": {"slack": float},
-    "check.consistency": {"lam": float, "horizon": float, "n_steps": int, "tol": float},
-    "check.positivity": {"n_random": int, "t_forward": float, "floor": float},
-    "check.domination": {"ts": (float,), "slack": float},
-    "check.ultracontractivity": {"n_points": int, "tol": float},
-    "check.trotter_order": {"t": float, "n_schedule": (int,)},
-    "check.nongeneration": {"lam": float, "extents": (float,), "h_target": float},
+    "check.contraction": {"slack": _NON_NEGATIVE},
+    "check.consistency": {"lam": float, "horizon": float, "n_steps": int, "tol": _NON_NEGATIVE},
+    "check.positivity": {"n_random": _Domain(int, "at least 1", lambda v: v >= 1),
+                         "t_forward": float, "floor": _NON_NEGATIVE},
+    "check.domination": {"ts": (float,), "slack": _NON_NEGATIVE},
+    "check.ultracontractivity": {"n_points": _Domain(int, "at least 2", lambda v: v >= 2),
+                                 "tol": _NON_NEGATIVE},
+    "check.trotter_order": {"t": float,
+                            "n_schedule": _Domain((int,), "strictly increasing", _increasing)},
+    "check.nongeneration": {"lam": float,
+                            "extents": _Domain((float,), "strictly increasing", _increasing),
+                            "h_target": float},
     "check.shift_invariance": {"mu": float, "sigmas": (float,), "extent": float,
-                               "n_per_axis": int, "tol": float},
+                               "n_per_axis": int, "tol": _NON_NEGATIVE},
     "check.degenerate_kernel": {"extent": float, "n_per_axis": int, "t": float, "n_steps": int},
-    "check.commutator": {"extent": float, "n_schedule": (int,)},
+    "check.commutator": {"extent": float,
+                         "n_schedule": _Domain((int,), "strictly increasing", _increasing)},
     "check.compactness": {"h_target": float, "extent": float, "k": int},
 }
 _SPLIT_FIELDS = {"substep": "diffusion_substep", "solver_tol": "linear_solver_tol"}
@@ -262,17 +290,25 @@ def _strict(cast, value):
 
 
 def _cast(section: str, key: str, cast, value):
-    """value cast for [section] key; a ConfigError names both if it does not fit."""
+    """value cast for [section] key, and in its domain; a ConfigError names
+    both if it does not fit."""
+    domain = cast if isinstance(cast, _Domain) else None
+    cast = domain.cast if domain else cast
     try:
         if isinstance(cast, tuple):
             items = value if isinstance(value, list) else [value]
-            return tuple(_strict(cast[0], v) for v in items)
-        return _strict(cast, value)
+            out = tuple(_strict(cast[0], v) for v in items)
+        else:
+            out = _strict(cast, value)
     except TypeError:
         kind = f"a list of {cast[0].__name__}" if isinstance(cast, tuple) else cast.__name__
         raise ConfigError(f"[{section}] {key} takes {kind}, got {value!r}") from None
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be finite, got {value!r}") from None
+    if domain and not domain.test(out):
+        shown = list(out) if isinstance(out, tuple) else out
+        raise ConfigError(f"[{section}] {key} must be {domain.says}, got {shown!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------

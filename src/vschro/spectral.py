@@ -7,7 +7,11 @@ spectral-proximity diagnostic.  ARPACK (Lehoucq, Sorensen & Yang, ARPACK
 Users' Guide, SIAM 1998) does the iterative work on that LU: implicitly
 restarted Lanczos on R^H R gives the resolvent 2-norm ||R|| to rounding, and
 implicitly restarted Arnoldi in shift-invert mode gives the eigenvalues near
-a shift, with residuals measured on the original operator.  Kernel columns
+a shift, with residuals measured on the original operator.  The arithmetic
+follows the data, as in evolve: a real L at a real lam (zero imaginary part)
+is factored in float64 and runs ARPACK's real drivers, where R is real; a
+complex L or lam is complex throughout.  Complex right-hand sides and
+returned eigenpairs stay complex either way.  Kernel columns
 are read off by evolving scaled discrete deltas: on a fixed grid the
 discrete kernel is literally the matrix of the evolution map, so
 kernel_column returns the evolved field and kernel_sweep the sup norms along
@@ -56,10 +60,25 @@ class EigenResult:
     residuals: list
 
 
+def _real_if_real(lam: complex):
+    """lam as a float when its imaginary part is zero, so that a real
+    operator's shifted matrix, factor and ARPACK run stay real."""
+    lam = complex(lam)
+    return lam.real if lam.imag == 0 else lam
+
+
+def _start_vector(seed: int, dim: int, dtype) -> np.ndarray:
+    """ARPACK's seeded complex start vector; its real part for a real run."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v0.real.copy() if dtype.kind == "f" else v0
+
+
 def _factorize(matrix: sp.spmatrix):
-    """Complex LU so real operators admit complex shifts and right-hand sides."""
+    """LU of (lam - L) in the field of its entries: float64 for a real L at a
+    real lam, complex otherwise."""
     try:
-        return sparse_lu(matrix.astype(np.complex128))
+        return sparse_lu(matrix)
     except RuntimeError as exc:
         raise SpectralProximityError(f"LU breakdown: {exc}") from exc
 
@@ -68,10 +87,14 @@ def solve_resolvent(L: SparseOperator, lam: complex, rhs: VectorField) -> Vector
     """Solve (lam - L) u = rhs; residual-checked against _SOLVE_TOL."""
     if rhs.grid != L.grid or rhs.components != L.m:
         raise ValueError("rhs does not match operator layout")
-    shifted = L.shifted(lam)
+    shifted = L.shifted(_real_if_real(lam))
     lu = _factorize(shifted)
     b = rhs.values.ravel()
-    x = lu.solve(b)
+    if np.isrealobj(shifted) and np.iscomplexobj(b):
+        # a real factor solves a complex b as the two columns of its float64 view
+        x = np.ascontiguousarray(lu.solve(b.view(np.float64).reshape(-1, 2))).view(b.dtype).ravel()
+    else:
+        x = lu.solve(b)
     resid = np.linalg.norm(shifted @ x - b)
     bound = _SOLVE_TOL * max(np.linalg.norm(b), 1e-300)
     if not np.isfinite(resid) or resid > bound:
@@ -87,16 +110,16 @@ def resolvent_norm(L: SparseOperator, lam: complex) -> float:
     The square root of the top eigenvalue of R^H R, applied by solves with
     the LU of (lam - L) and its conjugate transpose, by ARPACK's implicitly
     restarted Lanczos (scipy.sparse.linalg.eigsh) to relative tolerance 1e-8
-    from a seeded start vector, so the value is deterministic.  An ARPACK
-    failure raises SpectralProximityError.
+    from a seeded start vector, so the value is deterministic; for a real L
+    at a real lam, real Lanczos on R^T R from the real part of that vector.
+    An ARPACK failure raises SpectralProximityError.
     """
-    lu = _factorize(L.shifted(lam))
+    shifted = L.shifted(_real_if_real(lam))
+    lu = _factorize(shifted)
     dim = L.dims
-    rng = np.random.default_rng(1234)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v0 = _start_vector(1234, dim, shifted.dtype)
     normal = spla.LinearOperator(
-        (dim, dim), matvec=lambda v: lu.solve(lu.solve(v.astype(np.complex128)), trans="H"),
-        dtype=np.complex128,
+        (dim, dim), matvec=lambda v: lu.solve(lu.solve(v), trans="H"), dtype=shifted.dtype
     )
     try:
         top = spla.eigsh(normal, k=1, which="LM", ncv=min(10, dim), tol=1e-8,
@@ -111,29 +134,29 @@ def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0, seed: int = 99) 
 
     Implicitly restarted Arnoldi (scipy.sparse.linalg.eigs) on (L - shift)^-1,
     applied through the LU of (shift - L); the start vector is drawn from
-    seed.  Every reported pair satisfies ||L v - lam v|| <= 1e-8 ||v||, and
-    the shift is perturbed once if the factorization breaks down on it.
+    seed, and a real L at a real shift runs real Arnoldi from its real part.
+    Every reported pair satisfies ||L v - lam v|| <= 1e-8 ||v||, and the
+    shift is perturbed once if the factorization breaks down on it.
     """
     dim = L.dims
     k_max = min(20, dim - 2)  # desk scale; ARPACK needs k < dim - 1
     if not 1 <= k <= k_max:
         raise ValueError(f"k must lie in [1, {k_max}]")
-    shift = complex(shift)
+    shift = _real_if_real(shift)
+    shifted = L.shifted(shift)
     try:
-        lu = _factorize(L.shifted(shift))
+        lu = _factorize(shifted)
     except SpectralProximityError:
         shift = shift + 1e-6 * (1.0 + abs(shift))
-        lu = _factorize(L.shifted(shift))
+        shifted = L.shifted(shift)
+        lu = _factorize(shifted)
 
     # the factorization is (shift - L); ARPACK's shift-invert mode wants (L - shift)^-1
-    inverse = spla.LinearOperator(
-        (dim, dim), matvec=lambda v: -lu.solve(v.astype(np.complex128)), dtype=np.complex128
-    )
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    inverse = spla.LinearOperator((dim, dim), matvec=lambda v: -lu.solve(v), dtype=shifted.dtype)
+    v0 = _start_vector(seed, dim, shifted.dtype)
     try:
         lams, vecs = spla.eigs(
-            L.matrix.astype(np.complex128), k=k, sigma=shift, OPinv=inverse, v0=v0
+            L.matrix.astype(shifted.dtype, copy=False), k=k, sigma=shift, OPinv=inverse, v0=v0
         )
     except spla.ArpackError as exc:
         raise SpectralProximityError(f"ARPACK failed near shift {shift}: {exc}") from exc

@@ -27,9 +27,10 @@ from vschro.cli import (
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# The [check.<name>] rows of the config table: each check's keys and casts.
-CHECK_KEYS = {section[len("check."):]: keys for section, keys in cli._SECTION_KEYS.items()
-              if section.startswith("check.")}
+# The [check.<name>] rows of the config table: each check's keys and casts,
+# a domain's cast in place of the domain.
+CHECK_KEYS = {section[len("check."):]: {key: getattr(cast, "cast", cast) for key, cast in keys.items()}
+              for section, keys in cli._SECTION_KEYS.items() if section.startswith("check.")}
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -143,8 +144,7 @@ class TestRunExperiment:
 
     def test_failing_check_exit_code(self, tmp_path):
         flipped = (
-            QUICK.replace("c=-1.0", "c=2.0")
-            .replace("names = contraction, positivity", "names = contraction")
+            _checks(QUICK, "contraction").replace("c=-1.0", "c=2.0")
             .replace("n_steps = 20", "n_steps = 100")
             .replace("t_final = 0.2", "t_final = 2.0")
         )
@@ -153,9 +153,7 @@ class TestRunExperiment:
         assert not bundle.results[0].passed
 
     def test_sizing_hint_is_config_error(self, tmp_path):
-        small = QUICK.replace(
-            "names = contraction, positivity", "names = ultracontractivity"
-        ).replace("n_per_axis = 64", "n_per_axis = 8")
+        small = _checks(QUICK, "ultracontractivity").replace("n_per_axis = 64", "n_per_axis = 8")
         with pytest.raises(ConfigError, match="window"):
             run_experiment(write_cfg(tmp_path, small), out_dir=tmp_path / "out")
 
@@ -356,9 +354,9 @@ MALFORMED = {
     "no_section_header": (lambda tmp: "dim = 1\n" + QUICK, "no section headers. file: "),
     "no_section_header_line": (lambda tmp: "dim = 1\n" + QUICK, "line: 1 'dim = 1\\n'"),
     # verify runs nothing it was not asked for, and nothing less.
-    "empty_check_list": (lambda tmp: QUICK.replace("contraction, positivity", ""),
+    "empty_check_list": (lambda tmp: _checks(QUICK, ""),
                          "[checks] names lists no check"),
-    "no_checks_section": (lambda tmp: QUICK.replace("[checks]\nnames = contraction, positivity", ""),
+    "no_checks_section": (lambda tmp: _checks(QUICK.replace("[checks]\nnames = contraction, positivity", ""), ""),
                           "[checks] names lists no check"),
     "unknown_section": (lambda tmp: QUICK.replace("[run]", "[runx]"), "unknown section [runx]"),
     # [problem], [run] and [output] numbers take the casts of [check.<name>] keys.
@@ -413,26 +411,39 @@ MALFORMED = {
                                  "[run] solver_tol must be finite, got -inf"),
     # Values that leave nothing measured or no verdict to reach.
     "no_positivity_draws": (lambda tmp: _override_body("positivity", "n_random = 0"),
-                            "n_random must be at least 1, got 0"),
+                            "[check.positivity] n_random must be at least 1, got 0"),
     "negative_converse_positivity_floor": (lambda tmp: _coupled(_override_body("positivity", "floor = -1")),
-                                           "floor must be non-negative, got -1.0"),
+                                           "[check.positivity] floor must be non-negative, got -1.0"),
     "negative_forward_positivity_floor": (lambda tmp: _override_body("positivity", "floor = -1e-3"),
-                                          "floor must be non-negative, got -0.001"),
+                                          "[check.positivity] floor must be non-negative, got -0.001"),
     "negative_contraction_slack": (lambda tmp: _override_body("contraction", "slack = -1"),
-                                   "slack must be non-negative, got -1.0"),
+                                   "[check.contraction] slack must be non-negative, got -1.0"),
     "negative_domination_slack": (lambda tmp: _override_body("domination", "slack = -1"),
-                                  "slack must be non-negative, got -1.0"),
+                                  "[check.domination] slack must be non-negative, got -1.0"),
     "negative_consistency_tol": (lambda tmp: _coupled(_override_body("consistency", "tol = -0.01")),
-                                 "tol must be non-negative, got -0.01"),
-    "negative_ultracontractivity_tol": (
-        lambda tmp: _override_body("ultracontractivity", "tol = -0.1").replace("n_per_axis = 64",
-                                                                               "n_per_axis = 200"),
-        "tol must be non-negative, got -0.1"),
+                                 "[check.consistency] tol must be non-negative, got -0.01"),
+    "negative_ultracontractivity_tol": (lambda tmp: _override_body("ultracontractivity", "tol = -0.1"),
+                                        "[check.ultracontractivity] tol must be non-negative, got -0.1"),
     "negative_shift_invariance_tol": (lambda tmp: _override_body("shift_invariance",
                                                                  "tol = -0.02\nn_per_axis = 200"),
-                                      "tol must be non-negative, got -0.02"),
+                                      "[check.shift_invariance] tol must be non-negative, got -0.02"),
     "single_ultracontractivity_point": (lambda tmp: _override_body("ultracontractivity", "n_points = 1"),
-                                        "n_points needs at least 2 times to fit a slope, got 1"),
+                                        "[check.ultracontractivity] n_points must be at least 2, got 1"),
+    # Schedules refine: each entry past the last.
+    "decreasing_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 16, 8"),
+                                    "[check.trotter_order] n_schedule must be strictly increasing, "
+                                    "got [16, 8]"),
+    "repeated_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 8, 8"),
+                                  "[check.trotter_order] n_schedule must be strictly increasing, "
+                                  "got [8, 8]"),
+    "decreasing_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 400, 200"),
+                                       "[check.commutator] n_schedule must be strictly increasing, "
+                                       "got [400, 200]"),
+    "decreasing_extents": (lambda tmp: _override_body("nongeneration", "extents = 100.0, 50.0"),
+                           "[check.nongeneration] extents must be strictly increasing, got [100.0, 50.0]"),
+    # An override section for a check that does not run would never be read.
+    "unused_override_section": (lambda tmp: QUICK.replace("contraction, positivity", "contraction"),
+                                "[check.positivity] is set but 'positivity' is not in [checks] names"),
 }
 
 
@@ -440,6 +451,11 @@ def _coupled(body):
     """body with a coupling of negative off-diagonal entry b that couples both components."""
     return body.replace("v_rule = diag_V\nv_params = c=-1.0",
                         "v_rule = coupled_V\nv_params = a=-2.0, b=-0.5, c=0.5")
+
+
+def _checks(body, names):
+    """body running only `names`, without QUICK's [check.positivity] section."""
+    return body.replace("contraction, positivity", names).replace("[check.positivity]\nn_random = 5\n", "")
 
 
 def _override_body(check, line):
@@ -462,7 +478,14 @@ class TestMalformedInputs:
                                       "float_for_problem_cells", "negative_seed",
                                       "duplicate_key", "unknown_section", "unknown_run_key",
                                       "unknown_output_key", "unknown_override_key", "nan_slack",
-                                      "inf_consistency_lam", "inf_problem_extent"])
+                                      "inf_consistency_lam", "inf_problem_extent",
+                                      "unused_override_section", "no_positivity_draws",
+                                      "negative_forward_positivity_floor", "negative_contraction_slack",
+                                      "negative_domination_slack", "negative_consistency_tol",
+                                      "negative_ultracontractivity_tol", "negative_shift_invariance_tol",
+                                      "single_ultracontractivity_point", "decreasing_trotter_schedule",
+                                      "repeated_trotter_schedule", "decreasing_commutator_schedule",
+                                      "decreasing_extents"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)
@@ -475,13 +498,15 @@ class TestMalformedInputs:
                                          ["resolvent", "--lam-re", "2.0"]])
     def test_empty_check_list_serves_other_commands(self, tmp_path, command):
         """The benchmark's validate, spectrum and resolvent configs list no check."""
-        cfg = write_cfg(tmp_path, QUICK.replace("contraction, positivity", ""))
+        cfg = write_cfg(tmp_path, _checks(QUICK, ""))
         assert load_config(cfg).checks == []
         out = ["--out", str(tmp_path / "o")] if command[0] != "validate" else []
         assert main([command[0], "--config", str(cfg), *out, *command[1:]]) == EXIT_OK
 
     def test_bundled_and_benchmark_overrides_accepted(self, tmp_path):
-        body = QUICK.replace("[check.positivity]", "[check.trotter_order]\nt = 0.5\n\n"
+        body = QUICK.replace("contraction, positivity", "contraction, positivity, trotter_order, "
+                             "shift_invariance, nongeneration")
+        body = body.replace("[check.positivity]", "[check.trotter_order]\nt = 0.5\n\n"
                              "[check.shift_invariance]\nmu = 1.0\nn_per_axis = 400\n\n"
                              "[check.nongeneration]\nlam = 1.0\nextents = 50.0, 100.0\n\n"
                              "[check.positivity]")
@@ -603,7 +628,7 @@ QUICK_2D = QUICK.replace("dim = 1", "dim = 2").replace("n_per_axis = 64", "n_per
 class TestTwoDimensional:
     @pytest.mark.parametrize("check", ["consistency", "domination", "trotter_order"])
     def test_bump_checks_pass_in_2d(self, tmp_path, check):
-        cfg = write_cfg(tmp_path, QUICK_2D.replace("contraction, positivity", check))
+        cfg = write_cfg(tmp_path, _checks(QUICK_2D, check))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         bundle = json.loads((tmp_path / "o" / "bundle.json").read_text())
         assert bundle["config"]["dim"] == 2 and bundle["config"]["n_per_axis"] == 24
@@ -611,8 +636,7 @@ class TestTwoDimensional:
 
     def test_trotter_order_above_the_old_dense_cap(self, tmp_path):
         # 56^2 cells, m = 2: 6272 unknowns, past the 5000 a dense exponential allowed
-        body = QUICK_2D.replace("n_per_axis = 24", "n_per_axis = 56").replace(
-            "contraction, positivity", "trotter_order")
+        body = _checks(QUICK_2D, "trotter_order").replace("n_per_axis = 24", "n_per_axis = 56")
         cfg = write_cfg(tmp_path, body)
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         (result,) = json.loads((tmp_path / "o" / "bundle.json").read_text())["results"]

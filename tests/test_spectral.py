@@ -201,6 +201,65 @@ class TestEigenpairs:
         assert re == sorted(re, reverse=True)
 
 
+class TestArithmeticField:
+    """Real arithmetic exactly when L is real and lam has zero imaginary part."""
+
+    @pytest.mark.parametrize("complex_operator, lam, field", [
+        (False, 2.0, np.float64),
+        (False, 2.0 + 0.0j, np.float64),
+        (False, 2.0 + 1.0j, np.complex128),
+        (True, 2.0, np.complex128),
+        (True, 2.0 + 1.0j, np.complex128),
+    ], ids=["real", "real_as_complex", "complex_lam", "complex_operator", "both_complex"])
+    def test_factor_field(self, monkeypatch, complex_operator, lam, field):
+        g, A, V, L = rotation_problem(n=32)
+        if complex_operator:
+            L = SparseOperator((L.matrix + sp.diags(np.full(L.dims, 0.5j))).tocsr(), g, 2)
+        fields = []
+
+        def recording_lu(matrix):
+            fields.append(matrix.dtype)
+            return sparse_lu(matrix)
+
+        monkeypatch.setattr(spectral, "sparse_lu", recording_lu)
+        solve_resolvent(L, lam, random_field(g, 2))
+        resolvent_norm(L, lam)
+        eigenpairs(L, k=2, shift=lam)
+        assert fields == [field] * 3
+
+    def test_complex_rhs_on_real_factor_matches_complex_lu(self):
+        g, A, V, L = rotation_problem(n=64)
+        rhs = random_field(g, 2, seed=5)
+        reference = sparse_lu(L.shifted(1.5).astype(np.complex128)).solve(rhs.values.ravel())
+        u = solve_resolvent(L, 1.5, rhs)
+        np.testing.assert_allclose(u.values.ravel(), reference, rtol=1e-13)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.0 + 1.0j], ids=["real", "complex"])
+    def test_resolvent_norm_of_nonsymmetric_real_operator(self, lam):
+        g, A, V, L = rotation_problem(n=64)
+        dense = L.matrix.toarray()
+        assert np.abs(dense - dense.T).max() > 1e-3
+        truth = np.linalg.norm(np.linalg.inv(lam * np.eye(L.dims) - dense), 2)
+        assert resolvent_norm(L, lam) == pytest.approx(truth, rel=1e-10)
+
+    def test_eigenpairs_of_real_operator_match_dense_eigvals(self):
+        g, A, V, L = rotation_problem(n=64)
+        shift = -3.0
+        res = eigenpairs(L, k=6, shift=shift)
+        dense = scipy.linalg.eigvals(L.matrix.toarray())
+        assert np.abs(dense.imag).max() > 1.0  # conjugate pairs, not a real spectrum
+        for lam in res.eigenvalues:
+            assert np.min(np.abs(dense - lam)) <= 1e-9 * abs(lam)
+        sixth_nearest = np.sort(np.abs(dense - shift))[5]
+        assert max(abs(lam - shift) for lam in res.eigenvalues) <= sixth_nearest * (1 + 1e-9)
+        assert max(res.residuals) <= 1e-8
+
+    def test_real_eigenvalues_have_zero_imaginary_part(self):
+        g = build_grid(1, 5.0, 100)
+        res = eigenpairs(assemble_diffusion(identity_q(g), g), k=5)
+        assert [lam.imag for lam in res.eigenvalues] == [0.0] * 5
+
+
 def heat_kernel_sup(t, dim, q=1.0):
     """Sup of the free heat kernel for w_t = q Laplace(w)."""
     return float((4.0 * math.pi * q * t) ** (-dim / 2.0))
