@@ -131,8 +131,6 @@ class ExperimentConfig:
         for key, params in (("q_params", self.q_params), ("v_params", self.v_params)):
             if "m" in params:
                 raise ConfigError(f"{key} sets m; the component count is [problem] m")
-        if self.seed < 0:
-            raise ConfigError(f"[output] seed must be non-negative, got {self.seed}")
         unknowns = self.n_per_axis**self.dim * self.m
         if unknowns > _HARD_CAP_UNKNOWNS:
             raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
@@ -166,41 +164,48 @@ def _increasing(values) -> bool:
 
 
 _NON_NEGATIVE = _Domain(float, "non-negative", lambda v: v >= 0)
+_NON_NEGATIVE_INT = _Domain(int, "non-negative", lambda v: v >= 0)
+_POSITIVE = _Domain(float, "positive", lambda v: v > 0)
+
+
+def _schedule(least: int) -> _Domain:
+    """Step or cell counts, each at least `least`, strictly increasing."""
+    entries = _Domain((int,), f"at least {least}", lambda v: all(n >= least for n in v))
+    return _Domain(entries, "strictly increasing", _increasing)
 
 
 # The keys of each section and the cast of each value, applied once, at load:
 # str keeps the text, _parse_params reads rule parameters, and int, float,
 # (int,) and (float,) go through _cast, where a one-entry tuple marks a list
 # of that type and a single value is a one-entry list.  A _Domain is such a
-# cast with a test its value must pass, so the key is refused at load.  A
-# fixed-section key that is not set keeps its ExperimentConfig or SplitConfig
-# default, except that a [run] section steps 100 times unless it says
-# otherwise; a [check.<name>] key that is not set keeps the default of the
-# verify function its CHECKS entry calls.
+# cast, or another _Domain, with a test its value must pass, so the key is
+# refused at load; a nested domain is tested first.  A fixed-section key that
+# is not set keeps its ExperimentConfig or SplitConfig default, except that a
+# [run] section steps 100 times unless it says otherwise; a [check.<name>] key
+# that is not set keeps the default of the verify function its CHECKS entry
+# calls.
 _SECTION_KEYS = {
     "problem": {"dim": int, "m": int, "extent": float, "n_per_axis": int, "q_rule": str,
                 "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
                 "shift": str, "alpha": float},
     "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float, "solver_tol": float},
     "checks": {"names": str},
-    "output": {"dir": str, "seed": int},
+    "output": {"dir": str, "seed": _NON_NEGATIVE_INT},
     "check.contraction": {"slack": _NON_NEGATIVE},
-    "check.consistency": {"lam": float, "horizon": float, "n_steps": int, "tol": _NON_NEGATIVE},
+    "check.consistency": {"lam": _POSITIVE, "horizon": float, "n_steps": int, "tol": _NON_NEGATIVE},
     "check.positivity": {"n_random": _Domain(int, "at least 1", lambda v: v >= 1),
                          "t_forward": float, "floor": _NON_NEGATIVE},
     "check.domination": {"ts": (float,), "slack": _NON_NEGATIVE},
     "check.ultracontractivity": {"n_points": _Domain(int, "at least 2", lambda v: v >= 2),
                                  "tol": _NON_NEGATIVE},
-    "check.trotter_order": {"t": float,
-                            "n_schedule": _Domain((int,), "strictly increasing", _increasing)},
-    "check.nongeneration": {"lam": float,
+    "check.trotter_order": {"t": float, "n_schedule": _schedule(1)},
+    "check.nongeneration": {"lam": _POSITIVE,
                             "extents": _Domain((float,), "strictly increasing", _increasing),
                             "h_target": float},
     "check.shift_invariance": {"mu": float, "sigmas": (float,), "extent": float,
                                "n_per_axis": int, "tol": _NON_NEGATIVE},
     "check.degenerate_kernel": {"extent": float, "n_per_axis": int, "t": float, "n_steps": int},
-    "check.commutator": {"extent": float,
-                         "n_schedule": _Domain((int,), "strictly increasing", _increasing)},
+    "check.commutator": {"extent": float, "n_schedule": _schedule(3)},
     "check.compactness": {"h_target": float, "extent": float, "k": int},
 }
 _SPLIT_FIELDS = {"substep": "diffusion_substep", "solver_tol": "linear_solver_tol"}
@@ -208,13 +213,10 @@ _SPLIT_FIELDS = {"substep": "diffusion_substep", "solver_tol": "linear_solver_to
 
 def _section(parser, section: str) -> dict:
     """The keys set in [section], cast; a key the section does not take is a
-    ConfigError, except [run] max_iters, which only warns."""
+    ConfigError."""
     casts, out = _SECTION_KEYS[section], {}
     for key, text in parser[section].items() if parser.has_section(section) else ():
-        if section == "run" and key == "max_iters":
-            print("warning: [run] max_iters is ignored; diffusion solves are direct",
-                  file=sys.stderr)
-        elif key not in casts:
+        if key not in casts:
             raise ConfigError(f"unknown key [{section}] {key}; [{section}] takes: "
                               + ", ".join(casts))
         elif casts[key] in (str, _parse_params):
@@ -292,8 +294,12 @@ def _strict(cast, value):
 def _cast(section: str, key: str, cast, value):
     """value cast for [section] key, and in its domain; a ConfigError names
     both if it does not fit."""
-    domain = cast if isinstance(cast, _Domain) else None
-    cast = domain.cast if domain else cast
+    if isinstance(cast, _Domain):
+        out = _cast(section, key, cast.cast, value)
+        if not cast.test(out):
+            shown = list(out) if isinstance(out, tuple) else out
+            raise ConfigError(f"[{section}] {key} must be {cast.says}, got {shown!r}")
+        return out
     try:
         if isinstance(cast, tuple):
             items = value if isinstance(value, list) else [value]
@@ -305,9 +311,6 @@ def _cast(section: str, key: str, cast, value):
         raise ConfigError(f"[{section}] {key} takes {kind}, got {value!r}") from None
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be finite, got {value!r}") from None
-    if domain and not domain.test(out):
-        shown = list(out) if isinstance(out, tuple) else out
-        raise ConfigError(f"[{section}] {key} must be {domain.says}, got {shown!r}")
     return out
 
 
@@ -595,22 +598,16 @@ def _cmd_verify(args):
 
 
 def _cmd_report(args):
-    data = json.loads(Path(args.bundle).read_text())
-    results = [
-        PropertyCheckResult(
-            name=d["name"],
-            passed=d["passed"],
-            measured=d["measured"],
-            tolerance=d["tolerance"],
-            notes=d.get("notes", ""),
+    try:
+        data = json.loads(Path(args.bundle).read_text())
+        results = [PropertyCheckResult(**d) for d in data["results"]]  # the keys _result_dict wrote
+        bundle = ReportBundle(
+            config=data["config"],
+            hypothesis_report=data["hypothesis_report"],
+            results=results,
         )
-        for d in data["results"]
-    ]
-    bundle = ReportBundle(
-        config=data["config"],
-        hypothesis_report=data["hypothesis_report"],
-        results=results,
-    )
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # no file, no JSON, no bundle
+        raise ConfigError(f"cannot read bundle {args.bundle}: {type(exc).__name__} {exc}") from None
     emit_report(bundle, args.out or ".", formats=(args.format,))
     return EXIT_OK
 
@@ -631,6 +628,21 @@ def _cmd_export_operator(args):
     return EXIT_OK
 
 
+def _flag(domain: _Domain):
+    """argparse type= for a flag that takes the values of a config key's
+    domain; argparse names the flag and exits 2 on any other value."""
+
+    def cast(text):
+        value = _strict(domain.cast, _parse_scalar(text))
+        if not domain.test(value):
+            raise argparse.ArgumentTypeError(f"must be {domain.says}, got {value!r}")
+        return value
+
+    # argparse reports _strict's TypeError or ValueError as "invalid int value: '2.5'"
+    cast.__name__ = domain.cast.__name__
+    return cast
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vschro",
@@ -642,7 +654,7 @@ def main(argv=None) -> int:
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=_flag(_NON_NEGATIVE_INT), default=None, help="seed override")
 
     p = sub.add_parser("validate", help="run the coefficient validator")
     common(p)
@@ -651,7 +663,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("evolve", help="run one trajectory and export norms")
     common(p)
     p.add_argument(
-        "--dump-snapshots", type=int, default=0, metavar="STRIDE",
+        "--dump-snapshots", type=_flag(_NON_NEGATIVE_INT), default=0, metavar="STRIDE",
         help="also dump every STRIDE-th snapshot field as CSV (0 = final only)",
     )
     p.set_defaults(fn=_cmd_evolve)

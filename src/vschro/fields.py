@@ -221,13 +221,13 @@ def _pade13_squared(A: np.ndarray, s: int) -> np.ndarray:
     return E
 
 
-def _eig_power(M: np.ndarray, z: complex, cond_limit: float = 1e8):
+def _eig_power(M: np.ndarray, z: complex):
     """Principal power by eigendecomposition; returns (result, ok_mask).
 
-    ok is False where the eigenbasis S is ill-conditioned, judged by the
-    Frobenius bound ||S||_F ||S^-1||_F, which lies in [cond_2, k cond_2] and
-    reuses the inverse the power needs (no second batched SVD).  Raises if
-    the spectrum touches the branch cut (-inf, 0].
+    ok is False where the eigenbasis S is ill-conditioned: where the
+    Frobenius bound ||S||_F ||S^-1||_F exceeds 1e8.  The bound lies in
+    [cond_2, k cond_2] and reuses the inverse the power needs (no second
+    batched SVD).  Raises if the spectrum touches the branch cut (-inf, 0].
     """
     w, S = np.linalg.eig(M)
     scale = np.abs(w).max(axis=-1)
@@ -237,19 +237,19 @@ def _eig_power(M: np.ndarray, z: complex, cond_limit: float = 1e8):
     powered = np.exp(z * np.log(w))
     Sinv = np.linalg.inv(S)
     cond = np.linalg.norm(S, axis=(-2, -1)) * np.linalg.norm(Sinv, axis=(-2, -1))
-    return S @ (powered[..., :, None] * Sinv), cond <= cond_limit
+    return S @ (powered[..., :, None] * Sinv), cond <= 1e8
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
 
 
-def _balakrishnan_power(M: np.ndarray, alpha: float, window: float = 40.0) -> np.ndarray:
+def _balakrishnan_power(M: np.ndarray, alpha: float) -> np.ndarray:
     """M^(-alpha), alpha in (0, 1), by the resolvent integral.
 
     Substituting t = e^u turns the integral into
         sin(pi a)/pi * int e^{(1-a)u} (e^u + M)^{-1} du,
     evaluated with 10-point Gauss-Legendre panels of width 1 on
-    [-window, window].  The truncated tails are added in closed form
+    [-40, 40].  The truncated tails are added in closed form
     (geometric expansion of the resolvent), which keeps the rule accurate
     for every alpha in (0, 1), not just mid-range ones.
     """
@@ -262,6 +262,7 @@ def _balakrishnan_power(M: np.ndarray, alpha: float, window: float = 40.0) -> np
     k = A.shape[-1]
     ident = np.eye(k, dtype=np.complex128)
     total = np.zeros_like(A)
+    window = 40.0
     edges = np.arange(-window, window)
     for left in edges:
         u = left + 0.5 * (_GL_NODES + 1.0)
@@ -281,8 +282,8 @@ def _balakrishnan_power(M: np.ndarray, alpha: float, window: float = 40.0) -> np
     return res[0] if single else res
 
 
-def matrix_power_field(V: MatrixField, z: complex, negate: bool = True) -> np.ndarray:
-    """Per-cell principal powers ((-1)^negate V(x))^z over a whole field.
+def matrix_power_field(V: MatrixField, z: complex) -> np.ndarray:
+    """Per-cell principal powers (-V(x))^z over a whole field.
 
     Cells whose eigenbasis is too ill-conditioned are recomputed with the
     quadrature route (real exponents only); cells on the branch cut make the
@@ -290,7 +291,7 @@ def matrix_power_field(V: MatrixField, z: complex, negate: bool = True) -> np.nd
     once.
     """
     first, inverse = V.distinct
-    A = (-V.values[first] if negate else V.values[first]).astype(np.complex128)
+    A = (-V.values[first]).astype(np.complex128)
     z = complex(z)
     res, ok = _eig_power(A, z)
     bad = ~ok

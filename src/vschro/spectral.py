@@ -129,12 +129,12 @@ def resolvent_norm(L: SparseOperator, lam: complex) -> float:
     return float(np.sqrt(max(top[0], 0.0)))
 
 
-def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0, seed: int = 99) -> EigenResult:
+def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0) -> EigenResult:
     """k eigenvalues of L nearest the shift, by shift-invert ARPACK.
 
     Implicitly restarted Arnoldi (scipy.sparse.linalg.eigs) on (L - shift)^-1,
-    applied through the LU of (shift - L); the start vector is drawn from
-    seed, and a real L at a real shift runs real Arnoldi from its real part.
+    applied through the LU of (shift - L); the start vector is seeded, and a
+    real L at a real shift runs real Arnoldi from its real part.
     Every reported pair satisfies ||L v - lam v|| <= 1e-8 ||v||, and the
     shift is perturbed once if the factorization breaks down on it.
     """
@@ -153,7 +153,7 @@ def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0, seed: int = 99) 
 
     # the factorization is (shift - L); ARPACK's shift-invert mode wants (L - shift)^-1
     inverse = spla.LinearOperator((dim, dim), matvec=lambda v: -lu.solve(v), dtype=shifted.dtype)
-    v0 = _start_vector(seed, dim, shifted.dtype)
+    v0 = _start_vector(99, dim, shifted.dtype)
     try:
         lams, vecs = spla.eigs(
             L.matrix.astype(shifted.dtype, copy=False), k=k, sigma=shift, OPinv=inverse, v0=v0
@@ -193,7 +193,7 @@ def kernel_column(D: SparseOperator, V: MatrixField, t: float, source_cell: int,
 
 
 def kernel_sweep(D: SparseOperator, V: MatrixField, t_values, source_cell: int,
-                 source_component: int, cfg: SplitConfig, steps_per_segment: int = 16) -> list:
+                 source_component: int, cfg: SplitConfig, steps_per_segment: int) -> list:
     """Kernel sup norms sup |K_h(t, ., y) e_j| at the sorted t_values, from
     one continued evolution.
 

@@ -136,8 +136,28 @@ def _bump(grid, center=0.0, width=1.0):
     return np.exp(-r2 / (2.0 * width**2))
 
 
+def _bump_pair(problem: Problem) -> VectorField:
+    """The unit bump at the origin in component 0 and half of it in component
+    1, if there is one: the input of the domination and splitting-order checks."""
+    profile = _bump(problem.grid)
+    vals = np.zeros((problem.grid.n_cells, problem.m), dtype=complex)
+    vals[:, 0] = profile
+    if problem.m > 1:
+        vals[:, 1] = 0.5 * profile
+    return VectorField(problem.grid, vals)
+
+
 # ---------------------------------------------------------------------------
-# Checks.
+# Checks.  A config sets only the keys of cli._SECTION_KEYS; each other
+# threshold is fixed, below if two lines use it, else as a literal.
+
+_ORDER_WINDOWS = {"lie": (0.7, 1.3), "strang": (1.6, 2.4)}  # splitting orders accepted
+_ANCHOR_TOL = 0.01  # relative error of x u2(x) against 1/lam at x = 1e3
+_MATCH_TOL = 1e-6  # degenerate coupling: diagonal data against the scalar flow
+_RATIO_WINDOW = (1.4, 2.6)  # commutator defect ratios accepted under N doubling
+_N_LEVELS = 10  # eigenvalue levels whose spacing the compactness contrast takes
+_STABILITY_TOL = 0.2  # largest change of the rotation spacing as R doubles
+
 
 def run_contraction_check(traj: Trajectory, slack: float = 1e-8) -> PropertyCheckResult:
     """Every logged p-norm must be nonincreasing up to relative slack."""
@@ -161,8 +181,6 @@ def run_contraction_check(traj: Trajectory, slack: float = 1e-8) -> PropertyChec
 
 def run_consistency_check(
     problem: Problem,
-    f: VectorField | None = None,
-    g: VectorField | None = None,
     lam: float = 2.0,
     horizon: float = 6.0,
     n_steps: int = 300,
@@ -170,8 +188,9 @@ def run_consistency_check(
 ) -> PropertyCheckResult:
     """Laplace-transform identity <(lam - L)^{-1} f, g> = int e^{-lam t} <S(t)f, g> dt.
 
-    The discrete pairing is p-independent, so the identity is verified under
-    two dual normalizations of the same data, (p, p') = (2, 2) and (4, 4/3).
+    f is a bump in the first component, g a bump in the last.  The discrete
+    pairing is p-independent, so the identity is verified under two dual
+    normalizations of the same data, (p, p') = (2, 2) and (4, 4/3).
     A pairing that vanishes (f and g in decoupled components) measures
     nothing and is rejected as inconclusive.
     """
@@ -180,14 +199,12 @@ def run_consistency_check(
     if tol < 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
     grid = problem.grid
-    if f is None:
-        vals = np.zeros((grid.n_cells, problem.m), dtype=complex)
-        vals[:, 0] = _bump(grid, 0.0, grid.extent / 8.0)
-        f = VectorField(grid, vals)
-    if g is None:
-        vals = np.zeros((grid.n_cells, problem.m), dtype=complex)
-        vals[:, -1] = _bump(grid, grid.extent / 4.0, grid.extent / 10.0)
-        g = VectorField(grid, vals)
+    fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
+    fvals[:, 0] = _bump(grid, 0.0, grid.extent / 8.0)
+    f = VectorField(grid, fvals)
+    gvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
+    gvals[:, -1] = _bump(grid, grid.extent / 4.0, grid.extent / 10.0)
+    g = VectorField(grid, gvals)
 
     direct = dual_pairing(solve_resolvent(problem.generator, lam, f), g)
     if abs(direct) <= 1e-12 * lp_norm(f, 2) * lp_norm(g, 2) / lam:
@@ -318,9 +335,7 @@ def _finals_at(horizons, g: VectorField, build) -> list:
 def run_domination_check(
     problem: Problem,
     ts=(0.1, 0.5, 1.0),
-    width: float = 1.0,
     slack: float = 1e-8,
-    tau_target: float = 5e-3,
 ) -> PropertyCheckResult:
     """Pointwise |S(t) f|^2 <= T(t) |f|^2 for a real bump f.
 
@@ -333,18 +348,12 @@ def run_domination_check(
         raise ValueError("ts needs at least 1 time")
     if slack < 0:
         raise ValueError(f"slack must be non-negative, got {slack}")
-    grid = problem.grid
-    profile = _bump(grid, 0.0, width)
-    fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
-    fvals[:, 0] = profile
-    if problem.m > 1:
-        fvals[:, 1] = 0.5 * profile
-    f = VectorField(grid, fvals)
-    sq0 = VectorField(grid, (np.abs(fvals) ** 2).sum(axis=1).astype(complex)[:, None])
+    f = _bump_pair(problem)
+    sq0 = VectorField(f.grid, (np.abs(f.values) ** 2).sum(axis=1).astype(complex)[:, None])
 
     horizons = []
     for t in ts:
-        n = max(20, int(math.ceil(t / tau_target)))
+        n = max(20, int(math.ceil(t / 5e-3)))
         cfg = SplitConfig(
             scheme="lie",
             diffusion_substep="backward_euler",
@@ -373,13 +382,9 @@ def run_domination_check(
     )
 
 
-def ultracontractive_sweep(
-    problem: Problem,
-    n_points: int = 5,
-    steps_per_segment: int | None = None,
-    component: int = 0,
-):
-    """(t_values, kernel sups) on a geometric t-window with h^2 << t << R^2/16.
+def ultracontractive_sweep(problem: Problem, n_points: int = 5):
+    """(t_values, sups of the centre cell's component-0 kernel column) on a
+    geometric t-window with h^2 << t << R^2/16.
 
     Raises with a sizing hint when the window is empty for the grid.
     """
@@ -396,11 +401,9 @@ def ultracontractive_sweep(
             f"empty smoothing window: need 25 h^2 * {ratio:.2f}^{n_points - 1} <= (R/4)^2/eta2 "
             f"= {t_max_box:.3e}; refine the grid (h = {h:.3e}) or enlarge R"
         )
-    if steps_per_segment is None:
-        steps_per_segment = 16 if grid.dim == 1 else 12
     cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler")
-    sups = kernel_sweep(problem.diffusion, problem.V, t_values, grid.center_cell(), component,
-                        cfg, steps_per_segment=steps_per_segment)
+    sups = kernel_sweep(problem.diffusion, problem.V, t_values, grid.center_cell(), 0, cfg,
+                        16 if grid.dim == 1 else 12)
     return t_values, sups
 
 
@@ -426,8 +429,6 @@ def run_trotter_order_check(
     problem: Problem,
     t: float = 0.5,
     n_schedule=(8, 16, 32, 64),
-    lie_window=(0.7, 1.3),
-    strang_window=(1.6, 2.4),
 ) -> PropertyCheckResult:
     """Empirical splitting orders against the sparse exponential oracle.
 
@@ -439,17 +440,12 @@ def run_trotter_order_check(
     if problem.V.is_constant:
         raise ValueError("inconclusive: a constant potential commutes with the diffusion, "
                          "so there is no splitting error to measure")
-    grid = problem.grid
-    fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
-    fvals[:, 0] = _bump(grid, 0.0, 1.0)
-    if problem.m > 1:
-        fvals[:, 1] = 0.5 * _bump(grid, 0.0, 1.0)
-    f = VectorField(grid, fvals)
+    f = _bump_pair(problem)
     ref = expm_apply(problem.generator, t, f)
 
     measured = {}
     ok = True
-    for scheme, window in (("lie", lie_window), ("strang", strang_window)):
+    for scheme, window in _ORDER_WINDOWS.items():
         errs = []
         for n in n_schedule:
             cfg = SplitConfig(
@@ -472,7 +468,8 @@ def run_trotter_order_check(
         passed=bool(ok),
         measured=measured,
         tolerance=0.0,
-        notes=f"error vs the exact exponential scales at order ~1 (lie) / ~2 (strang), windows {lie_window} and {strang_window}",
+        notes="error vs the exact exponential scales at order ~1 (lie) / ~2 (strang), windows "
+        f"{_ORDER_WINDOWS['lie']} and {_ORDER_WINDOWS['strang']}",
     )
 
 
@@ -480,8 +477,6 @@ def run_nongeneration_demo(
     lam: float = 1.0,
     extents=(50.0, 100.0, 200.0),
     h_target: float = 0.125,
-    anchor_x: float = 1e3,
-    anchor_tol: float = 0.01,
 ) -> PropertyCheckResult:
     """Triangular-potential counterexample: the resolvent leaves every L^p.
 
@@ -493,8 +488,8 @@ def run_nongeneration_demo(
         raise ValueError("lam must be positive")
     if len(extents) < 2:
         raise ValueError("extents needs at least 2 box sizes to measure growth")
-    anchor = anchor_x * u2_closed_form(anchor_x, lam)
-    anchor_ok = abs(anchor * lam - 1.0) <= anchor_tol
+    anchor = 1e3 * u2_closed_form(1e3, lam)
+    anchor_ok = abs(anchor * lam - 1.0) <= _ANCHOR_TOL
 
     norms = []
     for R in extents:
@@ -521,7 +516,7 @@ def run_nongeneration_demo(
         name="nongeneration",
         passed=bool(anchor_ok and increasing and slope > 0),
         measured=measured,
-        tolerance=anchor_tol,
+        tolerance=_ANCHOR_TOL,
         notes="x u2(x) reaches 1/lam while ||u1|| diverges with the domain",
     )
 
@@ -588,19 +583,15 @@ def run_degenerate_kernel_check(
     n_per_axis: int = 400,
     t: float = 0.2,
     n_steps: int = 200,
-    center: float = 1.0,
-    width: float = 1.0,
-    match_tol: float = 1e-6,
-    mismatch_floor: float = 0.1,
 ) -> PropertyCheckResult:
     """On the diagonal subspace the degenerate coupling acts trivially:
     S(t)(f, f) equals (T(t)f, T(t)f) after un-rescaling the identity shift,
-    while a generic input (f, 0) must leave the subspace."""
+    while a generic input (f, 0) must leave the subspace (f: a bump at x = 1)."""
     problem = build_problem(
         1, extent, n_per_axis, 2, v_rule="degenerate_V", shift="none", alpha=0.0
     )
     grid = problem.grid
-    profile = _bump(grid, center, width).astype(complex)
+    profile = _bump(grid, 1.0).astype(complex)
     cfg = SplitConfig(
         scheme="lie",
         diffusion_substep="crank_nicolson",
@@ -624,7 +615,7 @@ def run_degenerate_kernel_check(
     ug = step.run(gen0, n_steps, norm_ps=()).final
     mismatch = float(np.linalg.norm(scale * ug.values[:, 0] - wref) / wnorm)
 
-    passed = max(match_errs) <= match_tol and mismatch > mismatch_floor
+    passed = max(match_errs) <= _MATCH_TOL and mismatch > 0.1
     return PropertyCheckResult(
         name="degenerate_kernel",
         passed=bool(passed),
@@ -633,7 +624,7 @@ def run_degenerate_kernel_check(
             "match_err_comp1": match_errs[1],
             "generic_mismatch": mismatch,
         },
-        tolerance=match_tol,
+        tolerance=_MATCH_TOL,
         notes="diagonal data factorizes through the scalar flow; generic data does not",
     )
 
@@ -641,7 +632,6 @@ def run_degenerate_kernel_check(
 def run_commutator_rate_check(
     extent: float = 10.0,
     n_schedule=(200, 400),
-    ratio_window=(1.4, 2.6),
 ) -> PropertyCheckResult:
     """Defect of the commutator identity halves when N doubles (first-order
     consistency of the discretized right-hand side)."""
@@ -660,7 +650,7 @@ def run_commutator_rate_check(
         f = VectorField(grid, fvals.astype(complex))
         defects.append(commutator_defect(Q, M, f))
     ratios = [defects[i] / defects[i + 1] for i in range(len(defects) - 1)]
-    ok = all(ratio_window[0] <= r <= ratio_window[1] for r in ratios)
+    ok = all(_RATIO_WINDOW[0] <= r <= _RATIO_WINDOW[1] for r in ratios)
     measured = {f"defect_N{n}": float(d) for n, d in zip(n_schedule, defects)}
     for i, r in enumerate(ratios):
         measured[f"ratio_{i}"] = float(r)
@@ -669,27 +659,23 @@ def run_commutator_rate_check(
         passed=bool(ok),
         measured=measured,
         tolerance=0.0,
-        notes=f"defect ratio under N doubling inside {ratio_window}",
+        notes=f"defect ratio under N doubling inside {_RATIO_WINDOW}",
     )
 
 
-def _real_part_levels(eigenvalues, n_levels: int, merge_tol: float = 1e-6):
-    """Distinct real-part levels, descending; conjugate pairs collapse."""
+def _real_part_levels(eigenvalues):
+    """The top _N_LEVELS distinct real-part levels; conjugate pairs collapse."""
     levels = []
     for r in sorted((e.real for e in eigenvalues), reverse=True):
-        if not levels or abs(levels[-1] - r) > merge_tol * (1.0 + abs(r)):
+        if not levels or abs(levels[-1] - r) > 1e-6 * (1.0 + abs(r)):
             levels.append(r)
-    return levels[:n_levels]
+    return levels[:_N_LEVELS]
 
 
 def run_compactness_contrast(
     h_target: float = 0.05,
     extent: float = 10.0,
-    r: float = 1.5,
     k: int = 20,
-    n_levels: int = 10,
-    stability_tol: float = 0.2,
-    collapse_factor: float = 3.0,
 ) -> PropertyCheckResult:
     """Spacing of the top eigenvalue levels under domain doubling.
 
@@ -699,7 +685,7 @@ def run_compactness_contrast(
     """
     spacings = {}
     for name, v_rule, v_params, do_shift in (
-        ("rotation", "rotation_V", {"r": r}, True),
+        ("rotation", "rotation_V", {"r": 1.5}, True),
         ("degenerate", "degenerate_V", {}, False),
     ):
         per_R = []
@@ -711,8 +697,8 @@ def run_compactness_contrast(
                 alpha=0.45 if do_shift else 0.0,
             )
             res = eigenpairs(problem.generator, k=k, shift=0.0)
-            levels = _real_part_levels(res.eigenvalues, n_levels)
-            if len(levels) < n_levels:
+            levels = _real_part_levels(res.eigenvalues)
+            if len(levels) < _N_LEVELS:
                 raise SpectralProximityError(
                     f"only {len(levels)} distinct levels for {name} at R={R}"
                 )
@@ -721,7 +707,7 @@ def run_compactness_contrast(
 
     rot_ratio = spacings["rotation"][0] / spacings["rotation"][1]
     deg_ratio = spacings["degenerate"][0] / spacings["degenerate"][1]
-    passed = abs(rot_ratio - 1.0) <= stability_tol and deg_ratio >= collapse_factor
+    passed = abs(rot_ratio - 1.0) <= _STABILITY_TOL and deg_ratio >= 3.0
     return PropertyCheckResult(
         name="compactness",
         passed=bool(passed),
@@ -733,6 +719,6 @@ def run_compactness_contrast(
             "degenerate_spacing_2R": spacings["degenerate"][1],
             "degenerate_ratio": float(deg_ratio),
         },
-        tolerance=stability_tol,
+        tolerance=_STABILITY_TOL,
         notes="level spacing stable for the coercive coupling, collapsing ~R^-2 for the degenerate one",
     )

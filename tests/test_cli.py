@@ -27,9 +27,17 @@ from vschro.cli import (
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+
+def _base_cast(cast):
+    """The cast under a (possibly nested) domain."""
+    while isinstance(cast, cli._Domain):
+        cast = cast.cast
+    return cast
+
+
 # The [check.<name>] rows of the config table: each check's keys and casts,
 # a domain's cast in place of the domain.
-CHECK_KEYS = {section[len("check."):]: {key: getattr(cast, "cast", cast) for key, cast in keys.items()}
+CHECK_KEYS = {section[len("check."):]: {key: _base_cast(cast) for key, cast in keys.items()}
               for section, keys in cli._SECTION_KEYS.items() if section.startswith("check.")}
 
 
@@ -384,6 +392,9 @@ MALFORMED = {
     "unknown_run_key": (lambda tmp: QUICK.replace("n_steps = 20", "nsteps = 5"),
                         "unknown key [run] nsteps; [run] takes: scheme, substep, n_steps, t_final, "
                         "solver_tol"),
+    # The iteration cap of the iterative solver that direct solves replaced.
+    "run_max_iters": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = 0.2\nmax_iters = 5"),
+                      "unknown key [run] max_iters"),
     "unknown_problem_key": (lambda tmp: QUICK.replace("n_per_axis = 64", "n_per_axes = 64"),
                             "unknown key [problem] n_per_axes; [problem] takes: dim, m, extent, "
                             "n_per_axis, q_rule, q_params, v_rule, v_params, shift, alpha"),
@@ -441,6 +452,15 @@ MALFORMED = {
                                        "got [400, 200]"),
     "decreasing_extents": (lambda tmp: _override_body("nongeneration", "extents = 100.0, 50.0"),
                            "[check.nongeneration] extents must be strictly increasing, got [100.0, 50.0]"),
+    # A split step takes at least 1 step, the commutator stencil at least 3 cells.
+    "zero_in_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 0, 8"),
+                                 "[check.trotter_order] n_schedule must be at least 1, got [0, 8]"),
+    "zero_in_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 0, 200"),
+                                    "[check.commutator] n_schedule must be at least 3, got [0, 200]"),
+    "negative_consistency_lam": (lambda tmp: _override_body("consistency", "lam = -1"),
+                                 "[check.consistency] lam must be positive, got -1.0"),
+    "negative_nongeneration_lam": (lambda tmp: _override_body("nongeneration", "lam = -1"),
+                                   "[check.nongeneration] lam must be positive, got -1.0"),
     # An override section for a check that does not run would never be read.
     "unused_override_section": (lambda tmp: QUICK.replace("contraction, positivity", "contraction"),
                                 "[check.positivity] is set but 'positivity' is not in [checks] names"),
@@ -485,7 +505,9 @@ class TestMalformedInputs:
                                       "negative_ultracontractivity_tol", "negative_shift_invariance_tol",
                                       "single_ultracontractivity_point", "decreasing_trotter_schedule",
                                       "repeated_trotter_schedule", "decreasing_commutator_schedule",
-                                      "decreasing_extents"])
+                                      "decreasing_extents", "run_max_iters", "zero_in_trotter_schedule",
+                                      "zero_in_commutator_schedule", "negative_consistency_lam",
+                                      "nonpositive_consistency_lam", "negative_nongeneration_lam"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)
@@ -523,6 +545,47 @@ class TestMalformedInputs:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         results = json.loads((tmp_path / "o" / "bundle.json").read_text())["results"]
         assert len(results) == 1 and len(results[0]["measured"]) >= 1
+
+
+def _file(tmp, name, text):
+    (tmp / name).write_text(text)
+    return str(tmp / name)
+
+
+# Command lines with a bad flag value or a bad bundle, and the stderr fragment
+# each must produce; every one exits 2 and writes nothing.
+BAD_ARGV = {
+    "negative_snapshot_stride": (lambda tmp: ["evolve", "--config", str(write_cfg(tmp, QUICK)),
+                                              "--out", str(tmp / "o"), "--dump-snapshots", "-1"],
+                                 "argument --dump-snapshots: must be non-negative, got -1"),
+    "fraction_for_snapshot_stride": (lambda tmp: ["evolve", "--config", str(write_cfg(tmp, QUICK)),
+                                                  "--out", str(tmp / "o"), "--dump-snapshots", "2.5"],
+                                     "argument --dump-snapshots: invalid int value: '2.5'"),
+    "negative_seed_flag": (lambda tmp: ["evolve", "--config", str(write_cfg(tmp, QUICK)),
+                                        "--out", str(tmp / "o"), "--seed", "-1"],
+                           "argument --seed: must be non-negative, got -1"),
+    "missing_bundle": (lambda tmp: ["report", "--bundle", str(tmp / "missing.json"), "--out", str(tmp / "o")],
+                       "missing.json: FileNotFoundError"),
+    "text_bundle": (lambda tmp: ["report", "--bundle", _file(tmp, "notes.txt", "not json\n"),
+                                 "--out", str(tmp / "o")],
+                    "notes.txt: JSONDecodeError"),
+    "bundle_without_results": (lambda tmp: ["report", "--bundle",
+                                            _file(tmp, "partial.json", '{"config": {}, "hypothesis_report": {}}'),
+                                            "--out", str(tmp / "o")],
+                               "partial.json: KeyError 'results'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGV))
+def test_bad_command_line_exits_config_error(tmp_path, capsys, case):
+    make_argv, fragment = BAD_ARGV[case]
+    try:
+        code = main(make_argv(tmp_path))
+    except SystemExit as exc:  # argparse refuses a flag value itself
+        code = exc.code
+    assert code == EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # The verify function that receives each check's override keys.
@@ -563,8 +626,18 @@ class TestCheckKeys:
                 assert type(default) is cast, (check, key)
 
     @pytest.mark.parametrize("check", list(CHECK_KEYS))
+    def test_every_receiver_default_is_a_config_key(self, check):
+        # A threshold no config sets is a constant of vschro.verify, not a
+        # parameter.  The exceptions: positivity takes the run's seed, and
+        # the benchmark calls shift_invariance with its control operator.
+        for name in {RECEIVERS[check], _receiver(check, "n_points")}:
+            params = inspect.signature(getattr(verify, name)).parameters
+            defaulted = {key for key, p in params.items() if p.default is not inspect.Parameter.empty}
+            assert defaulted - {"seed", "operator"} <= set(CHECK_KEYS[check]), name
+
+    @pytest.mark.parametrize("check", list(CHECK_KEYS))
     def test_each_key_reaches_its_receiver_cast(self, check, monkeypatch, tmp_path):
-        # Integers, as "2" and "2, 3" parse, so every float key must be cast
+        # Integers, as "3" and "3, 4" parse, so every float key must be cast
         # by load_config and reach its receiver as it was cast.
         received = {}
 
@@ -576,16 +649,16 @@ class TestCheckKeys:
 
         for name in {RECEIVERS[check], _receiver(check, "n_points")}:
             monkeypatch.setattr(cli, name, recorder(name))
-        lines = "\n".join(f"{key} = {'2, 3' if isinstance(cast, tuple) else '2'}"
+        lines = "\n".join(f"{key} = {'3, 4' if isinstance(cast, tuple) else '3'}"
                           for key, cast in CHECK_KEYS[check].items())
         cfg = load_config(write_cfg(tmp_path, _override_body(check, lines)))
         CHECKS[check](cli.build_problem_from_config(cfg), cfg.run, 3, **cfg.overrides[check])
         for key, cast in CHECK_KEYS[check].items():
             got = received[_receiver(check, key)][key]
             if isinstance(cast, tuple):
-                assert got == (2, 3) and {type(v) for v in got} == {cast[0]}, (check, key)
+                assert got == (3, 4) and {type(v) for v in got} == {cast[0]}, (check, key)
             else:
-                assert got == 2 and type(got) is cast, (check, key)
+                assert got == 3 and type(got) is cast, (check, key)
         if check == "positivity":
             assert received[RECEIVERS[check]]["seed"] == 3  # the run's seed, not the default
 
@@ -649,13 +722,6 @@ class TestExitCodes:
     def _verify(self, tmp_path, body):
         cfg = write_cfg(tmp_path, body)
         return main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
-
-    def test_max_iters_warns_and_is_ignored(self, tmp_path, capsys):
-        body = QUICK.replace("t_final = 0.2", "t_final = 0.2\nmax_iters = 5")
-        assert self._verify(tmp_path, body) == EXIT_OK
-        assert capsys.readouterr().err.count("max_iters") == 1
-        bundle = json.loads((tmp_path / "o" / "bundle.json").read_text())
-        assert "max_iters" not in bundle["config"]["run"]
 
     def test_unreachable_solver_tol_is_numerical_failure(self, tmp_path, capsys):
         body = QUICK.replace("t_final = 0.2", "t_final = 0.2\nsolver_tol = 1e-300")

@@ -197,9 +197,10 @@ class TestMatrixExp:
 
 def matrix_power(M, z):
     """Principal power M^z of one matrix, through a field on the smallest grid
-    (three cells, all equal to M)."""
-    cells = MatrixField(build_grid(1, 1.0, 3), "potential", np.broadcast_to(M, (3,) + np.shape(M)))
-    return matrix_power_field(cells, z, negate=False)[0]
+    (three cells, all equal to -M, which matrix_power_field negates exactly)."""
+    neg = -np.asarray(M)
+    cells = MatrixField(build_grid(1, 1.0, 3), "potential", np.broadcast_to(neg, (3,) + neg.shape))
+    return matrix_power_field(cells, z)[0]
 
 
 class TestMatrixPower:
@@ -309,6 +310,16 @@ class TestValidator:
         V = sample_field(make_rule("upper_triangular_V", 1)[0], g, "potential")
         rep = validate_hypotheses(identity_q(g), V, 0.3)
         assert rep.growth_sup == np.inf
+
+    def test_jordan_block_potential_takes_quadrature_route(self):
+        # coupled_V with c = 0 is one Jordan block, [[-2, 1], [0, -2]]: its
+        # eigenbasis is singular, so the power and a finite growth_sup come
+        # only from the quadrature route (without it growth_sup is inf)
+        p = build_problem(1, 8.0, 64, 2, v_rule="coupled_V",
+                          v_params={"a": -2.0, "b": 1.0, "c": 0.0}, alpha=0.3)
+        _, ok = _eig_power(-p.V.values[:1].astype(np.complex128), -0.3)
+        assert not ok.any()
+        assert p.report.growth_sup == 0.0  # V is constant, so D_jV = 0
 
     def test_alpha_domain(self):
         g = build_grid(1, 4.0, 50)

@@ -216,7 +216,7 @@ class TestPositivity:
 class TestDomination:
     def test_zero_field_trivial(self):
         p = small_problem()
-        res = run_domination_check(p, ts=(0.1,), width=1.0)
+        res = run_domination_check(p, ts=(0.1,))
         assert res.passed
 
     def test_diagonal_scalar_comparison(self):
