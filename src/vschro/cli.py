@@ -18,10 +18,11 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from vschro.fields import FieldError, RULE_NAMES
 from vschro.mesh import GridError, VectorField, write_field_csv, write_field_pgm
 from vschro.operators import AssemblyError, export_matrix_market
 from vschro.problems import Problem, build_problem
-from vschro.spectral import SpectralProximityError, eigenpairs, kernel_column, resolvent_norm
+from vschro.spectral import (SpectralProximityError, eigenpairs, kernel_column, max_eigenpairs,
+                             resolvent_norm)
 from vschro.verify import (
     PropertyCheckResult,
     run_commutator_rate_check,
@@ -118,7 +120,7 @@ class ExperimentConfig:
     v_params: dict = field(default_factory=dict)
     shift: str = "none"
     alpha: float = 0.0
-    run: SplitConfig = field(default_factory=SplitConfig)
+    run: SplitConfig = field(default_factory=lambda: SplitConfig(n_steps=100))
     checks: list = field(default_factory=list)
     overrides: dict = field(default_factory=dict)
     output_dir: str = "vschro_out"
@@ -163,9 +165,11 @@ def _increasing(values) -> bool:
     return all(a < b for a, b in zip(values, values[1:]))
 
 
+_FINITE = _Domain(float, "finite", math.isfinite)
 _NON_NEGATIVE = _Domain(float, "non-negative", lambda v: v >= 0)
 _NON_NEGATIVE_INT = _Domain(int, "non-negative", lambda v: v >= 0)
 _POSITIVE = _Domain(float, "positive", lambda v: v > 0)
+_AT_LEAST_ONE = _Domain(int, "at least 1", lambda v: v >= 1)
 
 
 def _schedule(least: int) -> _Domain:
@@ -180,12 +184,11 @@ def _schedule(least: int) -> _Domain:
 # of that type and a single value is a one-entry list.  A _Domain is such a
 # cast, or another _Domain, with a test its value must pass, so the key is
 # refused at load; a nested domain is tested first.  A fixed-section key that
-# is not set keeps its ExperimentConfig or SplitConfig default, except that a
-# [run] section steps 100 times unless it says otherwise; a [check.<name>] key
-# that is not set keeps the default of the verify function its CHECKS entry
-# calls.
+# is not set keeps its ExperimentConfig default, a [run] key that of
+# ExperimentConfig.run; a [check.<name>] key that is not set keeps the
+# default of the verify function its CHECKS entry calls.
 _SECTION_KEYS = {
-    "problem": {"dim": int, "m": int, "extent": float, "n_per_axis": int, "q_rule": str,
+    "problem": {"dim": int, "m": _AT_LEAST_ONE, "extent": float, "n_per_axis": int, "q_rule": str,
                 "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
                 "shift": str, "alpha": float},
     "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float, "solver_tol": float},
@@ -193,7 +196,7 @@ _SECTION_KEYS = {
     "output": {"dir": str, "seed": _NON_NEGATIVE_INT},
     "check.contraction": {"slack": _NON_NEGATIVE},
     "check.consistency": {"lam": _POSITIVE, "horizon": float, "n_steps": int, "tol": _NON_NEGATIVE},
-    "check.positivity": {"n_random": _Domain(int, "at least 1", lambda v: v >= 1),
+    "check.positivity": {"n_random": _AT_LEAST_ONE,
                          "t_forward": float, "floor": _NON_NEGATIVE},
     "check.domination": {"ts": (float,), "slack": _NON_NEGATIVE},
     "check.ultracontractivity": {"n_points": _Domain(int, "at least 2", lambda v: v >= 2),
@@ -251,9 +254,8 @@ def load_config(path) -> ExperimentConfig:
                               "[output], [check.<name>]")
     try:
         cfg = ExperimentConfig(**_section(parser, "problem"))
-        if parser.has_section("run"):
-            run = {"n_steps": 100, **_section(parser, "run")}
-            cfg.run = SplitConfig(**{_SPLIT_FIELDS.get(k, k): v for k, v in run.items()})
+        run = _section(parser, "run")
+        cfg.run = replace(cfg.run, **{_SPLIT_FIELDS.get(k, k): v for k, v in run.items()})
         names = _section(parser, "checks").get("names", "")
         cfg.checks = [n.strip() for n in names.split(",") if n.strip()]
         cfg.overrides = {section[len("check."):]: _section(parser, section)
@@ -274,7 +276,6 @@ class ReportBundle:
     config: dict
     hypothesis_report: dict
     results: list
-    manifest: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -324,8 +325,7 @@ def _contraction(problem, run_cfg, seed, **kw):
     rng = np.random.default_rng(seed)
     shape = (problem.grid.n_cells, problem.m)
     f = VectorField(problem.grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    cfg = replace(run_cfg, scheme="lie", diffusion_substep="backward_euler")
-    return run_contraction_check(trotter_evolve(problem.diffusion, problem.V, f, cfg), **kw)
+    return run_contraction_check(trotter_evolve(problem.diffusion, problem.V, f, run_cfg), **kw)
 
 
 def _ultracontractivity(problem, run_cfg, seed, **kw):
@@ -384,18 +384,7 @@ def _report_echo(problem: Problem) -> dict:
 
 def build_problem_from_config(cfg: ExperimentConfig) -> Problem:
     try:
-        return build_problem(
-            cfg.dim,
-            cfg.extent,
-            cfg.n_per_axis,
-            cfg.m,
-            q_rule=cfg.q_rule,
-            q_params=cfg.q_params,
-            v_rule=cfg.v_rule,
-            v_params=cfg.v_params,
-            shift=cfg.shift,
-            alpha=cfg.alpha,
-        )
+        return build_problem(**{key: getattr(cfg, key) for key in _SECTION_KEYS["problem"]})
     except (FieldError, GridError, AssemblyError, ValueError) as exc:
         raise ConfigError(f"problem construction failed: {exc}") from exc
 
@@ -409,6 +398,10 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     cfg = load_config(config_path)
     if not cfg.checks:
         raise ConfigError("[checks] names lists no check; verify needs at least one")
+    split = (cfg.run.scheme, cfg.run.diffusion_substep)
+    if "contraction" in cfg.checks and split != ("lie", "backward_euler"):  # the exact contraction
+        raise ConfigError("contraction runs only [run] scheme = lie, substep = backward_euler; "
+                          "got scheme = {}, substep = {}".format(*split))
     if out_dir is not None:
         cfg.output_dir = str(out_dir)
     if seed is not None:
@@ -448,16 +441,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _result_dict(r: PropertyCheckResult) -> dict:
-    return {
-        "name": r.name,
-        "passed": r.passed,
-        "tolerance": r.tolerance,
-        "measured": r.measured,
-        "notes": r.notes,
-    }
-
-
 def emit_report(bundle: ReportBundle, out_dir, formats=("text", "csv")) -> dict:
     """Write the bundle deterministically; returns the manifest.
 
@@ -468,13 +451,8 @@ def emit_report(bundle: ReportBundle, out_dir, formats=("text", "csv")) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    payload = {
-        "config": bundle.config,
-        "hypothesis_report": bundle.hypothesis_report,
-        "results": [_result_dict(r) for r in bundle.results],
-    }
     bundle_path = out / "bundle.json"
-    bundle_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    bundle_path.write_text(json.dumps(asdict(bundle), sort_keys=True, indent=1) + "\n")
     written.append(bundle_path)
 
     if "text" in formats:
@@ -506,31 +484,40 @@ def emit_report(bundle: ReportBundle, out_dir, formats=("text", "csv")) -> dict:
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    bundle.manifest = manifest
     return manifest
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def _cmd_validate(args):
+def _load(args) -> tuple:
+    """(config, problem, output directory) of a command's --config and --out;
+    the command makes the directory once it has something to write."""
     cfg = load_config(args.config)
-    problem = build_problem_from_config(cfg)
+    return cfg, build_problem_from_config(cfg), Path(args.out or cfg.output_dir)
+
+
+def _within(flag: str, value: int, low: int, high: int):
+    """A ConfigError naming flag unless low <= value <= high."""
+    if not low <= value <= high:
+        raise ConfigError(f"{flag} must lie in [{low}, {high}] for this problem, got {value}")
+
+
+def _cmd_validate(args):
+    _, problem, _ = _load(args)
     for key, val in sorted(_report_echo(problem).items()):
         print(f"{key} = {_fmt(val)}")
     return EXIT_OK
 
 
 def _cmd_evolve(args):
-    cfg = load_config(args.config)
-    problem = build_problem_from_config(cfg)
+    cfg, problem, out = _load(args)
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     vals = rng.standard_normal((problem.grid.n_cells, problem.m)) + 0j
     f = VectorField(problem.grid, vals)
     traj = trotter_evolve(
         problem.diffusion, problem.V, f, cfg.run, snapshot_stride=args.dump_snapshots
     )
-    out = Path(args.out or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["time,p,norm"]
     for p, norms in traj.norm_log.items():
@@ -548,9 +535,7 @@ def _cmd_evolve(args):
 
 
 def _cmd_resolvent(args):
-    cfg = load_config(args.config)
-    problem = build_problem_from_config(cfg)
-    out = Path(args.out or cfg.output_dir)
+    _, problem, out = _load(args)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["re_lambda,im_lambda,norm_estimate"]
     for re in args.lam_re:
@@ -563,10 +548,9 @@ def _cmd_resolvent(args):
 
 
 def _cmd_spectrum(args):
-    cfg = load_config(args.config)
-    problem = build_problem_from_config(cfg)
+    _, problem, out = _load(args)
+    _within("--k", args.k, 1, max_eigenpairs(problem.generator.dims))
     res = eigenpairs(problem.generator, k=args.k, shift=complex(args.shift_re, args.shift_im))
-    out = Path(args.out or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["re_lambda,im_lambda,residual"]
     for lam, r in zip(res.eigenvalues, res.residuals):
@@ -577,11 +561,11 @@ def _cmd_spectrum(args):
 
 
 def _cmd_kernel(args):
-    cfg = load_config(args.config)
-    problem = build_problem_from_config(cfg)
+    cfg, problem, out = _load(args)
     cell = args.cell if args.cell is not None else problem.grid.center_cell()
+    _within("--cell", cell, 0, problem.grid.n_cells - 1)
+    _within("--component", args.component, 0, problem.m - 1)
     column = kernel_column(problem.diffusion, problem.V, args.t, cell, args.component, cfg.run)
-    out = Path(args.out or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_field_csv(column, out / "kernel_column.csv")
     for comp in range(problem.m):
@@ -597,16 +581,32 @@ def _cmd_verify(args):
     return code
 
 
+def _check_types(bundle: ReportBundle):
+    """A TypeError unless bundle holds values of the types a run writes."""
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if not isinstance(bundle.config, dict) or not isinstance(bundle.hypothesis_report, dict):
+        raise TypeError("config and hypothesis_report must be mappings")
+    for r in bundle.results:
+        if not (isinstance(r.passed, bool) and number(r.tolerance) and isinstance(r.measured, dict)
+                and all(isinstance(k, str) and number(v) for k, v in r.measured.items())):
+            raise TypeError(f"result {r.name!r} needs passed a bool, tolerance a number and "
+                            "measured a mapping of names to numbers")
+
+
 def _cmd_report(args):
     try:
         data = json.loads(Path(args.bundle).read_text())
-        results = [PropertyCheckResult(**d) for d in data["results"]]  # the keys _result_dict wrote
+        results = [PropertyCheckResult(**d) for d in data["results"]]  # the fields asdict wrote
         bundle = ReportBundle(
             config=data["config"],
             hypothesis_report=data["hypothesis_report"],
             results=results,
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # no file, no JSON, no bundle
+        _check_types(bundle)
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # no file, JSON, bundle or types
         raise ConfigError(f"cannot read bundle {args.bundle}: {type(exc).__name__} {exc}") from None
     emit_report(bundle, args.out or ".", formats=(args.format,))
     return EXIT_OK
@@ -619,9 +619,7 @@ def _cmd_list(args):
 
 
 def _cmd_export_operator(args):
-    cfg = load_config(args.config)
-    problem = build_problem_from_config(cfg)
-    out = Path(args.out or cfg.output_dir)
+    _, problem, out = _load(args)
     out.mkdir(parents=True, exist_ok=True)
     export_matrix_market(problem.generator, out / "generator.mtx")
     print(f"generator written to {out / 'generator.mtx'}")
@@ -650,9 +648,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=_flag(_NON_NEGATIVE_INT), default=None, help="seed override")
 
@@ -670,20 +667,20 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("resolvent", help="resolvent-norm scan")
     common(p)
-    p.add_argument("--lam-re", type=float, nargs="+", default=[2.0])
-    p.add_argument("--lam-im", type=float, nargs="+", default=[0.0])
+    p.add_argument("--lam-re", type=_flag(_FINITE), nargs="+", default=[2.0])
+    p.add_argument("--lam-im", type=_flag(_FINITE), nargs="+", default=[0.0])
     p.set_defaults(fn=_cmd_resolvent)
 
     p = sub.add_parser("spectrum", help="eigenvalues near a shift")
     common(p)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--shift-re", type=float, default=0.0)
-    p.add_argument("--shift-im", type=float, default=0.0)
+    p.add_argument("--shift-re", type=_flag(_FINITE), default=0.0)
+    p.add_argument("--shift-im", type=_flag(_FINITE), default=0.0)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("kernel", help="extract one kernel column")
     common(p)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_flag(_POSITIVE), required=True)
     p.add_argument("--cell", type=int, default=None)
     p.add_argument("--component", type=int, default=0)
     p.set_defaults(fn=_cmd_kernel)

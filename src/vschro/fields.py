@@ -339,19 +339,6 @@ class HypothesisReport:
     kappa_profile: np.ndarray = field(repr=False)
     shift_beta: float
 
-    @property
-    def elliptic(self) -> bool:
-        return self.eta1 > 0.0
-
-    @property
-    def dissipative(self) -> bool:
-        """Quadratic form of V bounded by -|xi|^2 (margin <= 0)."""
-        return self.dissipativity_margin <= 1e-12
-
-    @property
-    def passes(self) -> bool:
-        return self.elliptic and self.dissipative and np.isfinite(self.growth_sup)
-
 
 def hermitian_top_eigenvalue(V: MatrixField) -> float:
     """Largest eigenvalue of the Hermitian part (V + V^H)/2 over all cells:

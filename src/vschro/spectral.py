@@ -37,6 +37,7 @@ __all__ = [
     "solve_resolvent",
     "resolvent_norm",
     "eigenpairs",
+    "max_eigenpairs",
     "kernel_column",
     "kernel_sweep",
 ]
@@ -129,6 +130,12 @@ def resolvent_norm(L: SparseOperator, lam: complex) -> float:
     return float(np.sqrt(max(top[0], 0.0)))
 
 
+def max_eigenpairs(dims: int) -> int:
+    """The largest k eigenpairs takes for an operator on dims unknowns: 20 at
+    desk scale, and ARPACK needs k < dims - 1."""
+    return min(20, dims - 2)
+
+
 def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0) -> EigenResult:
     """k eigenvalues of L nearest the shift, by shift-invert ARPACK.
 
@@ -139,7 +146,7 @@ def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0) -> EigenResult:
     shift is perturbed once if the factorization breaks down on it.
     """
     dim = L.dims
-    k_max = min(20, dim - 2)  # desk scale; ARPACK needs k < dim - 1
+    k_max = max_eigenpairs(dim)
     if not 1 <= k <= k_max:
         raise ValueError(f"k must lie in [1, {k_max}]")
     shift = _real_if_real(shift)

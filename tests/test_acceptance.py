@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from vschro.cli import bundled_config_path, load_config
+from vschro.cli import build_problem_from_config, bundled_config_path, load_config
 from vschro.evolve import SplitConfig, trotter_evolve
 from vschro.fields import matrix_power_field
 from vschro.mesh import VectorField
@@ -57,23 +57,12 @@ def test_criterion_01_trotter_oracle_orders():
 def test_criterion_02_contraction_suite():
     validator_passing = []
     for name in ("rotation_r15", "diag_baseline", "degenerate"):
-        cfg = load_config(bundled_config_path(name))
-        problem = build_problem(
-            cfg.dim, cfg.extent, cfg.n_per_axis, cfg.m,
-            q_rule=cfg.q_rule, q_params=cfg.q_params,
-            v_rule=cfg.v_rule, v_params=cfg.v_params,
-            shift=cfg.shift, alpha=cfg.alpha,
-        )
-        assert problem.report.dissipative, f"{name} should pass the validator"
+        problem = build_problem_from_config(load_config(bundled_config_path(name)))
+        assert problem.report.dissipativity_margin <= 1e-12, f"{name} should pass the validator"
         validator_passing.append((name, problem))
     for name in ("nongeneration", "nonanalytic"):
-        cfg = load_config(bundled_config_path(name))
-        problem = build_problem(
-            cfg.dim, cfg.extent, cfg.n_per_axis, cfg.m,
-            q_rule=cfg.q_rule, v_rule=cfg.v_rule, v_params=cfg.v_params,
-            shift=cfg.shift, alpha=cfg.alpha,
-        )
-        assert not problem.report.dissipative  # excluded by design
+        problem = build_problem_from_config(load_config(bundled_config_path(name)))
+        assert problem.report.dissipativity_margin > 1e-12  # excluded by design
 
     rng = np.random.default_rng(1234)
     worst = {}

@@ -160,6 +160,16 @@ class TestRunExperiment:
         assert code == EXIT_CHECK_FAILED
         assert not bundle.results[0].passed
 
+    @pytest.mark.parametrize("run", ["", "[run]\nt_final = 0.2\n"], ids=["no_run_section", "run_without_steps"])
+    def test_one_default_step_count(self, tmp_path, run):
+        # the same 100 steps with or without a [run] section, echoed as run
+        body = QUICK.replace("[run]\nscheme = lie\nsubstep = backward_euler\nn_steps = 20\nt_final = 0.2\n", run)
+        cfg = write_cfg(tmp_path, body)
+        bundle, code = run_experiment(cfg, out_dir=tmp_path / "out")
+        assert code == EXIT_OK and bundle.config["run"]["n_steps"] == 100
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "traj")]) == EXIT_OK
+        assert len((tmp_path / "traj" / "norms.csv").read_text().splitlines()) == 1 + 4 * 101
+
     def test_sizing_hint_is_config_error(self, tmp_path):
         small = _checks(QUICK, "ultracontractivity").replace("n_per_axis = 64", "n_per_axis = 8")
         with pytest.raises(ConfigError, match="window"):
@@ -461,6 +471,17 @@ MALFORMED = {
                                  "[check.consistency] lam must be positive, got -1.0"),
     "negative_nongeneration_lam": (lambda tmp: _override_body("nongeneration", "lam = -1"),
                                    "[check.nongeneration] lam must be positive, got -1.0"),
+    # A problem has at least one component.
+    "zero_components": (lambda tmp: QUICK.replace("m = 2", "m = 0"), "[problem] m must be at least 1, got 0"),
+    "negative_components": (lambda tmp: QUICK.replace("m = 2", "m = -1"), "[problem] m must be at least 1, got -1"),
+    # contraction steps Lie / backward Euler, so the bundle echoes the run that happened.
+    "strang_contraction": (lambda tmp: QUICK.replace("scheme = lie", "scheme = strang"),
+                           "contraction runs only [run] scheme = lie, substep = backward_euler; "
+                           "got scheme = strang, substep = backward_euler"),
+    "crank_nicolson_contraction": (lambda tmp: QUICK.replace("substep = backward_euler",
+                                                             "substep = crank_nicolson"),
+                                   "contraction runs only [run] scheme = lie, substep = backward_euler; "
+                                   "got scheme = lie, substep = crank_nicolson"),
     # An override section for a check that does not run would never be read.
     "unused_override_section": (lambda tmp: QUICK.replace("contraction, positivity", "contraction"),
                                 "[check.positivity] is set but 'positivity' is not in [checks] names"),
@@ -507,7 +528,8 @@ class TestMalformedInputs:
                                       "repeated_trotter_schedule", "decreasing_commutator_schedule",
                                       "decreasing_extents", "run_max_iters", "zero_in_trotter_schedule",
                                       "zero_in_commutator_schedule", "negative_consistency_lam",
-                                      "nonpositive_consistency_lam", "negative_nongeneration_lam"])
+                                      "nonpositive_consistency_lam", "negative_nongeneration_lam",
+                                      "zero_components", "negative_components"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)
@@ -552,17 +574,30 @@ def _file(tmp, name, text):
     return str(tmp / name)
 
 
+def _quick(tmp, command, *flags):
+    """`command` on QUICK into tmp/o, with flags."""
+    return [command, "--config", str(write_cfg(tmp, QUICK)), "--out", str(tmp / "o"), *flags]
+
+
+def _bundle(tmp, name, **change):
+    """A one-result bundle file with `change` applied to the bundle, or to its
+    result where the key is a result field."""
+    result = {"name": "contraction", "passed": True, "measured": {"worst_p": 2.0}, "tolerance": 1e-8,
+              "notes": ""}
+    data = {"config": {}, "hypothesis_report": {}, "results": [result]}
+    for key, value in change.items():
+        (result if key in result else data)[key] = value
+    return ["report", "--bundle", _file(tmp, name, json.dumps(data)), "--out", str(tmp / "o")]
+
+
 # Command lines with a bad flag value or a bad bundle, and the stderr fragment
 # each must produce; every one exits 2 and writes nothing.
 BAD_ARGV = {
-    "negative_snapshot_stride": (lambda tmp: ["evolve", "--config", str(write_cfg(tmp, QUICK)),
-                                              "--out", str(tmp / "o"), "--dump-snapshots", "-1"],
+    "negative_snapshot_stride": (lambda tmp: _quick(tmp, "evolve", "--dump-snapshots", "-1"),
                                  "argument --dump-snapshots: must be non-negative, got -1"),
-    "fraction_for_snapshot_stride": (lambda tmp: ["evolve", "--config", str(write_cfg(tmp, QUICK)),
-                                                  "--out", str(tmp / "o"), "--dump-snapshots", "2.5"],
+    "fraction_for_snapshot_stride": (lambda tmp: _quick(tmp, "evolve", "--dump-snapshots", "2.5"),
                                      "argument --dump-snapshots: invalid int value: '2.5'"),
-    "negative_seed_flag": (lambda tmp: ["evolve", "--config", str(write_cfg(tmp, QUICK)),
-                                        "--out", str(tmp / "o"), "--seed", "-1"],
+    "negative_seed_flag": (lambda tmp: _quick(tmp, "evolve", "--seed", "-1"),
                            "argument --seed: must be non-negative, got -1"),
     "missing_bundle": (lambda tmp: ["report", "--bundle", str(tmp / "missing.json"), "--out", str(tmp / "o")],
                        "missing.json: FileNotFoundError"),
@@ -573,6 +608,35 @@ BAD_ARGV = {
                                             _file(tmp, "partial.json", '{"config": {}, "hypothesis_report": {}}'),
                                             "--out", str(tmp / "o")],
                                "partial.json: KeyError 'results'"),
+    # Flag values outside their domain, or outside the problem the config builds.
+    "negative_kernel_time": (lambda tmp: _quick(tmp, "kernel", "--t", "-1"),
+                             "argument --t: must be positive, got -1.0"),
+    "kernel_component_past_m": (lambda tmp: _quick(tmp, "kernel", "--t", "0.05", "--component", "5"),
+                                "--component must lie in [0, 1] for this problem, got 5"),
+    "kernel_cell_past_grid": (lambda tmp: _quick(tmp, "kernel", "--t", "0.05", "--cell", "999999"),
+                              "--cell must lie in [0, 63] for this problem, got 999999"),
+    "negative_kernel_cell": (lambda tmp: _quick(tmp, "kernel", "--t", "0.05", "--cell", "-1"),
+                             "--cell must lie in [0, 63] for this problem, got -1"),
+    "no_eigenpairs": (lambda tmp: _quick(tmp, "spectrum", "--k", "0"),
+                      "--k must lie in [1, 20] for this problem, got 0"),
+    "nan_resolvent_point": (lambda tmp: _quick(tmp, "resolvent", "--lam-re", "nan"),
+                            "argument --lam-re: invalid float value: 'nan'"),
+    "infinite_resolvent_point": (lambda tmp: _quick(tmp, "resolvent", "--lam-im", "0", "inf"),
+                                 "argument --lam-im: invalid float value: 'inf'"),
+    "nan_spectrum_shift": (lambda tmp: _quick(tmp, "spectrum", "--shift-re", "nan", "--k", "2"),
+                           "argument --shift-re: invalid float value: 'nan'"),
+    # Bundle values of the wrong type are refused before anything is written.
+    "number_for_measured": (lambda tmp: _bundle(tmp, "measured.json", measured=5),
+                            "measured.json: TypeError result 'contraction' needs"),
+    "word_in_measured": (lambda tmp: _bundle(tmp, "word.json", measured={"worst_p": "two"}),
+                         "word.json: TypeError"),
+    "word_for_passed": (lambda tmp: _bundle(tmp, "passed.json", passed="yes"), "passed.json: TypeError"),
+    "word_for_tolerance": (lambda tmp: _bundle(tmp, "tolerance.json", tolerance="tight"),
+                           "tolerance.json: TypeError"),
+    "list_for_config": (lambda tmp: _bundle(tmp, "config.json", config=[]),
+                        "config.json: TypeError config and hypothesis_report must be mappings"),
+    "list_for_hypothesis_report": (lambda tmp: _bundle(tmp, "report.json", hypothesis_report=[]),
+                                   "report.json: TypeError config and hypothesis_report must be mappings"),
 }
 
 
@@ -586,6 +650,12 @@ def test_bad_command_line_exits_config_error(tmp_path, capsys, case):
     assert code == EXIT_CONFIG
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_well_typed_bundle_is_reemitted(tmp_path):
+    """The bundle the refusals above change is itself accepted."""
+    assert main(_bundle(tmp_path, "good.json")) == EXIT_OK
+    assert (tmp_path / "o" / "report.txt").exists()
 
 
 # The verify function that receives each check's override keys.

@@ -284,7 +284,6 @@ class TestValidator:
         assert rep.eta2 == pytest.approx(1.0)
         assert rep.dissipativity_margin <= 1e-12
         assert np.isfinite(rep.growth_sup)
-        assert rep.passes
 
     def test_upper_triangular_margin_grows_with_extent(self):
         margins = []
@@ -336,7 +335,7 @@ class TestValidator:
         shifted = shift_potential(V, rep.shift_beta)
         assert shifted.shift == pytest.approx(1.0)
         rep2 = validate_hypotheses(identity_q(g), shifted, 0.45)
-        assert rep2.dissipative
+        assert rep2.dissipativity_margin <= 1e-12
 
 
 def _assert_same_report(rep, ref):
