@@ -130,6 +130,8 @@ class ExperimentConfig:
         for rule in (self.q_rule, self.v_rule):
             if rule not in RULE_NAMES:
                 raise ConfigError(f"unknown rule {rule!r}; known: {', '.join(RULE_NAMES)}")
+        if self.shift not in ("auto", "none"):
+            raise ConfigError(f"[problem] shift must be 'auto' or 'none', got {self.shift!r}")
         for key, params in (("q_params", self.q_params), ("v_params", self.v_params)):
             if "m" in params:
                 raise ConfigError(f"{key} sets m; the component count is [problem] m")
@@ -154,7 +156,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _Domain:
-    """A cast whose value must also pass test; `says` completes "must be ..."."""
+    """A cast whose value must also pass test; `says` completes "<key> ..."."""
 
     cast: object
     says: str
@@ -165,17 +167,23 @@ def _increasing(values) -> bool:
     return all(a < b for a, b in zip(values, values[1:]))
 
 
-_FINITE = _Domain(float, "finite", math.isfinite)
-_NON_NEGATIVE = _Domain(float, "non-negative", lambda v: v >= 0)
-_NON_NEGATIVE_INT = _Domain(int, "non-negative", lambda v: v >= 0)
-_POSITIVE = _Domain(float, "positive", lambda v: v > 0)
-_AT_LEAST_ONE = _Domain(int, "at least 1", lambda v: v >= 1)
+_FINITE = _Domain(float, "must be finite", math.isfinite)
+_NON_NEGATIVE = _Domain(float, "must be non-negative", lambda v: v >= 0)
+_NON_NEGATIVE_INT = _Domain(int, "must be non-negative", lambda v: v >= 0)
+_POSITIVE = _Domain(float, "must be positive", lambda v: v > 0)
+_AT_LEAST_ONE = _Domain(int, "must be at least 1", lambda v: v >= 1)
+
+
+def _entries(least: int, domain) -> _Domain:
+    """domain, a list cast, with at least `least` entries."""
+    return _Domain(domain, f"needs at least {least} {'entry' if least == 1 else 'entries'}",
+                   lambda v: len(v) >= least)
 
 
 def _schedule(least: int) -> _Domain:
-    """Step or cell counts, each at least `least`, strictly increasing."""
-    entries = _Domain((int,), f"at least {least}", lambda v: all(n >= least for n in v))
-    return _Domain(entries, "strictly increasing", _increasing)
+    """Two or more step or cell counts, each at least `least`, strictly increasing."""
+    entries = _Domain((int,), f"must be at least {least}", lambda v: all(n >= least for n in v))
+    return _entries(2, _Domain(entries, "must be strictly increasing", _increasing))
 
 
 # The keys of each section and the cast of each value, applied once, at load:
@@ -188,30 +196,37 @@ def _schedule(least: int) -> _Domain:
 # ExperimentConfig.run; a [check.<name>] key that is not set keeps the
 # default of the verify function its CHECKS entry calls.
 _SECTION_KEYS = {
-    "problem": {"dim": int, "m": _AT_LEAST_ONE, "extent": float, "n_per_axis": int, "q_rule": str,
-                "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
-                "shift": str, "alpha": float},
-    "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float, "solver_tol": float},
+    "problem": {"dim": _Domain(int, "must be 1 or 2", lambda v: v in (1, 2)),
+                "m": _AT_LEAST_ONE, "extent": _POSITIVE,
+                "n_per_axis": _Domain(int, "must be at least 3", lambda v: v >= 3),
+                "q_rule": str, "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
+                "shift": str,
+                "alpha": _Domain(float, "must lie in [0, 0.5)", lambda v: 0 <= v < 0.5)},
+    "run": {"scheme": str, "substep": str, "n_steps": _AT_LEAST_ONE, "t_final": _POSITIVE,
+            "solver_tol": float},
     "checks": {"names": str},
     "output": {"dir": str, "seed": _NON_NEGATIVE_INT},
     "check.contraction": {"slack": _NON_NEGATIVE},
     "check.consistency": {"lam": _POSITIVE, "horizon": float, "n_steps": int, "tol": _NON_NEGATIVE},
     "check.positivity": {"n_random": _AT_LEAST_ONE,
-                         "t_forward": float, "floor": _NON_NEGATIVE},
-    "check.domination": {"ts": (float,), "slack": _NON_NEGATIVE},
-    "check.ultracontractivity": {"n_points": _Domain(int, "at least 2", lambda v: v >= 2),
+                         "t_forward": _POSITIVE, "floor": _NON_NEGATIVE},
+    "check.domination": {"ts": _entries(1, _Domain((float,), "must be positive",
+                                                   lambda v: all(t > 0 for t in v))),
+                         "slack": _NON_NEGATIVE},
+    "check.ultracontractivity": {"n_points": _Domain(int, "must be at least 2", lambda v: v >= 2),
                                  "tol": _NON_NEGATIVE},
     "check.trotter_order": {"t": float, "n_schedule": _schedule(1)},
     "check.nongeneration": {"lam": _POSITIVE,
-                            "extents": _Domain((float,), "strictly increasing", _increasing),
+                            "extents": _entries(2, _Domain((float,), "must be strictly increasing",
+                                                           _increasing)),
                             "h_target": float},
-    "check.shift_invariance": {"mu": float, "sigmas": (float,), "extent": float,
+    "check.shift_invariance": {"mu": float, "sigmas": _entries(1, (float,)), "extent": float,
                                "n_per_axis": int, "tol": _NON_NEGATIVE},
-    "check.degenerate_kernel": {"extent": float, "n_per_axis": int, "t": float, "n_steps": int},
+    "check.degenerate_kernel": {"extent": float, "n_per_axis": int, "t": _POSITIVE,
+                                "n_steps": _AT_LEAST_ONE},
     "check.commutator": {"extent": float, "n_schedule": _schedule(3)},
     "check.compactness": {"h_target": float, "extent": float, "k": int},
 }
-_SPLIT_FIELDS = {"substep": "diffusion_substep", "solver_tol": "linear_solver_tol"}
 
 
 def _section(parser, section: str) -> dict:
@@ -254,8 +269,10 @@ def load_config(path) -> ExperimentConfig:
                               "[output], [check.<name>]")
     try:
         cfg = ExperimentConfig(**_section(parser, "problem"))
-        run = _section(parser, "run")
-        cfg.run = replace(cfg.run, **{_SPLIT_FIELDS.get(k, k): v for k, v in run.items()})
+        try:
+            cfg.run = replace(cfg.run, **_section(parser, "run"))
+        except ValueError as exc:  # SplitConfig names the key and the value
+            raise ConfigError(f"[run] {exc}") from None
         names = _section(parser, "checks").get("names", "")
         cfg.checks = [n.strip() for n in names.split(",") if n.strip()]
         cfg.overrides = {section[len("check."):]: _section(parser, section)
@@ -265,8 +282,6 @@ def load_config(path) -> ExperimentConfig:
         cfg.seed = output.get("seed", cfg.seed)
     except configparser.InterpolationError as exc:
         raise ConfigError(f"[{exc.section}] {exc.option}: {exc}") from None
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
     cfg.validate()
     return cfg
 
@@ -299,7 +314,7 @@ def _cast(section: str, key: str, cast, value):
         out = _cast(section, key, cast.cast, value)
         if not cast.test(out):
             shown = list(out) if isinstance(out, tuple) else out
-            raise ConfigError(f"[{section}] {key} must be {cast.says}, got {shown!r}")
+            raise ConfigError(f"[{section}] {key} {cast.says}, got {shown!r}")
         return out
     try:
         if isinstance(cast, tuple):
@@ -359,26 +374,10 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     """The config as the keys of its file (bundle.json sorts them)."""
     return {
         **{key: getattr(cfg, key) for key in _SECTION_KEYS["problem"]},
-        "run": {key: getattr(cfg.run, _SPLIT_FIELDS.get(key, key)) for key in _SECTION_KEYS["run"]},
+        "run": asdict(cfg.run),
         "checks": list(cfg.checks),
         "overrides": cfg.overrides,
         "seed": cfg.seed,
-    }
-
-
-def _report_echo(problem: Problem) -> dict:
-    rep = problem.report
-    return {
-        "eta1": rep.eta1,
-        "eta2": rep.eta2,
-        "dissipativity_margin": rep.dissipativity_margin,
-        "alpha": rep.alpha,
-        "growth_sup": rep.growth_sup,
-        "offdiag_min": rep.offdiag_min,
-        "shift_beta": rep.shift_beta,
-        "applied_shift": problem.V.shift,
-        "kappa_min": float(rep.kappa_profile.min()),
-        "kappa_max": float(rep.kappa_profile.max()),
     }
 
 
@@ -398,7 +397,7 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     cfg = load_config(config_path)
     if not cfg.checks:
         raise ConfigError("[checks] names lists no check; verify needs at least one")
-    split = (cfg.run.scheme, cfg.run.diffusion_substep)
+    split = (cfg.run.scheme, cfg.run.substep)
     if "contraction" in cfg.checks and split != ("lie", "backward_euler"):  # the exact contraction
         raise ConfigError("contraction runs only [run] scheme = lie, substep = backward_euler; "
                           "got scheme = {}, substep = {}".format(*split))
@@ -415,7 +414,7 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
             raise ConfigError(f"check {name!r} rejected its configuration: {exc}") from exc
     bundle = ReportBundle(
         config=_config_echo(cfg),
-        hypothesis_report=_report_echo(problem),
+        hypothesis_report=asdict(problem.report),
         results=results,
     )
     emit_report(bundle, cfg.output_dir, formats=("text", "csv"))
@@ -505,7 +504,7 @@ def _within(flag: str, value: int, low: int, high: int):
 
 def _cmd_validate(args):
     _, problem, _ = _load(args)
-    for key, val in sorted(_report_echo(problem).items()):
+    for key, val in sorted(asdict(problem.report).items()):
         print(f"{key} = {_fmt(val)}")
     return EXIT_OK
 
@@ -633,7 +632,7 @@ def _flag(domain: _Domain):
     def cast(text):
         value = _strict(domain.cast, _parse_scalar(text))
         if not domain.test(value):
-            raise argparse.ArgumentTypeError(f"must be {domain.says}, got {value!r}")
+            raise argparse.ArgumentTypeError(f"{domain.says}, got {value!r}")
         return value
 
     # argparse reports _strict's TypeError or ValueError as "invalid int value: '2.5'"

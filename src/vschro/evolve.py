@@ -71,22 +71,23 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SplitConfig:
     scheme: str = "lie"  # "lie" | "strang"
-    diffusion_substep: str = "backward_euler"  # "backward_euler" | "crank_nicolson"
+    substep: str = "backward_euler"  # "backward_euler" | "crank_nicolson"
     n_steps: int = 1
     t_final: float = 1.0
-    linear_solver_tol: float = 1e-10  # post-solve residual bound, relative to the step input
+    solver_tol: float = 1e-10  # post-solve residual bound, relative to the step input
 
     def __post_init__(self):
         if self.scheme not in ("lie", "strang"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.diffusion_substep not in ("backward_euler", "crank_nicolson"):
-            raise ValueError(f"unknown substep {self.diffusion_substep!r}")
+            raise ValueError(f"scheme must be 'lie' or 'strang', got {self.scheme!r}")
+        if self.substep not in ("backward_euler", "crank_nicolson"):
+            raise ValueError(f"substep must be 'backward_euler' or 'crank_nicolson', "
+                             f"got {self.substep!r}")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps!r}")
         if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
-        if not 0.0 < self.linear_solver_tol <= 1e-4:
-            raise ValueError("linear_solver_tol must lie in (0, 1e-4]")
+            raise ValueError(f"t_final must be positive, got {self.t_final!r}")
+        if not 0.0 < self.solver_tol <= 1e-4:
+            raise ValueError(f"solver_tol must lie in (0, 1e-4], got {self.solver_tol!r}")
 
 
 @dataclass
@@ -154,8 +155,8 @@ class _DiffusionStepper:
     """
 
     def __init__(self, D: sp.csr_matrix, tau: float, cfg: SplitConfig):
-        self.tol = cfg.linear_solver_tol
-        crank = cfg.diffusion_substep == "crank_nicolson"
+        self.tol = cfg.solver_tol
+        crank = cfg.substep == "crank_nicolson"
         theta = 0.5 * tau if crank else tau
         ident = sp.identity(D.shape[0], format="csr")
         self.lhs = (ident - theta * D).tocsc()

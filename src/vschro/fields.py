@@ -7,8 +7,8 @@ squaring with a diagonal Pade approximant), real/complex matrix powers
 M^(-a) = sin(pi a)/pi * int_0^inf t^(-a) (t+M)^(-1) dt), and a validator that
 measures the structural assumptions the evolution and spectral layers rely
 on: uniform ellipticity of Q, the dissipativity margin of V, the growth of
-D_jV (-V)^(-a), off-diagonal signs, and the coercivity profile kappa(x) =
-smallest singular value of V(x).  The shift normalization needs only the
+D_jV (-V)^(-a), off-diagonal signs, and the range of kappa(x), the smallest
+singular value of V(x).  The shift normalization needs only the
 top eigenvalue of the Hermitian part of V, so a problem is validated once, on
 its final potential.  Sampled fields repeat their matrices (a constant field
 has one), so the validator and the matrix powers run each per-cell matrix
@@ -328,6 +328,8 @@ class HypothesisReport:
 
     All suprema are over the sampled box, not over R^d; growth_sup in
     particular is only a box-restricted surrogate for the uniform bound.
+    applied_shift is the shift already subtracted from V; kappa_min and
+    kappa_max bound kappa(x), the smallest singular value of V(x).
     """
 
     eta1: float
@@ -336,8 +338,10 @@ class HypothesisReport:
     alpha: float
     growth_sup: float
     offdiag_min: float
-    kappa_profile: np.ndarray = field(repr=False)
     shift_beta: float
+    applied_shift: float
+    kappa_min: float
+    kappa_max: float
 
 
 def hermitian_top_eigenvalue(V: MatrixField) -> float:
@@ -355,7 +359,7 @@ def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> Hypothe
     decides.  Derivatives of V come from grid finite differences, so
     growth_sup carries the same O(h^2) sampling error as everything else.
     The eigenvalues, powers and singular values are taken once per distinct
-    cell matrix; kappa_profile is gathered back to every cell.
+    cell matrix.
     """
     if Q.grid != V.grid:
         raise FieldError("Q and V live on different grids")
@@ -389,8 +393,7 @@ def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> Hypothe
     else:
         offdiag_min = 0.0
 
-    first, inverse = V.distinct
-    kappa = np.linalg.svd(V.values[first], compute_uv=False)[:, -1][inverse]
+    kappa = np.linalg.svd(V.values[V.distinct[0]], compute_uv=False)[:, -1]
 
     return HypothesisReport(
         eta1=eta1,
@@ -399,8 +402,10 @@ def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> Hypothe
         alpha=float(alpha),
         growth_sup=growth_sup,
         offdiag_min=offdiag_min,
-        kappa_profile=kappa,
         shift_beta=float(shift_beta),
+        applied_shift=float(V.shift),
+        kappa_min=float(kappa.min()),
+        kappa_max=float(kappa.max()),
     )
 
 

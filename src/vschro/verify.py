@@ -212,10 +212,10 @@ def run_consistency_check(
                          "does not couple the components of f and g")
     cfg = SplitConfig(
         scheme="strang",
-        diffusion_substep="crank_nicolson",
+        substep="crank_nicolson",
         n_steps=n_steps,
         t_final=horizon,
-        linear_solver_tol=1e-11,
+        solver_tol=1e-11,
     )
     traj = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(), snapshot_stride=1)
     times = np.array(traj.snapshot_times)
@@ -254,6 +254,8 @@ def run_positivity_check(
     """
     if n_random < 1:
         raise ValueError(f"n_random must be at least 1, got {n_random}")
+    if not t_forward > 0:
+        raise ValueError(f"t_forward must be positive, got {t_forward}")
     if floor < 0:
         raise ValueError(f"floor must be non-negative, got {floor}")
     grid = problem.grid
@@ -262,18 +264,13 @@ def run_positivity_check(
         raise ValueError("positivity check needs diagonal Q (M-matrix diffusion step)")
     if problem.report.offdiag_min >= 0.0:
         rng = np.random.default_rng(seed)
-        cfg = SplitConfig(
-            scheme="lie",
-            diffusion_substep="backward_euler",
-            n_steps=10,
-            t_final=t_forward,
-            linear_solver_tol=1e-12,
-        )
-        step = split_step(problem.diffusion, problem.V, t_forward / cfg.n_steps, cfg)
+        n_steps = 10
+        cfg = SplitConfig(substep="backward_euler", solver_tol=1e-12)
+        step = split_step(problem.diffusion, problem.V, t_forward / n_steps, cfg)
         worst = np.inf
         for _ in range(n_random):
             f = VectorField(grid, rng.random((grid.n_cells, m)).astype(complex))
-            out = step.run(f, cfg.n_steps, norm_ps=()).final
+            out = step.run(f, n_steps, norm_ps=()).final
             worst = min(worst, float(out.values.real.min()))
         return PropertyCheckResult(
             name="positivity",
@@ -295,10 +292,10 @@ def run_positivity_check(
     t_small = 4.0 * h * h
     cfg = SplitConfig(
         scheme="lie",
-        diffusion_substep="backward_euler",
+        substep="backward_euler",
         n_steps=4,
         t_final=t_small,
-        linear_solver_tol=1e-12,
+        solver_tol=1e-12,
     )
     fvals = np.zeros((grid.n_cells, m), dtype=complex)
     fvals[cell, l] = 1.0
@@ -318,16 +315,16 @@ def run_positivity_check(
 
 
 def _finals_at(horizons, g: VectorField, build) -> list:
-    """Final values of g run to each (t, n, cfg) horizon in order.
+    """Final values of g run to each (t, n) horizon in order.
 
-    build(tau, cfg) makes the step; it is rebuilt only when t / n differs
-    from the previous horizon's, and the old step is dropped first.
+    build(tau) makes the step; it is rebuilt only when t / n differs from
+    the previous horizon's, and the old step is dropped first.
     """
     finals, step = [], None
-    for t, n, cfg in horizons:
+    for t, n in horizons:
         if step is None or t / n != step.tau:
             step = None
-            step = build(t / n, cfg)
+            step = build(t / n)
         finals.append(step.run(g, n, norm_ps=()).final.values)
     return finals
 
@@ -346,28 +343,21 @@ def run_domination_check(
     """
     if not ts:
         raise ValueError("ts needs at least 1 time")
+    if not all(t > 0 for t in ts):
+        raise ValueError(f"ts must be positive, got {list(ts)}")
     if slack < 0:
         raise ValueError(f"slack must be non-negative, got {slack}")
     f = _bump_pair(problem)
     sq0 = VectorField(f.grid, (np.abs(f.values) ** 2).sum(axis=1).astype(complex)[:, None])
 
-    horizons = []
-    for t in ts:
-        n = max(20, int(math.ceil(t / 5e-3)))
-        cfg = SplitConfig(
-            scheme="lie",
-            diffusion_substep="backward_euler",
-            n_steps=n,
-            t_final=t,
-            linear_solver_tol=1e-11,
-        )
-        horizons.append((t, n, cfg))
-    us = _finals_at(horizons, f, partial(split_step, problem.diffusion, problem.V))
-    ws = _finals_at(horizons, sq0, partial(heat_step, problem.Q))
+    horizons = [(t, max(20, int(math.ceil(t / 5e-3)))) for t in ts]
+    cfg = SplitConfig(substep="backward_euler", solver_tol=1e-11)
+    us = _finals_at(horizons, f, partial(split_step, problem.diffusion, problem.V, cfg=cfg))
+    ws = _finals_at(horizons, sq0, partial(heat_step, problem.Q, cfg=cfg))
 
     measured = {}
     ok = True
-    for (t, _, _), u, w in zip(horizons, us, ws):
+    for (t, _), u, w in zip(horizons, us, ws):
         usq = (np.abs(u) ** 2).sum(axis=1)
         wvals = w[:, 0].real
         excess = float(np.max(usq - wvals) / max(wvals.max(), 1e-300))
@@ -401,9 +391,8 @@ def ultracontractive_sweep(problem: Problem, n_points: int = 5):
             f"empty smoothing window: need 25 h^2 * {ratio:.2f}^{n_points - 1} <= (R/4)^2/eta2 "
             f"= {t_max_box:.3e}; refine the grid (h = {h:.3e}) or enlarge R"
         )
-    cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler")
-    sups = kernel_sweep(problem.diffusion, problem.V, t_values, grid.center_cell(), 0, cfg,
-                        16 if grid.dim == 1 else 12)
+    sups = kernel_sweep(problem.diffusion, problem.V, t_values, grid.center_cell(), 0,
+                        SplitConfig(), 16 if grid.dim == 1 else 12)
     return t_values, sups
 
 
@@ -450,10 +439,10 @@ def run_trotter_order_check(
         for n in n_schedule:
             cfg = SplitConfig(
                 scheme=scheme,
-                diffusion_substep="crank_nicolson",
+                substep="crank_nicolson",
                 n_steps=n,
                 t_final=t,
-                linear_solver_tol=1e-12,
+                solver_tol=1e-12,
             )
             out = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=()).final
             errs.append(lp_norm(out - ref, 2))
@@ -587,18 +576,16 @@ def run_degenerate_kernel_check(
     """On the diagonal subspace the degenerate coupling acts trivially:
     S(t)(f, f) equals (T(t)f, T(t)f) after un-rescaling the identity shift,
     while a generic input (f, 0) must leave the subspace (f: a bump at x = 1)."""
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     problem = build_problem(
         1, extent, n_per_axis, 2, v_rule="degenerate_V", shift="none", alpha=0.0
     )
     grid = problem.grid
     profile = _bump(grid, 1.0).astype(complex)
-    cfg = SplitConfig(
-        scheme="lie",
-        diffusion_substep="crank_nicolson",
-        n_steps=n_steps,
-        t_final=t,
-        linear_solver_tol=1e-12,
-    )
+    cfg = SplitConfig(substep="crank_nicolson", solver_tol=1e-12)
     wref = heat_step(problem.Q, t / n_steps, cfg).run(
         VectorField(grid, profile[:, None]), n_steps, norm_ps=()).final.values[:, 0]
     wnorm = max(np.linalg.norm(wref), 1e-300)

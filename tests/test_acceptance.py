@@ -71,7 +71,7 @@ def test_criterion_02_contraction_suite():
         vals = rng.standard_normal((problem.grid.n_cells, problem.m)) + 1j * rng.standard_normal(
             (problem.grid.n_cells, problem.m)
         )
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
+        cfg = SplitConfig(scheme="lie", substep="backward_euler",
                           n_steps=100, t_final=1.0)
         traj = trotter_evolve(problem.diffusion, problem.V, VectorField(problem.grid, vals), cfg)
         res = run_contraction_check(traj, slack=1e-8)
@@ -82,7 +82,7 @@ def test_criterion_02_contraction_suite():
     control = build_problem(1, 8.0, 100, 2, v_rule="diag_V", v_params={"c": 2.0}, shift="none")
     x = control.grid.axis_coords
     bump = np.column_stack([np.exp(-x**2)] * 2).astype(complex)
-    cfgc = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=100, t_final=1.0)
+    cfgc = SplitConfig(scheme="lie", substep="backward_euler", n_steps=100, t_final=1.0)
     control_res = run_contraction_check(
         trotter_evolve(control.diffusion, control.V, VectorField(control.grid, bump), cfgc)
     )

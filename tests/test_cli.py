@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from vschro import cli, verify
+from vschro.evolve import SplitConfig
+from vschro.fields import HypothesisReport
 from vschro.cli import (
     CHECKS,
     ConfigError,
@@ -110,6 +113,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
 
+    def test_run_keys_are_the_split_config_fields(self):
+        assert [f.name for f in dataclasses.fields(SplitConfig)] == list(cli._SECTION_KEYS["run"])
+
     def test_all_bundled_configs_parse(self):
         for name in list_experiments():
             cfg = load_config(bundled_config_path(name))
@@ -149,6 +155,16 @@ class TestRunExperiment:
         for row in rows:
             check, passed, tol, key, value = row.split(",")
             assert f"{key} = {value}" in text
+
+    def test_hypothesis_echo_is_the_report(self, tmp_path, capsys):
+        # bundle.json and validate echo the fields of HypothesisReport, no more, no fewer
+        cfg = write_cfg(tmp_path, QUICK)
+        run_experiment(cfg, out_dir=tmp_path / "out")
+        bundled = json.loads((tmp_path / "out" / "bundle.json").read_text())["hypothesis_report"]
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        printed = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+        fields = {f.name for f in dataclasses.fields(HypothesisReport)}
+        assert set(bundled) == set(printed) == fields and len(printed) == len(fields)
 
     def test_failing_check_exit_code(self, tmp_path):
         flipped = (
@@ -474,6 +490,49 @@ MALFORMED = {
     # A problem has at least one component.
     "zero_components": (lambda tmp: QUICK.replace("m = 2", "m = 0"), "[problem] m must be at least 1, got 0"),
     "negative_components": (lambda tmp: QUICK.replace("m = 2", "m = -1"), "[problem] m must be at least 1, got -1"),
+    # [problem] and [run] values outside their domains, named with the section at load.
+    "unknown_run_scheme": (lambda tmp: QUICK.replace("scheme = lie", "scheme = foo"),
+                           "[run] scheme must be 'lie' or 'strang', got 'foo'"),
+    "unknown_run_substep": (lambda tmp: QUICK.replace("substep = backward_euler", "substep = foo"),
+                            "[run] substep must be 'backward_euler' or 'crank_nicolson', got 'foo'"),
+    "zero_run_steps": (lambda tmp: QUICK.replace("n_steps = 20", "n_steps = 0"),
+                       "[run] n_steps must be at least 1, got 0"),
+    "negative_run_t_final": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = -1"),
+                             "[run] t_final must be positive, got -1.0"),
+    "loose_run_solver_tol": (lambda tmp: QUICK.replace("t_final = 0.2", "t_final = 0.2\nsolver_tol = 0.5"),
+                             "[run] solver_tol must lie in (0, 1e-4], got 0.5"),
+    "three_dimensional_problem": (lambda tmp: QUICK.replace("dim = 1", "dim = 3"),
+                                  "[problem] dim must be 1 or 2, got 3"),
+    "two_cell_problem": (lambda tmp: QUICK.replace("n_per_axis = 64", "n_per_axis = 2"),
+                         "[problem] n_per_axis must be at least 3, got 2"),
+    "negative_problem_extent": (lambda tmp: QUICK.replace("extent = 6.0", "extent = -1"),
+                                "[problem] extent must be positive, got -1.0"),
+    "unknown_problem_shift": (lambda tmp: QUICK.replace("shift = none", "shift = always"),
+                              "[problem] shift must be 'auto' or 'none', got 'always'"),
+    "large_problem_alpha": (lambda tmp: QUICK.replace("shift = none", "shift = none\nalpha = 0.7"),
+                            "[problem] alpha must lie in [0, 0.5), got 0.7"),
+    "negative_problem_alpha": (lambda tmp: QUICK.replace("shift = none", "shift = none\nalpha = -0.1"),
+                               "[problem] alpha must lie in [0, 0.5), got -0.1"),
+    # Step sizes the split steps no longer check themselves, named with the section at load.
+    "zero_positivity_t_forward": (lambda tmp: _override_body("positivity", "t_forward = 0"),
+                                  "[check.positivity] t_forward must be positive, got 0.0"),
+    "negative_domination_time": (lambda tmp: _override_body("domination", "ts = 0.1, -1"),
+                                 "[check.domination] ts must be positive, got [0.1, -1.0]"),
+    "zero_degenerate_kernel_t": (lambda tmp: _override_body("degenerate_kernel", "t = 0"),
+                                 "[check.degenerate_kernel] t must be positive, got 0.0"),
+    "zero_degenerate_kernel_steps": (lambda tmp: _override_body("degenerate_kernel", "n_steps = 0"),
+                                     "[check.degenerate_kernel] n_steps must be at least 1, got 0"),
+    # Lists too short to measure anything, named with the section at load.
+    "short_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 8"),
+                               "[check.trotter_order] n_schedule needs at least 2 entries, got [8]"),
+    "short_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 400,"),
+                                  "[check.commutator] n_schedule needs at least 2 entries, got [400]"),
+    "short_extents": (lambda tmp: _override_body("nongeneration", "extents = 100.0"),
+                      "[check.nongeneration] extents needs at least 2 entries, got [100.0]"),
+    "no_domination_times": (lambda tmp: _override_body("domination", "ts = ,"),
+                            "[check.domination] ts needs at least 1 entry, got []"),
+    "no_shift_invariance_sigmas": (lambda tmp: _override_body("shift_invariance", "sigmas = ,"),
+                                   "[check.shift_invariance] sigmas needs at least 1 entry, got []"),
     # contraction steps Lie / backward Euler, so the bundle echoes the run that happened.
     "strang_contraction": (lambda tmp: QUICK.replace("scheme = lie", "scheme = strang"),
                            "contraction runs only [run] scheme = lie, substep = backward_euler; "
@@ -529,7 +588,17 @@ class TestMalformedInputs:
                                       "decreasing_extents", "run_max_iters", "zero_in_trotter_schedule",
                                       "zero_in_commutator_schedule", "negative_consistency_lam",
                                       "nonpositive_consistency_lam", "negative_nongeneration_lam",
-                                      "zero_components", "negative_components"])
+                                      "zero_components", "negative_components",
+                                      "unknown_run_scheme", "unknown_run_substep", "zero_run_steps",
+                                      "negative_run_t_final", "loose_run_solver_tol",
+                                      "three_dimensional_problem", "two_cell_problem",
+                                      "negative_problem_extent", "unknown_problem_shift",
+                                      "large_problem_alpha",
+                                      "negative_problem_alpha", "short_trotter_schedule",
+                                      "short_commutator_schedule", "short_extents",
+                                      "no_domination_times", "no_shift_invariance_sigmas",
+                                      "zero_positivity_t_forward", "negative_domination_time",
+                                      "zero_degenerate_kernel_t", "zero_degenerate_kernel_steps"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)

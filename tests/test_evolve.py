@@ -77,7 +77,7 @@ class TestSplitConfig:
         with pytest.raises(ValueError):
             SplitConfig(t_final=-1.0)
         with pytest.raises(ValueError):
-            SplitConfig(linear_solver_tol=1.0)
+            SplitConfig(solver_tol=1.0)
 
 
 class TestDirectSolve:
@@ -110,7 +110,7 @@ class TestDirectSolve:
                 ),
             }
             for substep, ref in refs.items():
-                cfg = SplitConfig(diffusion_substep=substep, linear_solver_tol=1e-12)
+                cfg = SplitConfig(substep=substep, solver_tol=1e-12)
                 out = diffusion_step(A, VectorField(g, vals), tau, cfg).values.ravel()
                 assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -131,7 +131,7 @@ class TestDirectSolve:
         rng = np.random.default_rng(5)
         f = VectorField(g, rng.standard_normal((16, 2)))
         with pytest.raises(SolverError, match="residual"):
-            diffusion_step(A, f, 0.1, SplitConfig(linear_solver_tol=1e-300))
+            diffusion_step(A, f, 0.1, SplitConfig(solver_tol=1e-300))
 
     @pytest.mark.parametrize("exc", [RuntimeError("Factor is exactly singular"), MemoryError()])
     def test_factorization_failure_raises_solver_error(self, monkeypatch, exc):
@@ -161,7 +161,7 @@ class TestDirectSolve:
             q[:, a, a] = rng.uniform(0.1, 10.0, g.n_cells)
         A = assemble_diffusion(MatrixField(g, "diffusion", q), g)
         f = VectorField(g, rng.random((g.n_cells, 2)))
-        cfg = SplitConfig(diffusion_substep="backward_euler", linear_solver_tol=1e-12)
+        cfg = SplitConfig(substep="backward_euler", solver_tol=1e-12)
         out = diffusion_step(A, f, tau, cfg)
         assert np.all(out.values.imag == 0.0)
         assert out.values.real.min() >= -1e-14 * f.values.real.max()
@@ -213,7 +213,7 @@ class TestDiffusionStep:
         v = np.sin(k * math.pi * (x + R) / (2 * R))
         lam = -4.0 / h**2 * math.sin(k * math.pi / (2 * (n + 1))) ** 2 - 1.0
         tau = 0.31
-        cfg = SplitConfig(diffusion_substep="backward_euler", linear_solver_tol=1e-12)
+        cfg = SplitConfig(substep="backward_euler", solver_tol=1e-12)
         out = diffusion_step(A, VectorField(g, v[:, None].astype(complex)), tau, cfg)
         np.testing.assert_allclose(
             out.values[:, 0].real, v / (1.0 - tau * lam), atol=1e-10
@@ -226,7 +226,7 @@ class TestDiffusionStep:
         dense = A.matrix.toarray()
         errs = []
         for tau in (0.2, 0.1, 0.05):
-            cfg = SplitConfig(diffusion_substep="crank_nicolson", linear_solver_tol=1e-13)
+            cfg = SplitConfig(substep="crank_nicolson", solver_tol=1e-13)
             out = diffusion_step(A, f, tau, cfg)
             ref = scipy.linalg.expm(tau * dense) @ f.values[:, 0]
             errs.append(np.linalg.norm(out.values[:, 0] - ref))
@@ -242,8 +242,8 @@ class TestDiffusionStep:
         f = VectorField(g, np.exp(-(x**2) / (2 * sigma**2))[:, None].astype(complex))
         t = 1.0
         cfg = SplitConfig(
-            diffusion_substep="crank_nicolson", n_steps=200, t_final=t,
-            linear_solver_tol=1e-11,
+            substep="crank_nicolson", n_steps=200, t_final=t,
+            solver_tol=1e-11,
         )
         out = f
         for _ in range(cfg.n_steps):
@@ -261,7 +261,7 @@ class TestDiffusionStep:
         rng = np.random.default_rng(4)
         f = VectorField(g, rng.standard_normal((48, 2)) + 1j * rng.standard_normal((48, 2)))
         for substep in ("backward_euler", "crank_nicolson"):
-            cfg = SplitConfig(diffusion_substep=substep)
+            cfg = SplitConfig(substep=substep)
             out = diffusion_step(A, f, 0.5, cfg)
             assert lp_norm(out, 2) <= lp_norm(f, 2) * (1 + 1e-12)
 
@@ -274,8 +274,8 @@ class TestTrotter:
         A = assemble_diffusion(Q, g)
         f = bump_field(g, 2)
         t = 0.4
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
-                          n_steps=80, t_final=t, linear_solver_tol=1e-12)
+        cfg = SplitConfig(scheme="lie", substep="backward_euler",
+                          n_steps=80, t_final=t, solver_tol=1e-12)
         traj = trotter_evolve(A, V, f, cfg)
         # scalar route: same substeps on each component, potential factor e^{-t}
         for k in range(2):
@@ -293,7 +293,7 @@ class TestTrotter:
         V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
         A = assemble_diffusion(identity_q(g), g)
         f = VectorField(g, np.real(bump_field(g, 2).values).astype(complex))
-        cfg = SplitConfig(scheme="strang", diffusion_substep="crank_nicolson",
+        cfg = SplitConfig(scheme="strang", substep="crank_nicolson",
                           n_steps=20, t_final=0.5)
         out = trotter_evolve(A, V, f, cfg).final
         assert np.abs(out.values.imag).max() <= 1e-12
@@ -303,8 +303,8 @@ class TestTrotter:
         V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
         A = assemble_diffusion(identity_q(g), g)
         f = bump_field(g, 2)
-        mk = lambda t, n: SplitConfig(scheme="lie", diffusion_substep="backward_euler",
-                                      n_steps=n, t_final=t, linear_solver_tol=1e-12)
+        mk = lambda t, n: SplitConfig(scheme="lie", substep="backward_euler",
+                                      n_steps=n, t_final=t, solver_tol=1e-12)
         once = trotter_evolve(A, V, f, mk(0.6, 60)).final
         first = trotter_evolve(A, V, f, mk(0.4, 40)).final
         second = trotter_evolve(A, V, first, mk(0.2, 20)).final
@@ -316,7 +316,7 @@ class TestTrotter:
         A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(8)
         f = VectorField(g, rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2)))
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
+        cfg = SplitConfig(scheme="lie", substep="backward_euler",
                           n_steps=50, t_final=1.0)
         traj = trotter_evolve(A, V, f, cfg)
         for p, norms in traj.norm_log.items():
@@ -328,7 +328,7 @@ class TestTrotter:
         A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(9)
         f = VectorField(g, rng.standard_normal((64, 2)) + 0j)
-        cfg = SplitConfig(scheme="strang", diffusion_substep="crank_nicolson",
+        cfg = SplitConfig(scheme="strang", substep="crank_nicolson",
                           n_steps=50, t_final=1.0)
         traj = trotter_evolve(A, V, f, cfg)
         norms = traj.norm_log[2]
@@ -355,8 +355,8 @@ class TestTrotter:
         ref = VectorField(g, (scipy.linalg.expm(t * L.matrix.toarray()) @ f.values.ravel()).reshape(64, 2))
         errs = {}
         for scheme in ("lie", "strang"):
-            cfg = SplitConfig(scheme=scheme, diffusion_substep="crank_nicolson",
-                              n_steps=32, t_final=t, linear_solver_tol=1e-12)
+            cfg = SplitConfig(scheme=scheme, substep="crank_nicolson",
+                              n_steps=32, t_final=t, solver_tol=1e-12)
             out = trotter_evolve(A, V, f, cfg).final
             errs[scheme] = lp_norm(out - ref, 2)
         # ">= accuracy": ties happen when the factors commute (constant V)
@@ -370,7 +370,7 @@ class TestTrotter:
         A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(2)
         f = VectorField(g, rng.standard_normal((200, 1)) + 1j * rng.standard_normal((200, 1)))
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
+        cfg = SplitConfig(scheme="lie", substep="backward_euler",
                           n_steps=40, t_final=0.5)
         traj = trotter_evolve(A, V, f, cfg, norm_ps=(2,))
         norms = traj.norm_log[2]
@@ -422,8 +422,8 @@ class TestScalarHeat:
         h = g.spacing
         lam = -4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
         t = 0.5
-        cfg = SplitConfig(diffusion_substep="crank_nicolson", n_steps=400, t_final=t,
-                          linear_solver_tol=1e-12)
+        cfg = SplitConfig(substep="crank_nicolson", n_steps=400, t_final=t,
+                          solver_tol=1e-12)
         out = heat_evolve(Q, VectorField(g, v[:, None].astype(complex)), t, cfg)
         np.testing.assert_allclose(
             out.values[:, 0].real, math.exp(lam * t) * v, atol=5e-6
@@ -434,8 +434,8 @@ class TestScalarHeat:
         Q = identity_q(g)
         rng = np.random.default_rng(3)
         w0 = VectorField(g, rng.random((80, 1)).astype(complex))
-        cfg = SplitConfig(diffusion_substep="backward_euler", n_steps=20, t_final=0.3,
-                          linear_solver_tol=1e-12)
+        cfg = SplitConfig(substep="backward_euler", n_steps=20, t_final=0.3,
+                          solver_tol=1e-12)
         out = heat_evolve(Q, w0, 0.3, cfg)
         assert out.values.real.min() >= -1e-12
         assert np.sum(out.values.real) * g.cell_measure <= np.sum(w0.values.real) * g.cell_measure
@@ -465,7 +465,7 @@ class TestRealPath:
         A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, m, seed=m)
         re, im = random_parts(g, m, seed=10 + m)
-        cfg = SplitConfig(scheme=scheme, diffusion_substep=substep, n_steps=6, t_final=0.3)
+        cfg = SplitConfig(scheme=scheme, substep=substep, n_steps=6, t_final=0.3)
         whole = trotter_evolve(A, V, VectorField(g, re + 1j * im), cfg).final.values
         parts = [trotter_evolve(A, V, VectorField(g, x), cfg).final.values for x in (re, im)]
         combined = parts[0] + 1j * parts[1]
@@ -517,7 +517,7 @@ class TestRealPath:
         g = build_grid(2, 3.0, 10)
         Q = identity_q(g)
         re, im = random_parts(g, 1, seed=8)
-        cfg = SplitConfig(diffusion_substep=substep, n_steps=5)
+        cfg = SplitConfig(substep=substep, n_steps=5)
         whole = heat_evolve(Q, VectorField(g, re + 1j * im), 0.2, cfg).values
         parts = [heat_evolve(Q, VectorField(g, x), 0.2, cfg).values for x in (re, im)]
         assert np.all(parts[0].imag == 0.0) and np.all(parts[1].imag == 0.0)
@@ -561,7 +561,7 @@ class TestZeroColumns:
     def test_live_columns_match_full_solve(self, substep, data, dead, zero_corner):
         g = build_grid(2, 3.0, 9)
         D = assemble_diffusion(identity_q(g), g).matrix
-        stepper = _DiffusionStepper(D, 0.07, SplitConfig(diffusion_substep=substep))
+        stepper = _DiffusionStepper(D, 0.07, SplitConfig(substep=substep))
         re, im = random_parts(g, 3, seed=21)
         vals = re if data == "real" else re + 1j * im
         cols = vals.view(np.float64)  # complex: re0, im0, re1, im1, re2, im2
@@ -587,7 +587,7 @@ class TestZeroColumns:
         vals = np.random.default_rng(5).standard_normal((16, 2))
         vals[:, 1] = 0.0
         with pytest.raises(SolverError, match="residual"):
-            diffusion_step(A, VectorField(g, vals), 0.1, SplitConfig(linear_solver_tol=1e-300))
+            diffusion_step(A, VectorField(g, vals), 0.1, SplitConfig(solver_tol=1e-300))
 
 
 def per_cell_stepper(V, tau):
@@ -671,7 +671,7 @@ class TestSplitStep:
         g = build_grid(dim, 3.0, 24 if dim == 1 else 10)
         A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, 2, seed=50)
-        cfg = SplitConfig(scheme=scheme, diffusion_substep=substep, n_steps=6, t_final=0.3)
+        cfg = SplitConfig(scheme=scheme, substep=substep, n_steps=6, t_final=0.3)
         step = split_step(A, V, cfg.t_final / cfg.n_steps, cfg)
         for seed in (51, 52):
             re, im = random_parts(g, 2, seed)
@@ -708,7 +708,7 @@ class TestSplitStep:
     def test_reused_heat_step_matches_fresh_runs(self, substep):
         g = build_grid(2, 3.0, 10)
         Q = identity_q(g)
-        cfg = SplitConfig(diffusion_substep=substep, n_steps=8)
+        cfg = SplitConfig(substep=substep, n_steps=8)
         step = heat_step(Q, 0.4 / 8, cfg)
         re, im = random_parts(g, 1, seed=53)
         for vals in (re, re + 1j * im, np.abs(re)):
@@ -777,7 +777,7 @@ class TestScalarBlock:
         # each component column of a decoupled field evolves as the m = 1 run
         g = build_grid(2, 3.0, 9)
         D = assemble_diffusion(identity_q(g), g)
-        cfg = SplitConfig(n_steps=4, t_final=0.2, linear_solver_tol=1e-12)
+        cfg = SplitConfig(n_steps=4, t_final=0.2, solver_tol=1e-12)
         V = sample_field(make_rule("diag_V", 2, c=-1.0, m=m)[0], g, "potential")
         V1 = sample_field(make_rule("diag_V", 2, c=-1.0, m=1)[0], g, "potential")
         vals = random_parts(g, m, seed=60)[0]

@@ -275,7 +275,7 @@ class TestKernel:
         A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential")
         t = 0.01
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=64)
+        cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=64)
         column = kernel_column(A, V, t, g.center_cell(), 0, cfg)
         expected = math.exp(-2.0 * t) * heat_kernel_sup(t, 1)
         assert np.abs(column.values).max() == pytest.approx(expected, rel=0.05)
@@ -284,7 +284,7 @@ class TestKernel:
         g = build_grid(1, 6.0, 400)
         A = assemble_diffusion(identity_q(g), g)
         V = shift_potential(sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"))
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=40)
+        cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=40)
         for t in (0.05, 0.4):
             mass = lp_norm(kernel_column(A, V, t, g.center_cell(), 1, cfg), 1)
             assert mass <= math.exp(-t) + 1e-6
@@ -293,8 +293,8 @@ class TestKernel:
         g = build_grid(1, 6.0, 200)
         A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("coupled_V", 1, a=-2.0, b=1.0, c=0.5)[0], g, "potential")
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=30,
-                          linear_solver_tol=1e-12)
+        cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=30,
+                          solver_tol=1e-12)
         for j in (0, 1):
             column = kernel_column(A, V, 0.1, g.center_cell(), j, cfg)
             assert column.values.real.min() >= -1e-10
@@ -303,7 +303,7 @@ class TestKernel:
         g = build_grid(1, 6.0, 200)
         A = assemble_diffusion(identity_q(g), g)
         V = sample_field(make_rule("coupled_V", 1, a=-2.0, b=1.0, c=0.5)[0], g, "potential")
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler")
+        cfg = SplitConfig(scheme="lie", substep="backward_euler")
         # the leading segment runs 4 x steps_per_segment = 8 steps
         sweep = kernel_sweep(A, V, (0.1, 0.05), g.center_cell(), 1, cfg, steps_per_segment=2)
         assert len(sweep) == 2 and all(type(s) is float for s in sweep)
@@ -321,8 +321,8 @@ class TestKernel:
         raw[:, 1, 1] -= 2.5
         V = MatrixField(g, "potential", raw)
         VT = MatrixField(g, "potential", raw.transpose(0, 2, 1).copy())
-        cfg = SplitConfig(scheme="strang", diffusion_substep="crank_nicolson",
-                          n_steps=20, linear_solver_tol=1e-13)
+        cfg = SplitConfig(scheme="strang", substep="crank_nicolson",
+                          n_steps=20, solver_tol=1e-13)
         t = 0.2
         y, x = 30, 55
         i, j = 0, 1
@@ -343,8 +343,8 @@ class TestKernel:
         gfld = VectorField(g, gvals)
         lam = 2.0
         direct = dual_pairing(solve_resolvent(L, lam, f), gfld)
-        cfg = SplitConfig(scheme="strang", diffusion_substep="crank_nicolson",
-                          n_steps=300, t_final=6.0, linear_solver_tol=1e-11)
+        cfg = SplitConfig(scheme="strang", substep="crank_nicolson",
+                          n_steps=300, t_final=6.0, solver_tol=1e-11)
         traj = trotter_evolve(A, V, f, cfg, norm_ps=(2,), snapshot_stride=1)
         times = np.array(traj.snapshot_times)
         vals = np.array([dual_pairing(s, gfld) for s in traj.snapshots])
@@ -355,7 +355,7 @@ class TestKernel:
         # V = -I keeps component 1 at exact zero: the m = 2 sweep solves one
         # column per step, and its values equal the two-column solves' bit for bit
         g = build_grid(2, 3.2, 40)
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler")
+        cfg = SplitConfig(scheme="lie", substep="backward_euler")
         times = (0.16, 0.32, 0.64)
 
         def sweep(m):

@@ -171,7 +171,7 @@ class TestContraction:
     def test_zero_field_trivially_passes(self):
         p = small_problem()
         f = VectorField(p.grid, np.zeros((p.grid.n_cells, 2)))
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
+        cfg = SplitConfig(scheme="lie", substep="backward_euler",
                           n_steps=5, t_final=0.1)
         res = run_contraction_check(trotter_evolve(p.diffusion, p.V, f, cfg))
         assert res.passed
@@ -181,7 +181,7 @@ class TestContraction:
         p = small_problem(v_rule="diag_V", v_params={"c": 2.0})
         x = p.grid.axis_coords
         f = VectorField(p.grid, np.column_stack([np.exp(-x**2)] * 2).astype(complex))
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler",
+        cfg = SplitConfig(scheme="lie", substep="backward_euler",
                           n_steps=50, t_final=1.0)
         res = run_contraction_check(trotter_evolve(p.diffusion, p.V, f, cfg))
         assert not res.passed
@@ -213,6 +213,19 @@ class TestPositivity:
             run_positivity_check(p)
 
 
+@pytest.mark.parametrize("check, kwargs", [
+    (lambda **kw: run_positivity_check(small_problem(), **kw), {"t_forward": 0.0}),
+    (lambda **kw: run_domination_check(small_problem(), **kw), {"ts": (0.1, -1.0)}),
+    (run_degenerate_kernel_check, {"t": 0.0}),
+    (run_degenerate_kernel_check, {"n_steps": 0}),
+], ids=["positivity_t_forward", "domination_ts", "degenerate_kernel_t", "degenerate_kernel_steps"])
+def test_split_step_sizes_are_checked(check, kwargs):
+    """A check that builds its split step from a step size refuses a size
+    that is not positive, as SplitConfig does for a run's t_final and n_steps."""
+    with pytest.raises(ValueError, match="must be"):
+        check(**kwargs)
+
+
 class TestDomination:
     def test_zero_field_trivial(self):
         p = small_problem()
@@ -242,8 +255,8 @@ class TestDomination:
 
 def positivity_reference(problem, n_random, t_forward=0.1, seed=2024):
     rng = np.random.default_rng(seed)
-    cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=10,
-                      t_final=t_forward, linear_solver_tol=1e-12)
+    cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=10,
+                      t_final=t_forward, solver_tol=1e-12)
     worst = np.inf
     for _ in range(n_random):
         f = VectorField(problem.grid, rng.random((problem.grid.n_cells, problem.m)).astype(complex))
@@ -264,8 +277,8 @@ def domination_reference(problem, ts=(0.1, 0.5, 1.0), width=1.0, tau_target=5e-3
     measured = {}
     for t in ts:
         n = max(20, int(math.ceil(t / tau_target)))
-        cfg = SplitConfig(scheme="lie", diffusion_substep="backward_euler", n_steps=n,
-                          t_final=t, linear_solver_tol=1e-11)
+        cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=n,
+                          t_final=t, solver_tol=1e-11)
         u = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(2,)).final
         w = heat_step(problem.Q, t / n, cfg).run(sq0, n, norm_ps=()).final
         usq = (np.abs(u.values) ** 2).sum(axis=1)
@@ -278,8 +291,8 @@ def degenerate_reference(extent, n_per_axis, t, n_steps, center=1.0, width=1.0):
     problem = build_problem(1, extent, n_per_axis, 2, v_rule="degenerate_V", shift="none", alpha=0.0)
     grid = problem.grid
     profile = _bump(grid, center, width).astype(complex)
-    cfg = SplitConfig(scheme="lie", diffusion_substep="crank_nicolson", n_steps=n_steps,
-                      t_final=t, linear_solver_tol=1e-12)
+    cfg = SplitConfig(scheme="lie", substep="crank_nicolson", n_steps=n_steps,
+                      t_final=t, solver_tol=1e-12)
     wref = heat_step(problem.Q, t / n_steps, cfg).run(
         VectorField(grid, profile[:, None]), n_steps, norm_ps=()).final.values[:, 0]
     wnorm = max(np.linalg.norm(wref), 1e-300)
@@ -494,8 +507,8 @@ class TestTrotterOrderCheck:
         ref = dense_expm_apply(p.generator, 0.5, f)
         errs = []
         for n in (8, 16, 32):
-            cfg = SplitConfig(scheme="lie", diffusion_substep="crank_nicolson",
-                              n_steps=n, t_final=0.5, linear_solver_tol=1e-12)
+            cfg = SplitConfig(scheme="lie", substep="crank_nicolson",
+                              n_steps=n, t_final=0.5, solver_tol=1e-12)
             out = trotter_evolve(p.diffusion, p.V, f, cfg).final
             errs.append(lp_norm(out - ref, 2))
         order = math.log2(errs[0] / errs[1])
@@ -520,8 +533,8 @@ class TestTrotterOrderCheck:
         ref = dense_expm_apply(L, 0.5, f)
         errs = []
         for n in (8, 16, 32):
-            cfg = SplitConfig(scheme="strang", diffusion_substep="crank_nicolson",
-                              n_steps=n, t_final=0.5, linear_solver_tol=1e-12)
+            cfg = SplitConfig(scheme="strang", substep="crank_nicolson",
+                              n_steps=n, t_final=0.5, solver_tol=1e-12)
             errs.append(lp_norm(trotter_evolve(A, M, f, cfg).final - ref, 2))
         order = math.log2(errs[1] / errs[2])
         assert 1.6 < order < 2.4
@@ -561,7 +574,7 @@ class TestCounterexampleChecks:
         # f = 0: both routes are identically zero
         p = build_problem(1, 6.0, 64, 2, v_rule="degenerate_V", shift="none")
         f = VectorField(p.grid, np.zeros((64, 2)))
-        cfg = SplitConfig(scheme="lie", diffusion_substep="crank_nicolson",
+        cfg = SplitConfig(scheme="lie", substep="crank_nicolson",
                           n_steps=10, t_final=0.1)
         out = trotter_evolve(p.diffusion, p.V, f, cfg).final
         assert np.abs(out.values).max() == 0.0
