@@ -18,7 +18,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import os
 import sys
 import traceback
@@ -36,7 +35,15 @@ from vschro.problems import Problem, build_problem
 from vschro.spectral import (SpectralProximityError, eigenpairs, kernel_column, max_eigenpairs,
                              resolvent_norm)
 from vschro.verify import (
+    _AT_LEAST_ONE,
+    _AT_LEAST_THREE,
+    _FINITE,
+    _HARD_CAP_UNKNOWNS,
+    _NON_NEGATIVE_INT,
+    _POSITIVE,
+    CHECK_KEYS,
     PropertyCheckResult,
+    _Domain,
     run_commutator_rate_check,
     run_compactness_contrast,
     run_consistency_check,
@@ -47,8 +54,7 @@ from vschro.verify import (
     run_positivity_check,
     run_shift_invariance_check,
     run_trotter_order_check,
-    run_ultracontractivity_fit,
-    ultracontractive_sweep,
+    run_ultracontractivity_check,
 )
 
 __all__ = [
@@ -68,7 +74,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
-_HARD_CAP_UNKNOWNS = 4_000_000
 _NUMERICAL_ERRORS = (SolverError, SpectralProximityError, np.linalg.LinAlgError, FloatingPointError)
 
 
@@ -154,51 +159,16 @@ class ExperimentConfig:
                 )
 
 
-@dataclass(frozen=True)
-class _Domain:
-    """A cast whose value must also pass test; `says` completes "<key> ..."."""
-
-    cast: object
-    says: str
-    test: object
-
-
-def _increasing(values) -> bool:
-    return all(a < b for a, b in zip(values, values[1:]))
-
-
-_FINITE = _Domain(float, "must be finite", math.isfinite)
-_NON_NEGATIVE = _Domain(float, "must be non-negative", lambda v: v >= 0)
-_NON_NEGATIVE_INT = _Domain(int, "must be non-negative", lambda v: v >= 0)
-_POSITIVE = _Domain(float, "must be positive", lambda v: v > 0)
-_AT_LEAST_ONE = _Domain(int, "must be at least 1", lambda v: v >= 1)
-
-
-def _entries(least: int, domain) -> _Domain:
-    """domain, a list cast, with at least `least` entries."""
-    return _Domain(domain, f"needs at least {least} {'entry' if least == 1 else 'entries'}",
-                   lambda v: len(v) >= least)
-
-
-def _schedule(least: int) -> _Domain:
-    """Two or more step or cell counts, each at least `least`, strictly increasing."""
-    entries = _Domain((int,), f"must be at least {least}", lambda v: all(n >= least for n in v))
-    return _entries(2, _Domain(entries, "must be strictly increasing", _increasing))
-
-
 # The keys of each section and the cast of each value, applied once, at load:
-# str keeps the text, _parse_params reads rule parameters, and int, float,
-# (int,) and (float,) go through _cast, where a one-entry tuple marks a list
-# of that type and a single value is a one-entry list.  A _Domain is such a
-# cast, or another _Domain, with a test its value must pass, so the key is
-# refused at load; a nested domain is tested first.  A fixed-section key that
-# is not set keeps its ExperimentConfig default, a [run] key that of
-# ExperimentConfig.run; a [check.<name>] key that is not set keeps the
-# default of the verify function its CHECKS entry calls.
+# str keeps the text, _parse_params reads rule parameters, and every other
+# cast or verify._Domain goes through _cast, where a single value for a list
+# is a one-entry list.  An unset key keeps its default: that of
+# ExperimentConfig, of ExperimentConfig.run for [run], and for
+# [check.<name>] that of the verify function that declares it in CHECK_KEYS.
 _SECTION_KEYS = {
     "problem": {"dim": _Domain(int, "must be 1 or 2", lambda v: v in (1, 2)),
                 "m": _AT_LEAST_ONE, "extent": _POSITIVE,
-                "n_per_axis": _Domain(int, "must be at least 3", lambda v: v >= 3),
+                "n_per_axis": _AT_LEAST_THREE,
                 "q_rule": str, "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
                 "shift": str,
                 "alpha": _Domain(float, "must lie in [0, 0.5)", lambda v: 0 <= v < 0.5)},
@@ -206,26 +176,7 @@ _SECTION_KEYS = {
             "solver_tol": float},
     "checks": {"names": str},
     "output": {"dir": str, "seed": _NON_NEGATIVE_INT},
-    "check.contraction": {"slack": _NON_NEGATIVE},
-    "check.consistency": {"lam": _POSITIVE, "horizon": float, "n_steps": int, "tol": _NON_NEGATIVE},
-    "check.positivity": {"n_random": _AT_LEAST_ONE,
-                         "t_forward": _POSITIVE, "floor": _NON_NEGATIVE},
-    "check.domination": {"ts": _entries(1, _Domain((float,), "must be positive",
-                                                   lambda v: all(t > 0 for t in v))),
-                         "slack": _NON_NEGATIVE},
-    "check.ultracontractivity": {"n_points": _Domain(int, "must be at least 2", lambda v: v >= 2),
-                                 "tol": _NON_NEGATIVE},
-    "check.trotter_order": {"t": float, "n_schedule": _schedule(1)},
-    "check.nongeneration": {"lam": _POSITIVE,
-                            "extents": _entries(2, _Domain((float,), "must be strictly increasing",
-                                                           _increasing)),
-                            "h_target": float},
-    "check.shift_invariance": {"mu": float, "sigmas": _entries(1, (float,)), "extent": float,
-                               "n_per_axis": int, "tol": _NON_NEGATIVE},
-    "check.degenerate_kernel": {"extent": float, "n_per_axis": int, "t": _POSITIVE,
-                                "n_steps": _AT_LEAST_ONE},
-    "check.commutator": {"extent": float, "n_schedule": _schedule(3)},
-    "check.compactness": {"h_target": float, "extent": float, "k": int},
+    **{f"check.{name}": keys for name, keys in CHECK_KEYS.items()},
 }
 
 
@@ -310,12 +261,9 @@ def _strict(cast, value):
 def _cast(section: str, key: str, cast, value):
     """value cast for [section] key, and in its domain; a ConfigError names
     both if it does not fit."""
-    if isinstance(cast, _Domain):
-        out = _cast(section, key, cast.cast, value)
-        if not cast.test(out):
-            shown = list(out) if isinstance(out, tuple) else out
-            raise ConfigError(f"[{section}] {key} {cast.says}, got {shown!r}")
-        return out
+    domain = cast
+    while isinstance(cast, _Domain):
+        cast = cast.cast
     try:
         if isinstance(cast, tuple):
             items = value if isinstance(value, list) else [value]
@@ -327,6 +275,11 @@ def _cast(section: str, key: str, cast, value):
         raise ConfigError(f"[{section}] {key} takes {kind}, got {value!r}") from None
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be finite, got {value!r}") from None
+    if isinstance(domain, _Domain):
+        try:
+            domain.admit(key, out)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     return out
 
 
@@ -343,13 +296,6 @@ def _contraction(problem, run_cfg, seed, **kw):
     return run_contraction_check(trotter_evolve(problem.diffusion, problem.V, f, run_cfg), **kw)
 
 
-def _ultracontractivity(problem, run_cfg, seed, **kw):
-    """n_points goes to the kernel sweep, the other keys to the fit."""
-    sweep = {"n_points": kw.pop("n_points")} if "n_points" in kw else {}
-    kernels = ultracontractive_sweep(problem, **sweep)
-    return run_ultracontractivity_fit(kernels, problem.grid.dim, **kw)
-
-
 def _known_check(name: str):
     if name not in CHECKS:
         raise ConfigError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
@@ -360,7 +306,7 @@ CHECKS = {
     "consistency": lambda problem, run, seed, **kw: run_consistency_check(problem, **kw),
     "positivity": lambda problem, run, seed, **kw: run_positivity_check(problem, seed=seed, **kw),
     "domination": lambda problem, run, seed, **kw: run_domination_check(problem, **kw),
-    "ultracontractivity": _ultracontractivity,
+    "ultracontractivity": lambda problem, run, seed, **kw: run_ultracontractivity_check(problem, **kw),
     "trotter_order": lambda problem, run, seed, **kw: run_trotter_order_check(problem, **kw),
     "nongeneration": lambda problem, run, seed, **kw: run_nongeneration_demo(**kw),
     "shift_invariance": lambda problem, run, seed, **kw: run_shift_invariance_check(**kw),

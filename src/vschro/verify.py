@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +52,7 @@ from vschro.spectral import (
 )
 
 __all__ = [
+    "CHECK_KEYS",
     "PropertyCheckResult",
     "expm_apply",
     "u2_closed_form",
@@ -59,8 +60,7 @@ __all__ = [
     "run_consistency_check",
     "run_positivity_check",
     "run_domination_check",
-    "ultracontractive_sweep",
-    "run_ultracontractivity_fit",
+    "run_ultracontractivity_check",
     "run_trotter_order_check",
     "run_nongeneration_demo",
     "run_shift_invariance_check",
@@ -148,9 +148,12 @@ def _bump_pair(problem: Problem) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# Checks.  A config sets only the keys of cli._SECTION_KEYS; each other
-# threshold is fixed, below if two lines use it, else as a literal.
+# Checks.  Each check's receiving function declares its config keys once,
+# with @_takes, as keyword-only parameters with their domains; cli builds the
+# [check.<name>] sections of a config from CHECK_KEYS.  Each other threshold
+# is fixed, below if two lines use it, else as a literal.
 
+_HARD_CAP_UNKNOWNS = 4_000_000  # unknowns of any grid a config or a check builds
 _ORDER_WINDOWS = {"lie": (0.7, 1.3), "strang": (1.6, 2.4)}  # splitting orders accepted
 _ANCHOR_TOL = 0.01  # relative error of x u2(x) against 1/lam at x = 1e3
 _MATCH_TOL = 1e-6  # degenerate coupling: diagonal data against the scalar flow
@@ -159,10 +162,97 @@ _N_LEVELS = 10  # eigenvalue levels whose spacing the compactness contrast takes
 _STABILITY_TOL = 0.2  # largest change of the rotation spacing as R doubles
 
 
-def run_contraction_check(traj: Trajectory, slack: float = 1e-8) -> PropertyCheckResult:
+@dataclass(frozen=True)
+class _Domain:
+    """A cast (int, float, (int,) or (float,) for a list of that type, or another
+    _Domain) whose value must also pass test; `says` completes "<key> ..."."""
+
+    cast: object
+    says: str
+    test: object
+
+    def admit(self, key: str, value):
+        """A ValueError naming key unless value passes every nested test."""
+        if isinstance(self.cast, _Domain):
+            self.cast.admit(key, value)
+        if not self.test(value):
+            shown = list(value) if isinstance(value, tuple) else value
+            raise ValueError(f"{key} {self.says}, got {shown!r}")
+
+
+def _increasing(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+_FINITE = _Domain(float, "must be finite", math.isfinite)
+_NON_NEGATIVE = _Domain(float, "must be non-negative", lambda v: v >= 0)
+_NON_NEGATIVE_INT = _Domain(int, "must be non-negative", lambda v: v >= 0)
+_POSITIVE = _Domain(float, "must be positive", lambda v: v > 0)
+_AT_LEAST_ONE = _Domain(int, "must be at least 1", lambda v: v >= 1)
+_AT_LEAST_THREE = _Domain(int, "must be at least 3", lambda v: v >= 3)
+_ALL_POSITIVE = _Domain((float,), "must be positive", lambda v: all(x > 0 for x in v))
+
+
+def _entries(least: int, domain) -> _Domain:
+    """domain, a list cast, with at least `least` entries."""
+    return _Domain(domain, f"needs at least {least} {'entry' if least == 1 else 'entries'}",
+                   lambda v: len(v) >= least)
+
+
+def _schedule(least: int) -> _Domain:
+    """Two or more step or cell counts, each at least `least`, strictly increasing."""
+    entries = _Domain((int,), f"must be at least {least}", lambda v: all(n >= least for n in v))
+    return _entries(2, _Domain(entries, "must be strictly increasing", _increasing))
+
+
+def _cells(m: int, domain=_AT_LEAST_THREE) -> _Domain:
+    """domain, the cells per axis of a 1D grid of m components (a count or a
+    list of counts), each within the hard cap on unknowns."""
+    most = _HARD_CAP_UNKNOWNS // m
+    return _Domain(domain, f"must be at most {most}: the hard cap is {_HARD_CAP_UNKNOWNS} "
+                   f"unknowns, {m} per cell", lambda v: np.max(v) <= most)
+
+
+def _box_cells(extent: float, h_target: float) -> int:
+    """Cells per axis of the 1D box [-extent, extent] at spacing near
+    h_target; a ValueError naming h_target, raised before the grid is built,
+    unless they are at least 3 and 2 components of them keep within the
+    hard cap."""
+    span = 2.0 * extent / h_target
+    if not math.isfinite(span) or 2 * (round(span) - 1) > _HARD_CAP_UNKNOWNS:
+        raise ValueError(f"h_target = {h_target!r} puts more than {_HARD_CAP_UNKNOWNS} unknowns "
+                         f"(the hard cap) on the box of R = {extent:g}")
+    if round(span) - 1 < 3:
+        raise ValueError(f"h_target = {h_target!r} leaves fewer than 3 cells on the box of R = {extent:g}")
+    return int(round(span)) - 1
+
+
+CHECK_KEYS = {}  # check name -> {key: _Domain}, in the order the checks are defined
+
+
+def _takes(check: str, **keys):
+    """Register the decorated function as the one that receives `check`'s
+    config keys, each a keyword-only parameter in the _Domain given here;
+    every call admits each of those keys that it passes."""
+
+    def register(fn):
+        CHECK_KEYS[check] = keys
+
+        @wraps(fn)
+        def admitted(*args, **kwargs):
+            for key, value in kwargs.items():
+                if key in keys:
+                    keys[key].admit(key, value)
+            return fn(*args, **kwargs)
+
+        return admitted
+
+    return register
+
+
+@_takes("contraction", slack=_NON_NEGATIVE)
+def run_contraction_check(traj: Trajectory, *, slack: float = 1e-8) -> PropertyCheckResult:
     """Every logged p-norm must be nonincreasing up to relative slack."""
-    if slack < 0:
-        raise ValueError(f"slack must be non-negative, got {slack}")
     worst, worst_p = -np.inf, math.nan
     for p, norms in traj.norm_log.items():
         prev = np.maximum(norms[:-1], 1e-300)
@@ -179,8 +269,10 @@ def run_contraction_check(traj: Trajectory, slack: float = 1e-8) -> PropertyChec
     )
 
 
+@_takes("consistency", lam=_POSITIVE, horizon=_POSITIVE, n_steps=_AT_LEAST_ONE, tol=_NON_NEGATIVE)
 def run_consistency_check(
     problem: Problem,
+    *,
     lam: float = 2.0,
     horizon: float = 6.0,
     n_steps: int = 300,
@@ -194,10 +286,6 @@ def run_consistency_check(
     A pairing that vanishes (f and g in decoupled components) measures
     nothing and is rejected as inconclusive.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if tol < 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
     grid = problem.grid
     fvals = np.zeros((grid.n_cells, problem.m), dtype=complex)
     fvals[:, 0] = _bump(grid, 0.0, grid.extent / 8.0)
@@ -239,8 +327,10 @@ def run_consistency_check(
     )
 
 
+@_takes("positivity", n_random=_AT_LEAST_ONE, t_forward=_POSITIVE, floor=_NON_NEGATIVE)
 def run_positivity_check(
     problem: Problem,
+    *,
     n_random: int = 50,
     t_forward: float = 0.1,
     seed: int = 2024,
@@ -252,12 +342,6 @@ def run_positivity_check(
     -floor.  Converse branch: a bump placed in component l at the cell where
     v_kl < 0 must push component k strictly negative within t ~ 4 h^2.
     """
-    if n_random < 1:
-        raise ValueError(f"n_random must be at least 1, got {n_random}")
-    if not t_forward > 0:
-        raise ValueError(f"t_forward must be positive, got {t_forward}")
-    if floor < 0:
-        raise ValueError(f"floor must be non-negative, got {floor}")
     grid = problem.grid
     m = problem.m
     if grid.dim == 2 and float(np.max(np.abs(problem.Q.values[:, 0, 1]))) > 1e-14:
@@ -329,8 +413,10 @@ def _finals_at(horizons, g: VectorField, build) -> list:
     return finals
 
 
+@_takes("domination", ts=_entries(1, _ALL_POSITIVE), slack=_NON_NEGATIVE)
 def run_domination_check(
     problem: Problem,
+    *,
     ts=(0.1, 0.5, 1.0),
     slack: float = 1e-8,
 ) -> PropertyCheckResult:
@@ -341,12 +427,6 @@ def run_domination_check(
     vector run comes first, then every scalar run, each through one step per
     run of horizons with equal step size, so one LU factor is held at a time.
     """
-    if not ts:
-        raise ValueError("ts needs at least 1 time")
-    if not all(t > 0 for t in ts):
-        raise ValueError(f"ts must be positive, got {list(ts)}")
-    if slack < 0:
-        raise ValueError(f"slack must be non-negative, got {slack}")
     f = _bump_pair(problem)
     sq0 = VectorField(f.grid, (np.abs(f.values) ** 2).sum(axis=1).astype(complex)[:, None])
 
@@ -372,14 +452,15 @@ def run_domination_check(
     )
 
 
-def ultracontractive_sweep(problem: Problem, n_points: int = 5):
-    """(t_values, sups of the centre cell's component-0 kernel column) on a
-    geometric t-window with h^2 << t << R^2/16.
-
-    Raises with a sizing hint when the window is empty for the grid.
-    """
-    if n_points < 2:
-        raise ValueError(f"n_points needs at least 2 times to fit a slope, got {n_points}")
+@_takes("ultracontractivity", n_points=_Domain(int, "must be at least 2", lambda v: v >= 2),
+        tol=_NON_NEGATIVE)
+def run_ultracontractivity_check(problem: Problem, *, n_points: int = 5,
+                                 tol: float = 0.1) -> PropertyCheckResult:
+    """Least-squares slope of log sup |K(t)| against log t, K the centre
+    cell's component-0 kernel column, on a geometric t-window with
+    h^2 << t << R^2/16; the smoothing exponent must match -d/2 within tol.
+    The intercept is the measured log of the smoothing constant.  Raises
+    with a sizing hint when the window is empty for the grid."""
     grid = problem.grid
     h = grid.spacing
     ratio = 2.0 if grid.dim == 1 else math.sqrt(2.0)
@@ -393,18 +474,8 @@ def ultracontractive_sweep(problem: Problem, n_points: int = 5):
         )
     sups = kernel_sweep(problem.diffusion, problem.V, t_values, grid.center_cell(), 0,
                         SplitConfig(), 16 if grid.dim == 1 else 12)
-    return t_values, sups
-
-
-def run_ultracontractivity_fit(sweep, dim: int, tol: float = 0.1) -> PropertyCheckResult:
-    """Least-squares slope of log sup |K(t)| against log t over the
-    (t_values, sups) of a sweep; the smoothing exponent must match -d/2
-    within tol.  The intercept is the measured log of the smoothing constant."""
-    if tol < 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
-    ts, sups = sweep
-    slope, intercept = np.polyfit(np.log(ts), np.log(sups), 1)
-    passed = abs(slope + dim / 2.0) <= tol
+    slope, intercept = np.polyfit(np.log(t_values), np.log(sups), 1)
+    passed = abs(slope + grid.dim / 2.0) <= tol
     return PropertyCheckResult(
         name="ultracontractivity",
         passed=bool(passed),
@@ -414,8 +485,10 @@ def run_ultracontractivity_fit(sweep, dim: int, tol: float = 0.1) -> PropertyChe
     )
 
 
+@_takes("trotter_order", t=_POSITIVE, n_schedule=_schedule(1))
 def run_trotter_order_check(
     problem: Problem,
+    *,
     t: float = 0.5,
     n_schedule=(8, 16, 32, 64),
 ) -> PropertyCheckResult:
@@ -424,8 +497,6 @@ def run_trotter_order_check(
     A constant potential commutes with the diffusion, so there is no
     splitting error to measure; that case is rejected as inconclusive.
     """
-    if len(n_schedule) < 2:
-        raise ValueError("n_schedule needs at least 2 step counts to measure an order")
     if problem.V.is_constant:
         raise ValueError("inconclusive: a constant potential commutes with the diffusion, "
                          "so there is no splitting error to measure")
@@ -462,7 +533,11 @@ def run_trotter_order_check(
     )
 
 
+@_takes("nongeneration", lam=_POSITIVE,
+        extents=_entries(2, _Domain(_ALL_POSITIVE, "must be strictly increasing", _increasing)),
+        h_target=_POSITIVE)
 def run_nongeneration_demo(
+    *,
     lam: float = 1.0,
     extents=(50.0, 100.0, 200.0),
     h_target: float = 0.125,
@@ -473,16 +548,12 @@ def run_nongeneration_demo(
     (ii) the discrete solves blow up under domain growth: ||u1||_2 is
     strictly increasing in R with positive log-log slope.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if len(extents) < 2:
-        raise ValueError("extents needs at least 2 box sizes to measure growth")
     anchor = 1e3 * u2_closed_form(1e3, lam)
     anchor_ok = abs(anchor * lam - 1.0) <= _ANCHOR_TOL
 
+    cells = [_box_cells(R, h_target) for R in extents]
     norms = []
-    for R in extents:
-        n = int(round(2.0 * R / h_target)) - 1
+    for R, n in zip(extents, cells):
         grid = build_grid(1, R, n)
         Q = sample_field(make_rule("identity_Q", 1)[0], grid, "diffusion")
         D = SparseOperator(assemble_scalar_diffusion(Q, grid, shifted=False), grid, 1)
@@ -510,7 +581,10 @@ def run_nongeneration_demo(
     )
 
 
+@_takes("shift_invariance", mu=_FINITE, sigmas=_entries(1, (float,)), extent=_POSITIVE,
+        n_per_axis=_cells(1), tol=_NON_NEGATIVE)
 def run_shift_invariance_check(
+    *,
     mu: float = 1.0,
     sigmas=(1.0, 2.0, 5.0),
     extent: float = 40.0,
@@ -526,10 +600,6 @@ def run_shift_invariance_check(
     'absolute_control' operator (Delta - |x|, self-adjoint) is the designed
     negative control whose norm does decay.
     """
-    if not sigmas:
-        raise ValueError("sigmas needs at least 1 shift")
-    if tol < 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
     if max(abs(s) for s in sigmas) > extent / 8.0:
         raise ValueError("sigma values must stay below R/8 (translation must stay in the box)")
     grid = build_grid(1, extent, n_per_axis)
@@ -567,7 +637,10 @@ def run_shift_invariance_check(
     )
 
 
+@_takes("degenerate_kernel", extent=_POSITIVE, n_per_axis=_cells(2), t=_POSITIVE,
+        n_steps=_AT_LEAST_ONE)
 def run_degenerate_kernel_check(
+    *,
     extent: float = 10.0,
     n_per_axis: int = 400,
     t: float = 0.2,
@@ -576,10 +649,6 @@ def run_degenerate_kernel_check(
     """On the diagonal subspace the degenerate coupling acts trivially:
     S(t)(f, f) equals (T(t)f, T(t)f) after un-rescaling the identity shift,
     while a generic input (f, 0) must leave the subspace (f: a bump at x = 1)."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     problem = build_problem(
         1, extent, n_per_axis, 2, v_rule="degenerate_V", shift="none", alpha=0.0
     )
@@ -616,14 +685,14 @@ def run_degenerate_kernel_check(
     )
 
 
+@_takes("commutator", extent=_POSITIVE, n_schedule=_cells(2, _schedule(3)))
 def run_commutator_rate_check(
+    *,
     extent: float = 10.0,
     n_schedule=(200, 400),
 ) -> PropertyCheckResult:
     """Defect of the commutator identity halves when N doubles (first-order
     consistency of the discretized right-hand side)."""
-    if len(n_schedule) < 2:
-        raise ValueError("n_schedule needs at least 2 grid sizes to measure a ratio")
     defects = []
     for n in n_schedule:
         grid = build_grid(1, extent, n)
@@ -659,7 +728,9 @@ def _real_part_levels(eigenvalues):
     return levels[:_N_LEVELS]
 
 
+@_takes("compactness", h_target=_POSITIVE, extent=_POSITIVE, k=_AT_LEAST_ONE)
 def run_compactness_contrast(
+    *,
     h_target: float = 0.05,
     extent: float = 10.0,
     k: int = 20,
@@ -670,14 +741,14 @@ def run_compactness_contrast(
     R doubles); the degenerate potential leaves a free direction whose
     spectrum densifies like the Dirichlet box, so its spacing collapses.
     """
+    cells = {R: _box_cells(R, h_target) for R in (extent, 2.0 * extent)}
     spacings = {}
     for name, v_rule, v_params, do_shift in (
         ("rotation", "rotation_V", {"r": 1.5}, True),
         ("degenerate", "degenerate_V", {}, False),
     ):
         per_R = []
-        for R in (extent, 2.0 * extent):
-            n = int(round(2.0 * R / h_target)) - 1
+        for R, n in cells.items():
             problem = build_problem(
                 1, R, n, 2, v_rule=v_rule, v_params=v_params,
                 shift="auto" if do_shift else "none",

@@ -25,8 +25,7 @@ from vschro.verify import (
     run_positivity_check,
     run_shift_invariance_check,
     run_trotter_order_check,
-    run_ultracontractivity_fit,
-    ultracontractive_sweep,
+    run_ultracontractivity_check,
 )
 
 
@@ -138,19 +137,19 @@ def test_criterion_05_ultracontractivity_exponent():
     slopes = {}
     ok = True
     d1 = build_problem(1, 10.0, 2000, 2, v_rule="diag_V", v_params={"c": -1.0}, shift="none")
-    res1 = run_ultracontractivity_fit(ultracontractive_sweep(d1), 1, tol=0.1)
+    res1 = run_ultracontractivity_check(d1, tol=0.1)
     slopes["d1_diag"] = res1.measured["slope"]
     ok = ok and res1.passed
 
     d1r = build_problem(
         1, 10.0, 2000, 2, v_rule="rotation_V", v_params={"r": 1.5}, shift="auto", alpha=0.45
     )
-    res1r = run_ultracontractivity_fit(ultracontractive_sweep(d1r), 1, tol=0.1)
+    res1r = run_ultracontractivity_check(d1r, tol=0.1)
     slopes["d1_rotation"] = res1r.measured["slope"]
     ok = ok and res1r.passed
 
     d2 = build_problem(2, 3.2, 320, 2, v_rule="diag_V", v_params={"c": -1.0}, shift="none")
-    res2 = run_ultracontractivity_fit(ultracontractive_sweep(d2), 2, tol=0.1)
+    res2 = run_ultracontractivity_check(d2, tol=0.1)
     slopes["d2_diag"] = res2.measured["slope"]
     ok = ok and res2.passed
     announce(

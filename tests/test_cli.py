@@ -1,5 +1,7 @@
+import configparser
 import dataclasses
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -33,15 +35,14 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def _base_cast(cast):
     """The cast under a (possibly nested) domain."""
-    while isinstance(cast, cli._Domain):
+    while isinstance(cast, verify._Domain):
         cast = cast.cast
     return cast
 
 
-# The [check.<name>] rows of the config table: each check's keys and casts,
-# a domain's cast in place of the domain.
-CHECK_KEYS = {section[len("check."):]: {key: _base_cast(cast) for key, cast in keys.items()}
-              for section, keys in cli._SECTION_KEYS.items() if section.startswith("check.")}
+# Each check's declared keys and casts, a domain's cast in place of the domain.
+CHECK_KEYS = {check: {key: _base_cast(cast) for key, cast in keys.items()}
+              for check, keys in verify.CHECK_KEYS.items()}
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -544,6 +545,52 @@ MALFORMED = {
     # An override section for a check that does not run would never be read.
     "unused_override_section": (lambda tmp: QUICK.replace("contraction, positivity", "contraction"),
                                 "[check.positivity] is set but 'positivity' is not in [checks] names"),
+    # Horizons, step sizes, boxes and cell counts that leave nothing to run.
+    "zero_consistency_horizon": (lambda tmp: _override_body("consistency", "horizon = 0"),
+                                 "[check.consistency] horizon must be positive, got 0.0"),
+    "zero_consistency_steps": (lambda tmp: _override_body("consistency", "n_steps = 0"),
+                               "[check.consistency] n_steps must be at least 1, got 0"),
+    "zero_trotter_t": (lambda tmp: _override_body("trotter_order", "t = 0"),
+                       "[check.trotter_order] t must be positive, got 0.0"),
+    "zero_nongeneration_h_target": (lambda tmp: _override_body("nongeneration", "h_target = 0"),
+                                    "[check.nongeneration] h_target must be positive, got 0.0"),
+    "negative_nongeneration_extent": (lambda tmp: _override_body("nongeneration", "extents = -50, 100"),
+                                      "[check.nongeneration] extents must be positive, got [-50.0, 100.0]"),
+    "zero_shift_invariance_extent": (lambda tmp: _override_body("shift_invariance", "extent = 0"),
+                                     "[check.shift_invariance] extent must be positive, got 0.0"),
+    "two_cell_shift_invariance": (lambda tmp: _override_body("shift_invariance", "n_per_axis = 2"),
+                                  "[check.shift_invariance] n_per_axis must be at least 3, got 2"),
+    "zero_degenerate_kernel_extent": (lambda tmp: _override_body("degenerate_kernel", "extent = 0"),
+                                      "[check.degenerate_kernel] extent must be positive, got 0.0"),
+    "two_cell_degenerate_kernel": (lambda tmp: _override_body("degenerate_kernel", "n_per_axis = 2"),
+                                   "[check.degenerate_kernel] n_per_axis must be at least 3, got 2"),
+    "zero_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 0"),
+                               "[check.commutator] extent must be positive, got 0.0"),
+    "zero_compactness_h_target": (lambda tmp: _override_body("compactness", "h_target = 0"),
+                                  "[check.compactness] h_target must be positive, got 0.0"),
+    "zero_compactness_extent": (lambda tmp: _override_body("compactness", "extent = 0"),
+                                "[check.compactness] extent must be positive, got 0.0"),
+    "no_compactness_levels": (lambda tmp: _override_body("compactness", "k = 0"),
+                              "[check.compactness] k must be at least 1, got 0"),
+    # Check-built grids keep within the hard cap on unknowns, before any is built.
+    "oversize_shift_invariance_grid": (lambda tmp: _override_body("shift_invariance", "n_per_axis = 4000001"),
+                                       "[check.shift_invariance] n_per_axis must be at most 4000000: the "
+                                       "hard cap is 4000000 unknowns, 1 per cell, got 4000001"),
+    "oversize_degenerate_kernel_grid": (lambda tmp: _override_body("degenerate_kernel", "n_per_axis = 2000001"),
+                                        "[check.degenerate_kernel] n_per_axis must be at most 2000000"),
+    "oversize_commutator_grid": (lambda tmp: _override_body("commutator", "n_schedule = 200, 2000001"),
+                                 "[check.commutator] n_schedule must be at most 2000000"),
+    "fine_nongeneration_grid": (lambda tmp: _override_body("nongeneration", "h_target = 1e-9"),
+                                "h_target = 1e-09 puts more than 4000000 unknowns (the hard cap) on the "
+                                "box of R = 50"),
+    "fine_compactness_grid": (lambda tmp: _override_body("compactness", "h_target = 1e-5"),
+                              "h_target = 1e-05 puts more than 4000000 unknowns (the hard cap) on the "
+                              "box of R = 20"),
+    # ... and a spacing too coarse for the smallest box is named as the spacing.
+    "coarse_nongeneration_grid": (lambda tmp: _override_body("nongeneration", "h_target = 1e6"),
+                                  "h_target = 1000000.0 leaves fewer than 3 cells on the box of R = 50"),
+    "coarse_compactness_grid": (lambda tmp: _override_body("compactness", "h_target = 10"),
+                                "h_target = 10.0 leaves fewer than 3 cells on the box of R = 10"),
 }
 
 
@@ -598,7 +645,15 @@ class TestMalformedInputs:
                                       "short_commutator_schedule", "short_extents",
                                       "no_domination_times", "no_shift_invariance_sigmas",
                                       "zero_positivity_t_forward", "negative_domination_time",
-                                      "zero_degenerate_kernel_t", "zero_degenerate_kernel_steps"])
+                                      "zero_degenerate_kernel_t", "zero_degenerate_kernel_steps",
+                                      "zero_consistency_horizon", "zero_consistency_steps", "zero_trotter_t",
+                                      "zero_nongeneration_h_target", "negative_nongeneration_extent",
+                                      "zero_shift_invariance_extent", "two_cell_shift_invariance",
+                                      "zero_degenerate_kernel_extent", "two_cell_degenerate_kernel",
+                                      "zero_commutator_extent", "zero_compactness_h_target",
+                                      "zero_compactness_extent", "no_compactness_levels",
+                                      "oversize_shift_invariance_grid", "oversize_degenerate_kernel_grid",
+                                      "oversize_commutator_grid"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)
@@ -636,6 +691,45 @@ class TestMalformedInputs:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         results = json.loads((tmp_path / "o" / "bundle.json").read_text())["results"]
         assert len(results) == 1 and len(results[0]["measured"]) >= 1
+
+
+def _setting(section, key, token):
+    """QUICK with [section] key = token; a [check.<name>] key runs only that check."""
+    parser = configparser.ConfigParser()
+    parser.read_string(QUICK)
+    if section.startswith("check."):
+        parser.remove_section("check.positivity")
+        parser["checks"]["names"] = section[len("check."):]
+        parser.add_section(section)
+    parser[section][key] = token
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+# Check keys that take 0 or -1: tolerances, the resolvent line's real part
+# and the shifts along it.
+TAKES_ZERO_OR_MINUS_ONE = {"slack": ("0",), "tol": ("0",), "floor": ("0",), "mu": ("0", "-1"),
+                           "sigmas": ("0", "-1")}
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, keys in cli._SECTION_KEYS.items()
+                                          for key in keys])
+def test_every_key_loads_or_is_refused(tmp_path, section, key):
+    """Any value of any key loads or is a ConfigError, never another
+    exception; a check key refuses 0 and -1 at load unless they are valid."""
+    for i, token in enumerate(["nan", "inf", "-1", "0", "2.5", "true", "abc", "", "1e6", "1e400"]):
+        path = write_cfg(tmp_path, _setting(section, key, token), name=f"{i}.cfg")
+        try:
+            load_config(path)
+        except ConfigError as exc:
+            refused = exc
+        else:
+            refused = None
+        if section.startswith("check.") and token in ("0", "-1"):
+            valid = token in TAKES_ZERO_OR_MINUS_ONE.get(key, ())
+            assert (refused is None) == valid, (section, key, token, refused)
+            assert valid or f"[{section}] {key} " in str(refused)
 
 
 def _file(tmp, name, text):
@@ -727,38 +821,30 @@ def test_well_typed_bundle_is_reemitted(tmp_path):
     assert (tmp_path / "o" / "report.txt").exists()
 
 
-# The verify function that receives each check's override keys.
-RECEIVERS = {
-    "contraction": "run_contraction_check",
-    "consistency": "run_consistency_check",
-    "positivity": "run_positivity_check",
-    "domination": "run_domination_check",
-    "ultracontractivity": "run_ultracontractivity_fit",
-    "trotter_order": "run_trotter_order_check",
-    "nongeneration": "run_nongeneration_demo",
-    "shift_invariance": "run_shift_invariance_check",
-    "degenerate_kernel": "run_degenerate_kernel_check",
-    "commutator": "run_commutator_rate_check",
-    "compactness": "run_compactness_contrast",
-}
+def _keyword_defaults(name) -> dict:
+    """The keyword-only parameters of verify.<name> and their defaults, less
+    the run's seed and the benchmark's control operator, which no config sets."""
+    params = inspect.signature(getattr(verify, name)).parameters.values()
+    return {p.name: p.default for p in params
+            if p.kind is p.KEYWORD_ONLY and p.name not in ("seed", "operator")}
 
 
-def _receiver(check, key):
-    if (check, key) == ("ultracontractivity", "n_points"):
-        return "ultracontractive_sweep"
-    return RECEIVERS[check]
+# The public verify functions that declare keys, and the one whose
+# keyword-only parameters are each check's declared keys.
+DECLARING = [name for name in verify.__all__ if hasattr(getattr(verify, name), "__wrapped__")]
+RECEIVERS = {check: name for check, keys in CHECK_KEYS.items() for name in DECLARING
+             if set(_keyword_defaults(name)) == set(keys)}
 
 
 class TestCheckKeys:
     def test_cast_table_names_every_registered_check(self):
-        assert list(CHECK_KEYS) == list(CHECKS) == list(RECEIVERS)
+        assert list(CHECKS) == list(verify.CHECK_KEYS) == list(RECEIVERS)
+        assert sorted(RECEIVERS.values()) == sorted(DECLARING)  # one receiver per check
 
     @pytest.mark.parametrize("check", list(CHECK_KEYS))
     def test_each_cast_matches_the_receiving_default(self, check):
-        for key, cast in CHECK_KEYS[check].items():
-            params = inspect.signature(getattr(verify, _receiver(check, key))).parameters
-            assert key in params, (check, key)
-            default = params[key].default
+        for key, default in _keyword_defaults(RECEIVERS[check]).items():
+            cast = CHECK_KEYS[check][key]
             if isinstance(cast, tuple):
                 assert type(default) is tuple and {type(v) for v in default} == {cast[0]}
             else:
@@ -767,12 +853,17 @@ class TestCheckKeys:
     @pytest.mark.parametrize("check", list(CHECK_KEYS))
     def test_every_receiver_default_is_a_config_key(self, check):
         # A threshold no config sets is a constant of vschro.verify, not a
-        # parameter.  The exceptions: positivity takes the run's seed, and
-        # the benchmark calls shift_invariance with its control operator.
-        for name in {RECEIVERS[check], _receiver(check, "n_points")}:
-            params = inspect.signature(getattr(verify, name)).parameters
-            defaulted = {key for key, p in params.items() if p.default is not inspect.Parameter.empty}
-            assert defaulted - {"seed", "operator"} <= set(CHECK_KEYS[check]), name
+        # parameter, and a key that could be passed positionally would skip
+        # its domain.
+        params = inspect.signature(getattr(verify, RECEIVERS[check])).parameters.values()
+        defaulted = {p.name for p in params if p.default is not p.empty}
+        assert defaulted - {"seed", "operator"} == set(_keyword_defaults(RECEIVERS[check]))
+
+    def test_each_default_lies_in_its_domain(self):
+        # an unset key keeps its receiver's default, a value a config could set
+        for check, keys in verify.CHECK_KEYS.items():
+            for key, default in _keyword_defaults(RECEIVERS[check]).items():
+                keys[key].admit(key, default)
 
     @pytest.mark.parametrize("check", list(CHECK_KEYS))
     def test_each_key_reaches_its_receiver_cast(self, check, monkeypatch, tmp_path):
@@ -780,26 +871,21 @@ class TestCheckKeys:
         # by load_config and reach its receiver as it was cast.
         received = {}
 
-        def recorder(name):
-            def record(*args, **kwargs):
-                received[name] = kwargs
-                return name
-            return record
+        def record(*args, **kwargs):
+            received.update(kwargs)
 
-        for name in {RECEIVERS[check], _receiver(check, "n_points")}:
-            monkeypatch.setattr(cli, name, recorder(name))
+        monkeypatch.setattr(cli, RECEIVERS[check], record)
         lines = "\n".join(f"{key} = {'3, 4' if isinstance(cast, tuple) else '3'}"
                           for key, cast in CHECK_KEYS[check].items())
         cfg = load_config(write_cfg(tmp_path, _override_body(check, lines)))
         CHECKS[check](cli.build_problem_from_config(cfg), cfg.run, 3, **cfg.overrides[check])
         for key, cast in CHECK_KEYS[check].items():
-            got = received[_receiver(check, key)][key]
             if isinstance(cast, tuple):
-                assert got == (3, 4) and {type(v) for v in got} == {cast[0]}, (check, key)
+                assert received[key] == (3, 4) and {type(v) for v in received[key]} == {cast[0]}, (check, key)
             else:
-                assert got == 3 and type(got) is cast, (check, key)
+                assert received[key] == 3 and type(received[key]) is cast, (check, key)
         if check == "positivity":
-            assert received[RECEIVERS[check]]["seed"] == 3  # the run's seed, not the default
+            assert received["seed"] == 3  # the run's seed, not the default
 
 
 class TestCastOnce:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import exp1, expi
 
 import vschro.evolve
+import vschro.verify
 from vschro.evolve import SolverError, SplitConfig, heat_step, trotter_evolve
 from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, lp_norm
@@ -16,6 +17,7 @@ from vschro.problems import build_problem
 from vschro.verify import (
     _bump,
     expm_apply,
+    run_compactness_contrast,
     run_consistency_check,
     run_contraction_check,
     run_degenerate_kernel_check,
@@ -23,9 +25,9 @@ from vschro.verify import (
     run_nongeneration_demo,
     run_positivity_check,
     run_shift_invariance_check,
-    run_ultracontractivity_fit,
+    run_trotter_order_check,
+    run_ultracontractivity_check,
     u2_closed_form,
-    ultracontractive_sweep,
 )
 
 
@@ -224,6 +226,35 @@ def test_split_step_sizes_are_checked(check, kwargs):
     that is not positive, as SplitConfig does for a run's t_final and n_steps."""
     with pytest.raises(ValueError, match="must be"):
         check(**kwargs)
+
+
+class TestDirectCalls:
+    """A direct call admits each key it passes through the domain a config
+    key has, and names the key."""
+
+    def test_decreasing_trotter_schedule(self):
+        p = small_problem(v_rule="rotation_V", v_params={"r": 1.5}, shift="auto", alpha=0.45)
+        with pytest.raises(ValueError, match=r"n_schedule must be strictly increasing, got \[16, 8\]"):
+            run_trotter_order_check(p, n_schedule=(16, 8))
+
+    def test_zero_nongeneration_spacing(self):
+        with pytest.raises(ValueError, match="h_target must be positive, got 0"):
+            run_nongeneration_demo(h_target=0)
+
+    def test_keys_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            run_contraction_check(None, -1.0)
+
+    @pytest.mark.parametrize("check", [run_nongeneration_demo, run_compactness_contrast],
+                             ids=["nongeneration", "compactness"])
+    def test_fine_grid_refused_before_it_is_built(self, monkeypatch, check):
+        def build(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(vschro.verify, "build_grid", build)
+        monkeypatch.setattr(vschro.verify, "build_problem", build)
+        with pytest.raises(ValueError, match="h_target = 1e-09 puts more than 4000000 unknowns"):
+            check(h_target=1e-9)
 
 
 class TestDomination:
@@ -479,21 +510,28 @@ class TestBuiltSteps:
 
 
 class TestUltracontractivity:
-    def test_fit_on_synthetic_kernels(self):
-        ts = 0.01 * 2.0 ** np.arange(5)
-        res = run_ultracontractivity_fit((ts, [0.3 * t**-0.5 for t in ts]), dim=1)
+    @pytest.fixture
+    def sweep_of(self, monkeypatch):
+        """Make the kernel sweep return sup(t) at each of its times."""
+        def use(sup):
+            monkeypatch.setattr(vschro.verify, "kernel_sweep", lambda D, V, ts, *rest: [sup(t) for t in ts])
+        return use
+
+    def test_fit_on_synthetic_kernels(self, sweep_of):
+        sweep_of(lambda t: 0.3 * t**-0.5)
+        res = run_ultracontractivity_check(small_problem(n=200, R=8.0))
         assert res.passed
         assert res.measured["slope"] == pytest.approx(-0.5, abs=1e-12)
         assert res.measured["M"] == pytest.approx(0.3, rel=1e-10)
 
-    def test_wrong_exponent_fails(self):
-        ts = (0.01, 0.02, 0.04)
-        assert not run_ultracontractivity_fit((ts, [t**-1.0 for t in ts]), dim=1).passed
+    def test_wrong_exponent_fails(self, sweep_of):
+        sweep_of(lambda t: t**-1.0)
+        assert not run_ultracontractivity_check(small_problem(n=200, R=8.0)).passed
 
     def test_sizing_hint_rejection(self):
         p = small_problem(n=8, R=6.0)  # h^2 too coarse for the box window
         with pytest.raises(ValueError, match="window"):
-            ultracontractive_sweep(p)
+            run_ultracontractivity_check(p)
 
 
 class TestTrotterOrderCheck:
