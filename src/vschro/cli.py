@@ -32,8 +32,7 @@ from vschro.fields import FieldError, RULE_NAMES
 from vschro.mesh import GridError, VectorField, write_field_csv, write_field_pgm
 from vschro.operators import AssemblyError, export_matrix_market
 from vschro.problems import Problem, build_problem
-from vschro.spectral import (SpectralProximityError, eigenpairs, kernel_column, max_eigenpairs,
-                             resolvent_norm)
+from vschro.spectral import eigenpairs, kernel_column, max_eigenpairs, resolvent_norm
 from vschro.verify import (
     _AT_LEAST_ONE,
     _AT_LEAST_THREE,
@@ -74,7 +73,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
-_NUMERICAL_ERRORS = (SolverError, SpectralProximityError, np.linalg.LinAlgError, FloatingPointError)
+_NUMERICAL_ERRORS = (SolverError, np.linalg.LinAlgError, FloatingPointError)
 
 
 class ConfigError(Exception):

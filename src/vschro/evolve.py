@@ -64,8 +64,8 @@ DEFAULT_NORM_PS = (1, 2, 4, math.inf)
 
 
 class SolverError(RuntimeError):
-    """A diffusion step matrix could not be factored, or a solve missed its
-    residual bound."""
+    """A matrix could not be factored, a solve missed its residual bound, or
+    an iteration on the factor (ARPACK) failed."""
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,28 @@ class _PotentialStepper:
 def sparse_lu(matrix: sp.spmatrix):
     """SuperLU factorization with minimum-degree ordering on A^T + A and the
     smallest supernodes (relax, panel_size): on these stencils the least
-    fill, the least LU memory in 2D and the fastest solves measured."""
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    fill, the least LU memory in 2D and the fastest solves measured.  A
+    singular or too large matrix raises SolverError."""
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    except (RuntimeError, MemoryError) as exc:
+        raise SolverError(f"LU of the {matrix.shape[0]}-row matrix failed: {exc!r}") from exc
+
+
+def checked_solve(lu, matrix: sp.spmatrix, b: np.ndarray, bound: float) -> np.ndarray:
+    """x with matrix @ x = b, from the factor lu of matrix, for a vector or
+    columns b, refused with SolverError unless ||matrix @ x - b|| <= bound.
+    A real factor solves complex b through its float64 view, as twice the
+    columns."""
+    if np.iscomplexobj(b) and not np.iscomplexobj(matrix):
+        x = np.ascontiguousarray(lu.solve(b.view(np.float64).reshape(len(b), -1)))
+        x = x.view(b.dtype).reshape(b.shape)
+    else:
+        x = lu.solve(b)
+    resid = np.linalg.norm(matrix @ x - b)
+    if not resid <= bound:
+        raise SolverError(f"solve residual {resid:.3e} above {bound:.3e}")
+    return x
 
 
 class _DiffusionStepper:
@@ -161,10 +181,7 @@ class _DiffusionStepper:
         ident = sp.identity(D.shape[0], format="csr")
         self.lhs = (ident - theta * D).tocsc()
         self.rhs_mat = (ident + theta * D).tocsr() if crank else None
-        try:
-            self.lu = sparse_lu(self.lhs)
-        except (RuntimeError, MemoryError) as exc:
-            raise SolverError(f"LU of the {D.shape[0]}-cell step matrix failed: {exc!r}") from exc
+        self.lu = sparse_lu(self.lhs)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         cols = values.view(np.float64) if np.iscomplexobj(values) else values
@@ -184,12 +201,7 @@ class _DiffusionStepper:
 
     def _solve(self, cols: np.ndarray, step_input: np.ndarray) -> np.ndarray:
         rhs = cols if self.rhs_mat is None else self.rhs_mat @ cols
-        x = self.lu.solve(rhs)
-        resid = np.linalg.norm(self.lhs @ x - rhs)
-        bound = self.tol * np.linalg.norm(step_input)
-        if not resid <= bound:
-            raise SolverError(f"diffusion solve residual {resid:.3e} above {bound:.3e}")
-        return x
+        return checked_solve(self.lu, self.lhs, rhs, self.tol * np.linalg.norm(step_input))
 
 
 def _state(f: VectorField, real_coefficients: bool = True) -> np.ndarray:

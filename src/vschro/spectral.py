@@ -1,13 +1,14 @@
 """Resolvent solves and norms, eigenpairs and kernel columns.
 
-Resolvent systems (lam - L)u = f are solved by sparse LU, with the ordering
-the diffusion substeps use (evolve.sparse_lu); closeness of lam to the
-spectrum surfaces as a residual failure and is reported as a
-spectral-proximity diagnostic.  ARPACK (Lehoucq, Sorensen & Yang, ARPACK
-Users' Guide, SIAM 1998) does the iterative work on that LU: implicitly
-restarted Lanczos on R^H R gives the resolvent 2-norm ||R|| to rounding, and
-implicitly restarted Arnoldi in shift-invert mode gives the eigenvalues near
-a shift, with residuals measured on the original operator.  The arithmetic
+Resolvent systems (lam - L)u = f are factored and solved as the diffusion
+substeps are (evolve.sparse_lu, evolve.checked_solve): each solve is checked
+against a residual bound, and a failed factorization, a missed residual (lam
+close to the spectrum) or an ARPACK failure raises evolve.SolverError.
+ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) does the
+iterative work on that LU: implicitly restarted Lanczos on R^H R gives the
+resolvent 2-norm ||R|| to rounding, and implicitly restarted Arnoldi in
+shift-invert mode gives the eigenvalues near a shift, with residuals
+measured on the original operator.  The arithmetic
 follows the data, as in evolve: a real L at a real lam (zero imaginary part)
 is factored in float64 and runs ARPACK's real drivers, where R is real; a
 complex L or lam is complex throughout.  Complex right-hand sides and
@@ -20,20 +21,18 @@ one continued evolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from vschro.evolve import SplitConfig, sparse_lu, trotter_evolve
+from vschro.evolve import SolverError, SplitConfig, checked_solve, sparse_lu, trotter_evolve
 from vschro.fields import MatrixField
 from vschro.mesh import VectorField
 from vschro.operators import SparseOperator
 
 __all__ = [
     "EigenResult",
-    "SpectralProximityError",
     "solve_resolvent",
     "resolvent_norm",
     "eigenpairs",
@@ -46,18 +45,12 @@ _RESIDUAL_LIMIT = 1e-8
 _SOLVE_TOL = 1e-10  # resolvent-solve residual bound, relative to the right-hand side
 
 
-class SpectralProximityError(RuntimeError):
-    """The solve broke down or missed its residual; lam is likely near the
-    spectrum.  Diagnostic, not necessarily a bug."""
-
-
 @dataclass
 class EigenResult:
-    """Eigenvalues sorted by real part (descending) with their unit-norm
-    fields and residuals ||L v - lam v||."""
+    """Eigenvalues sorted by real part (descending) with the residuals
+    ||L v - lam v|| of their unit-norm eigenvectors."""
 
     eigenvalues: list
-    eigenfields: list = field(repr=False)
     residuals: list
 
 
@@ -75,33 +68,13 @@ def _start_vector(seed: int, dim: int, dtype) -> np.ndarray:
     return v0.real.copy() if dtype.kind == "f" else v0
 
 
-def _factorize(matrix: sp.spmatrix):
-    """LU of (lam - L) in the field of its entries: float64 for a real L at a
-    real lam, complex otherwise."""
-    try:
-        return sparse_lu(matrix)
-    except RuntimeError as exc:
-        raise SpectralProximityError(f"LU breakdown: {exc}") from exc
-
-
 def solve_resolvent(L: SparseOperator, lam: complex, rhs: VectorField) -> VectorField:
     """Solve (lam - L) u = rhs; residual-checked against _SOLVE_TOL."""
     if rhs.grid != L.grid or rhs.components != L.m:
         raise ValueError("rhs does not match operator layout")
     shifted = L.shifted(_real_if_real(lam))
-    lu = _factorize(shifted)
     b = rhs.values.ravel()
-    if np.isrealobj(shifted) and np.iscomplexobj(b):
-        # a real factor solves a complex b as the two columns of its float64 view
-        x = np.ascontiguousarray(lu.solve(b.view(np.float64).reshape(-1, 2))).view(b.dtype).ravel()
-    else:
-        x = lu.solve(b)
-    resid = np.linalg.norm(shifted @ x - b)
-    bound = _SOLVE_TOL * max(np.linalg.norm(b), 1e-300)
-    if not np.isfinite(resid) or resid > bound:
-        raise SpectralProximityError(
-            f"residual {resid:.3e} above {bound:.3e}; lam={lam} may sit near the spectrum"
-        )
+    x = checked_solve(sparse_lu(shifted), shifted, b, _SOLVE_TOL * max(np.linalg.norm(b), 1e-300))
     return VectorField(rhs.grid, x.reshape(rhs.grid.n_cells, L.m))
 
 
@@ -113,10 +86,10 @@ def resolvent_norm(L: SparseOperator, lam: complex) -> float:
     restarted Lanczos (scipy.sparse.linalg.eigsh) to relative tolerance 1e-8
     from a seeded start vector, so the value is deterministic; for a real L
     at a real lam, real Lanczos on R^T R from the real part of that vector.
-    An ARPACK failure raises SpectralProximityError.
+    An ARPACK failure raises SolverError.
     """
     shifted = L.shifted(_real_if_real(lam))
-    lu = _factorize(shifted)
+    lu = sparse_lu(shifted)
     dim = L.dims
     v0 = _start_vector(1234, dim, shifted.dtype)
     normal = spla.LinearOperator(
@@ -126,7 +99,7 @@ def resolvent_norm(L: SparseOperator, lam: complex) -> float:
         top = spla.eigsh(normal, k=1, which="LM", ncv=min(10, dim), tol=1e-8,
                          maxiter=2000, v0=v0, return_eigenvectors=False)
     except spla.ArpackError as exc:
-        raise SpectralProximityError(f"ARPACK norm estimate failed: {exc}") from exc
+        raise SolverError(f"ARPACK norm estimate failed: {exc}") from exc
     return float(np.sqrt(max(top[0], 0.0)))
 
 
@@ -152,11 +125,11 @@ def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0) -> EigenResult:
     shift = _real_if_real(shift)
     shifted = L.shifted(shift)
     try:
-        lu = _factorize(shifted)
-    except SpectralProximityError:
+        lu = sparse_lu(shifted)
+    except SolverError:
         shift = shift + 1e-6 * (1.0 + abs(shift))
         shifted = L.shifted(shift)
-        lu = _factorize(shifted)
+        lu = sparse_lu(shifted)
 
     # the factorization is (shift - L); ARPACK's shift-invert mode wants (L - shift)^-1
     inverse = spla.LinearOperator((dim, dim), matvec=lambda v: -lu.solve(v), dtype=shifted.dtype)
@@ -166,17 +139,14 @@ def eigenpairs(L: SparseOperator, k: int, shift: complex = 0.0) -> EigenResult:
             L.matrix.astype(shifted.dtype, copy=False), k=k, sigma=shift, OPinv=inverse, v0=v0
         )
     except spla.ArpackError as exc:
-        raise SpectralProximityError(f"ARPACK failed near shift {shift}: {exc}") from exc
+        raise SolverError(f"ARPACK failed near shift {shift}: {exc}") from exc
 
     residuals = np.linalg.norm(L.matrix @ vecs - vecs * lams, axis=0)
     good = [i for i in np.argsort(-lams.real, kind="stable") if residuals[i] <= _RESIDUAL_LIMIT]
     if len(good) < k:
-        raise SpectralProximityError(
-            f"only {len(good)} of {k} eigenpairs have residual <= {_RESIDUAL_LIMIT:g}"
-        )
+        raise SolverError(f"only {len(good)} of {k} eigenpairs have residual <= {_RESIDUAL_LIMIT:g}")
     return EigenResult(
         eigenvalues=[complex(lams[i]) for i in good],
-        eigenfields=[VectorField(L.grid, vecs[:, i].reshape(L.grid.n_cells, L.m)) for i in good],
         residuals=[float(residuals[i]) for i in good],
     )
 

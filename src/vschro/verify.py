@@ -28,6 +28,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import exp1, expi
 
 from vschro.evolve import (
+    SolverError,
     SplitConfig,
     Trajectory,
     heat_step,
@@ -44,9 +45,9 @@ from vschro.operators import (
 )
 from vschro.problems import Problem, build_problem
 from vschro.spectral import (
-    SpectralProximityError,
     eigenpairs,
     kernel_sweep,
+    max_eigenpairs,
     resolvent_norm,
     solve_resolvent,
 )
@@ -615,17 +616,11 @@ def run_shift_invariance_check(
     else:
         raise ValueError(f"unknown operator {operator!r}")
 
-    def norm_at(s):
-        try:
-            return resolvent_norm(B, lam_of(s))
-        except SpectralProximityError:
-            return resolvent_norm(B, lam_of(s) + abs(mu))  # retry once, mu shifted up
-
-    base = norm_at(0.0)
+    base = resolvent_norm(B, lam_of(0.0))
     measured = {"norm_sigma0": float(base)}
     ok = True
     for s in sigmas:
-        ratio = norm_at(s) / base
+        ratio = resolvent_norm(B, lam_of(s)) / base
         measured[f"ratio_sigma{s:g}"] = float(ratio)
         ok = ok and abs(ratio - 1.0) <= tol
     return PropertyCheckResult(
@@ -705,6 +700,9 @@ def run_commutator_rate_check(
         fvals = np.column_stack([np.exp(-(x**2)), np.exp(-((x - 1.0) ** 2) / 2.0)])
         f = VectorField(grid, fvals.astype(complex))
         defects.append(commutator_defect(Q, M, f))
+    if not all(math.isfinite(d) for d in defects):
+        raise ValueError(f"extent = {extent!r} gives a non-finite commutator defect: "
+                         f"{[float(d) for d in defects]}")
     ratios = [defects[i] / defects[i + 1] for i in range(len(defects) - 1)]
     ok = all(_RATIO_WINDOW[0] <= r <= _RATIO_WINDOW[1] for r in ratios)
     measured = {f"defect_N{n}": float(d) for n, d in zip(n_schedule, defects)}
@@ -742,6 +740,10 @@ def run_compactness_contrast(
     spectrum densifies like the Dirichlet box, so its spacing collapses.
     """
     cells = {R: _box_cells(R, h_target) for R in (extent, 2.0 * extent)}
+    k_max = max_eigenpairs(2 * cells[extent])
+    if k > k_max:
+        raise ValueError(f"k = {k} needs a finer grid: h_target = {h_target!r} puts {cells[extent]} "
+                         f"cells on the box of R = {extent:g}, which allows k in [1, {k_max}]")
     spacings = {}
     for name, v_rule, v_params, do_shift in (
         ("rotation", "rotation_V", {"r": 1.5}, True),
@@ -757,7 +759,7 @@ def run_compactness_contrast(
             res = eigenpairs(problem.generator, k=k, shift=0.0)
             levels = _real_part_levels(res.eigenvalues)
             if len(levels) < _N_LEVELS:
-                raise SpectralProximityError(
+                raise SolverError(
                     f"only {len(levels)} distinct levels for {name} at R={R}"
                 )
             per_R.append(float(levels[0] - levels[-1]) / (len(levels) - 1))

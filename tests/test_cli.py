@@ -591,6 +591,12 @@ MALFORMED = {
                                   "h_target = 1000000.0 leaves fewer than 3 cells on the box of R = 50"),
     "coarse_compactness_grid": (lambda tmp: _override_body("compactness", "h_target = 10"),
                                 "h_target = 10.0 leaves fewer than 3 cells on the box of R = 10"),
+    # ... and so is a spacing too coarse for the eigenpairs asked for, or a box
+    # too small for its grid spacing to be assembled.
+    "few_compactness_cells": (lambda tmp: _override_body("compactness", "h_target = 4"),
+                              "k = 20 needs a finer grid: h_target = 4.0 puts 4 cells on the box of R = 10"),
+    "tiny_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e-300"),
+                               "extent = 1e-300 gives a non-finite commutator defect"),
 }
 
 

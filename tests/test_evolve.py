@@ -141,7 +141,7 @@ class TestDirectSolve:
         monkeypatch.setattr("scipy.sparse.linalg.splu", failing_splu)
         g = build_grid(1, 2.0, 16)
         A = assemble_diffusion(identity_q(g), g)
-        with pytest.raises(SolverError, match="16-cell"):
+        with pytest.raises(SolverError, match="16-row"):
             diffusion_step(A, bump_field(g, 2), 0.1, SplitConfig())
 
     @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from vschro import evolve, spectral
-from vschro.evolve import SplitConfig, sparse_lu, trotter_evolve
+from vschro.evolve import SolverError, SplitConfig, sparse_lu, trotter_evolve
 from vschro.fields import MatrixField, make_rule, sample_field, shift_potential
 from vschro.mesh import VectorField, build_grid, dual_pairing, lp_norm
 from vschro.operators import (
@@ -18,7 +18,6 @@ from vschro.operators import (
     assemble_scalar_diffusion,
 )
 from vschro.spectral import (
-    SpectralProximityError,
     eigenpairs,
     kernel_column,
     kernel_sweep,
@@ -36,6 +35,21 @@ def random_field(grid, m, seed=0):
     return VectorField(
         grid, rng.standard_normal((grid.n_cells, m)) + 1j * rng.standard_normal((grid.n_cells, m))
     )
+
+
+def recorded_eigenvectors(monkeypatch) -> dict:
+    """Filled, on each eigenpairs call, with the eigenvectors ARPACK returns,
+    keyed by eigenvalue."""
+    vectors = {}
+    eigs = spectral.spla.eigs
+
+    def recording_eigs(*args, **kwargs):
+        lams, vecs = eigs(*args, **kwargs)
+        vectors.update((complex(lam), vecs[:, i]) for i, lam in enumerate(lams))
+        return lams, vecs
+
+    monkeypatch.setattr(spectral.spla, "eigs", recording_eigs)
+    return vectors
 
 
 def rotation_problem(R=4.0, n=48, m=2):
@@ -75,8 +89,19 @@ class TestResolvent:
     def test_near_spectrum_diagnostic(self):
         g = build_grid(1, 1.0, 8)
         L = SparseOperator(-sp.identity(8, format="csr"), g, 1)
-        with pytest.raises(SpectralProximityError):
+        with pytest.raises(SolverError):
             solve_resolvent(L, -1.0, random_field(g, 1))
+
+    @pytest.mark.parametrize("lam", [2.0, 2.0 + 1.0j], ids=["real_factor", "complex_factor"])
+    def test_corrupted_factor_misses_the_residual(self, monkeypatch, lam):
+        def corrupting_lu(matrix):
+            lu = sparse_lu(matrix)
+            return SimpleNamespace(solve=lambda b: lu.solve(b) + 1e-3)
+
+        monkeypatch.setattr(spectral, "sparse_lu", corrupting_lu)
+        g, A, V, L = rotation_problem()
+        with pytest.raises(SolverError, match="residual"):
+            solve_resolvent(L, lam, random_field(g, 2))
 
 
 class TestOperatorNorm:
@@ -116,14 +141,14 @@ class TestOperatorNorm:
         truth = np.linalg.svd(np.linalg.inv(lam * np.eye(L.dims) - dense), compute_uv=False)[0]
         assert resolvent_norm(L, lam) == pytest.approx(truth, rel=1e-10)
 
-    def test_arpack_failure_is_spectral_proximity(self, monkeypatch):
+    def test_arpack_failure_is_solver_error(self, monkeypatch):
         def failing_eigsh(*args, **kwargs):
             raise spectral.spla.ArpackError(-9999)
 
         monkeypatch.setattr(spectral.spla, "eigsh", failing_eigsh)
         g = build_grid(1, 1.0, 30)
         L = SparseOperator(sp.diags(-np.arange(1.0, 31.0)).tocsr(), g, 1)
-        with pytest.raises(SpectralProximityError, match="ARPACK norm estimate failed"):
+        with pytest.raises(SolverError, match="ARPACK norm estimate failed"):
             resolvent_norm(L, 1.0)
 
 
@@ -143,8 +168,9 @@ class TestEigenpairs:
         )
         assert max(res.residuals) <= 1e-8
 
-    def test_degenerate_diagonal_subspace(self):
+    def test_degenerate_diagonal_subspace(self, monkeypatch):
         # top of the spectrum matches the scalar Dirichlet eigenvalues - 1
+        vectors = recorded_eigenvectors(monkeypatch)
         R, n = 8.0, 240
         g = build_grid(1, R, n)
         A = assemble_diffusion(identity_q(g), g).on_components(2)
@@ -160,9 +186,9 @@ class TestEigenpairs:
             sorted(e.real for e in res.eigenvalues), sorted(exact), rtol=1e-6
         )
         # eigenvectors live on the diagonal subspace (g, g)
-        for fld in res.eigenfields:
-            diff = np.abs(fld.values[:, 0] - fld.values[:, 1]).max()
-            assert diff <= 1e-6 * np.abs(fld.values).max()
+        for lam in res.eigenvalues:
+            v = vectors[lam].reshape(g.n_cells, 2)
+            assert np.abs(v[:, 0] - v[:, 1]).max() <= 1e-6 * np.abs(v).max()
 
     def test_rotation_matches_dense_oracle(self):
         g, A, V, L = rotation_problem(R=6.0, n=150)
@@ -186,11 +212,12 @@ class TestEigenpairs:
         assert max(abs(lam - shift) for lam in res.eigenvalues) <= eighth_nearest * (1 + 1e-9)
         assert max(res.residuals) <= 1e-8
 
-    def test_residual_invariant(self):
+    def test_residual_invariant(self, monkeypatch):
+        vectors = recorded_eigenvectors(monkeypatch)
         g, A, V, L = rotation_problem(R=6.0, n=150)
         res = eigenpairs(L, k=6, shift=0.0)
-        for lam, fld, r in zip(res.eigenvalues, res.eigenfields, res.residuals):
-            v = fld.values.ravel()
+        for lam in res.eigenvalues:
+            v = vectors[lam]
             direct = np.linalg.norm(L.matrix @ v - lam * v) / np.linalg.norm(v)
             assert direct <= 1e-8
 
@@ -199,6 +226,30 @@ class TestEigenpairs:
         res = eigenpairs(L, k=6, shift=0.0)
         re = [e.real for e in res.eigenvalues]
         assert re == sorted(re, reverse=True)
+
+    def test_shift_on_an_eigenvalue_is_perturbed_once(self, monkeypatch):
+        # -5 - L is singular; the shift moves by 1e-6 (1 + 5) and factors again
+        shifts = []
+
+        def recording_lu(matrix):
+            shifts.append(matrix.diagonal()[4])
+            return sparse_lu(matrix)
+
+        monkeypatch.setattr(spectral, "sparse_lu", recording_lu)
+        g = build_grid(1, 1.0, 30)
+        L = SparseOperator(sp.diags(-np.arange(1.0, 31.0)).tocsr(), g, 1)
+        res = eigenpairs(L, k=3, shift=-5.0)
+        assert shifts == [0.0, pytest.approx(6e-6, rel=1e-9)]
+        np.testing.assert_allclose(res.eigenvalues, [-4.0, -5.0, -6.0], rtol=1e-12)
+
+    def test_arpack_failure_is_solver_error(self, monkeypatch):
+        def failing_eigs(*args, **kwargs):
+            raise spectral.spla.ArpackError(-9999)
+
+        monkeypatch.setattr(spectral.spla, "eigs", failing_eigs)
+        g, A, V, L = rotation_problem()
+        with pytest.raises(SolverError, match="ARPACK failed near shift"):
+            eigenpairs(L, k=2, shift=0.0)
 
 
 class TestArithmeticField:

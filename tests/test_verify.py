@@ -14,6 +14,7 @@ from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, lp_norm
 from vschro.operators import assemble_diffusion, assemble_potential, assemble_scalar_diffusion
 from vschro.problems import build_problem
+from vschro.spectral import EigenResult
 from vschro.verify import (
     _bump,
     expm_apply,
@@ -255,6 +256,13 @@ class TestDirectCalls:
         monkeypatch.setattr(vschro.verify, "build_problem", build)
         with pytest.raises(ValueError, match="h_target = 1e-09 puts more than 4000000 unknowns"):
             check(h_target=1e-9)
+
+    def test_compactness_levels_beyond_the_coarse_grid(self, monkeypatch):
+        # 4 cells of 2 components on the R = 10 box allow at most 6 eigenpairs
+        monkeypatch.setattr(vschro.verify, "build_problem", None)
+        with pytest.raises(ValueError, match=r"k = 20 needs a finer grid: h_target = 4 puts 4 cells "
+                                             r"on the box of R = 10, which allows k in \[1, 6\]"):
+            run_compactness_contrast(h_target=4)
 
 
 class TestDomination:
@@ -595,6 +603,24 @@ class TestCounterexampleChecks:
         res = run_shift_invariance_check(n_per_axis=200)
         for s in (1, 2, 5):
             assert res.measured[f"ratio_sigma{s}"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_shift_invariance_failure_is_not_retried(self, monkeypatch):
+        resolvent_norm = vschro.verify.resolvent_norm
+
+        def failing_at_sigma2(B, lam):
+            if lam == 1.0 - 2.0j:
+                raise SolverError("ARPACK norm estimate failed")
+            return resolvent_norm(B, lam)
+
+        monkeypatch.setattr(vschro.verify, "resolvent_norm", failing_at_sigma2)
+        with pytest.raises(SolverError, match="ARPACK"):
+            run_shift_invariance_check(n_per_axis=200)
+
+    def test_compactness_with_too_few_levels_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(vschro.verify, "eigenpairs",
+                            lambda L, k, shift: EigenResult([-1.0] * k, [0.0] * k))
+        with pytest.raises(SolverError, match="only 1 distinct levels for rotation"):
+            run_compactness_contrast(h_target=0.5)
 
     def test_shift_invariance_precondition(self):
         with pytest.raises(ValueError):
