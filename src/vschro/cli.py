@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from vschro.evolve import SolverError, SplitConfig, trotter_evolve
-from vschro.fields import FieldError, RULE_NAMES
-from vschro.mesh import GridError, VectorField, write_field_csv, write_field_pgm
-from vschro.operators import AssemblyError, export_matrix_market
+from vschro.fields import RULE_NAMES
+from vschro.mesh import VectorField, write_field_csv, write_field_pgm
+from vschro.operators import export_matrix_market
 from vschro.problems import Problem, build_problem
 from vschro.spectral import eigenpairs, kernel_column, max_eigenpairs, resolvent_norm
 from vschro.verify import (
@@ -40,6 +40,7 @@ from vschro.verify import (
     _HARD_CAP_UNKNOWNS,
     _NON_NEGATIVE_INT,
     _POSITIVE,
+    _RESOLVENT_POINT,
     CHECK_KEYS,
     PropertyCheckResult,
     _Domain,
@@ -164,6 +165,7 @@ class ExperimentConfig:
 # is a one-entry list.  An unset key keeps its default: that of
 # ExperimentConfig, of ExperimentConfig.run for [run], and for
 # [check.<name>] that of the verify function that declares it in CHECK_KEYS.
+# SplitConfig refuses the [run] values outside their domains.
 _SECTION_KEYS = {
     "problem": {"dim": _Domain(int, "must be 1 or 2", lambda v: v in (1, 2)),
                 "m": _AT_LEAST_ONE, "extent": _POSITIVE,
@@ -171,8 +173,7 @@ _SECTION_KEYS = {
                 "q_rule": str, "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
                 "shift": str,
                 "alpha": _Domain(float, "must lie in [0, 0.5)", lambda v: 0 <= v < 0.5)},
-    "run": {"scheme": str, "substep": str, "n_steps": _AT_LEAST_ONE, "t_final": _POSITIVE,
-            "solver_tol": float},
+    "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float, "solver_tol": float},
     "checks": {"names": str},
     "output": {"dir": str, "seed": _NON_NEGATIVE_INT},
     **{f"check.{name}": keys for name, keys in CHECK_KEYS.items()},
@@ -315,21 +316,10 @@ CHECKS = {
 }
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    """The config as the keys of its file (bundle.json sorts them)."""
-    return {
-        **{key: getattr(cfg, key) for key in _SECTION_KEYS["problem"]},
-        "run": asdict(cfg.run),
-        "checks": list(cfg.checks),
-        "overrides": cfg.overrides,
-        "seed": cfg.seed,
-    }
-
-
 def build_problem_from_config(cfg: ExperimentConfig) -> Problem:
     try:
         return build_problem(**{key: getattr(cfg, key) for key in _SECTION_KEYS["problem"]})
-    except (FieldError, GridError, AssemblyError, ValueError) as exc:
+    except ValueError as exc:  # FieldError, GridError and AssemblyError among them
         raise ConfigError(f"problem construction failed: {exc}") from exc
 
 
@@ -358,7 +348,8 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
         except ValueError as exc:
             raise ConfigError(f"check {name!r} rejected its configuration: {exc}") from exc
     bundle = ReportBundle(
-        config=_config_echo(cfg),
+        # where a bundle is written is not part of the run it reproduces
+        config={key: value for key, value in asdict(cfg).items() if key != "output_dir"},
         hypothesis_report=asdict(problem.report),
         results=results,
     )
@@ -592,17 +583,18 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False):
         p.add_argument("--config", required=True, help="experiment config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=_flag(_NON_NEGATIVE_INT), default=None, help="seed override")
+        if seed:
+            p.add_argument("--seed", type=_flag(_NON_NEGATIVE_INT), default=None, help="seed override")
 
     p = sub.add_parser("validate", help="run the coefficient validator")
     common(p)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("evolve", help="run one trajectory and export norms")
-    common(p)
+    common(p, seed=True)
     p.add_argument(
         "--dump-snapshots", type=_flag(_NON_NEGATIVE_INT), default=0, metavar="STRIDE",
         help="also dump every STRIDE-th snapshot field as CSV (0 = final only)",
@@ -611,8 +603,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("resolvent", help="resolvent-norm scan")
     common(p)
-    p.add_argument("--lam-re", type=_flag(_FINITE), nargs="+", default=[2.0])
-    p.add_argument("--lam-im", type=_flag(_FINITE), nargs="+", default=[0.0])
+    p.add_argument("--lam-re", type=_flag(_RESOLVENT_POINT), nargs="+", default=[2.0])
+    p.add_argument("--lam-im", type=_flag(_RESOLVENT_POINT), nargs="+", default=[0.0])
     p.set_defaults(fn=_cmd_resolvent)
 
     p = sub.add_parser("spectrum", help="eigenvalues near a shift")
@@ -630,7 +622,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_kernel)
 
     p = sub.add_parser("verify", help="run the configured checks, write a bundle")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("report", help="re-emit reports from a bundle.json")

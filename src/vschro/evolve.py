@@ -123,15 +123,10 @@ class _PotentialStepper:
         # exponentiated once and gathered to its cells: broadcasting a
         # constant V's (1, m) rows in apply measured twice as slow as
         # reading full slabs.
-        if tau == 0.0:
-            self.expm = None
-            return
         first, inverse = V.distinct
         self.expm = np.take(matrix_exp(tau * V.values[first]).transpose(2, 0, 1), inverse, axis=1)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        if self.expm is None:
-            return values
         out = self.expm[0] * values[:, :1]
         for j in range(1, len(self.expm)):
             out += self.expm[j] * values[:, j:j + 1]
@@ -153,25 +148,34 @@ def checked_solve(lu, matrix: sp.spmatrix, b: np.ndarray, bound: float) -> np.nd
     """x with matrix @ x = b, from the factor lu of matrix, for a vector or
     columns b, refused with SolverError unless ||matrix @ x - b|| <= bound.
     A real factor solves complex b through its float64 view, as twice the
-    columns."""
-    if np.iscomplexobj(b) and not np.iscomplexobj(matrix):
-        x = np.ascontiguousarray(lu.solve(b.view(np.float64).reshape(len(b), -1)))
-        x = x.view(b.dtype).reshape(b.shape)
-    else:
-        x = lu.solve(b)
-    resid = np.linalg.norm(matrix @ x - b)
+    columns.  Columns that are exactly zero solve to exact zeros, so they are
+    left unsolved (an unexcited component, the imaginary part of real data)."""
+    split = np.iscomplexobj(b) and not np.iscomplexobj(matrix)
+    cols = (b.view(np.float64) if split else b).reshape(len(b), -1)
+    # a row with no zero proves every column live (tested on a list: a numpy
+    # call costs more on small grids); else the per-column tests, which beat
+    # one reduction over axis 0 tenfold on large grids
+    live = range(cols.shape[1]) if all(cols[0].tolist()) else [
+        j for j in range(cols.shape[1]) if cols[:, j].any()]
+    rhs = cols if len(live) == cols.shape[1] else cols[:, live]
+    x = lu.solve(rhs) if live else rhs
+    resid = np.linalg.norm(matrix @ x - rhs)
     if not resid <= bound:
         raise SolverError(f"solve residual {resid:.3e} above {bound:.3e}")
-    return x
+    if rhs is not cols:
+        full = np.zeros_like(cols)
+        full[:, live] = x
+        x = full
+    x = np.ascontiguousarray(x)
+    return (x.view(b.dtype) if split else x).reshape(b.shape)
 
 
 class _DiffusionStepper:
     """One implicit substep u -> step(tau A) u for A = kron(D, I_m).
 
     The scalar block I - tau D (Crank-Nicolson: I - tau/2 D, applied after
-    I + tau/2 D) is factored once; the (n_cells, m) field is solved as
-    right-hand-side columns, a complex field through its float64 view of
-    shape (n_cells, 2m), so the factor stays real.
+    I + tau/2 D) is factored once; checked_solve solves the (n_cells, m)
+    field as right-hand-side columns, so the factor stays real.
     """
 
     def __init__(self, D: sp.csr_matrix, tau: float, cfg: SplitConfig):
@@ -184,24 +188,9 @@ class _DiffusionStepper:
         self.lu = sparse_lu(self.lhs)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        cols = values.view(np.float64) if np.iscomplexobj(values) else values
-        # a row with no zero proves every column live (tested on a list: a
-        # numpy call costs more on small grids); else the per-column tests,
-        # which beat one reduction over axis 0 tenfold on large grids
-        live = range(cols.shape[1]) if all(cols[0].tolist()) else [
-            j for j in range(cols.shape[1]) if cols[:, j].any()]
-        if len(live) == cols.shape[1]:
-            x = self._solve(cols, cols)
-        else:
-            # an exactly-zero column solves to exact zeros: leave it unsolved
-            x = np.zeros_like(cols)
-            if live:
-                x[:, live] = self._solve(cols[:, live], cols)
-        return np.ascontiguousarray(x).view(values.dtype)
-
-    def _solve(self, cols: np.ndarray, step_input: np.ndarray) -> np.ndarray:
-        rhs = cols if self.rhs_mat is None else self.rhs_mat @ cols
-        return checked_solve(self.lu, self.lhs, rhs, self.tol * np.linalg.norm(step_input))
+        rhs = values if self.rhs_mat is None else (
+            self.rhs_mat @ values.view(np.float64)).view(values.dtype)
+        return checked_solve(self.lu, self.lhs, rhs, self.tol * np.linalg.norm(values))
 
 
 def _state(f: VectorField, real_coefficients: bool = True) -> np.ndarray:
@@ -287,7 +276,7 @@ def split_step(D: SparseOperator, V: MatrixField, tau: float, cfg: SplitConfig) 
 def heat_step(Q: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:
     """The step of size tau of w_t = div(Q grad w), with cfg's substep and
     residual bound; unshifted, as the semigroup that dominates |S(t)f|^2."""
-    D = assemble_scalar_diffusion(Q, Q.grid, shifted=False)
+    D = assemble_scalar_diffusion(Q, Q.grid)
     return SplitStep(Q.grid, 1, tau, (_DiffusionStepper(D, tau, cfg).apply,))
 
 

@@ -51,6 +51,10 @@ class Grid:
             raise GridError(f"extent must be positive, got {self.extent}")
         if self.n_per_axis < 3:
             raise GridError(f"n_per_axis must be >= 3, got {self.n_per_axis}")
+        h = self.spacing
+        if not (h > 0 and math.isfinite(1.0 / h / h)):  # 1/h^2 scales every stencil
+            raise GridError(f"extent = {self.extent!r} is too small for {self.n_per_axis} cells "
+                            f"per axis: 1/h^2 overflows at h = {h:.3g}")
 
     @property
     def spacing(self) -> float:

@@ -1,12 +1,13 @@
 """Assembly of the discrete generator blocks.
 
 The diffusion block realizes div(Q grad .) - 1 componentwise in flux form:
-D = -G^T W_Q G - I, where G collects forward differences to cell faces and
+-G^T W_Q G - I, where G collects forward differences to cell faces and
 W_Q multiplies face gradients by the face-averaged Q (arithmetic mean of the
 adjacent cells).  In 2D the q12 cross terms use face-tangential averaged
 differences and enter in explicitly symmetrized pairs, so the block is
-symmetric negative definite by construction, not just up to O(h).  D is
-written directly as its cell stencil, without forming G.
+symmetric negative definite by construction, not just up to O(h).
+assemble_scalar_diffusion writes -G^T W_Q G directly as its cell stencil,
+without forming G, and assemble_diffusion alone subtracts the identity.
 
 The potential block is block-diagonal multiplication: the m x m matrix V(x_i)
 couples the components of cell i.  Unknown ordering is cell-major, index =
@@ -161,8 +162,8 @@ def _stencil_csr(st: dict, grid: Grid) -> sp.csr_matrix:
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
-def assemble_scalar_diffusion(Q: MatrixField, grid: Grid, shifted: bool = False) -> sp.csr_matrix:
-    """Scalar flux-form matrix for div(Q grad .), minus the identity if shifted.
+def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
+    """Scalar flux-form matrix for div(Q grad .), without the -I.
 
     Checks the face-averaged Q for positive definiteness.  The stencil is
     written cell by cell with the rounding of the sparse products
@@ -191,15 +192,15 @@ def assemble_scalar_diffusion(Q: MatrixField, grid: Grid, shifted: bool = False)
             S = _plus(S, pair, 0.5)
     D = {o: -v for o, v in S.items()}
     D = {o: 0.5 * v for o, v in _plus(D, _transpose(D)).items()}
-    if shifted:
-        D[(0,) * d] = D[(0,) * d] - 1.0
     return _stencil_csr(D, grid)
 
 
 def assemble_diffusion(Q: MatrixField, grid: Grid) -> SparseOperator:
-    """The scalar block D of A = [div(Q grad u_k) - u_k], which acts as D on
-    each of the m components: A = kron(D, I_m) (SparseOperator.on_components)."""
-    return SparseOperator(assemble_scalar_diffusion(Q, grid, shifted=True), grid, 1)
+    """The scalar block D - I of A = [div(Q grad u_k) - u_k], D the bare
+    block of assemble_scalar_diffusion; A acts as it on each of the m
+    components: A = kron(D - I, I_m) (SparseOperator.on_components)."""
+    D = assemble_scalar_diffusion(Q, grid)
+    return SparseOperator(D - sp.identity(grid.n_cells, format="csr"), grid, 1)
 
 
 def assemble_potential(V: MatrixField, m: int) -> SparseOperator:

@@ -170,9 +170,9 @@ def kernel_column(D: SparseOperator, V: MatrixField, t: float, source_cell: int,
 
 
 def kernel_sweep(D: SparseOperator, V: MatrixField, t_values, source_cell: int,
-                 source_component: int, cfg: SplitConfig, steps_per_segment: int) -> list:
+                 source_component: int, steps_per_segment: int) -> list:
     """Kernel sup norms sup |K_h(t, ., y) e_j| at the sorted t_values, from
-    one continued evolution.
+    one continued Lie / backward-Euler evolution.
 
     Each segment from t_i to t_{i+1} runs steps_per_segment substeps, so the
     local step stays proportional to the elapsed time on a geometric
@@ -184,7 +184,7 @@ def kernel_sweep(D: SparseOperator, V: MatrixField, t_values, source_cell: int,
     sups = []
     t_prev = 0.0
     for i, t in enumerate(sorted(t_values)):
-        seg = replace(cfg, n_steps=steps_per_segment * (4 if i == 0 else 1), t_final=t - t_prev)
+        seg = SplitConfig(n_steps=steps_per_segment * (4 if i == 0 else 1), t_final=t - t_prev)
         state = trotter_evolve(D, V, state, seg, norm_ps=()).final
         sups.append(float(np.abs(state.values).max()))
         t_prev = t

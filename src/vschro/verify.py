@@ -192,6 +192,9 @@ _POSITIVE = _Domain(float, "must be positive", lambda v: v > 0)
 _AT_LEAST_ONE = _Domain(int, "must be at least 1", lambda v: v >= 1)
 _AT_LEAST_THREE = _Domain(int, "must be at least 3", lambda v: v >= 3)
 _ALL_POSITIVE = _Domain((float,), "must be positive", lambda v: all(x > 0 for x in v))
+# A point where a resolvent norm is taken: Lanczos reads ||R||^2 ~ 1/|lam|^2,
+# which leaves float64's normal range near |lam| = 1.5e154.
+_RESOLVENT_POINT = _Domain(float, "must lie in [-1e150, 1e150]", lambda v: abs(v) <= 1e150)
 
 
 def _entries(least: int, domain) -> _Domain:
@@ -474,7 +477,7 @@ def run_ultracontractivity_check(problem: Problem, *, n_points: int = 5,
             f"= {t_max_box:.3e}; refine the grid (h = {h:.3e}) or enlarge R"
         )
     sups = kernel_sweep(problem.diffusion, problem.V, t_values, grid.center_cell(), 0,
-                        SplitConfig(), 16 if grid.dim == 1 else 12)
+                        16 if grid.dim == 1 else 12)
     slope, intercept = np.polyfit(np.log(t_values), np.log(sups), 1)
     passed = abs(slope + grid.dim / 2.0) <= tol
     return PropertyCheckResult(
@@ -557,7 +560,7 @@ def run_nongeneration_demo(
     for R, n in zip(extents, cells):
         grid = build_grid(1, R, n)
         Q = sample_field(make_rule("identity_Q", 1)[0], grid, "diffusion")
-        D = SparseOperator(assemble_scalar_diffusion(Q, grid, shifted=False), grid, 1)
+        D = SparseOperator(assemble_scalar_diffusion(Q, grid), grid, 1)
         V = sample_field(make_rule("upper_triangular_V", 1)[0], grid, "potential")
         L = D.on_components(2) + assemble_potential(V, 2)
         x = grid.axis_coords
@@ -582,7 +585,9 @@ def run_nongeneration_demo(
     )
 
 
-@_takes("shift_invariance", mu=_FINITE, sigmas=_entries(1, (float,)), extent=_POSITIVE,
+@_takes("shift_invariance", mu=_RESOLVENT_POINT,
+        sigmas=_entries(1, _Domain((float,), _RESOLVENT_POINT.says,
+                                   lambda v: all(map(_RESOLVENT_POINT.test, v)))), extent=_POSITIVE,
         n_per_axis=_cells(1), tol=_NON_NEGATIVE)
 def run_shift_invariance_check(
     *,
@@ -601,11 +606,11 @@ def run_shift_invariance_check(
     'absolute_control' operator (Delta - |x|, self-adjoint) is the designed
     negative control whose norm does decay.
     """
+    grid = build_grid(1, extent, n_per_axis)
     if max(abs(s) for s in sigmas) > extent / 8.0:
         raise ValueError("sigma values must stay below R/8 (translation must stay in the box)")
-    grid = build_grid(1, extent, n_per_axis)
     Q = sample_field(make_rule("identity_Q", 1)[0], grid, "diffusion")
-    D = assemble_scalar_diffusion(Q, grid, shifted=False)
+    D = assemble_scalar_diffusion(Q, grid)
     x = grid.axis_coords
     if operator == "imaginary":
         B = SparseOperator((D - sp.diags(1j * x)).tocsr(), grid, 1)

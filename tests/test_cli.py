@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,12 @@ class TestMain:
         for row in lines[1:]:
             re, im, nrm = (float(v) for v in row.split(","))
             assert nrm <= 1.0 / (re + 1.0) * (1 + 1e-6)
+
+    def test_resolvent_at_the_edge_of_its_domain(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert main(["resolvent", "--config", "rotation_r15", "--out", str(out),
+                     "--lam-re", "1e150"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("||(lambda - L)^-1|| = 1e-150\n")
 
     def test_report_reemit(self, tmp_path):
         cfg = write_cfg(tmp_path, QUICK)
@@ -596,7 +603,13 @@ MALFORMED = {
     "few_compactness_cells": (lambda tmp: _override_body("compactness", "h_target = 4"),
                               "k = 20 needs a finer grid: h_target = 4.0 puts 4 cells on the box of R = 10"),
     "tiny_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e-300"),
-                               "extent = 1e-300 gives a non-finite commutator defect"),
+                               "extent = 1e-300 is too small for 200 cells per axis"),
+    # Lanczos cannot read a resolvent norm this far from the operator.
+    "far_shift_invariance_mu": (lambda tmp: _override_body("shift_invariance", "mu = 1e155"),
+                                "[check.shift_invariance] mu must lie in [-1e150, 1e150], got 1e+155"),
+    "far_shift_invariance_sigma": (lambda tmp: _override_body("shift_invariance", "sigmas = 1, -1e155"),
+                                   "[check.shift_invariance] sigmas must lie in [-1e150, 1e150], "
+                                   "got [1.0, -1e+155]"),
 }
 
 
@@ -659,7 +672,8 @@ class TestMalformedInputs:
                                       "zero_commutator_extent", "zero_compactness_h_target",
                                       "zero_compactness_extent", "no_compactness_levels",
                                       "oversize_shift_invariance_grid", "oversize_degenerate_kernel_grid",
-                                      "oversize_commutator_grid"])
+                                      "oversize_commutator_grid", "far_shift_invariance_mu",
+                                      "far_shift_invariance_sigma"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)
@@ -697,6 +711,25 @@ class TestMalformedInputs:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         results = json.loads((tmp_path / "o" / "bundle.json").read_text())["results"]
         assert len(results) == 1 and len(results[0]["measured"]) >= 1
+
+
+@pytest.mark.parametrize("body", [
+    QUICK.replace("extent = 6.0", "extent = 1e-300"),
+    _override_body("shift_invariance", "extent = 1e-300"),
+    _override_body("degenerate_kernel", "extent = 1e-300"),
+    _override_body("commutator", "extent = 1e-300"),
+], ids=["problem", "shift_invariance", "degenerate_kernel", "commutator"])
+def test_tiny_box_exits_before_assembly(tmp_path, capsys, body):
+    """A box whose spacing h has no finite 1/h^2 is refused by the grid,
+    naming the extent, before a stencil overflows."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--config", str(write_cfg(tmp_path, body)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "extent = 1e-300" in err
+    assert "RuntimeWarning" not in err and not caught
+    assert not (tmp_path / "o").exists()
 
 
 def _setting(section, key, token):
@@ -794,6 +827,13 @@ BAD_ARGV = {
                                  "argument --lam-im: invalid float value: 'inf'"),
     "nan_spectrum_shift": (lambda tmp: _quick(tmp, "spectrum", "--shift-re", "nan", "--k", "2"),
                            "argument --shift-re: invalid float value: 'nan'"),
+    "far_resolvent_point": (lambda tmp: _quick(tmp, "resolvent", "--lam-re", "1e155"),
+                            "argument --lam-re: must lie in [-1e150, 1e150], got 1e+155"),
+    "far_resolvent_line": (lambda tmp: _quick(tmp, "resolvent", "--lam-im=-2e155"),
+                           "argument --lam-im: must lie in [-1e150, 1e150], got -2e+155"),
+    # --seed is read by evolve and verify only
+    "seed_flag_on_validate": (lambda tmp: _quick(tmp, "validate", "--seed", "1"),
+                              "unrecognized arguments: --seed 1"),
     # Bundle values of the wrong type are refused before anything is written.
     "number_for_measured": (lambda tmp: _bundle(tmp, "measured.json", measured=5),
                             "measured.json: TypeError result 'contraction' needs"),

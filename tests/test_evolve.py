@@ -785,3 +785,52 @@ class TestScalarBlock:
         for k in range(m):
             one = trotter_evolve(D, V1, VectorField(g, vals[:, k:k + 1]), cfg).final.values
             np.testing.assert_allclose(out[:, k], one[:, 0], rtol=1e-13, atol=1e-15)
+
+
+# The structural claims hold to rounding: each is checked to 8 machine
+# epsilons per step, relative to the data's scale.
+_ROUNDING = 8 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(min_value=1, max_value=2),
+    n=st.integers(min_value=3, max_value=12),
+    m=st.integers(min_value=1, max_value=3),
+    tau=st.floats(min_value=1e-3, max_value=0.5),
+    n_steps=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_backward_euler_split_is_contractive_positive_and_dominated(dim, n, m, tau, n_steps, seed):
+    """Lie / backward-Euler steps under diagonal Q and a coupling with
+    off-diagonal entries >= 0 and a dominant negative diagonal (a
+    nonpositive Hermitian part): every p-norm is nonincreasing, nonnegative
+    data stays nonnegative, and |S(t) f|^2 stays below the heat flow of
+    |f|^2.  Exact zeros in V and f exercise the unsolved zero columns."""
+    g = build_grid(dim, 2.0, n)
+    rng = np.random.default_rng(seed)
+    q = np.zeros((g.n_cells, dim, dim))
+    for a in range(dim):
+        q[:, a, a] = rng.uniform(0.2, 3.0, g.n_cells)
+    Q = MatrixField(g, "diffusion", q)
+    v = rng.uniform(0.0, 2.0, (g.n_cells, m, m)) * (rng.random((g.n_cells, m, m)) < 0.7)
+    idx = np.arange(m)
+    v[:, idx, idx] = 0.0
+    v[:, idx, idx] = -0.5 * (v.sum(axis=1) + v.sum(axis=2)) - rng.uniform(0.0, 1.0, (g.n_cells, m))
+    V = MatrixField(g, "potential", v)
+    f = rng.standard_normal((g.n_cells, m)) + 1j * rng.standard_normal((g.n_cells, m))
+    f[:, rng.random(m) < 0.3] = 0.0
+    cfg = SplitConfig(substep="backward_euler")
+    step = split_step(assemble_diffusion(Q, g), V, tau, cfg)
+    slack = _ROUNDING * n_steps
+
+    traj = step.run(VectorField(g, f), n_steps)
+    for p, norms in traj.norm_log.items():
+        assert np.all(np.diff(norms) <= slack * norms[0]), p
+
+    positive = step.run(VectorField(g, np.abs(f)), n_steps, norm_ps=()).final.values
+    assert positive.real.min() >= -slack * np.abs(f).max()
+
+    sq = (np.abs(f) ** 2).sum(axis=1)
+    w = heat_step(Q, tau, cfg).run(VectorField(g, sq), n_steps, norm_ps=()).final.values[:, 0].real
+    assert np.max((np.abs(traj.final.values) ** 2).sum(axis=1) - w) <= slack * sq.max()

@@ -180,7 +180,8 @@ class TestFaceDifferences:
 
 class TestDirectStencil:
     """assemble_scalar_diffusion writes the stencil that the sparse-product
-    reference builds, bit for bit in data, indices and indptr."""
+    reference builds, and assemble_diffusion that stencil minus the identity,
+    bit for bit in data, indices and indptr."""
 
     @pytest.mark.parametrize("shifted", [False, True])
     @pytest.mark.parametrize("n", [5, 8, 33])
@@ -200,7 +201,8 @@ class TestDirectStencil:
             Q = varying_q(g, seed=n)
         else:
             Q = sample_field(make_rule(rule, dim, **params)[0], g, "diffusion")
-        built, ref = assemble_scalar_diffusion(Q, g, shifted), spgemm_scalar_diffusion(Q, g, shifted)
+        built = assemble_diffusion(Q, g).matrix if shifted else assemble_scalar_diffusion(Q, g)
+        ref = spgemm_scalar_diffusion(Q, g, shifted)
         assert isinstance(built, sp.csr_matrix) and built.shape == ref.shape == (g.n_cells,) * 2
         for name in ("data", "indices", "indptr"):
             a, b = getattr(built, name), getattr(ref, name)
@@ -347,7 +349,7 @@ class TestDiffusionAssembly:
 
     def test_m_matrix_sign_pattern(self):
         g = build_grid(2, 2.0, 8)
-        A = assemble_scalar_diffusion(identity_q(g), g, shifted=True).tocoo()
+        A = assemble_diffusion(identity_q(g), g).matrix.tocoo()
         off = A.data[A.row != A.col]
         assert np.all(off >= 0.0)
 

@@ -120,7 +120,7 @@ class TestOperatorNorm:
     def test_resolvent_norm_against_dense_svd(self):
         # complex Airy-type generator at modest resolution
         g = build_grid(1, 40.0, 200)
-        D = assemble_scalar_diffusion(identity_q(g), g, shifted=False)
+        D = assemble_scalar_diffusion(identity_q(g), g)
         x = g.axis_coords
         B = SparseOperator((D - sp.diags(1j * x)).tocsr(), g, 1)
         lam = 2.0
@@ -356,7 +356,7 @@ class TestKernel:
         V = sample_field(make_rule("coupled_V", 1, a=-2.0, b=1.0, c=0.5)[0], g, "potential")
         cfg = SplitConfig(scheme="lie", substep="backward_euler")
         # the leading segment runs 4 x steps_per_segment = 8 steps
-        sweep = kernel_sweep(A, V, (0.1, 0.05), g.center_cell(), 1, cfg, steps_per_segment=2)
+        sweep = kernel_sweep(A, V, (0.1, 0.05), g.center_cell(), 1, steps_per_segment=2)
         assert len(sweep) == 2 and all(type(s) is float for s in sweep)
         first = kernel_column(A, V, 0.05, g.center_cell(), 1, replace(cfg, n_steps=8))
         assert sweep[0] == np.abs(first.values).max()
@@ -406,13 +406,12 @@ class TestKernel:
         # V = -I keeps component 1 at exact zero: the m = 2 sweep solves one
         # column per step, and its values equal the two-column solves' bit for bit
         g = build_grid(2, 3.2, 40)
-        cfg = SplitConfig(scheme="lie", substep="backward_euler")
         times = (0.16, 0.32, 0.64)
 
         def sweep(m):
             A = assemble_diffusion(identity_q(g), g)
             V = sample_field(make_rule("diag_V", 2, c=-1.0, m=m)[0], g, "potential")
-            return kernel_sweep(A, V, times, g.center_cell(), 0, cfg, steps_per_segment=6)
+            return kernel_sweep(A, V, times, g.center_cell(), 0, steps_per_segment=6)
 
         widths = []
 
@@ -429,8 +428,8 @@ class TestKernel:
         skipped = sweep(2)
         assert widths and set(widths) == {1}
 
-        def solve_all(self, values):
-            return np.ascontiguousarray(self._solve(values, values))
+        def solve_all(self, values):  # every column, zero or not
+            return np.ascontiguousarray(self.lu.solve(values))
 
         monkeypatch.setattr(evolve._DiffusionStepper, "apply", solve_all)
         widths.clear()

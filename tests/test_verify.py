@@ -18,6 +18,7 @@ from vschro.spectral import EigenResult
 from vschro.verify import (
     _bump,
     expm_apply,
+    run_commutator_rate_check,
     run_compactness_contrast,
     run_consistency_check,
     run_contraction_check,
@@ -242,6 +243,12 @@ class TestDirectCalls:
         with pytest.raises(ValueError, match="h_target must be positive, got 0"):
             run_nongeneration_demo(h_target=0)
 
+    def test_non_finite_commutator_defect_is_refused(self):
+        # 1/h^2 is finite on both grids, but the 400-cell stencil's sums overflow
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="extent = 1.8e-152 gives a non-finite commutator defect"):
+            run_commutator_rate_check(extent=1.8e-152)
+
     def test_keys_are_keyword_only(self):
         with pytest.raises(TypeError):
             run_contraction_check(None, -1.0)
@@ -420,7 +427,7 @@ class TestBuiltSteps:
         assert list(res.measured) == ["excess_t0.1", "excess_t0.5", "excess_t1"]
         vector, scalar = factor_log["lu"]
         assert same_matrix(vector, step_matrix(p.diffusion.matrix, 0.005))
-        D = assemble_scalar_diffusion(p.Q, p.grid, shifted=False)
+        D = assemble_scalar_diffusion(p.Q, p.grid)
         assert same_matrix(scalar, step_matrix(D, 0.005))
         assert factor_log["exp"] == [1]
 
@@ -435,7 +442,7 @@ class TestBuiltSteps:
         res = run_domination_check(p, ts=ts)
         assert len(factor_log["lu"]) == 2 * n_steps and len(factor_log["exp"]) == n_steps
         # every vector step first, then every scalar step
-        D = assemble_scalar_diffusion(p.Q, p.grid, shifted=False)
+        D = assemble_scalar_diffusion(p.Q, p.grid)
         vector = [step_matrix(p.diffusion.matrix, tau) for tau in sorted(set(taus), key=taus.index)]
         scalar = [step_matrix(D, tau) for tau in sorted(set(taus), key=taus.index)]
         for got, want in zip(factor_log["lu"], vector + scalar, strict=True):
