@@ -158,15 +158,18 @@ def checked_solve(lu, matrix: sp.spmatrix, b: np.ndarray, bound: float) -> np.nd
     live = range(cols.shape[1]) if all(cols[0].tolist()) else [
         j for j in range(cols.shape[1]) if cols[:, j].any()]
     rhs = cols if len(live) == cols.shape[1] else cols[:, live]
-    x = lu.solve(rhs) if live else rhs
-    resid = np.linalg.norm(matrix @ x - rhs)
+    # SuperLU returns Fortran-ordered columns: one copy to C order here
+    # serves the residual's product and the return
+    x = np.ascontiguousarray(lu.solve(rhs)) if live else rhs
+    r = matrix @ x
+    r -= rhs
+    resid = np.linalg.norm(r)
     if not resid <= bound:
         raise SolverError(f"solve residual {resid:.3e} above {bound:.3e}")
     if rhs is not cols:
-        full = np.zeros_like(cols)
+        full = np.zeros(cols.shape, cols.dtype)
         full[:, live] = x
         x = full
-    x = np.ascontiguousarray(x)
     return (x.view(b.dtype) if split else x).reshape(b.shape)
 
 

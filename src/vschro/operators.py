@@ -21,6 +21,7 @@ commutator identity, and the centred gradient fields.cell_gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,10 @@ def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
     if Q.kind != DIFFUSION or Q.grid != grid:
         raise AssemblyError("Q must be a diffusion field on the target grid")
     d, g, t = grid.dim, 1.0 / grid.spacing, 0.25 / grid.spacing
+    # the diagonal reaches 2 d max|q| / h^2, and 1/2 (D + D^T) sums it twice
+    if not math.isfinite(4.0 * d * float(np.abs(Q.values).max()) * g * g):
+        raise AssemblyError(f"extent = {grid.extent!r} is too small for {grid.n_per_axis} cells "
+                            f"per axis: the diffusion stencil overflows at h = {grid.spacing:.3g}")
     faces = [[_face_average(grid, Q.values[:, k, k], a) for k in range(d)] for a in range(d)]
     cross = [_face_average(grid, Q.values[:, 0, 1], a) for a in range(d)] if d == 2 else []
     if d == 1 and faces[0][0].min() <= 0.0:

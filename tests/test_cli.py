@@ -713,21 +713,25 @@ class TestMalformedInputs:
         assert len(results) == 1 and len(results[0]["measured"]) >= 1
 
 
-@pytest.mark.parametrize("body", [
-    QUICK.replace("extent = 6.0", "extent = 1e-300"),
-    _override_body("shift_invariance", "extent = 1e-300"),
-    _override_body("degenerate_kernel", "extent = 1e-300"),
-    _override_body("commutator", "extent = 1e-300"),
-], ids=["problem", "shift_invariance", "degenerate_kernel", "commutator"])
-def test_tiny_box_exits_before_assembly(tmp_path, capsys, body):
-    """A box whose spacing h has no finite 1/h^2 is refused by the grid,
-    naming the extent, before a stencil overflows."""
+@pytest.mark.parametrize("body, extent", [
+    (QUICK.replace("extent = 6.0", "extent = 1e-300"), "1e-300"),
+    (_override_body("shift_invariance", "extent = 1e-300"), "1e-300"),
+    (_override_body("degenerate_kernel", "extent = 1e-300"), "1e-300"),
+    (_override_body("commutator", "extent = 1e-300"), "1e-300"),
+    (QUICK.replace("extent = 6.0", "extent = 3e-153"), "3e-153"),
+    (_override_body("commutator", "extent = 1.8e-152"), "1.8e-152"),
+], ids=["problem", "shift_invariance", "degenerate_kernel", "commutator",
+        "problem_stencil", "commutator_stencil"])
+def test_tiny_box_exits_before_assembly(tmp_path, capsys, body, extent):
+    """A box whose spacing h has no finite 1/h^2 is refused by the grid, and
+    one whose stencil diagonal ~ 4 d max q / h^2 is not finite by the
+    assembly, naming the extent, before a stencil overflows."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["verify", "--config", str(write_cfg(tmp_path, body)), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert "extent = 1e-300" in err
+    assert f"extent = {extent} is too small" in err
     assert "RuntimeWarning" not in err and not caught
     assert not (tmp_path / "o").exists()
 
@@ -1011,13 +1015,12 @@ class TestExitCodes:
 
 class TestImports:
     def test_import_defers_single_command_modules(self):
-        # Every oracle is a closed form or a scipy.sparse/scipy.special call, so
-        # nothing loads scipy.integrate or the scipy.optimize it pulls in.  What
-        # vschro.cli does load, it loads at import: a module first loaded
-        # mid-run would land at whichever job needs it, and a run's peak memory
-        # would depend on job order.
-        code = ("import sys, vschro.cli; print(sorted(m for m in "
-                "('scipy.io', 'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        # scipy.io loads in export-operator alone and scipy.special in the
+        # nongeneration oracle alone (every other verify skips it); every
+        # oracle is a closed form or a scipy.sparse/scipy.special call, so
+        # nothing loads scipy.integrate or the scipy.optimize it pulls in.
+        code = ("import sys, vschro.cli; print(sorted(m for m in ('scipy.io', 'scipy.special', "
+                "'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"

@@ -12,7 +12,9 @@ from vschro.evolve import (
     _DiffusionStepper,
     _PotentialStepper,
     SplitConfig,
+    checked_solve,
     heat_step,
+    sparse_lu,
     split_step,
     trotter_evolve,
 )
@@ -580,6 +582,22 @@ class TestZeroColumns:
         zero = stepper.apply(np.zeros_like(vals))
         assert stepper.lu.widths == [len(live)]
         assert zero.dtype == vals.dtype and not zero.any()
+
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    def test_checked_solve_returns_the_factors_columns_in_c_order(self, data):
+        # SuperLU returns Fortran-ordered columns; the checked solve hands
+        # back the same bits, C-contiguous, in b's dtype and shape
+        g = build_grid(2, 3.0, 9)
+        D = assemble_diffusion(identity_q(g), g).matrix
+        lhs = (sp.identity(g.n_cells, format="csr") - 0.07 * D).tocsc()
+        lu = sparse_lu(lhs)
+        re, im = random_parts(g, 3, seed=8)
+        b = re if data == "real" else re + 1j * im
+        cols = b.view(np.float64)  # complex b on the real factor: 2m real columns
+        ref = np.ascontiguousarray(lu.solve(cols))
+        x = checked_solve(lu, lhs, b, 1e-10 * np.linalg.norm(b))
+        assert x.flags.c_contiguous and x.dtype == b.dtype and x.shape == b.shape
+        assert x.view(np.float64).tobytes() == ref.tobytes()
 
     def test_residual_miss_raises_with_zero_column(self):
         g = build_grid(1, 2.0, 16)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,11 +244,19 @@ class TestDirectCalls:
         with pytest.raises(ValueError, match="h_target must be positive, got 0"):
             run_nongeneration_demo(h_target=0)
 
-    def test_non_finite_commutator_defect_is_refused(self):
-        # 1/h^2 is finite on both grids, but the 400-cell stencil's sums overflow
-        with pytest.warns(RuntimeWarning, match="overflow"), \
-                pytest.raises(ValueError, match="extent = 1.8e-152 gives a non-finite commutator defect"):
-            run_commutator_rate_check(extent=1.8e-152)
+    def test_non_finite_commutator_defect_is_refused(self, monkeypatch):
+        # the safety net behind the stencil refusal below
+        monkeypatch.setattr(vschro.verify, "commutator_defect", lambda Q, M, f: math.inf)
+        with pytest.raises(ValueError, match="extent = 10.0 gives a non-finite commutator defect"):
+            run_commutator_rate_check()
+
+    def test_overflowing_commutator_stencil_is_refused(self):
+        # 1/h^2 is finite on both grids, but the 400-cell stencil's diagonal
+        # 4/h^2 is not: refused before assembly, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="extent = 1.8e-152 is too small for 400 cells per axis"):
+                run_commutator_rate_check(extent=1.8e-152)
 
     def test_keys_are_keyword_only(self):
         with pytest.raises(TypeError):
@@ -450,12 +459,39 @@ class TestBuiltSteps:
         assert res.measured == domination_reference(p, ts=ts)
 
     def test_domination_keeps_the_order_of_ts(self, factor_log):
-        # the step size changes at 0.333 and back at 0.1: three builds
+        # 1.0, 0.1 and 0.5 share one step size and 0.333 has its own: two
+        # builds for each flow, and measured still in the order of ts
         p = small_problem()
         ts = (1.0, 0.333, 0.1, 0.5)
         res = run_domination_check(p, ts=ts)
         assert list(res.measured) == ["excess_t1", "excess_t0.333", "excess_t0.1", "excess_t0.5"]
-        assert len(factor_log["lu"]) == 6
+        assert len(factor_log["lu"]) == 4
+        assert res.measured == domination_reference(p, ts=ts)
+
+    @pytest.mark.parametrize("ts, steps, fresh", [
+        ((0.1, 0.5, 1.0), [20, 80, 100], [True, False, False]),
+        ((1.0, 0.1, 0.5, 0.1), [20, 80, 100], [True, False, False]),
+        ((0.1, 0.333), [20, 67], [True, True]),
+    ], ids=["default", "unsorted_and_repeated", "two_step_sizes"])
+    def test_domination_continues_one_run_per_step_size(self, monkeypatch, ts, steps, fresh):
+        # each step size is one run continued from horizon to horizon: the
+        # default ts take 200 vector and 200 scalar steps, not 320 and 320
+        log = []
+        run = vschro.evolve.SplitStep.run
+
+        def logged_run(step, f, n_steps, *args, **kwargs):
+            out = run(step, f, n_steps, *args, **kwargs)
+            log.append((step.m, n_steps, f, out.final))
+            return out
+
+        monkeypatch.setattr(vschro.evolve.SplitStep, "run", logged_run)
+        p = small_problem()
+        res = run_domination_check(p, ts=ts)
+        assert [(m, n) for m, n, _, _ in log] == [(p.m, n) for n in steps] + [(1, n) for n in steps]
+        # a run that continues starts from the previous run's final state
+        for flow in (log[:len(steps)], log[len(steps):]):
+            for prev, cur, new in zip(flow, flow[1:], fresh[1:]):
+                assert (cur[2] is prev[3]) != new
         assert res.measured == domination_reference(p, ts=ts)
 
     def test_degenerate_kernel_factors_once_for_both_runs(self, factor_log):
@@ -511,7 +547,7 @@ class TestBuiltSteps:
 
     @pytest.mark.parametrize("check, n_solves", [
         (lambda p: run_positivity_check(p, n_random=50), 50 * 10),
-        (lambda p: run_domination_check(p), 20 + 100 + 200),
+        (lambda p: run_domination_check(p), 200),
     ], ids=["positivity", "domination"])
     def test_residual_miss_mid_loop_raises(self, monkeypatch, check, n_solves):
         calls = []
