@@ -36,7 +36,6 @@ from vschro.spectral import eigenpairs, kernel_column, max_eigenpairs, resolvent
 from vschro.verify import (
     _AT_LEAST_ONE,
     _AT_LEAST_THREE,
-    _FINITE,
     _HARD_CAP_UNKNOWNS,
     _NON_NEGATIVE_INT,
     _POSITIVE,
@@ -186,8 +185,8 @@ def _section(parser, section: str) -> dict:
     casts, out = _SECTION_KEYS[section], {}
     for key, text in parser[section].items() if parser.has_section(section) else ():
         if key not in casts:
-            raise ConfigError(f"unknown key [{section}] {key}; [{section}] takes: "
-                              + ", ".join(casts))
+            takes = f"takes: {', '.join(casts)}" if casts else "takes no keys"
+            raise ConfigError(f"unknown key [{section}] {key}; [{section}] {takes}")
         elif casts[key] in (str, _parse_params):
             out[key] = casts[key](text)
         else:
@@ -610,8 +609,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("spectrum", help="eigenvalues near a shift")
     common(p)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--shift-re", type=_flag(_FINITE), default=0.0)
-    p.add_argument("--shift-im", type=_flag(_FINITE), default=0.0)
+    p.add_argument("--shift-re", type=_flag(_RESOLVENT_POINT), default=0.0)
+    p.add_argument("--shift-im", type=_flag(_RESOLVENT_POINT), default=0.0)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("kernel", help="extract one kernel column")

@@ -153,15 +153,22 @@ def _bump_pair(problem: Problem) -> VectorField:
 # ---------------------------------------------------------------------------
 # Checks.  Each check's receiving function declares its config keys once,
 # with @_takes, as keyword-only parameters with their domains; cli builds the
-# [check.<name>] sections of a config from CHECK_KEYS.  Each other threshold
-# is fixed, below if two lines use it, else as a literal.
+# [check.<name>] sections of a config from CHECK_KEYS.  A key sets what a
+# check measures, never the bar it must pass: every threshold is fixed, below
+# if two lines use it, else as a literal.
 
 _HARD_CAP_UNKNOWNS = 4_000_000  # unknowns of any grid a config or a check builds
+_SLACK = 1e-8  # contraction, domination: relative norm growth and excess accepted
+_CONSISTENCY_TOL = 0.01  # relative error of the Laplace-transform identity
+_POSITIVITY_FLOOR = 1e-10  # positivity: values down to -1e-10 count as nonnegative
+_SMOOTHING_TOL = 0.1  # distance of the smoothing exponent from -d/2
+_SHIFT_TOL = 0.02  # change of the resolvent norm along the vertical line
 _ORDER_WINDOWS = {"lie": (0.7, 1.3), "strang": (1.6, 2.4)}  # splitting orders accepted
 _ANCHOR_TOL = 0.01  # relative error of x u2(x) against 1/lam at x = 1e3
 _MATCH_TOL = 1e-6  # degenerate coupling: diagonal data against the scalar flow
 _RATIO_WINDOW = (1.4, 2.6)  # commutator defect ratios accepted under N doubling
 _N_LEVELS = 10  # eigenvalue levels whose spacing the compactness contrast takes
+_N_EIGENPAIRS = 2 * _N_LEVELS  # eigenpairs computed to find them
 _STABILITY_TOL = 0.2  # largest change of the rotation spacing as R doubles
 
 
@@ -187,15 +194,13 @@ def _increasing(values) -> bool:
     return all(a < b for a, b in zip(values, values[1:]))
 
 
-_FINITE = _Domain(float, "must be finite", math.isfinite)
-_NON_NEGATIVE = _Domain(float, "must be non-negative", lambda v: v >= 0)
 _NON_NEGATIVE_INT = _Domain(int, "must be non-negative", lambda v: v >= 0)
 _POSITIVE = _Domain(float, "must be positive", lambda v: v > 0)
 _AT_LEAST_ONE = _Domain(int, "must be at least 1", lambda v: v >= 1)
 _AT_LEAST_THREE = _Domain(int, "must be at least 3", lambda v: v >= 3)
 _ALL_POSITIVE = _Domain((float,), "must be positive", lambda v: all(x > 0 for x in v))
-# A point where a resolvent norm is taken: Lanczos reads ||R||^2 ~ 1/|lam|^2,
-# which leaves float64's normal range near |lam| = 1.5e154.
+# A point where a resolvent norm is taken, or a spectrum's shift: Lanczos reads
+# ||R||^2 ~ 1/|lam|^2, which leaves float64's normal range near |lam| = 1.5e154.
 _RESOLVENT_POINT = _Domain(float, "must lie in [-1e150, 1e150]", lambda v: abs(v) <= 1e150)
 
 
@@ -256,33 +261,31 @@ def _takes(check: str, **keys):
     return register
 
 
-@_takes("contraction", slack=_NON_NEGATIVE)
-def run_contraction_check(traj: Trajectory, *, slack: float = 1e-8) -> PropertyCheckResult:
-    """Every logged p-norm must be nonincreasing up to relative slack."""
+@_takes("contraction")
+def run_contraction_check(traj: Trajectory) -> PropertyCheckResult:
+    """Every logged p-norm must be nonincreasing up to relative _SLACK."""
     worst, worst_p = -np.inf, math.nan
     for p, norms in traj.norm_log.items():
         prev = np.maximum(norms[:-1], 1e-300)
         growth = float(np.max(np.diff(norms) / prev))
         if growth > worst:
             worst, worst_p = growth, float(p)
-    passed = worst <= slack
     return PropertyCheckResult(
         name="contraction",
-        passed=bool(passed),
+        passed=bool(worst <= _SLACK),
         measured={"max_relative_increase": worst, "worst_p": worst_p},
-        tolerance=slack,
+        tolerance=_SLACK,
         notes="all logged p-norms nonincreasing along the trajectory",
     )
 
 
-@_takes("consistency", lam=_POSITIVE, horizon=_POSITIVE, n_steps=_AT_LEAST_ONE, tol=_NON_NEGATIVE)
+@_takes("consistency", lam=_POSITIVE, horizon=_POSITIVE, n_steps=_AT_LEAST_ONE)
 def run_consistency_check(
     problem: Problem,
     *,
     lam: float = 2.0,
     horizon: float = 6.0,
     n_steps: int = 300,
-    tol: float = 0.01,
 ) -> PropertyCheckResult:
     """Laplace-transform identity <(lam - L)^{-1} f, g> = int e^{-lam t} <S(t)f, g> dt.
 
@@ -323,30 +326,30 @@ def run_consistency_check(
         scale = 1.0 / (nf * ng)
         err = abs(direct - quad_side) * scale / max(abs(direct) * scale, 1e-300)
         measured[f"rel_err_p{p:g}"] = float(err)
-        ok = ok and err <= tol
+        ok = ok and err <= _CONSISTENCY_TOL
     return PropertyCheckResult(
         name="consistency",
         passed=bool(ok),
         measured=measured,
-        tolerance=tol,
+        tolerance=_CONSISTENCY_TOL,
         notes="resolvent pairing equals the Laplace transform of the evolved pairing",
     )
 
 
-@_takes("positivity", n_random=_AT_LEAST_ONE, t_forward=_POSITIVE, floor=_NON_NEGATIVE)
+@_takes("positivity", n_random=_AT_LEAST_ONE, t_forward=_POSITIVE)
 def run_positivity_check(
     problem: Problem,
     *,
     n_random: int = 50,
     t_forward: float = 0.1,
     seed: int = 2024,
-    floor: float = 1e-10,
 ) -> PropertyCheckResult:
     """Positivity iff all off-diagonal potential entries are nonnegative.
 
     Forward branch (offdiag >= 0): nonnegative inputs must stay above
-    -floor.  Converse branch: a bump placed in component l at the cell where
-    v_kl < 0 must push component k strictly negative within t ~ 4 h^2.
+    -_POSITIVITY_FLOOR.  Converse branch: a bump placed in component l at the
+    cell where v_kl < 0 must push component k below -_POSITIVITY_FLOOR within
+    t ~ 4 h^2.
     """
     grid = problem.grid
     m = problem.m
@@ -364,9 +367,9 @@ def run_positivity_check(
             worst = min(worst, float(out.values.real.min()))
         return PropertyCheckResult(
             name="positivity",
-            passed=bool(worst >= -floor),
+            passed=bool(worst >= -_POSITIVITY_FLOOR),
             measured={"min_value": worst, "offdiag_min": problem.report.offdiag_min},
-            tolerance=floor,
+            tolerance=_POSITIVITY_FLOOR,
             notes="nonnegative inputs stay nonnegative (off-diagonal coupling >= 0)",
         )
 
@@ -393,13 +396,13 @@ def run_positivity_check(
     dip = float(out.values.real[:, k].min())
     return PropertyCheckResult(
         name="positivity",
-        passed=bool(dip < -floor),
+        passed=bool(dip < -_POSITIVITY_FLOOR),
         measured={
             "component_dip": dip,
             "offending_entry": float(entry),
             "t_small": t_small,
         },
-        tolerance=floor,
+        tolerance=_POSITIVITY_FLOOR,
         notes="negative off-diagonal coupling breaks the positive minimum principle",
     )
 
@@ -429,13 +432,8 @@ def _finals_at(horizons, g: VectorField, build) -> list:
     return finals
 
 
-@_takes("domination", ts=_entries(1, _ALL_POSITIVE), slack=_NON_NEGATIVE)
-def run_domination_check(
-    problem: Problem,
-    *,
-    ts=(0.1, 0.5, 1.0),
-    slack: float = 1e-8,
-) -> PropertyCheckResult:
+@_takes("domination", ts=_entries(1, _ALL_POSITIVE))
+def run_domination_check(problem: Problem, *, ts=(0.1, 0.5, 1.0)) -> PropertyCheckResult:
     """Pointwise |S(t) f|^2 <= T(t) |f|^2 for a real bump f.
 
     Both evolutions use matched backward Euler step grids; the identity
@@ -460,25 +458,24 @@ def run_domination_check(
         wvals = w[:, 0].real
         excess = float(np.max(usq - wvals) / max(wvals.max(), 1e-300))
         measured[f"excess_t{t:g}"] = excess
-        ok = ok and excess <= slack
+        ok = ok and excess <= _SLACK
     return PropertyCheckResult(
         name="domination",
         passed=bool(ok),
         measured=measured,
-        tolerance=slack,
+        tolerance=_SLACK,
         notes="squared amplitude of the coupled flow stays below the scalar flow",
     )
 
 
-@_takes("ultracontractivity", n_points=_Domain(int, "must be at least 2", lambda v: v >= 2),
-        tol=_NON_NEGATIVE)
-def run_ultracontractivity_check(problem: Problem, *, n_points: int = 5,
-                                 tol: float = 0.1) -> PropertyCheckResult:
+@_takes("ultracontractivity", n_points=_Domain(int, "must be at least 2", lambda v: v >= 2))
+def run_ultracontractivity_check(problem: Problem, *, n_points: int = 5) -> PropertyCheckResult:
     """Least-squares slope of log sup |K(t)| against log t, K the centre
     cell's component-0 kernel column, on a geometric t-window with
-    h^2 << t << R^2/16; the smoothing exponent must match -d/2 within tol.
-    The intercept is the measured log of the smoothing constant.  Raises
-    with a sizing hint when the window is empty for the grid."""
+    h^2 << t << R^2/16; the smoothing exponent must match -d/2 within
+    _SMOOTHING_TOL.  The intercept is the measured log of the smoothing
+    constant.  Raises with a sizing hint when the window is empty for the
+    grid."""
     grid = problem.grid
     h = grid.spacing
     ratio = 2.0 if grid.dim == 1 else math.sqrt(2.0)
@@ -493,12 +490,11 @@ def run_ultracontractivity_check(problem: Problem, *, n_points: int = 5,
     sups = kernel_sweep(problem.diffusion, problem.V, t_values, grid.center_cell(), 0,
                         16 if grid.dim == 1 else 12)
     slope, intercept = np.polyfit(np.log(t_values), np.log(sups), 1)
-    passed = abs(slope + grid.dim / 2.0) <= tol
     return PropertyCheckResult(
         name="ultracontractivity",
-        passed=bool(passed),
+        passed=bool(abs(slope + grid.dim / 2.0) <= _SMOOTHING_TOL),
         measured={"slope": float(slope), "log_M": float(intercept), "M": float(np.exp(intercept))},
-        tolerance=tol,
+        tolerance=_SMOOTHING_TOL,
         notes="kernel sup decays like t^(-d/2) on the resolved window",
     )
 
@@ -602,14 +598,13 @@ def run_nongeneration_demo(
 @_takes("shift_invariance", mu=_RESOLVENT_POINT,
         sigmas=_entries(1, _Domain((float,), _RESOLVENT_POINT.says,
                                    lambda v: all(map(_RESOLVENT_POINT.test, v)))), extent=_POSITIVE,
-        n_per_axis=_cells(1), tol=_NON_NEGATIVE)
+        n_per_axis=_cells(1))
 def run_shift_invariance_check(
     *,
     mu: float = 1.0,
     sigmas=(1.0, 2.0, 5.0),
     extent: float = 40.0,
     n_per_axis: int = 1600,
-    tol: float = 0.02,
     operator: str = "imaginary",
 ) -> PropertyCheckResult:
     """Resolvent norm constancy along a vertical line for Delta - i x.
@@ -641,12 +636,12 @@ def run_shift_invariance_check(
     for s in sigmas:
         ratio = resolvent_norm(B, lam_of(s)) / base
         measured[f"ratio_sigma{s:g}"] = float(ratio)
-        ok = ok and abs(ratio - 1.0) <= tol
+        ok = ok and abs(ratio - 1.0) <= _SHIFT_TOL
     return PropertyCheckResult(
         name="shift_invariance" if operator == "imaginary" else "shift_invariance_control",
         passed=bool(ok),
         measured=measured,
-        tolerance=tol,
+        tolerance=_SHIFT_TOL,
         notes="constant resolvent norm along a vertical line is incompatible with sectorial 1/|lambda| decay",
     )
 
@@ -719,9 +714,9 @@ def run_commutator_rate_check(
         fvals = np.column_stack([np.exp(-(x**2)), np.exp(-((x - 1.0) ** 2) / 2.0)])
         f = VectorField(grid, fvals.astype(complex))
         defects.append(commutator_defect(Q, M, f))
-    if not all(math.isfinite(d) for d in defects):
-        raise ValueError(f"extent = {extent!r} gives a non-finite commutator defect: "
-                         f"{[float(d) for d in defects]}")
+    if not all(0.0 < d < math.inf for d in defects):  # a zero defect leaves no ratio
+        raise ValueError(f"extent = {extent!r} gives a commutator defect that is zero or not "
+                         f"finite: {[float(d) for d in defects]}")
     ratios = [defects[i] / defects[i + 1] for i in range(len(defects) - 1)]
     ok = all(_RATIO_WINDOW[0] <= r <= _RATIO_WINDOW[1] for r in ratios)
     measured = {f"defect_N{n}": float(d) for n, d in zip(n_schedule, defects)}
@@ -745,13 +740,8 @@ def _real_part_levels(eigenvalues):
     return levels[:_N_LEVELS]
 
 
-@_takes("compactness", h_target=_POSITIVE, extent=_POSITIVE, k=_AT_LEAST_ONE)
-def run_compactness_contrast(
-    *,
-    h_target: float = 0.05,
-    extent: float = 10.0,
-    k: int = 20,
-) -> PropertyCheckResult:
+@_takes("compactness", h_target=_POSITIVE, extent=_POSITIVE)
+def run_compactness_contrast(*, h_target: float = 0.05, extent: float = 10.0) -> PropertyCheckResult:
     """Spacing of the top eigenvalue levels under domain doubling.
 
     The coercive rotation potential pins the low spectrum (spacing stable as
@@ -760,9 +750,10 @@ def run_compactness_contrast(
     """
     cells = {R: _box_cells(R, h_target) for R in (extent, 2.0 * extent)}
     k_max = max_eigenpairs(2 * cells[extent])
-    if k > k_max:
-        raise ValueError(f"k = {k} needs a finer grid: h_target = {h_target!r} puts {cells[extent]} "
-                         f"cells on the box of R = {extent:g}, which allows k in [1, {k_max}]")
+    if _N_EIGENPAIRS > k_max:
+        raise ValueError(f"h_target = {h_target!r} puts {cells[extent]} cells on the box of "
+                         f"R = {extent:g}, too few for the {_N_EIGENPAIRS} eigenpairs the contrast "
+                         f"takes (at most {k_max})")
     spacings = {}
     for name, v_rule, v_params, do_shift in (
         ("rotation", "rotation_V", {"r": 1.5}, True),
@@ -775,7 +766,7 @@ def run_compactness_contrast(
                 shift="auto" if do_shift else "none",
                 alpha=0.45 if do_shift else 0.0,
             )
-            res = eigenpairs(problem.generator, k=k, shift=0.0)
+            res = eigenpairs(problem.generator, k=_N_EIGENPAIRS, shift=0.0)
             levels = _real_part_levels(res.eigenvalues)
             if len(levels) < _N_LEVELS:
                 raise SolverError(

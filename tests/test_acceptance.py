@@ -73,7 +73,7 @@ def test_criterion_02_contraction_suite():
         cfg = SplitConfig(scheme="lie", substep="backward_euler",
                           n_steps=100, t_final=1.0)
         traj = trotter_evolve(problem.diffusion, problem.V, VectorField(problem.grid, vals), cfg)
-        res = run_contraction_check(traj, slack=1e-8)
+        res = run_contraction_check(traj)
         worst[name] = res.measured["max_relative_increase"]
         ok = ok and res.passed
 
@@ -137,19 +137,19 @@ def test_criterion_05_ultracontractivity_exponent():
     slopes = {}
     ok = True
     d1 = build_problem(1, 10.0, 2000, 2, v_rule="diag_V", v_params={"c": -1.0}, shift="none")
-    res1 = run_ultracontractivity_check(d1, tol=0.1)
+    res1 = run_ultracontractivity_check(d1)
     slopes["d1_diag"] = res1.measured["slope"]
     ok = ok and res1.passed
 
     d1r = build_problem(
         1, 10.0, 2000, 2, v_rule="rotation_V", v_params={"r": 1.5}, shift="auto", alpha=0.45
     )
-    res1r = run_ultracontractivity_check(d1r, tol=0.1)
+    res1r = run_ultracontractivity_check(d1r)
     slopes["d1_rotation"] = res1r.measured["slope"]
     ok = ok and res1r.passed
 
     d2 = build_problem(2, 3.2, 320, 2, v_rule="diag_V", v_params={"c": -1.0}, shift="none")
-    res2 = run_ultracontractivity_check(d2, tol=0.1)
+    res2 = run_ultracontractivity_check(d2)
     slopes["d2_diag"] = res2.measured["slope"]
     ok = ok and res2.passed
     announce(
@@ -234,7 +234,7 @@ def test_criterion_10_commutator_identity():
 
 
 def test_criterion_11_compactness_contrast():
-    res = run_compactness_contrast(h_target=0.05, extent=10.0, k=20)
+    res = run_compactness_contrast(h_target=0.05, extent=10.0)
     announce(
         "criterion 11 (eigenvalue-spacing contrast under R -> 2R)",
         res.passed,

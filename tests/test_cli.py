@@ -344,7 +344,7 @@ MALFORMED = {
                                      "no parameter 'zz'"),
     "unknown_override_key": (lambda tmp: QUICK.replace("n_random = 5", "n_random = 5\nslakc = 1e-3"),
                              "unknown key [check.positivity] slakc; [check.positivity] takes: n_random, "
-                             "t_forward, floor"),
+                             "t_forward"),
     "m_in_v_params": (lambda tmp: QUICK.replace("c=-1.0", "c=-1.0, m=3"), "v_params sets m"),
     "m_in_q_params": (lambda tmp: QUICK.replace("q_rule = identity_Q", "q_rule = identity_Q\nq_params = m=3"),
                       "q_params sets m; the component count is [problem] m"),
@@ -371,10 +371,10 @@ MALFORMED = {
     # diag_V is constant, so it commutes with the diffusion: no splitting error.
     "commuting_trotter_order": (lambda tmp: _override_body("trotter_order", "t = 0.5"),
                                 "inconclusive"),
-    "word_for_float_slack": (lambda tmp: _override_body("contraction", "slack = abc"),
-                             "[check.contraction] slack takes float, got 'abc'"),
-    "list_for_float_slack": (lambda tmp: _override_body("contraction", "slack = 1e-8, 2e-8"),
-                             "[check.contraction] slack takes float, got [1e-08, 2e-08]"),
+    "word_for_float_horizon": (lambda tmp: _override_body("consistency", "horizon = abc"),
+                               "[check.consistency] horizon takes float, got 'abc'"),
+    "list_for_float_horizon": (lambda tmp: _override_body("consistency", "horizon = 6.0, 7.0"),
+                               "[check.consistency] horizon takes float, got [6.0, 7.0]"),
     "word_for_float_trotter_t": (lambda tmp: _override_body("trotter_order", "t = fast"),
                                  "[check.trotter_order] t takes float, got 'fast'"),
     "word_in_int_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 200, many"),
@@ -384,10 +384,10 @@ MALFORMED = {
                                "[check.consistency] n_steps takes int, got 2.5"),
     "fraction_in_int_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 2.5, 5"),
                                  "[check.trotter_order] n_schedule takes a list of int"),
-    "bool_for_float_slack": (lambda tmp: _override_body("contraction", "slack = true"),
-                             "[check.contraction] slack takes float, got True"),
-    "bool_for_int_k": (lambda tmp: _override_body("compactness", "k = false"),
-                       "[check.compactness] k takes int, got False"),
+    "bool_for_float_t_forward": (lambda tmp: _override_body("positivity", "t_forward = true"),
+                                 "[check.positivity] t_forward takes float, got True"),
+    "bool_for_int_n_points": (lambda tmp: _override_body("ultracontractivity", "n_points = false"),
+                              "[check.ultracontractivity] n_points takes int, got False"),
     # configparser's own errors name the line.
     "duplicate_key": (lambda tmp: QUICK.replace("m = 2", "m = 2\nm = 2"),
                       "[line 5]: option 'm' in section 'problem' already exists"),
@@ -438,8 +438,8 @@ MALFORMED = {
     "unknown_output_key": (lambda tmp: QUICK.replace("seed = 3", "seed = 3\ndirectory = out"),
                            "unknown key [output] directory; [output] takes: dir, seed"),
     # Every float key takes a finite value only.
-    "nan_slack": (lambda tmp: _override_body("contraction", "slack = nan"),
-                  "[check.contraction] slack must be finite, got nan"),
+    "nan_t_forward": (lambda tmp: _override_body("positivity", "t_forward = nan"),
+                      "[check.positivity] t_forward must be finite, got nan"),
     "inf_consistency_lam": (lambda tmp: _override_body("consistency", "lam = inf"),
                             "[check.consistency] lam must be finite, got inf"),
     "nan_in_domination_times": (lambda tmp: _override_body("domination", "ts = 0.1, nan"),
@@ -457,21 +457,26 @@ MALFORMED = {
     # Values that leave nothing measured or no verdict to reach.
     "no_positivity_draws": (lambda tmp: _override_body("positivity", "n_random = 0"),
                             "[check.positivity] n_random must be at least 1, got 0"),
-    "negative_converse_positivity_floor": (lambda tmp: _coupled(_override_body("positivity", "floor = -1")),
-                                           "[check.positivity] floor must be non-negative, got -1.0"),
-    "negative_forward_positivity_floor": (lambda tmp: _override_body("positivity", "floor = -1e-3"),
-                                          "[check.positivity] floor must be non-negative, got -0.001"),
-    "negative_contraction_slack": (lambda tmp: _override_body("contraction", "slack = -1"),
-                                   "[check.contraction] slack must be non-negative, got -1.0"),
-    "negative_domination_slack": (lambda tmp: _override_body("domination", "slack = -1"),
-                                  "[check.domination] slack must be non-negative, got -1.0"),
-    "negative_consistency_tol": (lambda tmp: _coupled(_override_body("consistency", "tol = -0.01")),
-                                 "[check.consistency] tol must be non-negative, got -0.01"),
-    "negative_ultracontractivity_tol": (lambda tmp: _override_body("ultracontractivity", "tol = -0.1"),
-                                        "[check.ultracontractivity] tol must be non-negative, got -0.1"),
-    "negative_shift_invariance_tol": (lambda tmp: _override_body("shift_invariance",
-                                                                 "tol = -0.02\nn_per_axis = 200"),
-                                      "[check.shift_invariance] tol must be non-negative, got -0.02"),
+    # A pass bar is a constant of vschro.verify, not a key: each former key,
+    # set at its old default, is unknown.
+    "contraction_slack": (lambda tmp: _override_body("contraction", "slack = 1e-8"),
+                          "unknown key [check.contraction] slack; [check.contraction] takes no keys"),
+    "consistency_tol": (lambda tmp: _override_body("consistency", "tol = 0.01"),
+                        "unknown key [check.consistency] tol; [check.consistency] takes: lam, horizon, "
+                        "n_steps"),
+    "positivity_floor": (lambda tmp: _override_body("positivity", "floor = 1e-10"),
+                         "unknown key [check.positivity] floor; [check.positivity] takes: n_random, "
+                         "t_forward"),
+    "domination_slack": (lambda tmp: _override_body("domination", "slack = 1e-8"),
+                         "unknown key [check.domination] slack; [check.domination] takes: ts"),
+    "ultracontractivity_tol": (lambda tmp: _override_body("ultracontractivity", "tol = 0.1"),
+                               "unknown key [check.ultracontractivity] tol; [check.ultracontractivity] "
+                               "takes: n_points"),
+    "shift_invariance_tol": (lambda tmp: _override_body("shift_invariance", "tol = 0.02"),
+                             "unknown key [check.shift_invariance] tol; [check.shift_invariance] takes: "
+                             "mu, sigmas, extent, n_per_axis"),
+    "compactness_k": (lambda tmp: _override_body("compactness", "k = 20"),
+                      "unknown key [check.compactness] k; [check.compactness] takes: h_target, extent"),
     "single_ultracontractivity_point": (lambda tmp: _override_body("ultracontractivity", "n_points = 1"),
                                         "[check.ultracontractivity] n_points must be at least 2, got 1"),
     # Schedules refine: each entry past the last.
@@ -577,8 +582,6 @@ MALFORMED = {
                                   "[check.compactness] h_target must be positive, got 0.0"),
     "zero_compactness_extent": (lambda tmp: _override_body("compactness", "extent = 0"),
                                 "[check.compactness] extent must be positive, got 0.0"),
-    "no_compactness_levels": (lambda tmp: _override_body("compactness", "k = 0"),
-                              "[check.compactness] k must be at least 1, got 0"),
     # Check-built grids keep within the hard cap on unknowns, before any is built.
     "oversize_shift_invariance_grid": (lambda tmp: _override_body("shift_invariance", "n_per_axis = 4000001"),
                                        "[check.shift_invariance] n_per_axis must be at most 4000000: the "
@@ -598,12 +601,17 @@ MALFORMED = {
                                   "h_target = 1000000.0 leaves fewer than 3 cells on the box of R = 50"),
     "coarse_compactness_grid": (lambda tmp: _override_body("compactness", "h_target = 10"),
                                 "h_target = 10.0 leaves fewer than 3 cells on the box of R = 10"),
-    # ... and so is a spacing too coarse for the eigenpairs asked for, or a box
-    # too small for its grid spacing to be assembled.
+    # ... and so is a spacing too coarse for the eigenpairs the contrast takes,
+    # a box too small for its grid spacing to be assembled, or one so wide that
+    # the commutator's data vanish on every cell.
     "few_compactness_cells": (lambda tmp: _override_body("compactness", "h_target = 4"),
-                              "k = 20 needs a finer grid: h_target = 4.0 puts 4 cells on the box of R = 10"),
+                              "h_target = 4.0 puts 4 cells on the box of R = 10, too few for the 20 "
+                              "eigenpairs the contrast takes (at most 6)"),
     "tiny_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e-300"),
                                "extent = 1e-300 is too small for 200 cells per axis"),
+    "wide_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e10"),
+                               "extent = 10000000000.0 gives a commutator defect that is zero or not "
+                               "finite: [0.0, 0.0]"),
     # Lanczos cannot read a resolvent norm this far from the operator.
     "far_shift_invariance_mu": (lambda tmp: _override_body("shift_invariance", "mu = 1e155"),
                                 "[check.shift_invariance] mu must lie in [-1e150, 1e150], got 1e+155"),
@@ -643,14 +651,13 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("case", ["fraction_for_run_steps", "bool_for_run_t_final",
                                       "float_for_problem_cells", "negative_seed",
                                       "duplicate_key", "unknown_section", "unknown_run_key",
-                                      "unknown_output_key", "unknown_override_key", "nan_slack",
+                                      "unknown_output_key", "unknown_override_key", "nan_t_forward",
                                       "inf_consistency_lam", "inf_problem_extent",
                                       "unused_override_section", "no_positivity_draws",
-                                      "negative_forward_positivity_floor", "negative_contraction_slack",
-                                      "negative_domination_slack", "negative_consistency_tol",
-                                      "negative_ultracontractivity_tol", "negative_shift_invariance_tol",
-                                      "single_ultracontractivity_point", "decreasing_trotter_schedule",
-                                      "repeated_trotter_schedule", "decreasing_commutator_schedule",
+                                      "contraction_slack", "consistency_tol", "positivity_floor",
+                                      "domination_slack", "ultracontractivity_tol", "shift_invariance_tol",
+                                      "compactness_k", "single_ultracontractivity_point",
+                                      "decreasing_trotter_schedule", "repeated_trotter_schedule", "decreasing_commutator_schedule",
                                       "decreasing_extents", "run_max_iters", "zero_in_trotter_schedule",
                                       "zero_in_commutator_schedule", "negative_consistency_lam",
                                       "nonpositive_consistency_lam", "negative_nongeneration_lam",
@@ -670,7 +677,7 @@ class TestMalformedInputs:
                                       "zero_shift_invariance_extent", "two_cell_shift_invariance",
                                       "zero_degenerate_kernel_extent", "two_cell_degenerate_kernel",
                                       "zero_commutator_extent", "zero_compactness_h_target",
-                                      "zero_compactness_extent", "no_compactness_levels",
+                                      "zero_compactness_extent",
                                       "oversize_shift_invariance_grid", "oversize_degenerate_kernel_grid",
                                       "oversize_commutator_grid", "far_shift_invariance_mu",
                                       "far_shift_invariance_sigma"])
@@ -750,10 +757,9 @@ def _setting(section, key, token):
     return text.getvalue()
 
 
-# Check keys that take 0 or -1: tolerances, the resolvent line's real part
-# and the shifts along it.
-TAKES_ZERO_OR_MINUS_ONE = {"slack": ("0",), "tol": ("0",), "floor": ("0",), "mu": ("0", "-1"),
-                           "sigmas": ("0", "-1")}
+# Check keys that take 0 or -1: the resolvent line's real part and the shifts
+# along it.
+TAKES_ZERO_OR_MINUS_ONE = {"mu": ("0", "-1"), "sigmas": ("0", "-1")}
 
 
 @pytest.mark.parametrize("section, key", [(section, key) for section, keys in cli._SECTION_KEYS.items()
@@ -831,6 +837,10 @@ BAD_ARGV = {
                                  "argument --lam-im: invalid float value: 'inf'"),
     "nan_spectrum_shift": (lambda tmp: _quick(tmp, "spectrum", "--shift-re", "nan", "--k", "2"),
                            "argument --shift-re: invalid float value: 'nan'"),
+    "far_spectrum_shift": (lambda tmp: _quick(tmp, "spectrum", "--shift-re", "1e300", "--k", "2"),
+                           "argument --shift-re: must lie in [-1e150, 1e150], got 1e+300"),
+    "far_spectrum_shift_im": (lambda tmp: _quick(tmp, "spectrum", "--shift-im=-1e155", "--k", "2"),
+                              "argument --shift-im: must lie in [-1e150, 1e150], got -1e+155"),
     "far_resolvent_point": (lambda tmp: _quick(tmp, "resolvent", "--lam-re", "1e155"),
                             "argument --lam-re: must lie in [-1e150, 1e150], got 1e+155"),
     "far_resolvent_line": (lambda tmp: _quick(tmp, "resolvent", "--lam-im=-2e155"),
@@ -939,12 +949,12 @@ class TestCheckKeys:
 
 
 class TestCastOnce:
-    BODY = _override_body("domination", "ts = 0.5\nslack = 1")
+    BODY = _override_body("shift_invariance", "sigmas = 0.5\nmu = 1")
 
     def test_load_config_returns_cast_overrides(self, tmp_path):
         overrides = load_config(write_cfg(tmp_path, self.BODY)).overrides
-        assert overrides == {"domination": {"ts": (0.5,), "slack": 1.0}}
-        assert type(overrides["domination"]["slack"]) is float
+        assert overrides == {"shift_invariance": {"sigmas": (0.5,), "mu": 1.0}}
+        assert type(overrides["shift_invariance"]["mu"]) is float
 
     def test_run_experiment_passes_them_on_unchanged(self, tmp_path, monkeypatch):
         loaded, received = [], []
@@ -955,18 +965,18 @@ class TestCastOnce:
 
         def record(problem, run_cfg, seed, **kw):
             received.append(kw)
-            return verify.PropertyCheckResult("domination", True, {}, kw["slack"])
+            return verify.PropertyCheckResult("shift_invariance", True, {}, kw["mu"])
 
         monkeypatch.setattr(cli, "load_config", load)
-        monkeypatch.setitem(CHECKS, "domination", record)
+        monkeypatch.setitem(CHECKS, "shift_invariance", record)
         run_experiment(write_cfg(tmp_path, self.BODY), out_dir=tmp_path / "o")
         (kw,) = received
-        assert kw == loaded[0].overrides["domination"]
-        assert all(kw[key] is loaded[0].overrides["domination"][key] for key in kw)
+        assert kw == loaded[0].overrides["shift_invariance"]
+        assert all(kw[key] is loaded[0].overrides["shift_invariance"][key] for key in kw)
         # the bundle echoes the overrides as cast: a one-entry list and a float
         echo = json.loads((tmp_path / "o" / "bundle.json").read_text())["config"]["overrides"]
-        assert echo == {"domination": {"ts": [0.5], "slack": 1.0}}
-        assert '"slack": 1.0' in (tmp_path / "o" / "bundle.json").read_text()
+        assert echo == {"shift_invariance": {"sigmas": [0.5], "mu": 1.0}}
+        assert '"mu": 1.0' in (tmp_path / "o" / "bundle.json").read_text()
 
 
 QUICK_2D = QUICK.replace("dim = 1", "dim = 2").replace("n_per_axis = 64", "n_per_axis = 24").replace(

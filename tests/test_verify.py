@@ -247,8 +247,14 @@ class TestDirectCalls:
     def test_non_finite_commutator_defect_is_refused(self, monkeypatch):
         # the safety net behind the stencil refusal below
         monkeypatch.setattr(vschro.verify, "commutator_defect", lambda Q, M, f: math.inf)
-        with pytest.raises(ValueError, match="extent = 10.0 gives a non-finite commutator defect"):
+        with pytest.raises(ValueError, match="extent = 10.0 gives a commutator defect that is zero or not finite"):
             run_commutator_rate_check()
+
+    def test_vanishing_commutator_defect_is_refused(self):
+        # on a box this wide the data underflow to 0 on every cell: no ratio to take
+        with pytest.raises(ValueError, match=r"extent = 10000000000.0 gives a commutator defect that is "
+                                             r"zero or not finite: \[0.0, 0.0\]"):
+            run_commutator_rate_check(extent=1e10)
 
     def test_overflowing_commutator_stencil_is_refused(self):
         # 1/h^2 is finite on both grids, but the 400-cell stencil's diagonal
@@ -260,7 +266,7 @@ class TestDirectCalls:
 
     def test_keys_are_keyword_only(self):
         with pytest.raises(TypeError):
-            run_contraction_check(None, -1.0)
+            run_domination_check(None, (0.1,))
 
     @pytest.mark.parametrize("check", [run_nongeneration_demo, run_compactness_contrast],
                              ids=["nongeneration", "compactness"])
@@ -276,8 +282,8 @@ class TestDirectCalls:
     def test_compactness_levels_beyond_the_coarse_grid(self, monkeypatch):
         # 4 cells of 2 components on the R = 10 box allow at most 6 eigenpairs
         monkeypatch.setattr(vschro.verify, "build_problem", None)
-        with pytest.raises(ValueError, match=r"k = 20 needs a finer grid: h_target = 4 puts 4 cells "
-                                             r"on the box of R = 10, which allows k in \[1, 6\]"):
+        with pytest.raises(ValueError, match=r"h_target = 4 puts 4 cells on the box of R = 10, too few "
+                                             r"for the 20 eigenpairs the contrast takes \(at most 6\)"):
             run_compactness_contrast(h_target=4)
 
 
