@@ -761,12 +761,18 @@ def _setting(section, key, token):
 # along it.
 TAKES_ZERO_OR_MINUS_ONE = {"mu": ("0", "-1"), "sigmas": ("0", "-1")}
 
+# Former keys that set a pass bar, now a constant of vschro.verify.
+REMOVED_KEYS = [("check.contraction", "slack"), ("check.consistency", "tol"), ("check.positivity", "floor"),
+                ("check.domination", "slack"), ("check.ultracontractivity", "tol"),
+                ("check.shift_invariance", "tol"), ("check.compactness", "k")]
+
 
 @pytest.mark.parametrize("section, key", [(section, key) for section, keys in cli._SECTION_KEYS.items()
-                                          for key in keys])
+                                          for key in keys] + REMOVED_KEYS)
 def test_every_key_loads_or_is_refused(tmp_path, section, key):
     """Any value of any key loads or is a ConfigError, never another
-    exception; a check key refuses 0 and -1 at load unless they are valid."""
+    exception; a check key refuses 0 and -1 at load unless they are valid,
+    and a former pass-bar key is unknown whatever its value."""
     for i, token in enumerate(["nan", "inf", "-1", "0", "2.5", "true", "abc", "", "1e6", "1e400"]):
         path = write_cfg(tmp_path, _setting(section, key, token), name=f"{i}.cfg")
         try:
@@ -775,7 +781,9 @@ def test_every_key_loads_or_is_refused(tmp_path, section, key):
             refused = exc
         else:
             refused = None
-        if section.startswith("check.") and token in ("0", "-1"):
+        if (section, key) in REMOVED_KEYS:
+            assert f"unknown key [{section}] {key};" in str(refused), (section, key, token, refused)
+        elif section.startswith("check.") and token in ("0", "-1"):
             valid = token in TAKES_ZERO_OR_MINUS_ONE.get(key, ())
             assert (refused is None) == valid, (section, key, token, refused)
             assert valid or f"[{section}] {key} " in str(refused)
