@@ -21,20 +21,26 @@ unexcited component at zero), and every solve is checked against a residual
 bound relative to the step input.  The potential is exponentiated once per
 step size and distinct cell matrix, not once per cell.
 
+A run steps a block of fields held component-major, shape (fields, m,
+n_cells): one contiguous row per field and component, so the block's
+transpose is the Fortran-ordered column block SuperLU solves, and every
+field's components are right-hand-side columns of one solve.  A block holds
+at most _BLOCK_BYTES; each field keeps its own residual bound.
+
 Building a step is separate from stepping, and there is one way to do
 each: split_step (or heat_step, for the scalar comparison equation) builds a
 SplitStep, which holds the e^{tau V} cache and the LU factor for one step
-size, and its run() evolves any number of fields with them.  trotter_evolve
-builds one step per call; a check that evolves many fields, or several
-horizons at one step size, builds one per check and step size.  Nothing is
-cached across calls, so a caller that drops a step before building the next
-holds one factor at a time.
+size, and its run_many() evolves any number of fields with them, in blocks
+(run() is a block of one).  trotter_evolve builds one step per call; a check
+that evolves many fields, or several horizons at one step size, builds one
+per check and step size.  Nothing is cached across calls, so a caller that
+drops a step before building the next holds one factor at a time.
 
 Real coefficients commute with complex conjugation, so real data under a real
-potential stays real: such runs step a float64 array and solve m real
-columns.  Complex data, or a complex potential, steps a complex128 array
-whose float64 view holds 2m columns.  Either way the loop is the same and
-the returned fields are complex.
+potential stays real: such runs step a float64 block and solve m real
+columns per field.  Complex data, or a complex potential, steps a complex128
+block whose real and imaginary parts are 2m float64 columns per field.
+Either way the loop is the same and the returned fields are complex.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ __all__ = [
 ]
 
 DEFAULT_NORM_PS = (1, 2, 4, math.inf)
+# a block's state bytes, its right-hand sides: SuperLU's solve on 2000 cells
+# measured 42, 26, 15, 13, 26 and 33 us per column at 1, 2, 10, 20, 50 and
+# 100 columns (96^2: 823, 650, 336-554, 400-465, 556-760, 567-687 us), so
+# about 16 float64 columns at 2000 cells; on a 320^2 grid a block is one field
+_BLOCK_BYTES = 2**18
 
 
 class SolverError(RuntimeError):
@@ -115,21 +126,23 @@ class Trajectory:
 
 
 class _PotentialStepper:
-    """Cell-wise application of e^{tau V(x)}, cached for a fixed tau."""
+    """Cell-wise application of e^{tau V(x)} to a block, cached for a fixed tau."""
 
     def __init__(self, V: MatrixField, tau: float):
-        # stored column-major, (j, cell, i): each term of the sum over j reads
-        # one contiguous (n_cells, m) slab.  Each distinct cell matrix is
-        # exponentiated once and gathered to its cells: broadcasting a
-        # constant V's (1, m) rows in apply measured twice as slow as
+        # stored as (j, i, cell) rows: each term of the sum over j is one
+        # multiply-add of an (m, n_cells) slab over every field of a block,
+        # on contiguous rows.  Each distinct cell matrix is exponentiated
+        # once and gathered to its cells: in the cell-major layout,
+        # broadcasting a constant V's rows measured twice as slow as
         # reading full slabs.
         first, inverse = V.distinct
-        self.expm = np.take(matrix_exp(tau * V.values[first]).transpose(2, 0, 1), inverse, axis=1)
+        self.expm = np.take(matrix_exp(tau * V.values[first]).transpose(2, 1, 0), inverse, axis=2)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = self.expm[0] * values[:, :1]
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """e^{tau V} on each field of the (fields, m, n_cells) block u."""
+        out = self.expm[0] * u[:, :1]
         for j in range(1, len(self.expm)):
-            out += self.expm[j] * values[:, j:j + 1]
+            out += self.expm[j] * u[:, j:j + 1]
         return out
 
 
@@ -144,41 +157,59 @@ def sparse_lu(matrix: sp.spmatrix):
         raise SolverError(f"LU of the {matrix.shape[0]}-row matrix failed: {exc!r}") from exc
 
 
-def checked_solve(lu, matrix: sp.spmatrix, b: np.ndarray, bound: float) -> np.ndarray:
-    """x with matrix @ x = b, from the factor lu of matrix, for a vector or
-    columns b, refused with SolverError unless ||matrix @ x - b|| <= bound.
-    A real factor solves complex b through its float64 view, as twice the
-    columns.  Columns that are exactly zero solve to exact zeros, so they are
-    left unsolved (an unexcited component, the imaginary part of real data)."""
-    split = np.iscomplexobj(b) and not np.iscomplexobj(matrix)
-    cols = (b.view(np.float64) if split else b).reshape(len(b), -1)
-    # a row with no zero proves every column live (tested on a list: a numpy
-    # call costs more on small grids); else the per-column tests, which beat
-    # one reduction over axis 0 tenfold on large grids
-    live = range(cols.shape[1]) if all(cols[0].tolist()) else [
-        j for j in range(cols.shape[1]) if cols[:, j].any()]
-    rhs = cols if len(live) == cols.shape[1] else cols[:, live]
-    # SuperLU returns Fortran-ordered columns: one copy to C order here
-    # serves the residual's product and the return
-    x = np.ascontiguousarray(lu.solve(rhs)) if live else rhs
-    r = matrix @ x
-    r -= rhs
-    resid = np.linalg.norm(r)
-    if not resid <= bound:
-        raise SolverError(f"solve residual {resid:.3e} above {bound:.3e}")
-    if rhs is not cols:
-        full = np.zeros(cols.shape, cols.dtype)
-        full[:, live] = x
+def _real_rows(b: np.ndarray) -> np.ndarray:
+    """Complex rows as float64 rows: Re b_0, Im b_0, Re b_1, ..."""
+    return np.stack((b.real, b.imag), axis=1).reshape(-1, b.shape[-1])
+
+
+def _complex_rows(x: np.ndarray) -> np.ndarray:
+    """The inverse of _real_rows."""
+    out = np.empty((len(x) // 2, x.shape[-1]), np.complex128)
+    out.real, out.imag = x[0::2], x[1::2]
+    return out
+
+
+def checked_solve(lu, matrix: sp.spmatrix, rows: np.ndarray, bounds) -> np.ndarray:
+    """The rows x with matrix @ x = b for each row b of the (k, n) rows, from
+    the factor lu of matrix, refused with SolverError unless each of the
+    len(bounds) equal groups of rows (a block's fields) has
+    ||matrix @ x - b|| <= its bound over its own rows.
+
+    The rows' transpose is the column block SuperLU solves (Fortran-ordered,
+    so copied as it is, when the rows are C-contiguous), and x is the
+    transpose of the columns it returns, C-contiguous.  A real factor solves
+    complex rows as float64 rows, twice as many.  Rows that are exactly zero
+    solve to exact zeros, so they are left unsolved (an unexcited component,
+    the imaginary part of real data)."""
+    if rows.dtype.kind == "c" and matrix.dtype.kind != "c":
+        return _complex_rows(checked_solve(lu, matrix, _real_rows(rows), bounds))
+    # a cell with no zero proves every row live (tested on a list: a numpy
+    # call costs more on small grids); else the per-row tests
+    k = len(rows)
+    live = range(k) if all(rows[:, 0].tolist()) else [j for j in range(k) if rows[j].any()]
+    rhs = rows if len(live) == k else rows[live]
+    x = lu.solve(rhs.T).T if live else rhs
+    r = rhs - (matrix @ x.T).T
+    per_group = k // len(bounds)
+    sums = [0.0] * len(bounds)
+    for j, sq in zip(live, np.vecdot(r, r).real.tolist()):
+        sums[j // per_group] += sq
+    for sq, bound in zip(sums, bounds):
+        if not math.sqrt(sq) <= bound:
+            raise SolverError(f"solve residual {math.sqrt(sq):.3e} above {bound:.3e}")
+    if rhs is not rows:
+        full = np.zeros(rows.shape, rows.dtype)
+        full[live] = x
         x = full
-    return (x.view(b.dtype) if split else x).reshape(b.shape)
+    return x
 
 
 class _DiffusionStepper:
     """One implicit substep u -> step(tau A) u for A = kron(D, I_m).
 
     The scalar block I - tau D (Crank-Nicolson: I - tau/2 D, applied after
-    I + tau/2 D) is factored once; checked_solve solves the (n_cells, m)
-    field as right-hand-side columns, so the factor stays real.
+    I + tau/2 D) is factored once; checked_solve solves a block's rows as
+    right-hand-side columns, so the factor stays real.
     """
 
     def __init__(self, D: sp.csr_matrix, tau: float, cfg: SplitConfig):
@@ -190,16 +221,17 @@ class _DiffusionStepper:
         self.rhs_mat = (ident + theta * D).tocsr() if crank else None
         self.lu = sparse_lu(self.lhs)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        rhs = values if self.rhs_mat is None else (
-            self.rhs_mat @ values.view(np.float64)).view(values.dtype)
-        return checked_solve(self.lu, self.lhs, rhs, self.tol * np.linalg.norm(values))
-
-
-def _state(f: VectorField, real_coefficients: bool = True) -> np.ndarray:
-    """The array a run steps: float64 for real data under real
-    coefficients, else the complex values."""
-    return np.ascontiguousarray(f.values.real) if real_coefficients and f.is_real else f.values
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """The substep of each field of the (fields, m, n_cells) block u, each
+        solve checked against solver_tol times that field's norm."""
+        flat = u.reshape(len(u), -1)
+        bounds = [self.tol * math.sqrt(sq) for sq in np.vecdot(flat, flat).real.tolist()]
+        rows = u.reshape(-1, u.shape[-1])
+        if self.rhs_mat is not None:  # the explicit half acts on float64 rows
+            split = u.dtype.kind == "c"
+            rows = (self.rhs_mat @ (_real_rows(rows) if split else rows).T).T
+            rows = _complex_rows(rows) if split else rows
+        return checked_solve(self.lu, self.lhs, rows, bounds).reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -221,37 +253,72 @@ class SplitStep:
 
     def run(self, f: VectorField, n_steps: int, norm_ps=DEFAULT_NORM_PS,
             snapshot_stride: int = 0) -> Trajectory:
-        """n_steps steps from f.
+        """n_steps steps from f, as a block of one (see run_many)."""
+        return next(self.run_many([f], n_steps, norm_ps, snapshot_stride))
+
+    def run_many(self, fields, n_steps: int, norm_ps=DEFAULT_NORM_PS, snapshot_stride: int = 0):
+        """The Trajectory of n_steps steps from each field of the iterable
+        fields, yielded in order.
+
+        Consecutive fields of one state dtype are stepped together as a
+        block of at most _BLOCK_BYTES (never fewer than one field), and
+        fields are drawn from the iterable one block at a time.  Each
+        trajectory equals that of its field run alone, bit for bit, and each
+        field's solves are checked against its own residual bound.
 
         Norms are logged at every step boundary, from one pass over the cell
         amplitudes per step; snapshots at every snapshot_stride-th step
         (0 = endpoints only).  The initial state and the final state are
         always stored.
         """
-        if f.grid != self.grid or f.components != self.m:
-            raise ValueError("field does not match the step's grid and components")
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        u = _state(f, self.real_coefficients)
-        measure = f.grid.cell_measure
-        times = [0.0]
-        norm_rows = [values_lp_norms(u, norm_ps, measure)]
-        snapshot_times, snapshots = [0.0], [f]
+        block, real = [], True
+        for f in fields:
+            if f.grid != self.grid or f.components != self.m:
+                raise ValueError("field does not match the step's grid and components")
+            f_real = self.real_coefficients and f.is_real
+            if block and f_real != real:
+                yield from self._run_block(block, real, n_steps, norm_ps, snapshot_stride)
+                block = []
+            block.append(f)
+            real = f_real
+            state_bytes = f.values.nbytes // 2 if real else f.values.nbytes  # float64 or complex
+            if (len(block) + 1) * state_bytes > _BLOCK_BYTES:  # full: step it before drawing more
+                yield from self._run_block(block, real, n_steps, norm_ps, snapshot_stride)
+                block = []
+        if block:
+            yield from self._run_block(block, real, n_steps, norm_ps, snapshot_stride)
+
+    def _run_block(self, fields, real, n_steps, norm_ps, snapshot_stride):
+        """run_many for one block: real fields step as float64 rows."""
+        u = np.stack([(f.values.real if real else f.values).T for f in fields])
+        measure = self.grid.cell_measure
+        norm_rows = [[values_lp_norms(rows.T, norm_ps, measure) for rows in u]] if norm_ps else []
+        snapshot_times, snapshots = [0.0], [fields]
         for k in range(1, n_steps + 1):
             for op in self.substeps:
                 u = op(u)
-            t = k * self.tau
-            times.append(t)
-            norm_rows.append(values_lp_norms(u, norm_ps, measure))
+            if norm_ps:
+                norm_rows.append([values_lp_norms(rows.T, norm_ps, measure) for rows in u])
             if (snapshot_stride and k % snapshot_stride == 0) or k == n_steps:
-                snapshot_times.append(t)
-                snapshots.append(VectorField(f.grid, u))
-        return Trajectory(
-            times=np.array(times),
-            norm_log={p: np.array(col) for p, col in zip(norm_ps, zip(*norm_rows))},
-            snapshot_times=snapshot_times,
-            snapshots=snapshots,
-        )
+                snapshot_times.append(k * self.tau)
+                snapshots.append([_field(self.grid, rows) for rows in u])
+        for i in range(len(fields)):
+            yield Trajectory(
+                times=np.arange(n_steps + 1) * self.tau,
+                norm_log={p: np.array(col)
+                          for p, col in zip(norm_ps, zip(*(row[i] for row in norm_rows)))},
+                snapshot_times=list(snapshot_times),
+                snapshots=[snaps[i] for snaps in snapshots],
+            )
+
+
+def _field(grid: Grid, rows: np.ndarray) -> VectorField:
+    """The C-ordered complex field of one field's (m, n_cells) rows."""
+    values = rows.T.astype(np.complex128, order="C")
+    values.setflags(write=False)  # fresh, so VectorField need not copy it
+    return VectorField(grid, values)
 
 
 def split_step(D: SparseOperator, V: MatrixField, tau: float, cfg: SplitConfig) -> SplitStep:

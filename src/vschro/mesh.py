@@ -162,16 +162,21 @@ def lp_norm(f: VectorField, p) -> float:
 
 
 def values_lp_norms(values: np.ndarray, ps, cell_measure: float) -> list:
-    """lp_norm of a raw (n_cells, m) real or complex value array for every p
-    in ps, from one pass over the per-cell amplitudes (none for empty ps);
-    each norm equals its single-p value bit for bit.
+    """lp_norm of a raw (n_cells, m) real or complex value array, in either
+    memory order, for every p in ps, from one pass over the per-cell
+    amplitudes (none for empty ps); each norm equals its single-p value bit
+    for bit.
 
-    Reductions rely on numpy's pairwise summation, so the result is
-    deterministic for fixed data.
+    A cell's amplitude adds |u_j|^2 in component order j = 0, 1, ..., so it
+    does not depend on the layout; the sums over cells rely on numpy's
+    pairwise summation, so the result is deterministic for fixed data.
     """
     if not len(ps):
         return []
-    amp = np.sqrt(np.sum(np.abs(values) ** 2, axis=1))
+    amp = np.abs(values[:, 0]) ** 2
+    for j in range(1, values.shape[1]):
+        amp += np.abs(values[:, j]) ** 2
+    np.sqrt(amp, out=amp)
     return [_amplitude_lp_norm(amp, p, cell_measure) for p in ps]
 
 

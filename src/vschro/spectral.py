@@ -74,7 +74,7 @@ def solve_resolvent(L: SparseOperator, lam: complex, rhs: VectorField) -> Vector
         raise ValueError("rhs does not match operator layout")
     shifted = L.shifted(_real_if_real(lam))
     b = rhs.values.ravel()
-    x = checked_solve(sparse_lu(shifted), shifted, b, _SOLVE_TOL * max(np.linalg.norm(b), 1e-300))
+    x = checked_solve(sparse_lu(shifted), shifted, b[None], [_SOLVE_TOL * max(np.linalg.norm(b), 1e-300)])[0]
     return VectorField(rhs.grid, x.reshape(rhs.grid.n_cells, L.m))
 
 

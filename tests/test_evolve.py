@@ -7,7 +7,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vschro.evolve
 from vschro.evolve import (
+    DEFAULT_NORM_PS,
     SolverError,
     _DiffusionStepper,
     _PotentialStepper,
@@ -19,7 +21,7 @@ from vschro.evolve import (
     trotter_evolve,
 )
 from vschro.fields import MatrixField, make_rule, matrix_exp, sample_field, shift_potential
-from vschro.mesh import VectorField, build_grid, lp_norm
+from vschro.mesh import VectorField, _amplitude_lp_norm, build_grid, lp_norm
 from vschro.operators import assemble_diffusion, assemble_potential
 from vschro.problems import build_problem
 
@@ -28,15 +30,20 @@ def identity_q(grid):
     return sample_field(make_rule("identity_Q", grid.dim)[0], grid, "diffusion")
 
 
+def block(*values):
+    """The (fields, m, n_cells) component-major block of (n_cells, m) values."""
+    return np.stack([v.T for v in values])
+
+
 def potential_step(V, f, tau):
     """The potential substep of split_step alone: u(x) <- e^{tau V(x)} u(x)."""
-    return VectorField(f.grid, _PotentialStepper(V, tau).apply(f.values))
+    return VectorField(f.grid, _PotentialStepper(V, tau).apply(block(f.values))[0].T)
 
 
 def diffusion_step(D, f, tau, cfg):
     """The diffusion substep of split_step alone: one implicit step of the
     scalar block D on every component of f."""
-    return VectorField(f.grid, _DiffusionStepper(D.matrix, tau, cfg).apply(f.values))
+    return VectorField(f.grid, _DiffusionStepper(D.matrix, tau, cfg).apply(block(f.values))[0].T)
 
 
 def heat_evolve(Q, w, t, cfg):
@@ -496,13 +503,14 @@ class TestRealPath:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_solve_columns(self, monkeypatch, m):
         seen = []
-        apply = _DiffusionStepper.apply
+        sparse_lu = vschro.evolve.sparse_lu
 
-        def counting(self, values):
-            seen.append(values.view(np.float64).shape[1])
-            return apply(self, values)
+        def counting(matrix):
+            lu = CountingLU(sparse_lu(matrix))
+            lu.widths = seen
+            return lu
 
-        monkeypatch.setattr(_DiffusionStepper, "apply", counting)
+        monkeypatch.setattr(vschro.evolve, "sparse_lu", counting)
         g = build_grid(1, 3.0, 20)
         A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, m, seed=6)
@@ -537,7 +545,7 @@ class TestRealPath:
         re, im = random_parts(g, m, seed=10)
         for vals in (re, re + 1j * im):
             ref = np.einsum("cij,cj->ci", expm, vals.astype(complex))
-            out = stepper.apply(vals)
+            out = stepper.apply(block(vals))[0].T
             assert out.dtype == vals.dtype
             assert out.tobytes() == (ref if np.iscomplexobj(vals) else ref.real.copy()).tobytes()
 
@@ -574,30 +582,30 @@ class TestZeroColumns:
         rhs = cols if stepper.rhs_mat is None else stepper.rhs_mat @ cols
         full = stepper.lu.solve(rhs)
         stepper.lu = CountingLU(stepper.lu)
-        out = stepper.apply(vals).view(np.float64)
+        out = np.ascontiguousarray(stepper.apply(block(vals))[0].T).view(np.float64)
         assert stepper.lu.widths == [len(live)]
         np.testing.assert_array_equal(out[:, live], full[:, live])
         assert np.all(out[:, dead] == 0.0)
 
-        zero = stepper.apply(np.zeros_like(vals))
+        zero = stepper.apply(block(np.zeros_like(vals)))
         assert stepper.lu.widths == [len(live)]
         assert zero.dtype == vals.dtype and not zero.any()
 
     @pytest.mark.parametrize("data", ["real", "complex"])
-    def test_checked_solve_returns_the_factors_columns_in_c_order(self, data):
-        # SuperLU returns Fortran-ordered columns; the checked solve hands
-        # back the same bits, C-contiguous, in b's dtype and shape
+    def test_checked_solve_returns_the_factors_columns_as_rows(self, data):
+        # SuperLU solves the rows' transpose and returns Fortran-ordered
+        # columns; the checked solve hands back their transpose: the same
+        # bits as C-contiguous rows, in the rows' dtype and shape
         g = build_grid(2, 3.0, 9)
         D = assemble_diffusion(identity_q(g), g).matrix
         lhs = (sp.identity(g.n_cells, format="csr") - 0.07 * D).tocsc()
         lu = sparse_lu(lhs)
         re, im = random_parts(g, 3, seed=8)
         b = re if data == "real" else re + 1j * im
-        cols = b.view(np.float64)  # complex b on the real factor: 2m real columns
-        ref = np.ascontiguousarray(lu.solve(cols))
-        x = checked_solve(lu, lhs, b, 1e-10 * np.linalg.norm(b))
-        assert x.flags.c_contiguous and x.dtype == b.dtype and x.shape == b.shape
-        assert x.view(np.float64).tobytes() == ref.tobytes()
+        ref = lu.solve(b.view(np.float64))  # complex b on the real factor: 2m real columns
+        x = checked_solve(lu, lhs, np.ascontiguousarray(b.T), [1e-10 * np.linalg.norm(b)])
+        assert x.flags.c_contiguous and x.dtype == b.dtype and x.shape == b.T.shape
+        assert np.ascontiguousarray(x.T).view(np.float64).tobytes() == np.ascontiguousarray(ref).tobytes()
 
     def test_residual_miss_raises_with_zero_column(self):
         g = build_grid(1, 2.0, 16)
@@ -612,7 +620,7 @@ def per_cell_stepper(V, tau):
     """A _PotentialStepper whose cache is one matrix_exp batch over every
     cell, without V.distinct."""
     stepper = object.__new__(_PotentialStepper)
-    stepper.expm = np.ascontiguousarray(matrix_exp(tau * V.values).transpose(2, 0, 1))
+    stepper.expm = np.ascontiguousarray(matrix_exp(tau * V.values).transpose(2, 1, 0))
     return stepper
 
 
@@ -649,7 +657,7 @@ class TestConstantPotential:
         assert once.expm.flags.c_contiguous and once.expm.tobytes() == per_cell.expm.tobytes()
         re, im = random_parts(g, m, seed=40 + m)
         for vals in (re, re + 1j * im):
-            np.testing.assert_array_equal(once.apply(vals), per_cell.apply(vals))
+            np.testing.assert_array_equal(once.apply(block(vals)), per_cell.apply(block(vals)))
 
     def test_nonconstant_potential_exponentiates_each_distinct_matrix_once(self, monkeypatch):
         g = build_grid(1, 6.0, 40)
@@ -665,7 +673,7 @@ class TestConstantPotential:
         assert stepper.expm.flags.c_contiguous
         assert stepper.expm.tobytes() == per_cell.expm.tobytes()
         re, im = random_parts(V.grid, V.rows, seed=41)
-        vals = re + 1j * im
+        vals = block(re + 1j * im)
         assert stepper.apply(vals).tobytes() == per_cell.apply(vals).tobytes()
 
 
@@ -765,6 +773,112 @@ class TestSplitStep:
             step.run(VectorField(build_grid(1, 2.0, 9), np.ones((9, 2))), 2)
         with pytest.raises(ValueError, match="n_steps"):
             step.run(VectorField(g, np.ones((8, 2))), 0)
+
+
+def reference_norms(values, measure):
+    """DEFAULT_NORM_PS of a field from cell amplitudes summed as numpy sums
+    the rows of a C-ordered (n_cells, m) array (in component order, m < 8)."""
+    amp = np.sqrt(np.sum(np.abs(values) ** 2, axis=1))
+    return [_amplitude_lp_norm(amp, p, measure) for p in DEFAULT_NORM_PS]
+
+
+class TestBlocks:
+    """run_many steps consecutive fields as one component-major block; each
+    field's trajectory equals its run alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(min_value=1, max_value=2),
+        m=st.integers(min_value=1, max_value=3),
+        data=st.sampled_from(["real", "complex", "mixed"]),
+        complex_V=st.booleans(),
+        scheme=st.sampled_from(["lie", "strang"]),
+        substep=st.sampled_from(["backward_euler", "crank_nicolson"]),
+        n_fields=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_block_matches_one_field_runs(self, dim, m, data, complex_V, scheme, substep,
+                                          n_fields, seed):
+        g = build_grid(dim, 3.0, 9 if dim == 1 else 4)
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(-1.0, 0.5, (g.n_cells, m, m))
+        if complex_V:
+            V = V + 1j * rng.uniform(-0.5, 0.5, V.shape)
+        A = assemble_diffusion(identity_q(g), g)
+        step = split_step(A, MatrixField(g, "potential", V), 0.05,
+                          SplitConfig(scheme=scheme, substep=substep))
+        fields = []
+        for i in range(n_fields):
+            vals = rng.standard_normal((g.n_cells, m))
+            if data == "complex" or (data == "mixed" and i % 2):
+                vals = vals + 1j * rng.standard_normal(vals.shape)
+            vals[:, i % m] *= i % 2  # a zero column in every other field
+            fields.append(VectorField(g, vals))
+        block = list(step.run_many(iter(fields), 3, snapshot_stride=1))
+        assert len(block) == n_fields
+        for f, traj in zip(fields, block):
+            same_trajectory(traj, step.run(f, 3, snapshot_stride=1))
+            for k, snap in enumerate(traj.snapshots):
+                assert [traj.norm_log[p][k] for p in DEFAULT_NORM_PS] == reference_norms(
+                    snap.values, g.cell_measure)
+            assert all(s.values.flags.c_contiguous for s in traj.snapshots)
+
+    def test_blocks_fill_the_budget_and_split_by_dtype(self, monkeypatch):
+        seen = []
+        sparse_lu = vschro.evolve.sparse_lu
+
+        def counting(matrix):
+            lu = CountingLU(sparse_lu(matrix))
+            lu.widths = seen
+            return lu
+
+        monkeypatch.setattr(vschro.evolve, "sparse_lu", counting)
+        g = build_grid(1, 10.0, 2000)
+        step = split_step(assemble_diffusion(identity_q(g), g),
+                          sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential"),
+                          0.01, SplitConfig())
+        per_block = vschro.evolve._BLOCK_BYTES // (g.n_cells * 2 * 8)
+        assert per_block == 8  # 16 float64 columns of 2000 cells
+        re, im = random_parts(g, 2, seed=60)
+        real, cplx = VectorField(g, np.abs(re) + 1.0), VectorField(g, re + 1j * im)
+        list(step.run_many([real] * 19 + [cplx] * 5 + [real], 1, norm_ps=()))
+        # real blocks of 8, 8 and 3 fields; the complex fields (4 columns
+        # each) in blocks of 4 and 1; the last real field alone
+        assert seen == [16, 16, 6, 16, 4, 2]
+
+    def test_fields_are_drawn_one_block_at_a_time(self):
+        g = build_grid(1, 10.0, 2000)
+        step = heat_step(identity_q(g), 0.01, SplitConfig())
+        drawn = []
+
+        def fields():
+            for i in range(40):
+                drawn.append(i)
+                yield VectorField(g, np.full((g.n_cells, 1), 1.0 + i))
+
+        per_block = vschro.evolve._BLOCK_BYTES // (g.n_cells * 8)
+        runs = step.run_many(fields(), 2, norm_ps=())
+        next(runs)
+        assert len(drawn) == per_block  # a full block is stepped before the next is drawn
+
+    def test_each_field_keeps_its_own_residual_bound(self, monkeypatch):
+        # an error far below a loud field's bound fails the quiet field's
+        # own bound: the block's fields are not judged together
+        g = build_grid(1, 3.0, 40)
+        step = heat_step(identity_q(g), 0.01, SplitConfig(solver_tol=1e-10))
+        lu = step.substeps[0].__self__.lu
+
+        class OneColumnOff:
+            def solve(self, rhs):
+                x = lu.solve(rhs)
+                x[:, -1] += 1e-9
+                return x
+
+        step.substeps[0].__self__.lu = OneColumnOff()
+        loud, quiet = VectorField(g, np.full((40, 1), 1e6)), VectorField(g, np.full((40, 1), 1.0))
+        with pytest.raises(SolverError, match="residual"):
+            list(step.run_many([loud, quiet], 1, norm_ps=()))
+        list(step.run_many([quiet, loud], 1, norm_ps=()))
 
 
 class TestScalarBlock:
