@@ -3,9 +3,9 @@
 Configs are flat key = value text with section headers ([problem], [run],
 [checks], optional [check.<name>] override sections and [output]); see the
 bundled *.cfg files and the schema walk-through in the README.  A run
-validates the coefficients, assembles the generator, executes the requested
-checks and writes a reproducible report bundle (bundle.json, report.txt,
-report.csv and a manifest of content hashes).
+builds and validates the [problem] operator when a requested check judges
+it, executes the requested checks and writes a reproducible report bundle
+(bundle.json, report.txt, report.csv and a manifest of content hashes).
 
 Exit-code contract: 0 all checks passed, 1 at least one check failed,
 2 configuration error, 3 numerical failure, 4 internal error (any other
@@ -142,8 +142,10 @@ class ExperimentConfig:
         unknowns = self.n_per_axis**self.dim * self.m
         if unknowns > _HARD_CAP_UNKNOWNS:
             raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
-        for name in self.checks:
+        for i, name in enumerate(self.checks):
             _known_check(name)
+            if name in self.checks[:i]:
+                raise ConfigError(f"[checks] names lists {name!r} twice; list each check once")
         for name in self.overrides:
             if name not in self.checks:
                 raise ConfigError(f"[check.{name}] is set but {name!r} is not in [checks] names; "
@@ -309,10 +311,15 @@ CHECKS = {
     "trotter_order": lambda problem, run, seed, **kw: run_trotter_order_check(problem, **kw),
     "nongeneration": lambda problem, run, seed, **kw: run_nongeneration_demo(**kw),
     "shift_invariance": lambda problem, run, seed, **kw: run_shift_invariance_check(**kw),
-    "degenerate_kernel": lambda problem, run, seed, **kw: run_degenerate_kernel_check(**kw),
+    "degenerate_kernel": lambda problem, run, seed, **kw: run_degenerate_kernel_check(problem, **kw),
     "commutator": lambda problem, run, seed, **kw: run_commutator_rate_check(**kw),
     "compactness": lambda problem, run, seed, **kw: run_compactness_contrast(**kw),
 }
+
+# The checks that build every operator they judge from their own keys and
+# read no [problem]: verify builds [problem] only for a check outside them,
+# and hands these entries None.
+PROBLEM_FREE = frozenset({"nongeneration", "shift_invariance", "commutator", "compactness"})
 
 
 def build_problem_from_config(cfg: ExperimentConfig) -> Problem:
@@ -339,7 +346,7 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
         cfg.output_dir = str(out_dir)
     if seed is not None:
         cfg.seed = int(seed)
-    problem = build_problem_from_config(cfg)
+    problem = None if PROBLEM_FREE.issuperset(cfg.checks) else build_problem_from_config(cfg)
     results = []
     for name in cfg.checks:
         try:
@@ -349,7 +356,7 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     bundle = ReportBundle(
         # where a bundle is written is not part of the run it reproduces
         config={key: value for key, value in asdict(cfg).items() if key != "output_dir"},
-        hypothesis_report=asdict(problem.report),
+        hypothesis_report={} if problem is None else asdict(problem.report),
         results=results,
     )
     emit_report(bundle, cfg.output_dir, formats=("text", "csv"))
@@ -392,7 +399,8 @@ def emit_report(bundle: ReportBundle, out_dir, formats=("text", "csv")) -> dict:
     if "text" in formats:
         lines = ["property-check report", "====================="]
         rep = bundle.hypothesis_report
-        lines.append("coefficient check: " + ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(rep.items())))
+        if rep:  # {} when no check judged a [problem]
+            lines.append("coefficient check: " + ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(rep.items())))
         lines.append("")
         for r in bundle.results:
             lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} (tolerance {_fmt(r.tolerance)})")

@@ -114,12 +114,6 @@ class Trajectory:
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list, repr=False)
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size and (t[0] != 0.0 or np.any(np.diff(t) <= 0)):
-            raise ValueError("times must start at 0 and increase strictly")
-        object.__setattr__(self, "times", t)
-
     @property
     def final(self) -> VectorField:
         return self.snapshots[-1]

@@ -127,18 +127,9 @@ class VectorField:
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_compatible(self, other)
-        return VectorField(self.grid, self.values + other.values)
-
     def __sub__(self, other: "VectorField") -> "VectorField":
         _check_compatible(self, other)
         return VectorField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "VectorField":
-        return VectorField(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 def _check_compatible(f: VectorField, g: VectorField):

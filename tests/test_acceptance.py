@@ -187,7 +187,8 @@ def test_criterion_07_nonanalyticity_witness():
 
 
 def test_criterion_08_degenerate_factorization():
-    res = run_degenerate_kernel_check(extent=10.0, n_per_axis=400, t=0.2, n_steps=200)
+    problem = build_problem(1, 10.0, 400, 2, v_rule="degenerate_V", shift="none", alpha=0.0)
+    res = run_degenerate_kernel_check(problem, t=0.2, n_steps=200)
     announce(
         "criterion 8 (diagonal-subspace factorization)",
         res.passed,

@@ -168,6 +168,31 @@ class TestRunExperiment:
         fields = {f.name for f in dataclasses.fields(HypothesisReport)}
         assert set(bundled) == set(printed) == fields and len(printed) == len(fields)
 
+    def test_degenerate_kernel_judges_the_problem(self, tmp_path):
+        # halving degenerate.cfg's [problem] grid moves every degenerate_kernel value
+        text = bundled_config_path("degenerate").read_text().replace(
+            "contraction, degenerate_kernel, compactness", "degenerate_kernel")
+        measured = {}
+        for n in (400, 200):
+            cfg = write_cfg(tmp_path, text.replace("n_per_axis = 400", f"n_per_axis = {n}"), name=f"{n}.cfg")
+            bundle, code = run_experiment(cfg, out_dir=tmp_path / str(n))
+            assert code == EXIT_OK
+            measured[n] = bundle.results[0].measured
+        assert len(measured[400]) == 3
+        assert all(measured[400][key] != measured[200][key] for key in measured[400])
+
+    @pytest.mark.parametrize("name", ["nongeneration", "nonanalytic"])
+    def test_problem_free_checks_build_no_problem(self, tmp_path, monkeypatch, name):
+        def build(cfg):
+            raise AssertionError("[problem] built for problem-free checks")
+
+        monkeypatch.setattr(cli, "build_problem_from_config", build)
+        bundle, code = run_experiment(name, out_dir=tmp_path / "o")
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "o" / "bundle.json").read_text())["hypothesis_report"] == {}
+        lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        assert lines[2] == "" and not any(line.startswith("coefficient check") for line in lines)
+
     def test_failing_check_exit_code(self, tmp_path):
         flipped = (
             _checks(QUICK, "contraction").replace("c=-1.0", "c=2.0")
@@ -338,6 +363,15 @@ MALFORMED = {
     "unknown_override_section": (lambda tmp: QUICK.replace("[check.positivity]", "[check.frobnicate]"),
                                  "unknown check 'frobnicate'"),
     "unknown_rule": (lambda tmp: QUICK.replace("diag_V", "nonsense_V"), "unknown rule 'nonsense_V'"),
+    # A check listed twice would write its result twice.
+    "repeated_check": (lambda tmp: QUICK.replace("contraction, positivity", "contraction, positivity, contraction"),
+                       "[checks] names lists 'contraction' twice; list each check once"),
+    # degenerate_kernel judges [problem], which must be the degenerate coupling.
+    "diag_degenerate_kernel": (lambda tmp: _checks(QUICK, "degenerate_kernel"),
+                               "inconclusive: the degenerate coupling needs V(x)(1, 1) = -shift (1, 1) "
+                               "at every cell; V misses it by 1"),
+    "scalar_degenerate_kernel": (lambda tmp: _checks(QUICK, "degenerate_kernel").replace("m = 2", "m = 1"),
+                                 "inconclusive: the degenerate coupling needs m = 2, got m = 1"),
     "unknown_rule_parameter": (lambda tmp: QUICK.replace("c=-1.0", "C=1.0"),
                                "rule 'diag_V' has no parameter 'C'"),
     "unknown_rule_parameter_extra": (lambda tmp: QUICK.replace("c=-1.0", "c=-1.0, zz=1.0"),
@@ -572,10 +606,13 @@ MALFORMED = {
                                      "[check.shift_invariance] extent must be positive, got 0.0"),
     "two_cell_shift_invariance": (lambda tmp: _override_body("shift_invariance", "n_per_axis = 2"),
                                   "[check.shift_invariance] n_per_axis must be at least 3, got 2"),
+    # degenerate_kernel judges [problem]'s grid: its box keys are gone, whatever their value.
     "zero_degenerate_kernel_extent": (lambda tmp: _override_body("degenerate_kernel", "extent = 0"),
-                                      "[check.degenerate_kernel] extent must be positive, got 0.0"),
+                                      "unknown key [check.degenerate_kernel] extent; [check.degenerate_kernel] takes: "
+                                      "t, n_steps"),
     "two_cell_degenerate_kernel": (lambda tmp: _override_body("degenerate_kernel", "n_per_axis = 2"),
-                                   "[check.degenerate_kernel] n_per_axis must be at least 3, got 2"),
+                                   "unknown key [check.degenerate_kernel] n_per_axis; [check.degenerate_kernel] takes: "
+                                   "t, n_steps"),
     "zero_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 0"),
                                "[check.commutator] extent must be positive, got 0.0"),
     "zero_compactness_h_target": (lambda tmp: _override_body("compactness", "h_target = 0"),
@@ -587,7 +624,8 @@ MALFORMED = {
                                        "[check.shift_invariance] n_per_axis must be at most 4000000: the "
                                        "hard cap is 4000000 unknowns, 1 per cell, got 4000001"),
     "oversize_degenerate_kernel_grid": (lambda tmp: _override_body("degenerate_kernel", "n_per_axis = 2000001"),
-                                        "[check.degenerate_kernel] n_per_axis must be at most 2000000"),
+                                        "unknown key [check.degenerate_kernel] n_per_axis; [check.degenerate_kernel] takes: "
+                                        "t, n_steps"),
     "oversize_commutator_grid": (lambda tmp: _override_body("commutator", "n_schedule = 200, 2000001"),
                                  "[check.commutator] n_schedule must be at most 2000000"),
     "fine_nongeneration_grid": (lambda tmp: _override_body("nongeneration", "h_target = 1e-9"),
@@ -653,7 +691,7 @@ class TestMalformedInputs:
                                       "duplicate_key", "unknown_section", "unknown_run_key",
                                       "unknown_output_key", "unknown_override_key", "nan_t_forward",
                                       "inf_consistency_lam", "inf_problem_extent",
-                                      "unused_override_section", "no_positivity_draws",
+                                      "unused_override_section", "no_positivity_draws", "repeated_check",
                                       "contraction_slack", "consistency_tol", "positivity_floor",
                                       "domination_slack", "ultracontractivity_tol", "shift_invariance_tol",
                                       "compactness_k", "single_ultracontractivity_point",
@@ -720,16 +758,17 @@ class TestMalformedInputs:
         assert len(results) == 1 and len(results[0]["measured"]) >= 1
 
 
-@pytest.mark.parametrize("body, extent", [
-    (QUICK.replace("extent = 6.0", "extent = 1e-300"), "1e-300"),
-    (_override_body("shift_invariance", "extent = 1e-300"), "1e-300"),
-    (_override_body("degenerate_kernel", "extent = 1e-300"), "1e-300"),
-    (_override_body("commutator", "extent = 1e-300"), "1e-300"),
-    (QUICK.replace("extent = 6.0", "extent = 3e-153"), "3e-153"),
-    (_override_body("commutator", "extent = 1.8e-152"), "1.8e-152"),
+@pytest.mark.parametrize("body, fragment", [
+    (QUICK.replace("extent = 6.0", "extent = 1e-300"), "extent = 1e-300 is too small"),
+    (_override_body("shift_invariance", "extent = 1e-300"), "extent = 1e-300 is too small"),
+    # degenerate_kernel judges [problem]'s box (the "problem" row): it takes no extent
+    (_override_body("degenerate_kernel", "extent = 1e-300"), "unknown key [check.degenerate_kernel] extent"),
+    (_override_body("commutator", "extent = 1e-300"), "extent = 1e-300 is too small"),
+    (QUICK.replace("extent = 6.0", "extent = 3e-153"), "extent = 3e-153 is too small"),
+    (_override_body("commutator", "extent = 1.8e-152"), "extent = 1.8e-152 is too small"),
 ], ids=["problem", "shift_invariance", "degenerate_kernel", "commutator",
         "problem_stencil", "commutator_stencil"])
-def test_tiny_box_exits_before_assembly(tmp_path, capsys, body, extent):
+def test_tiny_box_exits_before_assembly(tmp_path, capsys, body, fragment):
     """A box whose spacing h has no finite 1/h^2 is refused by the grid, and
     one whose stencil diagonal ~ 4 d max q / h^2 is not finite by the
     assembly, naming the extent, before a stencil overflows."""
@@ -738,7 +777,7 @@ def test_tiny_box_exits_before_assembly(tmp_path, capsys, body, extent):
         code = main(["verify", "--config", str(write_cfg(tmp_path, body)), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert f"extent = {extent} is too small" in err
+    assert fragment in err
     assert "RuntimeWarning" not in err and not caught
     assert not (tmp_path / "o").exists()
 
@@ -761,10 +800,12 @@ def _setting(section, key, token):
 # along it.
 TAKES_ZERO_OR_MINUS_ONE = {"mu": ("0", "-1"), "sigmas": ("0", "-1")}
 
-# Former keys that set a pass bar, now a constant of vschro.verify.
+# Former keys: those that set a pass bar, now a constant of vschro.verify, and
+# the box of degenerate_kernel, which now judges [problem]'s grid.
 REMOVED_KEYS = [("check.contraction", "slack"), ("check.consistency", "tol"), ("check.positivity", "floor"),
                 ("check.domination", "slack"), ("check.ultracontractivity", "tol"),
-                ("check.shift_invariance", "tol"), ("check.compactness", "k")]
+                ("check.shift_invariance", "tol"), ("check.compactness", "k"),
+                ("check.degenerate_kernel", "extent"), ("check.degenerate_kernel", "n_per_axis")]
 
 
 @pytest.mark.parametrize("section, key", [(section, key) for section, keys in cli._SECTION_KEYS.items()
@@ -772,7 +813,7 @@ REMOVED_KEYS = [("check.contraction", "slack"), ("check.consistency", "tol"), ("
 def test_every_key_loads_or_is_refused(tmp_path, section, key):
     """Any value of any key loads or is a ConfigError, never another
     exception; a check key refuses 0 and -1 at load unless they are valid,
-    and a former pass-bar key is unknown whatever its value."""
+    and a former key is unknown whatever its value."""
     for i, token in enumerate(["nan", "inf", "-1", "0", "2.5", "true", "abc", "", "1e6", "1e400"]):
         path = write_cfg(tmp_path, _setting(section, key, token), name=f"{i}.cfg")
         try:
@@ -908,6 +949,15 @@ class TestCheckKeys:
     def test_cast_table_names_every_registered_check(self):
         assert list(CHECKS) == list(verify.CHECK_KEYS) == list(RECEIVERS)
         assert sorted(RECEIVERS.values()) == sorted(DECLARING)  # one receiver per check
+
+    def test_problem_free_checks_are_the_receivers_without_a_problem(self):
+        # a check judges [problem] when its receiver takes the problem, or
+        # for contraction a trajectory of it; verify builds none for the rest
+        params = {check: inspect.signature(getattr(verify, name)).parameters
+                  for check, name in RECEIVERS.items()}
+        judges = {check for check in params if {"problem", "traj"} & set(params[check])}
+        assert cli.PROBLEM_FREE == set(CHECKS) - judges
+        assert {"nongeneration", "shift_invariance", "commutator", "compactness"} == cli.PROBLEM_FREE
 
     @pytest.mark.parametrize("check", list(CHECK_KEYS))
     def test_each_cast_matches_the_receiving_default(self, check):

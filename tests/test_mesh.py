@@ -78,7 +78,7 @@ class TestNorms:
     def test_homogeneity(self, scale, p):
         g = build_grid(1, 2.0, 16)
         f = random_field(g, 2, seed=5)
-        assert lp_norm(scale * f, p) == pytest.approx(scale * lp_norm(f, p), rel=1e-12)
+        assert lp_norm(VectorField(g, scale * f.values), p) == pytest.approx(scale * lp_norm(f, p), rel=1e-12)
 
     def test_rejects_p_below_one(self):
         g = build_grid(1, 1.0, 4)
@@ -161,10 +161,10 @@ class TestPairing:
         g = build_grid(1, 1.0, 12)
         f, gfld, h = (random_field(g, 2, seed=k) for k in (1, 2, 3))
         z = 0.7 - 0.3j
-        lhs = dual_pairing(z * f + h, gfld)
+        lhs = dual_pairing(VectorField(g, z * f.values + h.values), gfld)
         rhs = z * dual_pairing(f, gfld) + dual_pairing(h, gfld)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert dual_pairing(f, z * gfld) == pytest.approx(
+        assert dual_pairing(f, VectorField(g, z * gfld.values)) == pytest.approx(
             np.conj(z) * dual_pairing(f, gfld), rel=1e-12
         )
 

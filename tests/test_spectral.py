@@ -83,7 +83,7 @@ class TestResolvent:
         r_mu = solve_resolvent(L, mu, rhs)
         composed = solve_resolvent(L, lam, r_mu)
         lhs = r_lam - r_mu
-        rhs2 = (mu - lam) * composed
+        rhs2 = VectorField(g, (mu - lam) * composed.values)
         assert lp_norm(lhs - rhs2, 2) <= 1e-9 * max(lp_norm(lhs, 2), 1e-12)
 
     def test_near_spectrum_diagnostic(self):

@@ -173,6 +173,11 @@ def small_problem(v_rule="diag_V", v_params=None, shift="none", n=64, R=6.0, alp
     )
 
 
+def degenerate_problem(n_per_axis=400, shift="none"):
+    """The degenerate coupling |x| [[-1, 1], [1, -1]] on the box of R = 10."""
+    return build_problem(1, 10.0, n_per_axis, 2, v_rule="degenerate_V", shift=shift, alpha=0.0)
+
+
 class TestContraction:
     def test_zero_field_trivially_passes(self):
         p = small_problem()
@@ -222,8 +227,8 @@ class TestPositivity:
 @pytest.mark.parametrize("check, kwargs", [
     (lambda **kw: run_positivity_check(small_problem(), **kw), {"t_forward": 0.0}),
     (lambda **kw: run_domination_check(small_problem(), **kw), {"ts": (0.1, -1.0)}),
-    (run_degenerate_kernel_check, {"t": 0.0}),
-    (run_degenerate_kernel_check, {"n_steps": 0}),
+    (lambda **kw: run_degenerate_kernel_check(degenerate_problem(100), **kw), {"t": 0.0}),
+    (lambda **kw: run_degenerate_kernel_check(degenerate_problem(100), **kw), {"n_steps": 0}),
 ], ids=["positivity_t_forward", "domination_ts", "degenerate_kernel_t", "degenerate_kernel_steps"])
 def test_split_step_sizes_are_checked(check, kwargs):
     """A check that builds its split step from a step size refuses a size
@@ -359,8 +364,7 @@ def domination_reference(problem, ts=(0.1, 0.5, 1.0), width=1.0, tau_target=5e-3
     return measured
 
 
-def degenerate_reference(extent, n_per_axis, t, n_steps, center=1.0, width=1.0):
-    problem = build_problem(1, extent, n_per_axis, 2, v_rule="degenerate_V", shift="none", alpha=0.0)
+def degenerate_reference(problem, t, n_steps, center=1.0, width=1.0):
     grid = problem.grid
     profile = _bump(grid, center, width).astype(complex)
     cfg = SplitConfig(scheme="lie", substep="crank_nicolson", n_steps=n_steps,
@@ -512,14 +516,14 @@ class TestBuiltSteps:
         assert res.measured == domination_reference(p, ts=ts)
 
     def test_degenerate_kernel_factors_once_for_both_runs(self, factor_log):
-        run_degenerate_kernel_check(n_per_axis=100, n_steps=50)
+        run_degenerate_kernel_check(degenerate_problem(100), n_steps=50)
         assert len(factor_log["lu"]) == 2  # the scalar flow and the shared vector step
         assert len(factor_log["exp"]) == 1
 
     @pytest.mark.parametrize("check", [
         lambda: run_positivity_check(small_problem(), n_random=5),
         lambda: run_domination_check(small_problem(), ts=(0.1, 0.333, 0.5)),
-        lambda: run_degenerate_kernel_check(n_per_axis=100, n_steps=50),
+        lambda: run_degenerate_kernel_check(degenerate_problem(100), n_steps=50),
     ], ids=["positivity", "domination", "degenerate_kernel"])
     def test_one_factor_alive_at_a_time(self, monkeypatch, check):
         # the 2D step matrices' factors dominate peak memory: a check may
@@ -559,8 +563,16 @@ class TestBuiltSteps:
 
     @pytest.mark.parametrize("n_per_axis, n_steps", [(100, 50), (160, 80)])
     def test_degenerate_kernel_matches_separate_runs(self, n_per_axis, n_steps):
-        res = run_degenerate_kernel_check(n_per_axis=n_per_axis, n_steps=n_steps)
-        assert res.measured == degenerate_reference(10.0, n_per_axis, 0.2, n_steps)
+        p = degenerate_problem(n_per_axis)
+        res = run_degenerate_kernel_check(p, n_steps=n_steps)
+        assert res.measured == degenerate_reference(p, 0.2, n_steps)
+
+    def test_shifted_degenerate_kernel_matches_separate_runs(self):
+        # shift = auto subtracts I: the rescale is e^{2t}, and the check still passes
+        p = degenerate_problem(100, shift="auto")
+        assert p.V.shift == 1.0 and p.unrescale_rate == 2.0
+        res = run_degenerate_kernel_check(p)
+        assert res.passed and res.measured == degenerate_reference(p, 0.2, 200)
 
     @pytest.mark.parametrize("check, n_solves", [
         (lambda p: run_positivity_check(p, n_random=50), 10),  # one block of 50 fields
