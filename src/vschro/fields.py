@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -444,7 +445,7 @@ def _rule_anisotropic_q(dim, theta=0.0, ratio=1.0):
     if dim == 1:
         mat = np.array([[float(ratio)]])
     else:
-        c, s = np.cos(theta), np.sin(theta)
+        c, s = np.cos(float(theta)), np.sin(float(theta))
         rot = np.array([[c, -s], [s, c]])
         mat = rot @ np.diag([1.0, float(ratio)]) @ rot.T
     return _constant(mat), DIFFUSION
@@ -460,6 +461,7 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _rule_rotation_v(dim, r=1.5):
+    r = float(r)
     if not 1.0 <= r < 2.0:
         raise FieldError(f"rotation exponent r must lie in [1, 2), got {r}")
 
@@ -554,16 +556,23 @@ def make_rule(name: str, dim: int, /, **params):
 
     A parameter the rule does not take is rejected, except m (the component
     count build_problem passes to every potential rule), which only reaches
-    the rules that take it.
+    the rules that take it.  A parameter whose default is a number takes a
+    real number, not a bool: float(True) would run as 1.
     """
     try:
         factory = _RULES[name]
     except KeyError:
         raise FieldError(f"unknown rule {name!r}; known: {', '.join(RULE_NAMES)}") from None
-    accepted = list(inspect.signature(factory).parameters)[1:]
+    signature = inspect.signature(factory).parameters
+    accepted = list(signature)[1:]
     unknown = sorted(set(params) - set(accepted) - {"m"})
     if unknown:
         raise FieldError(
             f"rule {name!r} has no parameter {unknown[0]!r}; it takes: {', '.join(accepted) or 'none'}"
         )
-    return factory(dim, **{k: v for k, v in params.items() if k in accepted})
+    params = {k: v for k, v in params.items() if k in accepted}
+    for key, value in params.items():
+        if isinstance(signature[key].default, (int, float)) and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise FieldError(f"rule {name!r} parameter {key!r} takes a number, got {value!r}")
+    return factory(dim, **params)

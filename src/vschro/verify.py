@@ -19,6 +19,7 @@ evolution code they judge.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial, wraps
 
@@ -667,6 +668,10 @@ def run_degenerate_kernel_check(
     if not miss <= 1e-12 * (1.0 + float(np.max(np.abs(V.values)))):
         raise ValueError("inconclusive: the degenerate coupling needs V(x)(1, 1) = -shift (1, 1) "
                          f"at every cell; V misses it by {miss:.3g}")
+    rate = problem.unrescale_rate  # the -I of the diffusion block and the shift
+    if t * rate > math.log(sys.float_info.max):
+        raise ValueError(f"t = {t!r} overflows the rescale e^(t * {rate:g}); "
+                         f"t must be at most {math.log(sys.float_info.max) / rate:.6g} for this problem")
     grid = problem.grid
     profile = _bump(grid, 1.0).astype(complex)
     cfg = SplitConfig(substep="crank_nicolson", solver_tol=1e-12)
@@ -678,7 +683,7 @@ def run_degenerate_kernel_check(
     diag0 = VectorField(grid, np.column_stack([profile, profile]))
     gen0 = VectorField(grid, np.column_stack([profile, 0.0 * profile]))
     ud, ug = (traj.final for traj in step.run_many([diag0, gen0], n_steps, norm_ps=()))
-    scale = math.exp(t * problem.unrescale_rate)  # the -I of the diffusion block and the shift
+    scale = math.exp(t * rate)
     match_errs = [
         float(np.linalg.norm(scale * ud.values[:, i] - wref) / wnorm) for i in range(2)
     ]

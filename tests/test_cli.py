@@ -31,9 +31,6 @@ from vschro.cli import (
 )
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def _base_cast(cast):
     """The cast under a (possibly nested) domain."""
     while isinstance(cast, verify._Domain):
@@ -285,6 +282,15 @@ class TestMain:
         assert main(["resolvent", "--config", "rotation_r15", "--out", str(out),
                      "--lam-re", "1e150"]) == EXIT_OK
         assert capsys.readouterr().out.endswith("||(lambda - L)^-1|| = 1e-150\n")
+
+    @pytest.mark.parametrize("command, flags, table, rows", [
+        ("spectrum", ["--k", "6"], "eigenvalues.csv", 6),
+        ("resolvent", ["--lam-re", "1", "--lam-im", "0", "1"], "resolvent_scan.csv", 2),
+    ], ids=["spectrum", "resolvent"])
+    def test_bundled_config_by_name(self, tmp_path, command, flags, table, rows):
+        out = tmp_path / "o"
+        assert main([command, "--config", "rotation_r15", "--out", str(out), *flags]) == EXIT_OK
+        assert len((out / table).read_text().splitlines()) == 1 + rows
 
     def test_report_reemit(self, tmp_path):
         cfg = write_cfg(tmp_path, QUICK)
@@ -650,6 +656,26 @@ MALFORMED = {
     "wide_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e10"),
                                "extent = 10000000000.0 gives a commutator defect that is zero or not "
                                "finite: [0.0, 0.0]"),
+    # x^2 overflows to the bumps' 0 there, quietly: a RuntimeWarning fails the suite
+    "huge_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e300"),
+                               "extent = 1e+300 gives a commutator defect that is zero or not finite"),
+    # degenerate_kernel un-rescales by e^(t * (1 + shift)): a t it overflows at is
+    # refused before any solve, whatever the step count.
+    "overflowing_degenerate_kernel_t": (lambda tmp: _degenerate(_override_body("degenerate_kernel", "t = 1000")),
+                                        "t = 1000.0 overflows the rescale e^(t * 1); t must be at most 709.783"),
+    "overflowing_degenerate_kernel_t_few_steps": (
+        lambda tmp: _degenerate(_override_body("degenerate_kernel", "t = 1000\nn_steps = 10")),
+        "t = 1000.0 overflows the rescale e^(t * 1)"),
+    # A rule parameter is a number: a word or a bool is refused, naming the parameter.
+    "word_for_rotation_r": (lambda tmp: QUICK.replace("v_rule = diag_V\nv_params = c=-1.0",
+                                                      "v_rule = rotation_V\nv_params = r=abc"),
+                            "rule 'rotation_V' parameter 'r' takes a number, got 'abc'"),
+    "bool_for_rotation_r": (lambda tmp: QUICK.replace("v_rule = diag_V\nv_params = c=-1.0",
+                                                      "v_rule = rotation_V\nv_params = r=true"),
+                            "rule 'rotation_V' parameter 'r' takes a number, got True"),
+    "word_for_anisotropic_theta": (lambda tmp: QUICK.replace("dim = 1", "dim = 2").replace(
+                                       "q_rule = identity_Q", "q_rule = anisotropic_Q\nq_params = theta=abc"),
+                                   "rule 'anisotropic_Q' parameter 'theta' takes a number, got 'abc'"),
     # Lanczos cannot read a resolvent norm this far from the operator.
     "far_shift_invariance_mu": (lambda tmp: _override_body("shift_invariance", "mu = 1e155"),
                                 "[check.shift_invariance] mu must lie in [-1e150, 1e150], got 1e+155"),
@@ -663,6 +689,11 @@ def _coupled(body):
     """body with a coupling of negative off-diagonal entry b that couples both components."""
     return body.replace("v_rule = diag_V\nv_params = c=-1.0",
                         "v_rule = coupled_V\nv_params = a=-2.0, b=-0.5, c=0.5")
+
+
+def _degenerate(body):
+    """body with the degenerate coupling |x| [[-1, 1], [1, -1]], unshifted."""
+    return body.replace("v_rule = diag_V\nv_params = c=-1.0", "v_rule = degenerate_V")
 
 
 def _checks(body, names):
@@ -1090,5 +1121,5 @@ class TestImports:
         code = ("import sys, vschro.cli; print(sorted(m for m in ('scipy.io', 'scipy.special', "
                 "'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+                             check=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
         assert out.stdout.strip() == "[]"

@@ -280,6 +280,14 @@ class TestDirectCalls:
             with pytest.raises(ValueError, match="extent = 1.8e-152 is too small for 400 cells per axis"):
                 run_commutator_rate_check(extent=1.8e-152)
 
+    @pytest.mark.parametrize("shift, limit", [("none", "709.783"), ("auto", "354.891")])
+    def test_overflowing_degenerate_kernel_t_is_refused_before_any_step(self, monkeypatch, shift, limit):
+        # the flow is un-rescaled by e^(t * (1 + shift)); no step is built for a t it overflows at
+        monkeypatch.setattr(vschro.verify, "heat_step", None)
+        monkeypatch.setattr(vschro.verify, "split_step", None)
+        with pytest.raises(ValueError, match=rf"t = 1000.0 overflows the rescale .*at most {limit} "):
+            run_degenerate_kernel_check(degenerate_problem(100, shift), t=1000.0, n_steps=10)
+
     def test_keys_are_keyword_only(self):
         with pytest.raises(TypeError):
             run_domination_check(None, (0.1,))
