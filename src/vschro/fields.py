@@ -563,8 +563,8 @@ def make_rule(name: str, dim: int, /, **params):
         factory = _RULES[name]
     except KeyError:
         raise FieldError(f"unknown rule {name!r}; known: {', '.join(RULE_NAMES)}") from None
-    signature = inspect.signature(factory).parameters
-    accepted = list(signature)[1:]
+    parameters = inspect.signature(factory).parameters
+    accepted = list(parameters)[1:]
     unknown = sorted(set(params) - set(accepted) - {"m"})
     if unknown:
         raise FieldError(
@@ -572,7 +572,7 @@ def make_rule(name: str, dim: int, /, **params):
         )
     params = {k: v for k, v in params.items() if k in accepted}
     for key, value in params.items():
-        if isinstance(signature[key].default, (int, float)) and (
+        if isinstance(parameters[key].default, (int, float)) and (
                 isinstance(value, bool) or not isinstance(value, numbers.Real)):
             raise FieldError(f"rule {name!r} parameter {key!r} takes a number, got {value!r}")
     return factory(dim, **params)
