@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from vschro.evolve import SolverError, SplitConfig, trotter_evolve
-from vschro.fields import RULE_NAMES
+from vschro.fields import FieldError, make_rule
 from vschro.mesh import VectorField, write_field_csv, write_field_pgm
 from vschro.operators import export_matrix_market
 from vschro.problems import Problem, build_problem
@@ -40,20 +40,11 @@ from vschro.verify import (
     _NON_NEGATIVE_INT,
     _POSITIVE,
     _RESOLVENT_POINT,
+    CHECK_INPUTS,
     CHECK_KEYS,
+    CHECKS,
     PropertyCheckResult,
     _Domain,
-    run_commutator_rate_check,
-    run_compactness_contrast,
-    run_consistency_check,
-    run_contraction_check,
-    run_degenerate_kernel_check,
-    run_domination_check,
-    run_nongeneration_demo,
-    run_positivity_check,
-    run_shift_invariance_check,
-    run_trotter_order_check,
-    run_ultracontractivity_check,
 )
 
 __all__ = [
@@ -108,7 +99,10 @@ def _parse_params(text: str) -> dict:
         if "=" not in part:
             raise ConfigError(f"malformed parameter {part!r}; expected key=value")
         key, val = part.split("=", 1)
-        out[key.strip()] = _parse_scalar(val)
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"rule parameter {key!r} is set twice; set it once")
+        out[key] = _parse_scalar(val)
     return out
 
 
@@ -131,14 +125,16 @@ class ExperimentConfig:
     seed: int = 1
 
     def validate(self):
-        for rule in (self.q_rule, self.v_rule):
-            if rule not in RULE_NAMES:
-                raise ConfigError(f"unknown rule {rule!r}; known: {', '.join(RULE_NAMES)}")
         if self.shift not in ("auto", "none"):
             raise ConfigError(f"[problem] shift must be 'auto' or 'none', got {self.shift!r}")
         for key, params in (("q_params", self.q_params), ("v_params", self.v_params)):
             if "m" in params:
                 raise ConfigError(f"{key} sets m; the component count is [problem] m")
+        try:  # the rules and their parameters, whether or not a listed check judges [problem]
+            make_rule(self.q_rule, self.dim, **self.q_params)
+            make_rule(self.v_rule, self.dim, **self.v_params, m=self.m)
+        except FieldError as exc:
+            raise ConfigError(f"[problem] {exc}") from None
         unknowns = self.n_per_axis**self.dim * self.m
         if unknowns > _HARD_CAP_UNKNOWNS:
             raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
@@ -151,9 +147,7 @@ class ExperimentConfig:
                 raise ConfigError(f"[check.{name}] is set but {name!r} is not in [checks] names; "
                                   "remove the section or list the check")
         if self.v_rule == "rotation_V" and self.alpha > 0.0:
-            r = self.v_params.get("r", 1.5)
-            if not isinstance(r, (int, float)) or not 1.0 <= r < 2.0:
-                raise ConfigError(f"rotation exponent r must lie in [1, 2), got {r!r}")
+            r = self.v_params.get("r", 1.5)  # a number in [1, 2), by make_rule
             if not (r - 1.0) / r < self.alpha < 0.5:
                 raise ConfigError(
                     f"alpha must lie in ({(r - 1.0) / r:.3f}, 0.5) for r={r}, got {self.alpha}"
@@ -284,42 +278,9 @@ def _cast(section: str, key: str, cast, value):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Check registry.  Each entry takes (problem, run_cfg, seed, **overrides), the
-# overrides cast by their [check.<name>] row of _SECTION_KEYS, and leaves
-# every default to its verify function.
-
-def _contraction(problem, run_cfg, seed, **kw):
-    """Contraction along a Lie / backward-Euler run from a seeded random field."""
-    rng = np.random.default_rng(seed)
-    shape = (problem.grid.n_cells, problem.m)
-    f = VectorField(problem.grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return run_contraction_check(trotter_evolve(problem.diffusion, problem.V, f, run_cfg), **kw)
-
-
 def _known_check(name: str):
     if name not in CHECKS:
         raise ConfigError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-
-
-CHECKS = {
-    "contraction": _contraction,
-    "consistency": lambda problem, run, seed, **kw: run_consistency_check(problem, **kw),
-    "positivity": lambda problem, run, seed, **kw: run_positivity_check(problem, seed=seed, **kw),
-    "domination": lambda problem, run, seed, **kw: run_domination_check(problem, **kw),
-    "ultracontractivity": lambda problem, run, seed, **kw: run_ultracontractivity_check(problem, **kw),
-    "trotter_order": lambda problem, run, seed, **kw: run_trotter_order_check(problem, **kw),
-    "nongeneration": lambda problem, run, seed, **kw: run_nongeneration_demo(**kw),
-    "shift_invariance": lambda problem, run, seed, **kw: run_shift_invariance_check(**kw),
-    "degenerate_kernel": lambda problem, run, seed, **kw: run_degenerate_kernel_check(problem, **kw),
-    "commutator": lambda problem, run, seed, **kw: run_commutator_rate_check(**kw),
-    "compactness": lambda problem, run, seed, **kw: run_compactness_contrast(**kw),
-}
-
-# The checks that build every operator they judge from their own keys and
-# read no [problem]: verify builds [problem] only for a check outside them,
-# and hands these entries None.
-PROBLEM_FREE = frozenset({"nongeneration", "shift_invariance", "commutator", "compactness"})
 
 
 def build_problem_from_config(cfg: ExperimentConfig) -> Problem:
@@ -346,17 +307,22 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
         cfg.output_dir = str(out_dir)
     if seed is not None:
         cfg.seed = int(seed)
-    problem = None if PROBLEM_FREE.issuperset(cfg.checks) else build_problem_from_config(cfg)
+    # each check receives the inputs its receiver takes (verify.CHECK_INPUTS),
+    # and [problem] is built only if one of them judges it
+    inputs = {"run": cfg.run, "seed": cfg.seed}
+    if any("problem" in CHECK_INPUTS[name] for name in cfg.checks):
+        inputs["problem"] = build_problem_from_config(cfg)
     results = []
     for name in cfg.checks:
         try:
-            results.append(CHECKS[name](problem, cfg.run, cfg.seed, **cfg.overrides.get(name, {})))
+            results.append(CHECKS[name](**{key: inputs[key] for key in CHECK_INPUTS[name]},
+                                        **cfg.overrides.get(name, {})))
         except ValueError as exc:
             raise ConfigError(f"check {name!r} rejected its configuration: {exc}") from exc
     bundle = ReportBundle(
         # where a bundle is written is not part of the run it reproduces
         config={key: value for key, value in asdict(cfg).items() if key != "output_dir"},
-        hypothesis_report={} if problem is None else asdict(problem.report),
+        hypothesis_report=asdict(inputs["problem"].report) if "problem" in inputs else {},
         results=results,
     )
     emit_report(bundle, cfg.output_dir, formats=("text", "csv"))

@@ -443,6 +443,9 @@ def _rule_identity_q(dim):
 
 def _rule_anisotropic_q(dim, theta=0.0, ratio=1.0):
     if dim == 1:
+        if float(theta) != 0.0:  # a 1D rule has no axes to rotate
+            raise FieldError(f"rule 'anisotropic_Q' parameter 'theta' rotates 2D axes; dim = 1 takes "
+                             f"theta = 0, got {theta!r}")
         mat = np.array([[float(ratio)]])
     else:
         c, s = np.cos(float(theta)), np.sin(float(theta))

@@ -18,6 +18,7 @@ evolution code they judge.
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from scipy.sparse.linalg import expm_multiply
 from vschro.evolve import (
     SolverError,
     SplitConfig,
-    Trajectory,
     heat_step,
     split_step,
     trotter_evolve,
@@ -53,6 +53,8 @@ from vschro.spectral import (
 )
 
 __all__ = [
+    "CHECKS",
+    "CHECK_INPUTS",
     "CHECK_KEYS",
     "PropertyCheckResult",
     "expm_apply",
@@ -154,9 +156,9 @@ def _bump_pair(problem: Problem) -> VectorField:
 # ---------------------------------------------------------------------------
 # Checks.  Each check's receiving function declares its config keys once,
 # with @_takes, as keyword-only parameters with their domains; cli builds the
-# [check.<name>] sections of a config from CHECK_KEYS.  A key sets what a
-# check measures, never the bar it must pass: every threshold is fixed, below
-# if two lines use it, else as a literal.
+# [check.<name>] sections of a config from CHECK_KEYS and calls each check
+# through CHECKS.  A key sets what a check measures, never the bar it must
+# pass: every threshold is fixed, below if two lines use it, else as a literal.
 
 _HARD_CAP_UNKNOWNS = 4_000_000  # unknowns of any grid a config or a check builds
 _SLACK = 1e-8  # contraction, domination: relative norm growth and excess accepted
@@ -240,15 +242,21 @@ def _box_cells(extent: float, h_target: float) -> int:
 
 
 CHECK_KEYS = {}  # check name -> {key: _Domain}, in the order the checks are defined
+CHECKS = {}  # check name -> its receiving function
+# check name -> the inputs of a run its receiving function takes: the
+# [problem] it judges, the [run] it steps and the [output] seed it draws from
+CHECK_INPUTS = {}
 
 
 def _takes(check: str, **keys):
-    """Register the decorated function as the one that receives `check`'s
-    config keys, each a keyword-only parameter in the _Domain given here;
-    every call admits each of those keys that it passes."""
+    """Register the decorated function in CHECKS as the one that receives
+    `check`'s config keys, each a keyword-only parameter in the _Domain given
+    here, and record in CHECK_INPUTS the run inputs it takes by name; every
+    call admits each of those keys that it passes."""
 
     def register(fn):
         CHECK_KEYS[check] = keys
+        CHECK_INPUTS[check] = {"problem", "run", "seed"}.intersection(inspect.signature(fn).parameters)
 
         @wraps(fn)
         def admitted(*args, **kwargs):
@@ -257,14 +265,21 @@ def _takes(check: str, **keys):
                     keys[key].admit(key, value)
             return fn(*args, **kwargs)
 
+        CHECKS[check] = admitted
         return admitted
 
     return register
 
 
 @_takes("contraction")
-def run_contraction_check(traj: Trajectory) -> PropertyCheckResult:
-    """Every logged p-norm must be nonincreasing up to relative _SLACK."""
+def run_contraction_check(problem: Problem, *, run: SplitConfig, seed: int) -> PropertyCheckResult:
+    """Along `run` from a seeded random field (cli runs only Lie / backward
+    Euler, whose contraction is exact), every logged p-norm must be
+    nonincreasing up to relative _SLACK."""
+    rng = np.random.default_rng(seed)
+    shape = (problem.grid.n_cells, problem.m)
+    f = VectorField(problem.grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    traj = trotter_evolve(problem.diffusion, problem.V, f, run)
     worst, worst_p = -np.inf, math.nan
     for p, norms in traj.norm_log.items():
         prev = np.maximum(norms[:-1], 1e-300)

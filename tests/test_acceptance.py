@@ -11,9 +11,8 @@ import math
 import numpy as np
 
 from vschro.cli import build_problem_from_config, bundled_config_path, load_config
-from vschro.evolve import SplitConfig, trotter_evolve
+from vschro.evolve import SplitConfig
 from vschro.fields import matrix_power_field
-from vschro.mesh import VectorField
 from vschro.problems import build_problem
 from vschro.verify import (
     run_commutator_rate_check,
@@ -63,28 +62,17 @@ def test_criterion_02_contraction_suite():
         problem = build_problem_from_config(load_config(bundled_config_path(name)))
         assert problem.report.dissipativity_margin > 1e-12  # excluded by design
 
-    rng = np.random.default_rng(1234)
+    cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=100, t_final=1.0)
     worst = {}
     ok = True
     for name, problem in validator_passing:
-        vals = rng.standard_normal((problem.grid.n_cells, problem.m)) + 1j * rng.standard_normal(
-            (problem.grid.n_cells, problem.m)
-        )
-        cfg = SplitConfig(scheme="lie", substep="backward_euler",
-                          n_steps=100, t_final=1.0)
-        traj = trotter_evolve(problem.diffusion, problem.V, VectorField(problem.grid, vals), cfg)
-        res = run_contraction_check(traj)
+        res = run_contraction_check(problem, run=cfg, seed=1234)
         worst[name] = res.measured["max_relative_increase"]
         ok = ok and res.passed
 
     # negative control: sign-flipped diag(-2,-2) must grow and fail
     control = build_problem(1, 8.0, 100, 2, v_rule="diag_V", v_params={"c": 2.0}, shift="none")
-    x = control.grid.axis_coords
-    bump = np.column_stack([np.exp(-x**2)] * 2).astype(complex)
-    cfgc = SplitConfig(scheme="lie", substep="backward_euler", n_steps=100, t_final=1.0)
-    control_res = run_contraction_check(
-        trotter_evolve(control.diffusion, control.V, VectorField(control.grid, bump), cfgc)
-    )
+    control_res = run_contraction_check(control, run=cfg, seed=1234)
     ok = ok and not control_res.passed
     announce(
         "criterion 2 (contraction suite, p in {1,2,4,inf})",

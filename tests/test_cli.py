@@ -676,6 +676,21 @@ MALFORMED = {
     "word_for_anisotropic_theta": (lambda tmp: QUICK.replace("dim = 1", "dim = 2").replace(
                                        "q_rule = identity_Q", "q_rule = anisotropic_Q\nq_params = theta=abc"),
                                    "rule 'anisotropic_Q' parameter 'theta' takes a number, got 'abc'"),
+    # [problem]'s rules are checked at load, also when no listed check judges [problem].
+    "word_for_unjudged_rotation_r": (lambda tmp: _checks(QUICK, "commutator").replace(
+                                         "v_rule = diag_V\nv_params = c=-1.0", "v_rule = rotation_V\nv_params = r=abc"),
+                                     "[problem] rule 'rotation_V' parameter 'r' takes a number, got 'abc'"),
+    "unknown_unjudged_rotation_parameter": (lambda tmp: _checks(QUICK, "commutator").replace(
+                                                "v_rule = diag_V\nv_params = c=-1.0", "v_rule = rotation_V\nv_params = q=1"),
+                                            "[problem] rule 'rotation_V' has no parameter 'q'"),
+    # A rule parameter is run as it is echoed: set once, and taken by the rule.
+    "repeated_rule_parameter": (lambda tmp: QUICK.replace("v_rule = diag_V\nv_params = c=-1.0",
+                                                          "v_rule = rotation_V\nv_params = r=1.5, r=1.9"),
+                                "rule parameter 'r' is set twice; set it once"),
+    "theta_for_1d_anisotropic": (lambda tmp: QUICK.replace("q_rule = identity_Q",
+                                                           "q_rule = anisotropic_Q\nq_params = theta=0.6"),
+                                 "[problem] rule 'anisotropic_Q' parameter 'theta' rotates 2D axes; dim = 1 "
+                                 "takes theta = 0, got 0.6"),
     # Lanczos cannot read a resolvent norm this far from the operator.
     "far_shift_invariance_mu": (lambda tmp: _override_body("shift_invariance", "mu = 1e155"),
                                 "[check.shift_invariance] mu must lie in [-1e150, 1e150], got 1e+155"),
@@ -749,7 +764,9 @@ class TestMalformedInputs:
                                       "zero_compactness_extent",
                                       "oversize_shift_invariance_grid", "oversize_degenerate_kernel_grid",
                                       "oversize_commutator_grid", "far_shift_invariance_mu",
-                                      "far_shift_invariance_sigma"])
+                                      "far_shift_invariance_sigma", "word_for_unjudged_rotation_r",
+                                      "unknown_unjudged_rotation_parameter", "repeated_rule_parameter",
+                                      "theta_for_1d_anisotropic"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)
@@ -961,38 +978,37 @@ def test_well_typed_bundle_is_reemitted(tmp_path):
     assert (tmp_path / "o" / "report.txt").exists()
 
 
-def _keyword_defaults(name) -> dict:
-    """The keyword-only parameters of verify.<name> and their defaults, less
-    the run's seed and the benchmark's control operator, which no config sets."""
-    params = inspect.signature(getattr(verify, name)).parameters.values()
+def _keyword_defaults(check) -> dict:
+    """The keyword-only parameters of check's receiver and their defaults, less
+    the run's inputs it takes (verify.CHECK_INPUTS) and the benchmark's control
+    operator, which no config sets."""
+    params = inspect.signature(CHECKS[check]).parameters.values()
     return {p.name: p.default for p in params
-            if p.kind is p.KEYWORD_ONLY and p.name not in ("seed", "operator")}
-
-
-# The public verify functions that declare keys, and the one whose
-# keyword-only parameters are each check's declared keys.
-DECLARING = [name for name in verify.__all__ if hasattr(getattr(verify, name), "__wrapped__")]
-RECEIVERS = {check: name for check, keys in CHECK_KEYS.items() for name in DECLARING
-             if set(_keyword_defaults(name)) == set(keys)}
+            if p.kind is p.KEYWORD_ONLY and p.name not in (*verify.CHECK_INPUTS[check], "operator")}
 
 
 class TestCheckKeys:
-    def test_cast_table_names_every_registered_check(self):
-        assert list(CHECKS) == list(verify.CHECK_KEYS) == list(RECEIVERS)
-        assert sorted(RECEIVERS.values()) == sorted(DECLARING)  # one receiver per check
+    def test_each_check_has_one_public_receiver(self):
+        assert CHECKS is verify.CHECKS
+        assert list(CHECKS) == list(verify.CHECK_KEYS) == list(verify.CHECK_INPUTS)
+        declaring = [name for name in verify.__all__ if hasattr(getattr(verify, name), "__wrapped__")]
+        assert sorted(fn.__name__ for fn in CHECKS.values()) == sorted(declaring)
+        assert all(getattr(verify, fn.__name__) is fn for fn in CHECKS.values())
+        for check in CHECKS:  # the receiver's keyword-only parameters are its keys
+            assert set(_keyword_defaults(check)) == set(verify.CHECK_KEYS[check]), check
 
-    def test_problem_free_checks_are_the_receivers_without_a_problem(self):
-        # a check judges [problem] when its receiver takes the problem, or
-        # for contraction a trajectory of it; verify builds none for the rest
-        params = {check: inspect.signature(getattr(verify, name)).parameters
-                  for check, name in RECEIVERS.items()}
-        judges = {check for check in params if {"problem", "traj"} & set(params[check])}
-        assert cli.PROBLEM_FREE == set(CHECKS) - judges
-        assert {"nongeneration", "shift_invariance", "commutator", "compactness"} == cli.PROBLEM_FREE
+    def test_check_inputs_are_the_receivers_parameters(self):
+        # verify builds [problem] only for a check whose receiver takes it
+        assert {check for check, inputs in verify.CHECK_INPUTS.items() if "problem" not in inputs} == {
+            "nongeneration", "shift_invariance", "commutator", "compactness"}
+        assert verify.CHECK_INPUTS["contraction"] == {"problem", "run", "seed"}
+        assert verify.CHECK_INPUTS["positivity"] == {"problem", "seed"}
+        assert all(inputs <= {"problem"} for check, inputs in verify.CHECK_INPUTS.items()
+                   if check not in ("contraction", "positivity"))
 
     @pytest.mark.parametrize("check", list(CHECK_KEYS))
     def test_each_cast_matches_the_receiving_default(self, check):
-        for key, default in _keyword_defaults(RECEIVERS[check]).items():
+        for key, default in _keyword_defaults(check).items():
             cast = CHECK_KEYS[check][key]
             if isinstance(cast, tuple):
                 assert type(default) is tuple and {type(v) for v in default} == {cast[0]}
@@ -1004,37 +1020,44 @@ class TestCheckKeys:
         # A threshold no config sets is a constant of vschro.verify, not a
         # parameter, and a key that could be passed positionally would skip
         # its domain.
-        params = inspect.signature(getattr(verify, RECEIVERS[check])).parameters.values()
+        params = inspect.signature(CHECKS[check]).parameters.values()
         defaulted = {p.name for p in params if p.default is not p.empty}
-        assert defaulted - {"seed", "operator"} == set(_keyword_defaults(RECEIVERS[check]))
+        assert defaulted - verify.CHECK_INPUTS[check] - {"operator"} == set(_keyword_defaults(check))
 
     def test_each_default_lies_in_its_domain(self):
         # an unset key keeps its receiver's default, a value a config could set
         for check, keys in verify.CHECK_KEYS.items():
-            for key, default in _keyword_defaults(RECEIVERS[check]).items():
+            for key, default in _keyword_defaults(check).items():
                 keys[key].admit(key, default)
 
     @pytest.mark.parametrize("check", list(CHECK_KEYS))
     def test_each_key_reaches_its_receiver_cast(self, check, monkeypatch, tmp_path):
         # Integers, as "3" and "3, 4" parse, so every float key must be cast
-        # by load_config and reach its receiver as it was cast.
+        # by load_config and reach its receiver as it was cast, next to the
+        # run's inputs the receiver takes, all by keyword.
         received = {}
 
-        def record(*args, **kwargs):
+        def record(**kwargs):
             received.update(kwargs)
+            return verify.PropertyCheckResult(check, True, {}, 0.0)
 
-        monkeypatch.setattr(cli, RECEIVERS[check], record)
+        monkeypatch.setitem(CHECKS, check, record)
         lines = "\n".join(f"{key} = {'3, 4' if isinstance(cast, tuple) else '3'}"
                           for key, cast in CHECK_KEYS[check].items())
-        cfg = load_config(write_cfg(tmp_path, _override_body(check, lines)))
-        CHECKS[check](cli.build_problem_from_config(cfg), cfg.run, 3, **cfg.overrides[check])
+        cfg = write_cfg(tmp_path, _override_body(check, lines))
+        assert run_experiment(cfg, out_dir=tmp_path / "o")[1] == EXIT_OK
+        assert set(received) == verify.CHECK_INPUTS[check] | set(CHECK_KEYS[check])
         for key, cast in CHECK_KEYS[check].items():
             if isinstance(cast, tuple):
                 assert received[key] == (3, 4) and {type(v) for v in received[key]} == {cast[0]}, (check, key)
             else:
                 assert received[key] == 3 and type(received[key]) is cast, (check, key)
-        if check == "positivity":
+        if "problem" in received:
+            assert received["problem"].grid.n_cells == 64  # QUICK's [problem]
+        if "seed" in received:
             assert received["seed"] == 3  # the run's seed, not the default
+        if "run" in received:
+            assert received["run"] == load_config(cfg).run
 
 
 class TestCastOnce:
@@ -1052,7 +1075,7 @@ class TestCastOnce:
             loaded.append(load_config(path))
             return loaded[-1]
 
-        def record(problem, run_cfg, seed, **kw):
+        def record(**kw):
             received.append(kw)
             return verify.PropertyCheckResult("shift_invariance", True, {}, kw["mu"])
 

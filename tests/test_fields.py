@@ -545,7 +545,8 @@ class TestDistinct:
 
     def test_report_matches_per_cell_report(self, repeated_field):
         V, alpha = repeated_field
-        Q = sample_field(make_rule("anisotropic_Q", V.grid.dim, theta=0.3, ratio=0.5)[0],
+        theta = 0.3 if V.grid.dim == 2 else 0.0  # a 1D rule has no axes to rotate
+        Q = sample_field(make_rule("anisotropic_Q", V.grid.dim, theta=theta, ratio=0.5)[0],
                          V.grid, "diffusion")
         rep = validate_hypotheses(Q, V, alpha)
         assert np.isfinite(rep.growth_sup)
