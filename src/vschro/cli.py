@@ -130,14 +130,14 @@ class ExperimentConfig:
         for key, params in (("q_params", self.q_params), ("v_params", self.v_params)):
             if "m" in params:
                 raise ConfigError(f"{key} sets m; the component count is [problem] m")
+        unknowns = self.n_per_axis**self.dim * self.m
+        if unknowns > _HARD_CAP_UNKNOWNS:
+            raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
         try:  # the rules and their parameters, whether or not a listed check judges [problem]
             make_rule(self.q_rule, self.dim, **self.q_params)
             make_rule(self.v_rule, self.dim, **self.v_params, m=self.m)
         except FieldError as exc:
             raise ConfigError(f"[problem] {exc}") from None
-        unknowns = self.n_per_axis**self.dim * self.m
-        if unknowns > _HARD_CAP_UNKNOWNS:
-            raise ConfigError(f"{unknowns} unknowns exceed the hard cap {_HARD_CAP_UNKNOWNS}")
         for i, name in enumerate(self.checks):
             _known_check(name)
             if name in self.checks[:i]:

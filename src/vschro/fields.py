@@ -493,7 +493,12 @@ def _rule_degenerate_v(dim):
 
 
 def _rule_diag_v(dim, c=-1.0, m=2):
-    return _constant(float(c) * np.eye(int(m))), POTENTIAL
+    c, m = float(c), int(m)
+
+    def rule(x):  # the m x m matrix is built when sampled: checking a config builds none
+        return np.broadcast_to(c * np.eye(m), (len(x), m, m))
+
+    return rule, POTENTIAL
 
 
 def _rule_coupled_v(dim, a=-2.0, b=1.0, c=0.5):
@@ -512,27 +517,28 @@ def _rule_complex_linear_v(dim):
 
 def _rule_custom_table(dim, path=None, kind=POTENTIAL):
     """Per-cell matrices from a CSV table with rows cell,row,col,value[,imag];
-    the table must list exactly one matrix per grid cell."""
+    the table must list exactly one matrix per grid cell.  The table is read
+    when the rule is sampled, so checking a config reads no file."""
     if path is None:
         raise FieldError("custom_table needs a path parameter")
-    try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise FieldError(f"cannot read custom table {path}: {exc}") from None
-    if len(table) == 0 or table.shape[1] not in (4, 5) or table[:, :3].min() < 0:
-        raise FieldError(f"custom table {path} needs rows cell,row,col,value[,imag]")
-    cells, rows, cols = table[:, :3].astype(int).T
-    k = max(rows.max(), cols.max()) + 1
-    n = cells.max() + 1
-    vals = np.zeros((n, k, k), dtype=np.complex128 if table.shape[1] > 4 else np.float64)
-    if table.shape[1] > 4:
-        vals[cells, rows, cols] = table[:, 3] + 1j * table[:, 4]
-    else:
-        vals[cells, rows, cols] = table[:, 3]
 
     def rule(x):
+        try:
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise FieldError(f"cannot read custom table {path}: {exc}") from None
+        if len(table) == 0 or table.shape[1] not in (4, 5) or table[:, :3].min() < 0:
+            raise FieldError(f"custom table {path} needs rows cell,row,col,value[,imag]")
+        cells, rows, cols = table[:, :3].astype(int).T
+        k = max(rows.max(), cols.max()) + 1
+        n = cells.max() + 1
         if len(x) != n:
             raise FieldError(f"custom table {path} lists {n} cells, the grid has {len(x)}")
+        vals = np.zeros((n, k, k), dtype=np.complex128 if table.shape[1] > 4 else np.float64)
+        if table.shape[1] > 4:
+            vals[cells, rows, cols] = table[:, 3] + 1j * table[:, 4]
+        else:
+            vals[cells, rows, cols] = table[:, 3]
         return vals
 
     return rule, kind

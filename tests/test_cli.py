@@ -108,6 +108,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="hard cap"):
             load_config(write_cfg(tmp_path, bad))
 
+    def test_rule_check_builds_no_component_matrix(self, tmp_path, monkeypatch):
+        """3 cells of 10^6 components keep within the hard cap; no listed check
+        judges [problem], so no 10^6 x 10^6 matrix is built, at load or after."""
+        eye = np.eye
+        monkeypatch.setattr(np, "eye", lambda n, *a, **k: pytest.fail(f"np.eye({n})") if n > 64 else eye(n, *a, **k))
+        body = _checks(QUICK, "commutator").replace("m = 2", "m = 1000000").replace("n_per_axis = 64", "n_per_axis = 3")
+        _, code = run_experiment(write_cfg(tmp_path, body), out_dir=tmp_path / "out")
+        assert code == EXIT_OK
+
+    def test_custom_table_is_read_once_at_build(self, tmp_path, monkeypatch):
+        reads, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: reads.append(a[0]) or loadtxt(*a, **k))
+        cfg = write_cfg(tmp_path, _table_body(tmp_path, 64))
+        load_config(cfg)
+        assert reads == []
+        _, code = run_experiment(cfg, out_dir=tmp_path / "out")
+        assert code == EXIT_OK and len(reads) == 1
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
@@ -364,6 +382,8 @@ MALFORMED = {
     "nan_coefficient": (lambda tmp: QUICK.replace("c=-1.0", "c=nan"), "non-finite"),
     "nan_table_entry": (lambda tmp: _table_body(tmp, 64, value="nan"), "non-finite"),
     "oversize_grid": (lambda tmp: QUICK.replace("n_per_axis = 64", "n_per_axis = 2000001"), "hard cap"),
+    # Refused before any rule is checked: diag_V's m x m matrix is never built.
+    "oversize_components": (lambda tmp: QUICK.replace("m = 2", "m = 100000"), "hard cap"),
     "unknown_check": (lambda tmp: QUICK.replace("contraction, positivity", "contraction, frobnicate"),
                       "unknown check 'frobnicate'"),
     "unknown_override_section": (lambda tmp: QUICK.replace("[check.positivity]", "[check.frobnicate]"),
@@ -766,7 +786,7 @@ class TestMalformedInputs:
                                       "oversize_commutator_grid", "far_shift_invariance_mu",
                                       "far_shift_invariance_sigma", "word_for_unjudged_rotation_r",
                                       "unknown_unjudged_rotation_parameter", "repeated_rule_parameter",
-                                      "theta_for_1d_anisotropic"])
+                                      "theta_for_1d_anisotropic", "oversize_components"])
     def test_refused_at_load(self, tmp_path, monkeypatch, case):
         """Refused by load_config itself, before any problem is built."""
         monkeypatch.setattr(cli, "build_problem", None)
