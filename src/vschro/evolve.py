@@ -25,7 +25,12 @@ A run steps a block of fields held component-major, shape (fields, m,
 n_cells): one contiguous row per field and component, so the block's
 transpose is the Fortran-ordered column block SuperLU solves, and every
 field's components are right-hand-side columns of one solve.  A block holds
-at most _BLOCK_BYTES; each field keeps its own residual bound.
+at most _BLOCK_COLUMNS float64 columns (m per real field, 2m per complex
+one), and never fewer than one field; each field keeps its own residual
+bound.  On a 1D grid a block's trajectories equal the one-field runs bit for
+bit; on a 2D grid they agree to rounding, since SuperLU may sum a supernode
+of several columns in another order for several right-hand sides than for
+one.
 
 Building a step is separate from stepping, and there is one way to do
 each: split_step (or heat_step, for the scalar comparison equation) builds a
@@ -67,11 +72,12 @@ __all__ = [
 ]
 
 DEFAULT_NORM_PS = (1, 2, 4, math.inf)
-# a block's state bytes, its right-hand sides: SuperLU's solve on 2000 cells
-# measured 42, 26, 15, 13, 26 and 33 us per column at 1, 2, 10, 20, 50 and
-# 100 columns (96^2: 823, 650, 336-554, 400-465, 556-760, 567-687 us), so
-# about 16 float64 columns at 2000 cells; on a 320^2 grid a block is one field
-_BLOCK_BYTES = 2**18
+# float64 right-hand-side columns per block: SuperLU reads its whole factor
+# once per solve, and checked_solve's cost per column at 1, 2, 4, 8, 16 and
+# 32 columns measured 83/45/29/23/24/28 us at 2000 cells, 778/456/351/324/
+# 402/463 us at 96^2, 1523/886/704/658/783/865 us at 128^2 and 11.7/8.3/6.8/
+# 6.6/8.0/8.7 ms at 320^2: lowest at 8 columns on every grid
+_BLOCK_COLUMNS = 8
 
 
 class SolverError(RuntimeError):
@@ -255,10 +261,11 @@ class SplitStep:
         fields, yielded in order.
 
         Consecutive fields of one state dtype are stepped together as a
-        block of at most _BLOCK_BYTES (never fewer than one field), and
-        fields are drawn from the iterable one block at a time.  Each
-        trajectory equals that of its field run alone, bit for bit, and each
-        field's solves are checked against its own residual bound.
+        block of at most _BLOCK_COLUMNS float64 right-hand-side columns
+        (never fewer than one field), and fields are drawn from the iterable
+        one block at a time.  Each trajectory equals that of its field run
+        alone, bit for bit on a 1D grid and to rounding on a 2D one, and
+        each field's solves are checked against its own residual bound.
 
         Norms are logged at every step boundary, from one pass over the cell
         amplitudes per step; snapshots at every snapshot_stride-th step
@@ -277,8 +284,8 @@ class SplitStep:
                 block = []
             block.append(f)
             real = f_real
-            state_bytes = f.values.nbytes // 2 if real else f.values.nbytes  # float64 or complex
-            if (len(block) + 1) * state_bytes > _BLOCK_BYTES:  # full: step it before drawing more
+            columns = self.m if real else 2 * self.m  # float64 columns per field
+            if (len(block) + 1) * columns > _BLOCK_COLUMNS:  # full: step it before drawing more
                 yield from self._run_block(block, real, n_steps, norm_ps, snapshot_stride)
                 block = []
         if block:

@@ -36,7 +36,7 @@ __all__ = [
     "HypothesisReport",
     "sample_field",
     "matrix_exp",
-    "matrix_power_field",
+    "distinct_matrix_powers",
     "cell_gradient",
     "validate_hypotheses",
     "hermitian_top_eigenvalue",
@@ -283,13 +283,13 @@ def _balakrishnan_power(M: np.ndarray, alpha: float) -> np.ndarray:
     return res[0] if single else res
 
 
-def matrix_power_field(V: MatrixField, z: complex) -> np.ndarray:
-    """Per-cell principal powers (-V(x))^z over a whole field.
+def distinct_matrix_powers(V: MatrixField, z: complex) -> np.ndarray:
+    """Principal powers (-V(x))^z of V's distinct cell matrices, one per
+    cell of V.distinct[0]; V.distinct[1] gathers them to every cell.
 
     Cells whose eigenbasis is too ill-conditioned are recomputed with the
     quadrature route (real exponents only); cells on the branch cut make the
-    whole call raise BranchCutError.  Each distinct cell matrix is powered
-    once.
+    whole call raise BranchCutError.
     """
     first, inverse = V.distinct
     A = (-V.values[first]).astype(np.complex128)
@@ -303,7 +303,7 @@ def matrix_power_field(V: MatrixField, z: complex) -> np.ndarray:
                 "only real exponents in (-1,0) supported there"
             )
         res[bad] = _balakrishnan_power(A[bad], -z.real)
-    return res[inverse]
+    return res
 
 
 def cell_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -379,11 +379,15 @@ def validate_hypotheses(Q: MatrixField, V: MatrixField, alpha: float) -> Hypothe
 
     gradV = cell_gradient(V.grid, V.values)
     try:
-        prod = gradV  # (-V)^0 = I: a = 0 measures gradV itself, no power, no product
-        if alpha > 0.0:  # the power first, so the complex copy of gradV is not live in eig
-            P = matrix_power_field(V, -alpha)
-            prod = gradV.astype(np.complex128) @ P[:, None, :, :]
-        growth_sup = float(np.sqrt((np.abs(prod) ** 2).sum(axis=(-2, -1))).max())
+        if alpha > 0.0:  # the power first, so no complex copy of gradV is live in eig
+            P, inverse = distinct_matrix_powers(V, -alpha), V.distinct[1]
+        sups = []
+        for lo in range(0, len(gradV), _EXP_CHUNK):  # cells per chunk: bounds the temporaries
+            prod = gradV[lo:lo + _EXP_CHUNK]  # (-V)^0 = I: a = 0 measures gradV itself
+            if alpha > 0.0:
+                prod = prod.astype(np.complex128) @ P[inverse[lo:lo + _EXP_CHUNK], None, :, :]
+            sups.append(np.sqrt((np.abs(prod) ** 2).sum(axis=(-2, -1))).max())
+        growth_sup = float(np.max(sups))  # np.max, not max: a NaN propagates
     except (BranchCutError, FieldError, np.linalg.LinAlgError):
         growth_sup = np.inf
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from vschro.cli import build_problem_from_config, bundled_config_path, load_config
 from vschro.evolve import SplitConfig
-from vschro.fields import matrix_power_field
+from vschro.fields import distinct_matrix_powers
 from vschro.problems import build_problem
 from vschro.verify import (
     run_commutator_rate_check,
@@ -199,7 +199,7 @@ def test_criterion_09_hypothesis_validator_rotation():
     bound_ok = True
     sup_ratio = 0.0
     for s in (1.0, -1.0, 3.0, -3.0):
-        powers = matrix_power_field(problem.V, 1j * s)
+        powers = distinct_matrix_powers(problem.V, 1j * s)  # the sup over cells is over these
         sup = float(np.linalg.svd(powers, compute_uv=False)[:, 0].max())
         bound = math.exp(math.pi * abs(s) / 2.0)
         sup_ratio = max(sup_ratio, sup / bound)

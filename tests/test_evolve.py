@@ -24,6 +24,7 @@ from vschro.fields import MatrixField, make_rule, matrix_exp, sample_field, shif
 from vschro.mesh import VectorField, _amplitude_lp_norm, build_grid, lp_norm
 from vschro.operators import assemble_diffusion, assemble_potential
 from vschro.problems import build_problem
+from vschro.verify import run_positivity_check
 
 
 def identity_q(grid):
@@ -784,7 +785,8 @@ def reference_norms(values, measure):
 
 class TestBlocks:
     """run_many steps consecutive fields as one component-major block; each
-    field's trajectory equals its run alone, bit for bit."""
+    field's trajectory equals its run alone, bit for bit on 1D grids and on
+    these small 2D ones, to a few ulps on larger 2D grids."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -837,14 +839,30 @@ class TestBlocks:
         step = split_step(assemble_diffusion(identity_q(g), g),
                           sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential"),
                           0.01, SplitConfig())
-        per_block = vschro.evolve._BLOCK_BYTES // (g.n_cells * 2 * 8)
-        assert per_block == 8  # 16 float64 columns of 2000 cells
+        assert vschro.evolve._BLOCK_COLUMNS == 8  # 4 real or 2 complex m = 2 fields
         re, im = random_parts(g, 2, seed=60)
         real, cplx = VectorField(g, np.abs(re) + 1.0), VectorField(g, re + 1j * im)
         list(step.run_many([real] * 19 + [cplx] * 5 + [real], 1, norm_ps=()))
-        # real blocks of 8, 8 and 3 fields; the complex fields (4 columns
-        # each) in blocks of 4 and 1; the last real field alone
-        assert seen == [16, 16, 6, 16, 4, 2]
+        # real blocks of 4, 4, 4, 4 and 3 fields; the complex fields (4
+        # columns each) in blocks of 2, 2 and 1; the last real field alone
+        assert seen == [8, 8, 8, 8, 6, 8, 8, 4, 2]
+
+    def test_four_96x96_fields_are_one_eight_column_solve(self, monkeypatch):
+        # positivity's forward branch on the benchmark's 2D grid: the four
+        # real m = 2 fields reach the factor together, once per step
+        seen = []
+        sparse_lu = vschro.evolve.sparse_lu
+
+        def counting(matrix):
+            lu = CountingLU(sparse_lu(matrix))
+            lu.widths = seen
+            return lu
+
+        monkeypatch.setattr(vschro.evolve, "sparse_lu", counting)
+        problem = build_problem(2, 4.0, 96, 2, v_rule="coupled_V",
+                                v_params={"a": -2.0, "b": 0.5, "c": 0.3})
+        result = run_positivity_check(problem, n_random=4)
+        assert result.passed and seen == [8] * 10
 
     def test_fields_are_drawn_one_block_at_a_time(self):
         g = build_grid(1, 10.0, 2000)
@@ -856,10 +874,26 @@ class TestBlocks:
                 drawn.append(i)
                 yield VectorField(g, np.full((g.n_cells, 1), 1.0 + i))
 
-        per_block = vschro.evolve._BLOCK_BYTES // (g.n_cells * 8)
         runs = step.run_many(fields(), 2, norm_ps=())
         next(runs)
-        assert len(drawn) == per_block  # a full block is stepped before the next is drawn
+        # a full block, one column per real scalar field, is stepped before
+        # the next is drawn
+        assert len(drawn) == vschro.evolve._BLOCK_COLUMNS == 8
+
+    def test_2d_block_matches_one_field_runs_to_a_few_ulps(self):
+        # a 64^2 factor has supernodes of several columns, which SuperLU may
+        # sum in another order for a block's 8 columns than for one field's 2
+        # (here up to 2 ulps of a field's max); 1D grids stay bit-identical
+        problem = build_problem(2, 3.0, 64, 2, v_rule="coupled_V",
+                                v_params={"a": -2.0, "b": 0.5, "c": 0.3})
+        step = split_step(problem.diffusion, problem.V, 0.01, SplitConfig())
+        rng = np.random.default_rng(0)
+        fields = [VectorField(problem.grid, rng.random((problem.grid.n_cells, 2)))
+                  for _ in range(6)]
+        for f, traj in zip(fields, step.run_many(fields, 10, norm_ps=()), strict=True):
+            alone = step.run(f, 10, norm_ps=()).final.values
+            ulp = np.spacing(np.abs(alone).max())
+            assert np.abs(traj.final.values - alone).max() <= 8 * ulp
 
     def test_each_field_keeps_its_own_residual_bound(self, monkeypatch):
         # an error far below a loud field's bound fails the quiet field's

@@ -15,7 +15,7 @@ from vschro.fields import (
     hermitian_top_eigenvalue,
     make_rule,
     matrix_exp,
-    matrix_power_field,
+    distinct_matrix_powers,
     sample_field,
     shift_potential,
     validate_hypotheses,
@@ -197,10 +197,10 @@ class TestMatrixExp:
 
 def matrix_power(M, z):
     """Principal power M^z of one matrix, through a field on the smallest grid
-    (three cells, all equal to -M, which matrix_power_field negates exactly)."""
+    (three cells, all equal to -M, which distinct_matrix_powers negates exactly)."""
     neg = -np.asarray(M)
     cells = MatrixField(build_grid(1, 1.0, 3), "potential", np.broadcast_to(neg, (3,) + neg.shape))
-    return matrix_power_field(cells, z)[0]
+    return distinct_matrix_powers(cells, z)[0]
 
 
 class TestMatrixPower:
@@ -221,7 +221,7 @@ class TestMatrixPower:
         g = build_grid(1, 8.0, 101)
         V = sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential")
         for s in (1.0, -1.0, 3.0, -3.0):
-            P = matrix_power_field(V, 1j * s)
+            P = distinct_matrix_powers(V, 1j * s)  # the sup over cells is over these
             sup = np.linalg.svd(P, compute_uv=False)[:, 0].max()
             assert sup <= math.exp(math.pi * abs(s) / 2.0) * (1 + 1e-12)
 
@@ -264,7 +264,8 @@ class TestMatrixPower:
         _, ok = _eig_power(M.astype(np.complex128), -0.3)
         cond2 = np.linalg.cond(np.linalg.eig(M)[1])
         assert not ok[cond2 > 1e8].any() and ok[:2].all() and not ok[2:].any()
-        out = matrix_power_field(MatrixField(g, "potential", -M), -0.3)
+        V = MatrixField(g, "potential", -M)
+        out = distinct_matrix_powers(V, -0.3)[V.distinct[1]]
         np.testing.assert_array_equal(out[~ok], _balakrishnan_power(M[~ok], 0.3))
         jordan = np.array([[1.0, -0.3], [0.0, 1.0]])  # the e -> 0 limit, as in the test below
         np.testing.assert_allclose(out[2:], np.broadcast_to(jordan, (4, 2, 2)), atol=1e-8)
@@ -482,7 +483,7 @@ class TestGradient:
 
 
 def per_cell_power(V, z):
-    """matrix_power_field computed over every cell, without V.distinct."""
+    """distinct_matrix_powers computed over every cell, without V.distinct."""
     A = (-V.values).astype(np.complex128)
     res, ok = _eig_power(A, complex(z))
     if not ok.all():
@@ -555,7 +556,8 @@ class TestDistinct:
     def test_power_matches_per_cell_power(self, repeated_field):
         V, alpha = repeated_field
         for z in (-alpha, 0.5j):
-            assert matrix_power_field(V, z).tobytes() == per_cell_power(V, z).tobytes()
+            assert (distinct_matrix_powers(V, z)[V.distinct[1]].tobytes()
+                    == per_cell_power(V, z).tobytes())
 
     def test_quadrature_route_matches_per_cell_power(self):
         # Jordan-like cells, each twice: the ill-conditioned ones take the quadrature route.
@@ -564,4 +566,5 @@ class TestDistinct:
         M[:, 0, 0], M[:, 0, 1], M[:, 1, 1] = 1.0, 1.0, 1.0 + eps
         V = MatrixField(build_grid(1, 1.0, 6), "potential", -np.concatenate([M, M[::-1]]))
         assert len(V.distinct[0]) == 3
-        assert matrix_power_field(V, -0.3).tobytes() == per_cell_power(V, -0.3).tobytes()
+        assert (distinct_matrix_powers(V, -0.3)[V.distinct[1]].tobytes()
+                == per_cell_power(V, -0.3).tobytes())
