@@ -503,15 +503,7 @@ class TestRealPath:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_solve_columns(self, monkeypatch, m):
-        seen = []
-        sparse_lu = vschro.evolve.sparse_lu
-
-        def counting(matrix):
-            lu = CountingLU(sparse_lu(matrix))
-            lu.widths = seen
-            return lu
-
-        monkeypatch.setattr(vschro.evolve, "sparse_lu", counting)
+        seen = solve_widths(monkeypatch)
         g = build_grid(1, 3.0, 20)
         A = assemble_diffusion(identity_q(g), g)
         V = random_real_potential(g, m, seed=6)
@@ -560,6 +552,21 @@ class CountingLU:
     def solve(self, rhs):
         self.widths.append(rhs.shape[1])
         return self.lu.solve(rhs)
+
+
+def solve_widths(monkeypatch) -> list:
+    """A list that records the width of every solve made on the factor of
+    each step built from now on."""
+    seen = []
+    sparse_lu = vschro.evolve.sparse_lu
+
+    def counting(matrix):
+        lu = CountingLU(sparse_lu(matrix))
+        lu.widths = seen
+        return lu
+
+    monkeypatch.setattr(vschro.evolve, "sparse_lu", counting)
+    return seen
 
 
 class TestZeroColumns:
@@ -826,15 +833,7 @@ class TestBlocks:
             assert all(s.values.flags.c_contiguous for s in traj.snapshots)
 
     def test_blocks_fill_the_budget_and_split_by_dtype(self, monkeypatch):
-        seen = []
-        sparse_lu = vschro.evolve.sparse_lu
-
-        def counting(matrix):
-            lu = CountingLU(sparse_lu(matrix))
-            lu.widths = seen
-            return lu
-
-        monkeypatch.setattr(vschro.evolve, "sparse_lu", counting)
+        seen = solve_widths(monkeypatch)
         g = build_grid(1, 10.0, 2000)
         step = split_step(assemble_diffusion(identity_q(g), g),
                           sample_field(make_rule("diag_V", 1, c=-1.0, m=2)[0], g, "potential"),
@@ -850,15 +849,7 @@ class TestBlocks:
     def test_four_96x96_fields_are_one_eight_column_solve(self, monkeypatch):
         # positivity's forward branch on the benchmark's 2D grid: the four
         # real m = 2 fields reach the factor together, once per step
-        seen = []
-        sparse_lu = vschro.evolve.sparse_lu
-
-        def counting(matrix):
-            lu = CountingLU(sparse_lu(matrix))
-            lu.widths = seen
-            return lu
-
-        monkeypatch.setattr(vschro.evolve, "sparse_lu", counting)
+        seen = solve_widths(monkeypatch)
         problem = build_problem(2, 4.0, 96, 2, v_rule="coupled_V",
                                 v_params={"a": -2.0, "b": 0.5, "c": 0.3})
         result = run_positivity_check(problem, n_random=4)
