@@ -168,7 +168,7 @@ _SECTION_KEYS = {
                 "q_rule": str, "q_params": _parse_params, "v_rule": str, "v_params": _parse_params,
                 "shift": str,
                 "alpha": _Domain(float, "must lie in [0, 0.5)", lambda v: 0 <= v < 0.5)},
-    "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float, "solver_tol": float},
+    "run": {"scheme": str, "substep": str, "n_steps": int, "t_final": float},
     "checks": {"names": str},
     "output": {"dir": str, "seed": _NON_NEGATIVE_INT},
     **{f"check.{name}": keys for name, keys in CHECK_KEYS.items()},
@@ -348,14 +348,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _made(out: Path) -> Path:
+    """out, made as a directory if missing; a ConfigError naming it if it cannot be."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}") from None
+    return out
+
+
 def emit_report(bundle: ReportBundle, out_dir, formats=("text", "csv")) -> dict:
     """Write the bundle deterministically; returns the manifest.
 
     Field ordering is fixed and floats are rendered at 12 significant
     digits, so identical bundles produce identical bytes.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _made(Path(out_dir))
     written = []
 
     bundle_path = out / "bundle.json"
@@ -426,7 +434,7 @@ def _cmd_evolve(args):
     traj = trotter_evolve(
         problem.diffusion, problem.V, f, cfg.run, snapshot_stride=args.dump_snapshots
     )
-    out.mkdir(parents=True, exist_ok=True)
+    _made(out)
     rows = ["time,p,norm"]
     for p, norms in traj.norm_log.items():
         for t, v in zip(traj.times, norms):
@@ -444,7 +452,7 @@ def _cmd_evolve(args):
 
 def _cmd_resolvent(args):
     _, problem, out = _load(args)
-    out.mkdir(parents=True, exist_ok=True)
+    _made(out)
     rows = ["re_lambda,im_lambda,norm_estimate"]
     for re in args.lam_re:
         for im in args.lam_im:
@@ -459,7 +467,7 @@ def _cmd_spectrum(args):
     _, problem, out = _load(args)
     _within("--k", args.k, 1, max_eigenpairs(problem.generator.dims))
     res = eigenpairs(problem.generator, k=args.k, shift=complex(args.shift_re, args.shift_im))
-    out.mkdir(parents=True, exist_ok=True)
+    _made(out)
     rows = ["re_lambda,im_lambda,residual"]
     for lam, r in zip(res.eigenvalues, res.residuals):
         rows.append(f"{lam.real:.12g},{lam.imag:.12g},{r:.12g}")
@@ -474,7 +482,7 @@ def _cmd_kernel(args):
     _within("--cell", cell, 0, problem.grid.n_cells - 1)
     _within("--component", args.component, 0, problem.m - 1)
     column = kernel_column(problem.diffusion, problem.V, args.t, cell, args.component, cfg.run)
-    out.mkdir(parents=True, exist_ok=True)
+    _made(out)
     write_field_csv(column, out / "kernel_column.csv")
     for comp in range(problem.m):
         write_field_pgm(column, comp, out / f"kernel_component{comp}.pgm")
@@ -528,7 +536,7 @@ def _cmd_list(args):
 
 def _cmd_export_operator(args):
     _, problem, out = _load(args)
-    out.mkdir(parents=True, exist_ok=True)
+    _made(out)
     export_matrix_market(problem.generator, out / "generator.mtx")
     print(f"generator written to {out / 'generator.mtx'}")
     return EXIT_OK

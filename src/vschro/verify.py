@@ -323,13 +323,7 @@ def run_consistency_check(
     if abs(direct) <= 1e-12 * lp_norm(f, 2) * lp_norm(g, 2) / lam:
         raise ValueError("inconclusive: <(lam - L)^-1 f, g> vanishes; the potential "
                          "does not couple the components of f and g")
-    cfg = SplitConfig(
-        scheme="strang",
-        substep="crank_nicolson",
-        n_steps=n_steps,
-        t_final=horizon,
-        solver_tol=1e-11,
-    )
+    cfg = SplitConfig(scheme="strang", substep="crank_nicolson", n_steps=n_steps, t_final=horizon)
     traj = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(), snapshot_stride=1)
     times = np.array(traj.snapshot_times)
     pair = np.array([dual_pairing(s, g) for s in traj.snapshots])
@@ -374,7 +368,7 @@ def run_positivity_check(
     if problem.report.offdiag_min >= 0.0:
         rng = np.random.default_rng(seed)
         n_steps = 10
-        cfg = SplitConfig(substep="backward_euler", solver_tol=1e-12)
+        cfg = SplitConfig(substep="backward_euler")
         step = split_step(problem.diffusion, problem.V, t_forward / n_steps, cfg)
         fields = (VectorField(grid, rng.random((grid.n_cells, m)).astype(complex))
                   for _ in range(n_random))
@@ -399,13 +393,7 @@ def run_positivity_check(
         raise ValueError("inconclusive: off-diagonal entry too small to excite")
     h = grid.spacing
     t_small = 4.0 * h * h
-    cfg = SplitConfig(
-        scheme="lie",
-        substep="backward_euler",
-        n_steps=4,
-        t_final=t_small,
-        solver_tol=1e-12,
-    )
+    cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=4, t_final=t_small)
     fvals = np.zeros((grid.n_cells, m), dtype=complex)
     fvals[cell, l] = 1.0
     out = trotter_evolve(problem.diffusion, problem.V, VectorField(grid, fvals), cfg, norm_ps=()).final
@@ -463,7 +451,7 @@ def run_domination_check(problem: Problem, *, ts=(0.1, 0.5, 1.0)) -> PropertyChe
     sq0 = VectorField(f.grid, (np.abs(f.values) ** 2).sum(axis=1).astype(complex)[:, None])
 
     horizons = [(t, max(20, int(math.ceil(t / 5e-3)))) for t in ts]
-    cfg = SplitConfig(substep="backward_euler", solver_tol=1e-11)
+    cfg = SplitConfig(substep="backward_euler")
     us = _finals_at(horizons, f, partial(split_step, problem.diffusion, problem.V, cfg=cfg))
     ws = _finals_at(horizons, sq0, partial(heat_step, problem.Q, cfg=cfg))
 
@@ -538,13 +526,7 @@ def run_trotter_order_check(
     for scheme, window in _ORDER_WINDOWS.items():
         errs = []
         for n in n_schedule:
-            cfg = SplitConfig(
-                scheme=scheme,
-                substep="crank_nicolson",
-                n_steps=n,
-                t_final=t,
-                solver_tol=1e-12,
-            )
+            cfg = SplitConfig(scheme=scheme, substep="crank_nicolson", n_steps=n, t_final=t)
             out = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=()).final
             errs.append(lp_norm(out - ref, 2))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -689,7 +671,7 @@ def run_degenerate_kernel_check(
                          f"t must be at most {math.log(sys.float_info.max) / rate:.6g} for this problem")
     grid = problem.grid
     profile = _bump(grid, 1.0).astype(complex)
-    cfg = SplitConfig(substep="crank_nicolson", solver_tol=1e-12)
+    cfg = SplitConfig(substep="crank_nicolson")
     wref = heat_step(problem.Q, t / n_steps, cfg).run(
         VectorField(grid, profile[:, None]), n_steps, norm_ps=()).final.values[:, 0]
     wnorm = max(np.linalg.norm(wref), 1e-300)

@@ -1,8 +1,40 @@
 import numpy as np
 import pytest
 
+import vschro.evolve
+import vschro.spectral
 from vschro.fields import make_rule, sample_field, shift_potential
 from vschro.mesh import build_grid
+
+
+@pytest.fixture
+def corrupt_factors(monkeypatch):
+    """corrupt_factors(at=None, by=1e-3) makes every factor that evolve or
+    spectral builds from then on a corrupted one: its solve number `at`,
+    counted over all such factors (every solve, when at is None), returns its
+    solution with `by` added to the last column, which misses the
+    backward-error rule of evolve.checked_solve.  Returns the list of the
+    column count of every solve, in order."""
+
+    def corrupt(at=None, by=1e-3):
+        widths, sparse_lu = [], vschro.evolve.sparse_lu
+
+        class CorruptedLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                x = self.lu.solve(rhs)
+                if at is None or len(widths) == at:
+                    x[..., -1] += by
+                widths.append(rhs.shape[-1])
+                return x
+
+        for module in (vschro.evolve, vschro.spectral):
+            monkeypatch.setattr(module, "sparse_lu", lambda matrix: CorruptedLU(sparse_lu(matrix)))
+        return widths
+
+    return corrupt
 
 
 def _table_potential(tmp_path):

@@ -15,6 +15,7 @@ from vschro.evolve import (
     _PotentialStepper,
     SplitConfig,
     checked_solve,
+    matrix_norm,
     heat_step,
     sparse_lu,
     split_step,
@@ -86,8 +87,6 @@ class TestSplitConfig:
             SplitConfig(n_steps=0)
         with pytest.raises(ValueError):
             SplitConfig(t_final=-1.0)
-        with pytest.raises(ValueError):
-            SplitConfig(solver_tol=1.0)
 
 
 class TestDirectSolve:
@@ -120,7 +119,7 @@ class TestDirectSolve:
                 ),
             }
             for substep, ref in refs.items():
-                cfg = SplitConfig(substep=substep, solver_tol=1e-12)
+                cfg = SplitConfig(substep=substep)
                 out = diffusion_step(A, VectorField(g, vals), tau, cfg).values.ravel()
                 assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -135,13 +134,14 @@ class TestDirectSolve:
         with pytest.raises(ValueError, match="scalar"):
             trotter_evolve(full, V, f, SplitConfig(n_steps=2, t_final=0.1))
 
-    def test_residual_miss_raises(self):
+    def test_residual_miss_raises(self, corrupt_factors):
         g = build_grid(1, 2.0, 16)
         A = assemble_diffusion(identity_q(g), g)
         rng = np.random.default_rng(5)
         f = VectorField(g, rng.standard_normal((16, 2)))
+        corrupt_factors()
         with pytest.raises(SolverError, match="residual"):
-            diffusion_step(A, f, 0.1, SplitConfig(solver_tol=1e-300))
+            diffusion_step(A, f, 0.1, SplitConfig())
 
     @pytest.mark.parametrize("exc", [RuntimeError("Factor is exactly singular"), MemoryError()])
     def test_factorization_failure_raises_solver_error(self, monkeypatch, exc):
@@ -171,7 +171,7 @@ class TestDirectSolve:
             q[:, a, a] = rng.uniform(0.1, 10.0, g.n_cells)
         A = assemble_diffusion(MatrixField(g, "diffusion", q), g)
         f = VectorField(g, rng.random((g.n_cells, 2)))
-        cfg = SplitConfig(substep="backward_euler", solver_tol=1e-12)
+        cfg = SplitConfig(substep="backward_euler")
         out = diffusion_step(A, f, tau, cfg)
         assert np.all(out.values.imag == 0.0)
         assert out.values.real.min() >= -1e-14 * f.values.real.max()
@@ -223,7 +223,7 @@ class TestDiffusionStep:
         v = np.sin(k * math.pi * (x + R) / (2 * R))
         lam = -4.0 / h**2 * math.sin(k * math.pi / (2 * (n + 1))) ** 2 - 1.0
         tau = 0.31
-        cfg = SplitConfig(substep="backward_euler", solver_tol=1e-12)
+        cfg = SplitConfig(substep="backward_euler")
         out = diffusion_step(A, VectorField(g, v[:, None].astype(complex)), tau, cfg)
         np.testing.assert_allclose(
             out.values[:, 0].real, v / (1.0 - tau * lam), atol=1e-10
@@ -236,7 +236,7 @@ class TestDiffusionStep:
         dense = A.matrix.toarray()
         errs = []
         for tau in (0.2, 0.1, 0.05):
-            cfg = SplitConfig(substep="crank_nicolson", solver_tol=1e-13)
+            cfg = SplitConfig(substep="crank_nicolson")
             out = diffusion_step(A, f, tau, cfg)
             ref = scipy.linalg.expm(tau * dense) @ f.values[:, 0]
             errs.append(np.linalg.norm(out.values[:, 0] - ref))
@@ -251,10 +251,7 @@ class TestDiffusionStep:
         x = g.axis_coords
         f = VectorField(g, np.exp(-(x**2) / (2 * sigma**2))[:, None].astype(complex))
         t = 1.0
-        cfg = SplitConfig(
-            substep="crank_nicolson", n_steps=200, t_final=t,
-            solver_tol=1e-11,
-        )
+        cfg = SplitConfig(substep="crank_nicolson", n_steps=200, t_final=t)
         out = f
         for _ in range(cfg.n_steps):
             out = diffusion_step(A, out, t / cfg.n_steps, cfg)
@@ -285,7 +282,7 @@ class TestTrotter:
         f = bump_field(g, 2)
         t = 0.4
         cfg = SplitConfig(scheme="lie", substep="backward_euler",
-                          n_steps=80, t_final=t, solver_tol=1e-12)
+                          n_steps=80, t_final=t)
         traj = trotter_evolve(A, V, f, cfg)
         # scalar route: same substeps on each component, potential factor e^{-t}
         for k in range(2):
@@ -314,7 +311,7 @@ class TestTrotter:
         A = assemble_diffusion(identity_q(g), g)
         f = bump_field(g, 2)
         mk = lambda t, n: SplitConfig(scheme="lie", substep="backward_euler",
-                                      n_steps=n, t_final=t, solver_tol=1e-12)
+                                      n_steps=n, t_final=t)
         once = trotter_evolve(A, V, f, mk(0.6, 60)).final
         first = trotter_evolve(A, V, f, mk(0.4, 40)).final
         second = trotter_evolve(A, V, first, mk(0.2, 20)).final
@@ -366,7 +363,7 @@ class TestTrotter:
         errs = {}
         for scheme in ("lie", "strang"):
             cfg = SplitConfig(scheme=scheme, substep="crank_nicolson",
-                              n_steps=32, t_final=t, solver_tol=1e-12)
+                              n_steps=32, t_final=t)
             out = trotter_evolve(A, V, f, cfg).final
             errs[scheme] = lp_norm(out - ref, 2)
         # ">= accuracy": ties happen when the factors commute (constant V)
@@ -432,8 +429,7 @@ class TestScalarHeat:
         h = g.spacing
         lam = -4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
         t = 0.5
-        cfg = SplitConfig(substep="crank_nicolson", n_steps=400, t_final=t,
-                          solver_tol=1e-12)
+        cfg = SplitConfig(substep="crank_nicolson", n_steps=400, t_final=t)
         out = heat_evolve(Q, VectorField(g, v[:, None].astype(complex)), t, cfg)
         np.testing.assert_allclose(
             out.values[:, 0].real, math.exp(lam * t) * v, atol=5e-6
@@ -444,8 +440,7 @@ class TestScalarHeat:
         Q = identity_q(g)
         rng = np.random.default_rng(3)
         w0 = VectorField(g, rng.random((80, 1)).astype(complex))
-        cfg = SplitConfig(substep="backward_euler", n_steps=20, t_final=0.3,
-                          solver_tol=1e-12)
+        cfg = SplitConfig(substep="backward_euler", n_steps=20, t_final=0.3)
         out = heat_evolve(Q, w0, 0.3, cfg)
         assert out.values.real.min() >= -1e-12
         assert np.sum(out.values.real) * g.cell_measure <= np.sum(w0.values.real) * g.cell_measure
@@ -611,17 +606,19 @@ class TestZeroColumns:
         re, im = random_parts(g, 3, seed=8)
         b = re if data == "real" else re + 1j * im
         ref = lu.solve(b.view(np.float64))  # complex b on the real factor: 2m real columns
-        x = checked_solve(lu, lhs, np.ascontiguousarray(b.T), [1e-10 * np.linalg.norm(b)])
+        x = checked_solve(lu, lhs, matrix_norm(lhs), np.ascontiguousarray(b.T), 1)
         assert x.flags.c_contiguous and x.dtype == b.dtype and x.shape == b.T.shape
         assert np.ascontiguousarray(x.T).view(np.float64).tobytes() == np.ascontiguousarray(ref).tobytes()
 
-    def test_residual_miss_raises_with_zero_column(self):
+    def test_residual_miss_raises_with_zero_column(self, corrupt_factors):
         g = build_grid(1, 2.0, 16)
         A = assemble_diffusion(identity_q(g), g)
         vals = np.random.default_rng(5).standard_normal((16, 2))
         vals[:, 1] = 0.0
+        widths = corrupt_factors()
         with pytest.raises(SolverError, match="residual"):
-            diffusion_step(A, VectorField(g, vals), 0.1, SplitConfig(solver_tol=1e-300))
+            diffusion_step(A, VectorField(g, vals), 0.1, SplitConfig())
+        assert widths == [1]  # the corrupted column is the live one
 
 
 def per_cell_stepper(V, tau):
@@ -886,20 +883,12 @@ class TestBlocks:
             ulp = np.spacing(np.abs(alone).max())
             assert np.abs(traj.final.values - alone).max() <= 8 * ulp
 
-    def test_each_field_keeps_its_own_residual_bound(self, monkeypatch):
-        # an error far below a loud field's bound fails the quiet field's
-        # own bound: the block's fields are not judged together
+    def test_each_field_keeps_its_own_residual_bound(self, corrupt_factors):
+        # an error in the last column far below a loud field's bound fails
+        # the quiet field's own bound: the block's fields are not judged together
         g = build_grid(1, 3.0, 40)
-        step = heat_step(identity_q(g), 0.01, SplitConfig(solver_tol=1e-10))
-        lu = step.substeps[0].__self__.lu
-
-        class OneColumnOff:
-            def solve(self, rhs):
-                x = lu.solve(rhs)
-                x[:, -1] += 1e-9
-                return x
-
-        step.substeps[0].__self__.lu = OneColumnOff()
+        corrupt_factors(by=1e-9)
+        step = heat_step(identity_q(g), 0.01, SplitConfig())
         loud, quiet = VectorField(g, np.full((40, 1), 1e6)), VectorField(g, np.full((40, 1), 1.0))
         with pytest.raises(SolverError, match="residual"):
             list(step.run_many([loud, quiet], 1, norm_ps=()))
@@ -934,7 +923,7 @@ class TestScalarBlock:
         # each component column of a decoupled field evolves as the m = 1 run
         g = build_grid(2, 3.0, 9)
         D = assemble_diffusion(identity_q(g), g)
-        cfg = SplitConfig(n_steps=4, t_final=0.2, solver_tol=1e-12)
+        cfg = SplitConfig(n_steps=4, t_final=0.2)
         V = sample_field(make_rule("diag_V", 2, c=-1.0, m=m)[0], g, "potential")
         V1 = sample_field(make_rule("diag_V", 2, c=-1.0, m=1)[0], g, "potential")
         vals = random_parts(g, m, seed=60)[0]

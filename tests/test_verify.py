@@ -352,7 +352,7 @@ class TestDomination:
 def positivity_reference(problem, n_random, t_forward=0.1, seed=2024):
     rng = np.random.default_rng(seed)
     cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=10,
-                      t_final=t_forward, solver_tol=1e-12)
+                      t_final=t_forward)
     worst = np.inf
     for _ in range(n_random):
         f = VectorField(problem.grid, rng.random((problem.grid.n_cells, problem.m)).astype(complex))
@@ -374,7 +374,7 @@ def domination_reference(problem, ts=(0.1, 0.5, 1.0), width=1.0, tau_target=5e-3
     for t in ts:
         n = max(20, int(math.ceil(t / tau_target)))
         cfg = SplitConfig(scheme="lie", substep="backward_euler", n_steps=n,
-                          t_final=t, solver_tol=1e-11)
+                          t_final=t)
         u = trotter_evolve(problem.diffusion, problem.V, f, cfg, norm_ps=(2,)).final
         w = heat_step(problem.Q, t / n, cfg).run(sq0, n, norm_ps=()).final
         usq = (np.abs(u.values) ** 2).sum(axis=1)
@@ -387,7 +387,7 @@ def degenerate_reference(problem, t, n_steps, center=1.0, width=1.0):
     grid = problem.grid
     profile = _bump(grid, center, width).astype(complex)
     cfg = SplitConfig(scheme="lie", substep="crank_nicolson", n_steps=n_steps,
-                      t_final=t, solver_tol=1e-12)
+                      t_final=t)
     wref = heat_step(problem.Q, t / n_steps, cfg).run(
         VectorField(grid, profile[:, None]), n_steps, norm_ps=()).final.values[:, 0]
     wnorm = max(np.linalg.norm(wref), 1e-300)
@@ -440,21 +440,6 @@ def step_matrix(D, tau):
 
 def same_matrix(a, b):
     return a.shape == b.shape and abs(a - b).max() == 0.0
-
-
-class CorruptingLU:
-    """Stands in for a SuperLU factor; the solve with index bad_call returns
-    a perturbed solution, which misses any residual bound."""
-
-    def __init__(self, lu, calls, bad_call):
-        self.lu, self.calls, self.bad_call = lu, calls, bad_call
-
-    def solve(self, rhs):
-        x = self.lu.solve(rhs)
-        self.calls.append(rhs.shape[1])
-        if len(self.calls) - 1 == self.bad_call:
-            x = x + 1e-3
-        return x
 
 
 class TestBuiltSteps:
@@ -597,12 +582,9 @@ class TestBuiltSteps:
         (lambda p: run_positivity_check(p, n_random=50), 10),  # one block of 50 fields
         (lambda p: run_domination_check(p), 200),
     ], ids=["positivity", "domination"])
-    def test_residual_miss_mid_loop_raises(self, monkeypatch, check, n_solves):
-        calls = []
+    def test_residual_miss_mid_loop_raises(self, corrupt_factors, check, n_solves):
         bad_call = n_solves // 2
-        sparse_lu = vschro.evolve.sparse_lu
-        monkeypatch.setattr(vschro.evolve, "sparse_lu",
-                            lambda matrix: CorruptingLU(sparse_lu(matrix), calls, bad_call))
+        calls = corrupt_factors(at=bad_call)
         with pytest.raises(SolverError, match="residual"):
             check(small_problem())
         assert len(calls) == bad_call + 1
@@ -645,7 +627,7 @@ class TestTrotterOrderCheck:
         errs = []
         for n in (8, 16, 32):
             cfg = SplitConfig(scheme="lie", substep="crank_nicolson",
-                              n_steps=n, t_final=0.5, solver_tol=1e-12)
+                              n_steps=n, t_final=0.5)
             out = trotter_evolve(p.diffusion, p.V, f, cfg).final
             errs.append(lp_norm(out - ref, 2))
         order = math.log2(errs[0] / errs[1])
@@ -671,7 +653,7 @@ class TestTrotterOrderCheck:
         errs = []
         for n in (8, 16, 32):
             cfg = SplitConfig(scheme="strang", substep="crank_nicolson",
-                              n_steps=n, t_final=0.5, solver_tol=1e-12)
+                              n_steps=n, t_final=0.5)
             errs.append(lp_norm(trotter_evolve(A, M, f, cfg).final - ref, 2))
         order = math.log2(errs[1] / errs[2])
         assert 1.6 < order < 2.4
