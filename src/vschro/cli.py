@@ -431,9 +431,10 @@ def _cmd_evolve(args):
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     vals = rng.standard_normal((problem.grid.n_cells, problem.m)) + 0j
     f = VectorField(problem.grid, vals)
-    traj = trotter_evolve(
-        problem.diffusion, problem.V, f, cfg.run, snapshot_stride=args.dump_snapshots
-    )
+    try:
+        traj = trotter_evolve(problem.diffusion, problem.V, f, cfg.run, snapshot_stride=args.dump_snapshots)
+    except FieldError as exc:  # the step's e^{tau V} refused
+        raise ConfigError(f"[run] t_final / n_steps = {cfg.run.t_final:g} / {cfg.run.n_steps}: {exc}") from exc
     _made(out)
     rows = ["time,p,norm"]
     for p, norms in traj.norm_log.items():
@@ -481,7 +482,10 @@ def _cmd_kernel(args):
     cell = args.cell if args.cell is not None else problem.grid.center_cell()
     _within("--cell", cell, 0, problem.grid.n_cells - 1)
     _within("--component", args.component, 0, problem.m - 1)
-    column = kernel_column(problem.diffusion, problem.V, args.t, cell, args.component, cfg.run)
+    try:
+        column = kernel_column(problem.diffusion, problem.V, args.t, cell, args.component, cfg.run)
+    except FieldError as exc:  # the step's e^{tau V} refused
+        raise ConfigError(f"--t / [run] n_steps = {args.t:g} / {cfg.run.n_steps}: {exc}") from exc
     _made(out)
     write_field_csv(column, out / "kernel_column.csv")
     for comp in range(problem.m):

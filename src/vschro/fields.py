@@ -84,6 +84,10 @@ class MatrixField:
         if self.kind == DIFFUSION:
             if v.shape[1] != self.grid.dim:
                 raise FieldError("diffusion matrices must be d x d")
+            if np.iscomplexobj(v) and np.any(v.imag != 0.0):  # Q is real
+                raise FieldError("diffusion matrices must be real, got imaginary parts up to "
+                                 f"{float(np.abs(v.imag).max()):.3e}")
+            v = v.real  # float64 for a complex128 field whose imaginary parts are all zero
             defect = float(np.max(np.abs(v - v.transpose(0, 2, 1))))
             if defect > _SYMMETRY_HARD_LIMIT:
                 raise FieldError(f"diffusion symmetry defect {defect:.3e} > {_SYMMETRY_HARD_LIMIT}")

@@ -97,11 +97,12 @@ def _face_average(grid: Grid, cellvals: np.ndarray, axis: int) -> np.ndarray:
     """
     N = grid.n_per_axis
     v = np.moveaxis(cellvals.reshape((N,) * grid.dim), axis, 0)
-    out = np.empty((N + 1,) + v.shape[1:])
-    out[1:N] = 0.5 * (v[:-1] + v[1:])
-    out[0] = v[0]
-    out[N] = v[-1]
-    return np.moveaxis(out, 0, axis)
+    out = np.empty(tuple(N + (a == axis) for a in range(grid.dim)))  # C order, for the stencil
+    oa = np.moveaxis(out, axis, 0)
+    oa[1:N] = 0.5 * (v[:-1] + v[1:])
+    oa[0] = v[0]
+    oa[N] = v[-1]
+    return out
 
 
 # A stencil maps an offset o to the per-cell coefficients of the entries
@@ -124,43 +125,46 @@ def _face_product(P: np.ndarray, axis: int, row: dict) -> dict:
         o = normal * e[axis] + across * e[-1 - axis]
         for key, val in ((tuple(o.tolist()), sign * lo),
                          (tuple((o + e[axis]).tolist()), -sign * hi)):
-            st[key] = st.get(key, 0.0) + val
+            _accumulate(st, key, val)
     return st
 
 
-def _shifted(a: np.ndarray, offset: tuple) -> np.ndarray:
-    """out[c] = a[c + offset], zero where c + offset leaves the array."""
-    out = np.zeros_like(a)
-    out[tuple(slice(max(-k, 0), n - max(k, 0)) for k, n in zip(offset, a.shape))] = \
-        a[tuple(slice(max(k, 0), n + min(k, 0)) for k, n in zip(offset, a.shape))]
-    return out
+def _accumulate(st: dict, o: tuple, val: np.ndarray) -> None:
+    """st[o] += val in place, or st[o] = val, a fresh array, for a missing o
+    (as 0.0 + x, up to the sign of a zero, which is never stored)."""
+    st[o] = np.add(st[o], val, out=st[o]) if o in st else val
 
 
-def _transpose(st: dict) -> dict:
-    """The stencil of the transposed matrix."""
-    return {o: _shifted(st[tuple(-k for k in o)], o) for o in st}
-
-
-def _plus(s: dict, t: dict, scale: float = 1.0) -> dict:
-    """s + scale * t, entry by entry (a missing offset is zero)."""
-    return {o: s.get(o, 0.0) + scale * t.get(o, 0.0) for o in s.keys() | t.keys()}
+def _overlap(o: tuple, N: int) -> tuple:
+    """Slices of the cells c whose neighbour c + o is on the grid, and of those neighbours."""
+    return (tuple(slice(max(-k, 0), N - max(k, 0)) for k in o),
+            tuple(slice(max(k, 0), N + min(k, 0)) for k in o))
 
 
 def _stencil_csr(st: dict, grid: Grid) -> sp.csr_matrix:
-    """The CSR matrix of a stencil, without entries off the grid or exact zeros."""
+    """The CSR matrix of a stencil, without entries off the grid or exact zeros, written
+    from per-row counts with int32 indices (int64 past 2^31 entries): one scatter per
+    offset in ascending order, each offset's array leaving st once written."""
     N, n = grid.n_per_axis, grid.n_cells
-    offsets = sorted(st)  # lexicographic offsets are ascending columns in every row
-    vals = np.empty((n, len(offsets)))
-    for i, o in enumerate(offsets):
-        col = vals[:, i].reshape((N,) * grid.dim)
-        col[...] = st[o]
+    itype = np.int32 if len(st) * n < 2 ** 31 else np.int64
+    indptr = np.zeros(n + 1, dtype=itype)
+    for o, v in st.items():
         for axis, k in enumerate(o):
             if k:  # the boundary layer whose neighbour is off the grid
-                col[(slice(None),) * axis + (-1 if k > 0 else 0,)] = 0.0
-    keep = vals != 0.0
-    cols = np.arange(n)[:, None] + [np.dot(o, N ** np.arange(grid.dim)[::-1]) for o in offsets]
-    indptr = np.concatenate(([0], np.cumsum(sum(keep.T))))  # faster than keep.sum(axis=1)
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+                v[(slice(None),) * axis + (-1 if k > 0 else 0,)] = 0.0
+        indptr[1:] += (v != 0.0).reshape(n)
+    np.cumsum(indptr, out=indptr)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=itype)
+    slot = indptr[:-1].copy()  # each row's next free slot
+    for o in sorted(st):  # lexicographic offsets are ascending columns in every row
+        v = st.pop(o).reshape(n)
+        rows = np.flatnonzero(v)
+        at = slot[rows]
+        data[at] = v[rows]
+        indices[at] = rows + int(np.dot(o, N ** np.arange(grid.dim)[::-1]))
+        slot[rows] += 1
+        del v, rows, at
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
@@ -171,11 +175,12 @@ def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
     -(G0^T W11 G0 + G1^T W22 G1 + 1/2 (G0^T W12 T0 + T0^T W12 G0)
     + 1/2 (G1^T W12 T1 + T1^T W12 G1)), term by term and in that order, then
     symmetrized exactly as 1/2 (D + D^T) (the construction is symmetric in
-    exact arithmetic; this removes the last rounding crumbs).
+    exact arithmetic; this removes the last rounding crumbs).  Each offset's
+    per-cell array is made once and then updated in place.
     """
     if Q.kind != DIFFUSION or Q.grid != grid:
         raise AssemblyError("Q must be a diffusion field on the target grid")
-    d, g, t = grid.dim, 1.0 / grid.spacing, 0.25 / grid.spacing
+    N, d, g, t = grid.n_per_axis, grid.dim, 1.0 / grid.spacing, 0.25 / grid.spacing
     # the diagonal reaches 2 d max|q| / h^2, and 1/2 (D + D^T) sums it twice
     if not math.isfinite(4.0 * d * float(np.abs(Q.values).max()) * g * g):
         raise AssemblyError(f"extent = {grid.extent!r} is too small for {grid.n_per_axis} cells "
@@ -184,20 +189,34 @@ def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
     cross = [_face_average(grid, Q.values[:, 0, 1], a) for a in range(d)] if d == 2 else []
     if d == 1 and faces[0][0].min() <= 0.0:
         raise EllipticityError(f"face-averaged Q has eta1 = {faces[0][0].min():.3e} <= 0")
-    for (q11, q22), q12 in zip(faces, cross):
-        if np.min(q11) <= 0.0 or np.min(q22) <= 0.0 or np.min(q11 * q22 - q12 * q12) <= 0.0:
-            raise EllipticityError("face-averaged Q not positive definite")
+    if any(np.min(q11) <= 0.0 or np.min(q22) <= 0.0 or np.min(q11 * q22 - q12 * q12) <= 0.0
+           for (q11, q22), q12 in zip(faces, cross)):
+        raise EllipticityError("face-averaged Q not positive definite")
     S = {}
     for a in range(d):
-        S = _plus(S, _face_product((g * faces[a][a]) * g, a, _G_ROW))
-    for a, q in enumerate(cross):
-        if q.any():  # else the pair adds only signed zeros
-            pair = _plus(_face_product((g * q) * t, a, _T_ROW),
-                         _transpose(_face_product((t * q) * g, a, _T_ROW)))
-            S = _plus(S, pair, 0.5)
-    D = {o: -v for o, v in S.items()}
-    D = {o: 0.5 * v for o, v in _plus(D, _transpose(D)).items()}
-    return _stencil_csr(D, grid)
+        for o, v in _face_product((g * faces[a][a]) * g, a, _G_ROW).items():
+            _accumulate(S, o, v)
+    del faces
+    for a in range(len(cross)):
+        if cross[a].any():  # else the pair adds only signed zeros
+            pair = _face_product((g * cross[a]) * t, a, _T_ROW)
+            for o, v in _face_product((t * cross[a]) * g, a, _T_ROW).items():  # plus its transpose
+                here, there = _overlap(o, N)
+                pair[tuple(-k for k in o)][there] += v[here]
+            while pair:  # S += 1/2 pair, each array leaving pair as it is added
+                o, v = pair.popitem()
+                _accumulate(S, o, np.multiply(v, 0.5, out=v))
+            del v
+    del cross
+    # D = -S and 1/2 (D + D^T) in one, offset pair by offset pair (the diagonal
+    # with itself): -1/2 (S + S^T) rounds as 1/2 ((-S) + (-S)^T), bit for bit
+    for o in S:
+        if o >= (back := tuple(-k for k in o)):
+            here, there = _overlap(o, N)
+            S[o][here] += S[back][there]
+            S[o] *= -0.5
+            S[back][there] = S[o][here]
+    return _stencil_csr(S, grid)
 
 
 def assemble_diffusion(Q: MatrixField, grid: Grid) -> SparseOperator:
@@ -205,7 +224,9 @@ def assemble_diffusion(Q: MatrixField, grid: Grid) -> SparseOperator:
     block of assemble_scalar_diffusion; A acts as it on each of the m
     components: A = kron(D - I, I_m) (SparseOperator.on_components)."""
     D = assemble_scalar_diffusion(Q, grid)
-    return SparseOperator(D - sp.identity(grid.n_cells, format="csr"), grid, 1)
+    # in place: the diagonal, -(sum of the face q) / h^2 < 0, is always stored
+    D.setdiag(D.diagonal() - 1.0)
+    return SparseOperator(D, grid, 1)
 
 
 def assemble_potential(V: MatrixField, m: int) -> SparseOperator:

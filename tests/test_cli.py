@@ -376,8 +376,17 @@ def _table_body(tmp_path, n_cells, value="-1.0"):
     return QUICK.replace("v_rule = diag_V\nv_params = c=-1.0", f"v_rule = custom_table\nv_params = path={table}")
 
 
+def _complex_q_body(tmp_path, imag):
+    """QUICK with a scalar diffusion read from a table whose imaginary column is imag."""
+    table = tmp_path / "q.csv"
+    table.write_text("cell,row,col,value,imag\n" + "".join(f"{c},0,0,1.0,{imag}\n" for c in range(64)))
+    return QUICK.replace("q_rule = identity_Q", f"q_rule = custom_table\nq_params = path={table}, kind=diffusion")
+
+
 # Malformed inputs and the stderr fragment each must produce; every one exits 2.
 MALFORMED = {
+    "complex_diffusion_table": (lambda tmp: _complex_q_body(tmp, 0.5),
+                                "diffusion matrices must be real, got imaginary parts up to 5.000e-01"),
     "short_table": (lambda tmp: _table_body(tmp, 63), "lists 63 cells"),
     "nan_coefficient": (lambda tmp: QUICK.replace("c=-1.0", "c=nan"), "non-finite"),
     "nan_table_entry": (lambda tmp: _table_body(tmp, 64, value="nan"), "non-finite"),
@@ -943,6 +952,12 @@ BAD_ARGV = {
     # Flag values outside their domain, or outside the problem the config builds.
     "negative_kernel_time": (lambda tmp: _quick(tmp, "kernel", "--t", "-1"),
                              "argument --t: must be positive, got -1.0"),
+    "kernel_time_past_exp": (lambda tmp: _quick(tmp, "kernel", "--t", "1e300"),
+                             "--t / [run] n_steps = 1e+300 / 20: matrix norm 5.000e+298 too large for exp"),
+    "evolve_time_past_exp": (lambda tmp: ["evolve", "--config",
+                                          _file(tmp, "long.cfg", QUICK.replace("t_final = 0.2", "t_final = 1e300")),
+                                          "--out", str(tmp / "o")],
+                             "[run] t_final / n_steps = 1e+300 / 20: matrix norm 5.000e+298 too large for exp"),
     "kernel_component_past_m": (lambda tmp: _quick(tmp, "kernel", "--t", "0.05", "--component", "5"),
                                 "--component must lie in [0, 1] for this problem, got 5"),
     "kernel_cell_past_grid": (lambda tmp: _quick(tmp, "kernel", "--t", "0.05", "--cell", "999999"),

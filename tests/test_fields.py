@@ -110,6 +110,16 @@ class TestSampling:
         W = sample_field(make_rule("rotation_V", 1, r=1.5, m=2)[0], g, "potential")
         assert W.rows == 2
 
+    def test_complex_diffusion_is_made_real_or_refused(self):
+        """Q is real: a zero imaginary part is dropped, any other refused."""
+        g = build_grid(1, 1.0, 4)
+        vals = np.full((4, 1, 1), 2.0 + 0.0j)
+        Q = MatrixField(g, "diffusion", vals)
+        assert Q.values.dtype == np.float64 and np.all(Q.values == 2.0)
+        vals[2] += 0.5j
+        with pytest.raises(FieldError, match="must be real, got imaginary parts up to 5.000e-01"):
+            MatrixField(g, "diffusion", vals)
+
 
 class TestMatrixExp:
     def test_zero_gives_identity(self):
