@@ -18,10 +18,8 @@ from vschro.fields import (
 )
 from vschro.operators import (
     SparseOperator,
-    apply_operator,
     assemble_diffusion,
     assemble_potential,
-    commutator_defect,
 )
 from vschro.evolve import SplitConfig, Trajectory, trotter_evolve
 
@@ -39,8 +37,6 @@ __all__ = [
     "SparseOperator",
     "assemble_diffusion",
     "assemble_potential",
-    "apply_operator",
-    "commutator_defect",
     "SplitConfig",
     "Trajectory",
     "trotter_evolve",

@@ -441,9 +441,11 @@ def _cmd_evolve(args):
         for t, v in zip(traj.times, norms):
             rows.append(f"{t:.12g},{p:g},{v:.12g}")
     (out / "norms.csv").write_text("\n".join(rows) + "\n")
-    if args.dump_snapshots:
-        for t, snap in zip(traj.snapshot_times, traj.snapshots):
-            write_field_csv(snap, out / f"field_t{t:.6f}.csv")
+    if args.dump_snapshots:  # snapshot i is of step i * stride, the last of the last step
+        width = len(str(cfg.run.n_steps))
+        for i, (t, snap) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
+            k = min(i * args.dump_snapshots, cfg.run.n_steps)
+            write_field_csv(snap, out / f"field_step{k:0{width}d}_t{t:.12g}.csv")
     write_field_csv(traj.final, out / "final_field.csv")
     for comp in range(problem.m):
         write_field_pgm(traj.final, comp, out / f"final_component{comp}.pgm")

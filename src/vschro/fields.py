@@ -14,8 +14,8 @@ its final potential.  Sampled fields repeat their matrices (a constant field
 has one), so the validator and the matrix powers run each per-cell matrix
 function once per distinct cell matrix (MatrixField.distinct) and scatter the
 results back to the cells.  The one grid stencil, cell_gradient, takes centred
-differences along each axis in turn (one-sided at the boundary layer); the
-validator's D_jV and the commutator identity in operators both use it.
+differences along each axis in turn (one-sided at the boundary layer) for the
+validator's D_jV.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ couples the components of cell i.  Unknown ordering is cell-major, index =
 cell * m + component, so the diffusion acts as kron(D, I_m); only the whole
 generator forms that product (SparseOperator.on_components).
 
-Each cell stencil is written once for any dimension, as a loop over the axes
-on np.moveaxis views: the face average here, the backward divergence of the
-commutator identity, and the centred gradient fields.cell_gradient.
+The face average is written once for any dimension, as a loop over the axes
+on np.moveaxis views.
 """
 
 from __future__ import annotations
@@ -27,16 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from vschro.fields import DIFFUSION, POTENTIAL, MatrixField, cell_gradient
-from vschro.mesh import Grid, VectorField, lp_norm
+from vschro.fields import DIFFUSION, POTENTIAL, MatrixField
+from vschro.mesh import Grid
 
 __all__ = [
     "SparseOperator",
     "assemble_diffusion",
     "assemble_scalar_diffusion",
     "assemble_potential",
-    "apply_operator",
-    "commutator_defect",
     "export_matrix_market",
 ]
 
@@ -241,55 +238,6 @@ def assemble_potential(V: MatrixField, m: int) -> SparseOperator:
         (blocks, np.arange(n), np.arange(n + 1)), shape=(n * m, n * m)
     )
     return SparseOperator(bsr.tocsr(), V.grid, m)
-
-
-def apply_operator(op: SparseOperator, f: VectorField) -> VectorField:
-    if f.grid != op.grid or f.components != op.m:
-        raise AssemblyError("field does not match operator layout")
-    out = op.matrix @ f.values.ravel()
-    return VectorField(f.grid, out.reshape(f.grid.n_cells, op.m))
-
-
-def _backward_divergence(grid: Grid, w: np.ndarray) -> np.ndarray:
-    """Flux-consistent divergence of per-cell vector data w (n_cells, m, d):
-    cell values act as their forward-face fluxes, so along each axis the cell
-    divergence is the one-sided difference (w_i - w_{i-1})/h with zero ghosts."""
-    N, h = grid.n_per_axis, grid.spacing
-    shape = (N,) * grid.dim + w.shape[1:-1]
-    out = np.zeros(shape, dtype=w.dtype)
-    for axis in range(grid.dim):
-        wa, oa = np.moveaxis(w[..., axis].reshape(shape), axis, 0), np.moveaxis(out, axis, 0)
-        oa[0] += wa[0] / h
-        oa[1:] += (wa[1:] - wa[:-1]) / h
-    return out.reshape(w.shape[:-1])
-
-
-def commutator_defect(Q: MatrixField, M: MatrixField, f: VectorField) -> float:
-    """L2 defect between the discrete commutator [A, M]f and the identity
-    div(Q (grad^k M) f) + tr[Q (grad^k M) Df] evaluated on the grid.
-
-    grad^k M is the d x m matrix of entry gradients of the k-th row of M,
-    taken by centered differences; Df likewise; the outer divergence uses the
-    flux-consistent one-sided stencil, so the defect vanishes at first order
-    in h for smooth data (and identically for constant M).
-    """
-    grid = f.grid
-    m = f.components
-    if M.kind != POTENTIAL or M.rows != m:
-        raise AssemblyError("M must be an m x m potential-kind field")
-    D = assemble_diffusion(Q, grid).matrix  # A acts as D on each component column
-    Mop = assemble_potential(M, m)
-    comm = (VectorField(grid, D @ apply_operator(Mop, f).values)
-            - apply_operator(Mop, VectorField(grid, D @ f.values)))
-
-    gradM = cell_gradient(M.grid, M.values)  # (n, d, m, m), gradM[c, j, k, l] = D_j m_kl
-    gradf = cell_gradient(grid, f.values)  # (n, d, m)
-    qv = Q.values.astype(np.result_type(gradM.dtype, f.values.dtype))
-    w = np.einsum("cij,cjkl,cl->cki", qv, gradM, f.values)  # (n, m, d)
-    div_part = _backward_divergence(grid, w)
-    trace_part = np.einsum("cij,cjkl,cil->ck", qv, gradM, gradf)
-    rhs = VectorField(grid, div_part + trace_part)
-    return lp_norm(comm - rhs, 2)
 
 
 def export_matrix_market(op: SparseOperator, path):

@@ -35,13 +35,12 @@ from vschro.evolve import (
     split_step,
     trotter_evolve,
 )
-from vschro.fields import MatrixField, make_rule, sample_field
+from vschro.fields import make_rule, sample_field
 from vschro.mesh import VectorField, build_grid, dual_pairing, lp_norm
 from vschro.operators import (
     SparseOperator,
     assemble_potential,
     assemble_scalar_diffusion,
-    commutator_defect,
 )
 from vschro.problems import Problem, build_problem
 from vschro.spectral import (
@@ -68,7 +67,6 @@ __all__ = [
     "run_nongeneration_demo",
     "run_shift_invariance_check",
     "run_degenerate_kernel_check",
-    "run_commutator_rate_check",
     "run_compactness_contrast",
 ]
 
@@ -169,7 +167,6 @@ _SHIFT_TOL = 0.02  # change of the resolvent norm along the vertical line
 _ORDER_WINDOWS = {"lie": (0.7, 1.3), "strang": (1.6, 2.4)}  # splitting orders accepted
 _ANCHOR_TOL = 0.01  # relative error of x u2(x) against 1/lam at x = 1e3
 _MATCH_TOL = 1e-6  # degenerate coupling: diagonal data against the scalar flow
-_RATIO_WINDOW = (1.4, 2.6)  # commutator defect ratios accepted under N doubling
 _N_LEVELS = 10  # eigenvalue levels whose spacing the compactness contrast takes
 _N_EIGENPAIRS = 2 * _N_LEVELS  # eigenpairs computed to find them
 _STABILITY_TOL = 0.2  # largest change of the rotation spacing as R doubles
@@ -211,20 +208,6 @@ def _entries(least: int, domain) -> _Domain:
     """domain, a list cast, with at least `least` entries."""
     return _Domain(domain, f"needs at least {least} {'entry' if least == 1 else 'entries'}",
                    lambda v: len(v) >= least)
-
-
-def _schedule(least: int) -> _Domain:
-    """Two or more step or cell counts, each at least `least`, strictly increasing."""
-    entries = _Domain((int,), f"must be at least {least}", lambda v: all(n >= least for n in v))
-    return _entries(2, _Domain(entries, "must be strictly increasing", _increasing))
-
-
-def _cells(m: int, domain=_AT_LEAST_THREE) -> _Domain:
-    """domain, the cells per axis of a 1D grid of m components (a count or a
-    list of counts), each within the hard cap on unknowns."""
-    most = _HARD_CAP_UNKNOWNS // m
-    return _Domain(domain, f"must be at most {most}: the hard cap is {_HARD_CAP_UNKNOWNS} "
-                   f"unknowns, {m} per cell", lambda v: np.max(v) <= most)
 
 
 def _box_cells(extent: float, h_target: float) -> int:
@@ -503,7 +486,9 @@ def run_ultracontractivity_check(problem: Problem, *, n_points: int = 5) -> Prop
     )
 
 
-@_takes("trotter_order", t=_POSITIVE, n_schedule=_schedule(1))
+@_takes("trotter_order", t=_POSITIVE, n_schedule=_entries(2, _Domain(
+        _Domain((int,), "must be at least 1", lambda v: all(n >= 1 for n in v)),
+        "must be strictly increasing", _increasing)))
 def run_trotter_order_check(
     problem: Problem,
     *,
@@ -596,7 +581,8 @@ def run_nongeneration_demo(
 @_takes("shift_invariance", mu=_RESOLVENT_POINT,
         sigmas=_entries(1, _Domain((float,), _RESOLVENT_POINT.says,
                                    lambda v: all(map(_RESOLVENT_POINT.test, v)))), extent=_POSITIVE,
-        n_per_axis=_cells(1))
+        n_per_axis=_Domain(_AT_LEAST_THREE, f"must be at most {_HARD_CAP_UNKNOWNS}: the hard cap is "
+                           f"{_HARD_CAP_UNKNOWNS} unknowns, 1 per cell", lambda v: v <= _HARD_CAP_UNKNOWNS))
 def run_shift_invariance_check(
     *,
     mu: float = 1.0,
@@ -697,44 +683,6 @@ def run_degenerate_kernel_check(
         },
         tolerance=_MATCH_TOL,
         notes="diagonal data factorizes through the scalar flow; generic data does not",
-    )
-
-
-@_takes("commutator", extent=_POSITIVE, n_schedule=_cells(2, _schedule(3)))
-def run_commutator_rate_check(
-    *,
-    extent: float = 10.0,
-    n_schedule=(200, 400),
-) -> PropertyCheckResult:
-    """Defect of the commutator identity halves when N doubles (first-order
-    consistency of the discretized right-hand side)."""
-    defects = []
-    for n in n_schedule:
-        grid = build_grid(1, extent, n)
-        x = grid.axis_coords
-        Q = sample_field(make_rule("identity_Q", 1)[0], grid, "diffusion")
-        vals = np.zeros((grid.n_cells, 2, 2))
-        vals[:, 0, 0] = np.sin(x)
-        vals[:, 1, 1] = np.cos(x)
-        M = MatrixField(grid, "potential", vals)
-        with np.errstate(over="ignore"):  # a far cell's x^2 = inf: exp(-inf) is its 0
-            fvals = np.column_stack([np.exp(-(x**2)), np.exp(-((x - 1.0) ** 2) / 2.0)])
-        f = VectorField(grid, fvals.astype(complex))
-        defects.append(commutator_defect(Q, M, f))
-    if not all(0.0 < d < math.inf for d in defects):  # a zero defect leaves no ratio
-        raise ValueError(f"extent = {extent!r} gives a commutator defect that is zero or not "
-                         f"finite: {[float(d) for d in defects]}")
-    ratios = [defects[i] / defects[i + 1] for i in range(len(defects) - 1)]
-    ok = all(_RATIO_WINDOW[0] <= r <= _RATIO_WINDOW[1] for r in ratios)
-    measured = {f"defect_N{n}": float(d) for n, d in zip(n_schedule, defects)}
-    for i, r in enumerate(ratios):
-        measured[f"ratio_{i}"] = float(r)
-    return PropertyCheckResult(
-        name="commutator",
-        passed=bool(ok),
-        measured=measured,
-        tolerance=0.0,
-        notes=f"defect ratio under N doubling inside {_RATIO_WINDOW}",
     )
 
 

@@ -113,7 +113,7 @@ class TestConfig:
         judges [problem], so no 10^6 x 10^6 matrix is built, at load or after."""
         eye = np.eye
         monkeypatch.setattr(np, "eye", lambda n, *a, **k: pytest.fail(f"np.eye({n})") if n > 64 else eye(n, *a, **k))
-        body = _checks(QUICK, "commutator").replace("m = 2", "m = 1000000").replace("n_per_axis = 64", "n_per_axis = 3")
+        body = _checks(QUICK, "nongeneration").replace("m = 2", "m = 1000000").replace("n_per_axis = 64", "n_per_axis = 3")
         _, code = run_experiment(write_cfg(tmp_path, body), out_dir=tmp_path / "out")
         assert code == EXIT_OK
 
@@ -262,6 +262,20 @@ class TestMain:
         assert (out / "final_field.csv").exists()
         assert (out / "final_component0.pgm").exists()
 
+    @pytest.mark.parametrize("stride, steps", [(1, range(11)), (3, (0, 3, 6, 9, 10))], ids=["every", "every_third"])
+    def test_snapshots_closer_than_a_microsecond_keep_their_own_files(self, tmp_path, stride, steps):
+        # 10 steps to t = 1e-7: every snapshot time is 0.000000 to six decimals
+        body = QUICK.replace("n_per_axis = 64", "n_per_axis = 16").replace(
+            "n_steps = 20", "n_steps = 10").replace("t_final = 0.2", "t_final = 1e-7")
+        out = tmp_path / "traj"
+        assert main(["evolve", "--config", str(write_cfg(tmp_path, body)), "--out", str(out),
+                     "--dump-snapshots", str(stride)]) == EXIT_OK
+        names = sorted(p.name for p in out.glob("field_*.csv"))
+        assert names == [f"field_step{k:02d}_t{k * 1e-8:.12g}.csv" for k in steps]
+        times = {line.split(",")[0] for line in (out / "norms.csv").read_text().splitlines()[1:]}
+        assert {name[:-len(".csv")].split("_t")[1] for name in names} <= times  # t as norms.csv writes it
+        assert (out / "field_step10_t1e-07.csv").read_text() == (out / "final_field.csv").read_text()
+
     def test_spectrum_command(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         out = tmp_path / "spectrum_out"
@@ -397,6 +411,9 @@ MALFORMED = {
                       "unknown check 'frobnicate'"),
     "unknown_override_section": (lambda tmp: QUICK.replace("[check.positivity]", "[check.frobnicate]"),
                                  "unknown check 'frobnicate'"),
+    # The retired problem-free commutator check is refused like any unknown one.
+    "retired_commutator_check": (lambda tmp: _checks(QUICK, "nongeneration, commutator"),
+                                 "unknown check 'commutator'; known: "),
     "unknown_rule": (lambda tmp: QUICK.replace("diag_V", "nonsense_V"), "unknown rule 'nonsense_V'"),
     # A check listed twice would write its result twice.
     "repeated_check": (lambda tmp: QUICK.replace("contraction, positivity", "contraction, positivity, contraction"),
@@ -427,8 +444,6 @@ MALFORMED = {
                       "extents needs at least 2"),
     "scalar_extent": (lambda tmp: _override_body("nongeneration", "extents = 50.0"),
                       "extents needs at least 2"),
-    "scalar_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 200"),
-                                   "n_schedule needs at least 2"),
     "empty_domination_times": (lambda tmp: _override_body("domination", "ts = ,"), "ts needs at least 1"),
     "empty_shift_invariance_sigmas": (lambda tmp: _override_body("shift_invariance", "sigmas = ,"),
                                       "sigmas needs at least 1"),
@@ -446,8 +461,8 @@ MALFORMED = {
                                "[check.consistency] horizon takes float, got [6.0, 7.0]"),
     "word_for_float_trotter_t": (lambda tmp: _override_body("trotter_order", "t = fast"),
                                  "[check.trotter_order] t takes float, got 'fast'"),
-    "word_in_int_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 200, many"),
-                             "[check.commutator] n_schedule takes a list of int"),
+    "word_in_int_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 8, many"),
+                             "[check.trotter_order] n_schedule takes a list of int"),
     # An int key is not truncated, and no numeric key takes true/false.
     "fraction_for_int_steps": (lambda tmp: _override_body("consistency", "n_steps = 2.5"),
                                "[check.consistency] n_steps takes int, got 2.5"),
@@ -554,16 +569,11 @@ MALFORMED = {
     "repeated_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 8, 8"),
                                   "[check.trotter_order] n_schedule must be strictly increasing, "
                                   "got [8, 8]"),
-    "decreasing_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 400, 200"),
-                                       "[check.commutator] n_schedule must be strictly increasing, "
-                                       "got [400, 200]"),
     "decreasing_extents": (lambda tmp: _override_body("nongeneration", "extents = 100.0, 50.0"),
                            "[check.nongeneration] extents must be strictly increasing, got [100.0, 50.0]"),
-    # A split step takes at least 1 step, the commutator stencil at least 3 cells.
+    # A split step takes at least 1 step.
     "zero_in_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 0, 8"),
                                  "[check.trotter_order] n_schedule must be at least 1, got [0, 8]"),
-    "zero_in_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 0, 200"),
-                                    "[check.commutator] n_schedule must be at least 3, got [0, 200]"),
     "negative_consistency_lam": (lambda tmp: _override_body("consistency", "lam = -1"),
                                  "[check.consistency] lam must be positive, got -1.0"),
     "negative_nongeneration_lam": (lambda tmp: _override_body("nongeneration", "lam = -1"),
@@ -604,8 +614,6 @@ MALFORMED = {
     # Lists too short to measure anything, named with the section at load.
     "short_trotter_schedule": (lambda tmp: _override_body("trotter_order", "n_schedule = 8"),
                                "[check.trotter_order] n_schedule needs at least 2 entries, got [8]"),
-    "short_commutator_schedule": (lambda tmp: _override_body("commutator", "n_schedule = 400,"),
-                                  "[check.commutator] n_schedule needs at least 2 entries, got [400]"),
     "short_extents": (lambda tmp: _override_body("nongeneration", "extents = 100.0"),
                       "[check.nongeneration] extents needs at least 2 entries, got [100.0]"),
     "no_domination_times": (lambda tmp: _override_body("domination", "ts = ,"),
@@ -645,8 +653,6 @@ MALFORMED = {
     "two_cell_degenerate_kernel": (lambda tmp: _override_body("degenerate_kernel", "n_per_axis = 2"),
                                    "unknown key [check.degenerate_kernel] n_per_axis; [check.degenerate_kernel] takes: "
                                    "t, n_steps"),
-    "zero_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 0"),
-                               "[check.commutator] extent must be positive, got 0.0"),
     "zero_compactness_h_target": (lambda tmp: _override_body("compactness", "h_target = 0"),
                                   "[check.compactness] h_target must be positive, got 0.0"),
     "zero_compactness_extent": (lambda tmp: _override_body("compactness", "extent = 0"),
@@ -658,8 +664,6 @@ MALFORMED = {
     "oversize_degenerate_kernel_grid": (lambda tmp: _override_body("degenerate_kernel", "n_per_axis = 2000001"),
                                         "unknown key [check.degenerate_kernel] n_per_axis; [check.degenerate_kernel] takes: "
                                         "t, n_steps"),
-    "oversize_commutator_grid": (lambda tmp: _override_body("commutator", "n_schedule = 200, 2000001"),
-                                 "[check.commutator] n_schedule must be at most 2000000"),
     "fine_nongeneration_grid": (lambda tmp: _override_body("nongeneration", "h_target = 1e-9"),
                                 "h_target = 1e-09 puts more than 4000000 unknowns (the hard cap) on the "
                                 "box of R = 50"),
@@ -671,20 +675,10 @@ MALFORMED = {
                                   "h_target = 1000000.0 leaves fewer than 3 cells on the box of R = 50"),
     "coarse_compactness_grid": (lambda tmp: _override_body("compactness", "h_target = 10"),
                                 "h_target = 10.0 leaves fewer than 3 cells on the box of R = 10"),
-    # ... and so is a spacing too coarse for the eigenpairs the contrast takes,
-    # a box too small for its grid spacing to be assembled, or one so wide that
-    # the commutator's data vanish on every cell.
+    # ... and so is a spacing too coarse for the eigenpairs the contrast takes.
     "few_compactness_cells": (lambda tmp: _override_body("compactness", "h_target = 4"),
                               "h_target = 4.0 puts 4 cells on the box of R = 10, too few for the 20 "
                               "eigenpairs the contrast takes (at most 6)"),
-    "tiny_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e-300"),
-                               "extent = 1e-300 is too small for 200 cells per axis"),
-    "wide_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e10"),
-                               "extent = 10000000000.0 gives a commutator defect that is zero or not "
-                               "finite: [0.0, 0.0]"),
-    # x^2 overflows to the bumps' 0 there, quietly: a RuntimeWarning fails the suite
-    "huge_commutator_extent": (lambda tmp: _override_body("commutator", "extent = 1e300"),
-                               "extent = 1e+300 gives a commutator defect that is zero or not finite"),
     # degenerate_kernel un-rescales by e^(t * (1 + shift)): a t it overflows at is
     # refused before any solve, whatever the step count.
     "overflowing_degenerate_kernel_t": (lambda tmp: _degenerate(_override_body("degenerate_kernel", "t = 1000")),
@@ -703,10 +697,10 @@ MALFORMED = {
                                        "q_rule = identity_Q", "q_rule = anisotropic_Q\nq_params = theta=abc"),
                                    "rule 'anisotropic_Q' parameter 'theta' takes a number, got 'abc'"),
     # [problem]'s rules are checked at load, also when no listed check judges [problem].
-    "word_for_unjudged_rotation_r": (lambda tmp: _checks(QUICK, "commutator").replace(
+    "word_for_unjudged_rotation_r": (lambda tmp: _checks(QUICK, "nongeneration").replace(
                                          "v_rule = diag_V\nv_params = c=-1.0", "v_rule = rotation_V\nv_params = r=abc"),
                                      "[problem] rule 'rotation_V' parameter 'r' takes a number, got 'abc'"),
-    "unknown_unjudged_rotation_parameter": (lambda tmp: _checks(QUICK, "commutator").replace(
+    "unknown_unjudged_rotation_parameter": (lambda tmp: _checks(QUICK, "nongeneration").replace(
                                                 "v_rule = diag_V\nv_params = c=-1.0", "v_rule = rotation_V\nv_params = q=1"),
                                             "[problem] rule 'rotation_V' has no parameter 'q'"),
     # A rule parameter is run as it is echoed: set once, and taken by the rule.
@@ -761,15 +755,16 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("case", ["fraction_for_run_steps", "bool_for_run_t_final",
                                       "float_for_problem_cells", "negative_seed",
                                       "duplicate_key", "unknown_section", "unknown_run_key",
-                                      "unknown_output_key", "unknown_override_key", "nan_t_forward",
+                                      "unknown_output_key", "unknown_override_key", "retired_commutator_check",
+                                      "nan_t_forward",
                                       "inf_consistency_lam", "inf_problem_extent",
                                       "unused_override_section", "no_positivity_draws", "repeated_check",
                                       "contraction_slack", "consistency_tol", "positivity_floor",
                                       "domination_slack", "ultracontractivity_tol", "shift_invariance_tol",
                                       "compactness_k", "single_ultracontractivity_point",
-                                      "decreasing_trotter_schedule", "repeated_trotter_schedule", "decreasing_commutator_schedule",
+                                      "decreasing_trotter_schedule", "repeated_trotter_schedule",
                                       "decreasing_extents", "run_max_iters", "zero_in_trotter_schedule",
-                                      "zero_in_commutator_schedule", "negative_consistency_lam",
+                                      "negative_consistency_lam",
                                       "nonpositive_consistency_lam", "negative_nongeneration_lam",
                                       "zero_components", "negative_components",
                                       "unknown_run_scheme", "unknown_run_substep", "zero_run_steps",
@@ -778,7 +773,7 @@ class TestMalformedInputs:
                                       "negative_problem_extent", "unknown_problem_shift",
                                       "large_problem_alpha",
                                       "negative_problem_alpha", "short_trotter_schedule",
-                                      "short_commutator_schedule", "short_extents",
+                                      "short_extents",
                                       "no_domination_times", "no_shift_invariance_sigmas",
                                       "zero_positivity_t_forward", "negative_domination_time",
                                       "zero_degenerate_kernel_t", "zero_degenerate_kernel_steps",
@@ -786,10 +781,10 @@ class TestMalformedInputs:
                                       "zero_nongeneration_h_target", "negative_nongeneration_extent",
                                       "zero_shift_invariance_extent", "two_cell_shift_invariance",
                                       "zero_degenerate_kernel_extent", "two_cell_degenerate_kernel",
-                                      "zero_commutator_extent", "zero_compactness_h_target",
+                                      "zero_compactness_h_target",
                                       "zero_compactness_extent",
                                       "oversize_shift_invariance_grid", "oversize_degenerate_kernel_grid",
-                                      "oversize_commutator_grid", "far_shift_invariance_mu",
+                                      "far_shift_invariance_mu",
                                       "far_shift_invariance_sigma", "word_for_unjudged_rotation_r",
                                       "unknown_unjudged_rotation_parameter", "repeated_rule_parameter",
                                       "theta_for_1d_anisotropic", "oversize_components"])
@@ -837,11 +832,8 @@ class TestMalformedInputs:
     (_override_body("shift_invariance", "extent = 1e-300"), "extent = 1e-300 is too small"),
     # degenerate_kernel judges [problem]'s box (the "problem" row): it takes no extent
     (_override_body("degenerate_kernel", "extent = 1e-300"), "unknown key [check.degenerate_kernel] extent"),
-    (_override_body("commutator", "extent = 1e-300"), "extent = 1e-300 is too small"),
     (QUICK.replace("extent = 6.0", "extent = 3e-153"), "extent = 3e-153 is too small"),
-    (_override_body("commutator", "extent = 1.8e-152"), "extent = 1.8e-152 is too small"),
-], ids=["problem", "shift_invariance", "degenerate_kernel", "commutator",
-        "problem_stencil", "commutator_stencil"])
+], ids=["problem", "shift_invariance", "degenerate_kernel", "problem_stencil"])
 def test_tiny_box_exits_before_assembly(tmp_path, capsys, body, fragment):
     """A box whose spacing h has no finite 1/h^2 is refused by the grid, and
     one whose stencil diagonal ~ 4 d max q / h^2 is not finite by the
@@ -1054,7 +1046,7 @@ class TestCheckKeys:
     def test_check_inputs_are_the_receivers_parameters(self):
         # verify builds [problem] only for a check whose receiver takes it
         assert {check for check, inputs in verify.CHECK_INPUTS.items() if "problem" not in inputs} == {
-            "nongeneration", "shift_invariance", "commutator", "compactness"}
+            "nongeneration", "shift_invariance", "compactness"}
         assert verify.CHECK_INPUTS["contraction"] == {"problem", "run", "seed"}
         assert verify.CHECK_INPUTS["positivity"] == {"problem", "seed"}
         assert all(inputs <= {"problem"} for check, inputs in verify.CHECK_INPUTS.items()

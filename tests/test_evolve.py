@@ -410,14 +410,6 @@ class TestLayoutGuards:
         with pytest.raises(ValueError):
             trotter_evolve(A, V, wrong, SplitConfig(n_steps=2, t_final=0.1))
 
-    def test_apply_operator_dimension_guard(self):
-        from vschro.operators import AssemblyError, apply_operator
-
-        g = build_grid(1, 2.0, 8)
-        A = assemble_diffusion(identity_q(g), g)
-        with pytest.raises(AssemblyError):
-            apply_operator(A, VectorField(g, np.ones((8, 2))))
-
 
 class TestScalarHeat:
     def test_eigenfunction_decay(self):

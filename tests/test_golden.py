@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 import scipy
 
-from vschro.cli import list_experiments, run_experiment
+from vschro.cli import CHECKS, bundled_config_path, list_experiments, load_config, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = list_experiments()
@@ -54,6 +54,12 @@ def write(name: str):
 
 def test_every_bundled_config_has_a_record():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == NAMES
+
+
+def test_every_check_is_listed_by_a_bundled_config():
+    """So every check has a record here, and CI's twice-run cmp of each bundle."""
+    listed = {check for name in NAMES for check in load_config(bundled_config_path(name)).checks}
+    assert [check for check in CHECKS if check not in listed] == []
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -12,15 +12,12 @@ from vschro.fields import MatrixField, make_rule, sample_field
 from vschro.mesh import Grid, VectorField, build_grid, dual_pairing, lp_norm
 from vschro.operators import (
     AssemblyError,
-    _backward_divergence,
     _face_average,
     EllipticityError,
     SparseOperator,
-    apply_operator,
     assemble_diffusion,
     assemble_potential,
     assemble_scalar_diffusion,
-    commutator_defect,
     export_matrix_market,
 )
 
@@ -265,25 +262,6 @@ def branch_face_average(grid, cellvals, axis):
     return out.ravel()
 
 
-def branch_backward_divergence(grid, w):
-    """Reference: one-sided flux divergence written out per dimension."""
-    N, h = grid.n_per_axis, grid.spacing
-    m = w.shape[1]
-    if grid.dim == 1:
-        wa = w[:, :, 0]
-        out = np.empty_like(wa)
-        out[0] = wa[0] / h
-        out[1:] = (wa[1:] - wa[:-1]) / h
-        return out
-    v = w.reshape(N, N, m, 2)
-    out = np.zeros((N, N, m), dtype=w.dtype)
-    out[0, :, :] += v[0, :, :, 0] / h
-    out[1:, :, :] += (v[1:, :, :, 0] - v[:-1, :, :, 0]) / h
-    out[:, 0, :] += v[:, 0, :, 1] / h
-    out[:, 1:, :] += (v[:, 1:, :, 1] - v[:, :-1, :, 1]) / h
-    return out.reshape(N * N, m)
-
-
 class TestCellStencils:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n", [3, 4, 17])
@@ -294,18 +272,6 @@ class TestCellStencils:
             built, ref = _face_average(g, cellvals, axis), branch_face_average(g, cellvals, axis)
             assert built.shape == tuple(n + 1 if a == axis else n for a in range(dim))
             assert built.dtype == ref.dtype and built.ravel().tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("n", [3, 4, 17])
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_backward_divergence_bitwise_equal_to_reference(self, dim, n, m, dtype):
-        g = build_grid(dim, 1.3, n)
-        raw = np.random.default_rng(5 * n + m).standard_normal((2, g.n_cells, m, dim))
-        w = (raw[0] + 1j * raw[1]).astype(dtype) if dtype == np.complex128 else raw[0]
-        built, ref = _backward_divergence(g, w), branch_backward_divergence(g, w)
-        assert built.shape == ref.shape == (g.n_cells, m)
-        assert built.dtype == ref.dtype and built.tobytes() == ref.tobytes()
 
 
 class TestDiffusionAssembly:
@@ -394,10 +360,10 @@ class TestPotentialAssembly:
         V = sample_field(make_rule("upper_triangular_V", 1)[0], g, "potential")
         op = assemble_potential(V, 2)
         f = random_field(g, 2, seed=2)
-        out = apply_operator(op, f)
+        out = (op.matrix @ f.values.ravel()).reshape(g.n_cells, 2)
         x = g.axis_coords
-        np.testing.assert_allclose(out.values[:, 0], x * f.values[:, 1], rtol=1e-14)
-        np.testing.assert_allclose(out.values[:, 1], 0.0, atol=1e-15)
+        np.testing.assert_allclose(out[:, 0], x * f.values[:, 1], rtol=1e-14)
+        np.testing.assert_allclose(out[:, 1], 0.0, atol=1e-15)
 
     def test_quadratic_form_matches_cellwise_sum(self):
         g = build_grid(1, 2.0, 16)
@@ -406,7 +372,7 @@ class TestPotentialAssembly:
         V = MatrixField(g, "potential", vals)
         op = assemble_potential(V, 2)
         f = random_field(g, 2, seed=3)
-        lhs = dual_pairing(apply_operator(op, f), f)
+        lhs = dual_pairing(VectorField(g, (op.matrix @ f.values.ravel()).reshape(16, 2)), f)
         rhs = sum(
             np.vdot(f.values[c], vals[c] @ f.values[c]) * g.cell_measure for c in range(16)
         )
@@ -424,7 +390,7 @@ class TestApply:
         g = build_grid(1, 1.0, 8)
         ident = SparseOperator(sp.identity(16, format="csr"), g, 2)
         f = random_field(g, 2, seed=1)
-        np.testing.assert_allclose(apply_operator(ident, f).values, f.values)
+        np.testing.assert_allclose(ident.matrix @ f.values.ravel(), f.values.ravel())
 
     def test_linearity_of_sum(self):
         g = build_grid(1, 3.0, 24)
@@ -433,9 +399,10 @@ class TestApply:
             sample_field(make_rule("rotation_V", 1, r=1.5)[0], g, "potential"), 2
         )
         f = random_field(g, 2, seed=6)
-        lhs = apply_operator(A + V, f)
-        rhs = apply_operator(A, f).values + apply_operator(V, f).values
-        assert np.linalg.norm(lhs.values - rhs) < 1e-13 * np.linalg.norm(lhs.values)
+        fv = f.values.ravel()
+        lhs = (A + V).matrix @ fv
+        rhs = A.matrix @ fv + V.matrix @ fv
+        assert np.linalg.norm(lhs - rhs) < 1e-13 * np.linalg.norm(lhs)
 
     def test_dirichlet_eigenfunction(self):
         # A sin(pi (x+R) / 2R) ~ (-pi^2/(4R^2) - 1) sin(...), L2 error O(h^2)
@@ -448,8 +415,8 @@ class TestApply:
             v = np.sin(math.pi * (x + R) / (2 * R))
             f = VectorField(g, v[:, None].astype(complex))
             target = (-math.pi**2 / (4 * R**2) - 1.0) * v
-            out = apply_operator(A, f)
-            errs.append(lp_norm(out - VectorField(g, target[:, None].astype(complex)), 2))
+            out = A.matrix @ f.values.ravel()
+            errs.append(lp_norm(VectorField(g, (out - target)[:, None]), 2))
         assert errs[1] <= errs[0] / 3.5
 
     def test_dissipativity_with_validated_potential(self):
@@ -464,39 +431,8 @@ class TestApply:
         rng = np.random.default_rng(12)
         for _ in range(100):
             f = random_field(g, 2, seed=rng.integers(1 << 30))
-            quad = dual_pairing(apply_operator(L, f), f).real
+            quad = dual_pairing(VectorField(g, (L.matrix @ f.values.ravel()).reshape(30, 2)), f).real
             assert quad <= -lp_norm(f, 2) ** 2 + 1e-10
-
-
-class TestCommutator:
-    def test_constant_m_vanishes(self):
-        g = build_grid(1, 5.0, 64)
-        M = sample_field(make_rule("coupled_V", 1, a=-2.0, b=1.0, c=0.5)[0], g, "potential")
-        x = g.axis_coords
-        f = VectorField(g, np.column_stack([np.exp(-x**2), np.exp(-x**2)]).astype(complex))
-        assert commutator_defect(identity_q(g), M, f) <= 1e-12
-
-    def test_scalar_quadratic_m_first_order(self):
-        # m = 1, M(x) = x^2 smoothly cut off near the boundary
-        defects = []
-        for n in (200, 400):
-            g = build_grid(1, 10.0, n)
-            x = g.axis_coords
-            cut = np.exp(-((x / 8.0) ** 8))
-            vals = (x**2 * cut)[:, None, None]
-            M = MatrixField(g, "potential", vals)
-            f = VectorField(g, np.exp(-(x**2))[:, None].astype(complex))
-            defects.append(commutator_defect(identity_q(g), M, f))
-        assert defects[1] <= defects[0] / 1.4  # O(h) or better
-
-    def test_lipschitz_m_recorded_not_asserted(self):
-        # |x| entries are merely Lipschitz; the defect is finite and logged
-        g = build_grid(1, 6.0, 128)
-        V = sample_field(make_rule("degenerate_V", 1)[0], g, "potential")
-        x = g.axis_coords
-        f = VectorField(g, np.column_stack([np.exp(-x**2), 0 * x]).astype(complex))
-        d = commutator_defect(identity_q(g), V, f)
-        assert np.isfinite(d)
 
 
 class TestSparseLayout:

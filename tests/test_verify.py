@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -20,7 +19,6 @@ from vschro.spectral import EigenResult
 from vschro.verify import (
     _bump,
     expm_apply,
-    run_commutator_rate_check,
     run_compactness_contrast,
     run_consistency_check,
     run_contraction_check,
@@ -260,36 +258,6 @@ class TestDirectCalls:
     def test_zero_nongeneration_spacing(self):
         with pytest.raises(ValueError, match="h_target must be positive, got 0"):
             run_nongeneration_demo(h_target=0)
-
-    def test_non_finite_commutator_defect_is_refused(self, monkeypatch):
-        # the safety net behind the stencil refusal below
-        monkeypatch.setattr(vschro.verify, "commutator_defect", lambda Q, M, f: math.inf)
-        with pytest.raises(ValueError, match="extent = 10.0 gives a commutator defect that is zero or not finite"):
-            run_commutator_rate_check()
-
-    def test_vanishing_commutator_defect_is_refused(self):
-        # on a box this wide the data underflow to 0 on every cell: no ratio to take
-        with pytest.raises(ValueError, match=r"extent = 10000000000.0 gives a commutator defect that is "
-                                             r"zero or not finite: \[0.0, 0.0\]"):
-            run_commutator_rate_check(extent=1e10)
-
-    @pytest.mark.parametrize("extent", [1e155, 1e300])
-    def test_overflowing_commutator_data_is_refused_without_a_warning(self, extent):
-        # x^2 overflows on the far cells; the bumps there are the 0 they
-        # underflow to, so the refusal is the vanishing defect's, and quiet
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape(f"extent = {extent!r} gives a commutator "
-                                                           "defect that is zero or not finite: [0.0, 0.0]")):
-                run_commutator_rate_check(extent=extent)
-
-    def test_overflowing_commutator_stencil_is_refused(self):
-        # 1/h^2 is finite on both grids, but the 400-cell stencil's diagonal
-        # 4/h^2 is not: refused before assembly, without a warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="extent = 1.8e-152 is too small for 400 cells per axis"):
-                run_commutator_rate_check(extent=1.8e-152)
 
     @pytest.mark.parametrize("shift, limit", [("none", "709.783"), ("auto", "354.891")])
     def test_overflowing_degenerate_kernel_t_is_refused_before_any_step(self, monkeypatch, shift, limit):
