@@ -276,6 +276,19 @@ class TestMain:
         assert {name[:-len(".csv")].split("_t")[1] for name in names} <= times  # t as norms.csv writes it
         assert (out / "field_step10_t1e-07.csv").read_text() == (out / "final_field.csv").read_text()
 
+    @pytest.mark.parametrize("n_steps, stride, steps", [(9, 4, ("0", "4", "8", "9")),
+                                                         (10, 5, ("00", "05", "10")),
+                                                         (100, 50, ("000", "050", "100"))])
+    def test_snapshot_steps_are_padded_to_sort_in_time_order(self, tmp_path, n_steps, stride, steps):
+        body = QUICK.replace("n_per_axis = 64", "n_per_axis = 16").replace("n_steps = 20", f"n_steps = {n_steps}")
+        out = tmp_path / "traj"
+        assert main(["evolve", "--config", str(write_cfg(tmp_path, body)), "--out", str(out),
+                     "--dump-snapshots", str(stride)]) == EXIT_OK
+        names = sorted(p.name for p in out.glob("field_*.csv"))
+        assert [name.split("_")[1] for name in names] == [f"step{k}" for k in steps]
+        assert [name[:-len(".csv")].split("_t")[1] for name in names] == [
+            f"{int(k) * (0.2 / n_steps):.12g}" for k in steps]  # t = k tau, as norms.csv writes it
+
     def test_spectrum_command(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         out = tmp_path / "spectrum_out"

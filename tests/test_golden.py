@@ -56,10 +56,10 @@ def test_every_bundled_config_has_a_record():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == NAMES
 
 
-def test_every_check_is_listed_by_a_bundled_config():
+@pytest.mark.parametrize("check", list(CHECKS))
+def test_each_check_is_listed_by_a_bundled_config(check):
     """So every check has a record here, and CI's twice-run cmp of each bundle."""
-    listed = {check for name in NAMES for check in load_config(bundled_config_path(name)).checks}
-    assert [check for check in CHECKS if check not in listed] == []
+    assert any(check in load_config(bundled_config_path(name)).checks for name in NAMES)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -207,6 +207,23 @@ class TestDirectStencil:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert np.all(built.data != 0.0)  # no explicit zeros, as in the reference
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_component_block_acts_on_each_column_bitwise(self, dim, n, m, dtype):
+        """In the cell-major layout (index = cell * m + component) the m-component
+        block applied to a field's raveled values is the scalar block applied
+        to each component column, bit for bit."""
+        g = build_grid(dim, 1.3, n)
+        D = assemble_diffusion(varying_q(g, seed=n), g)
+        raw = np.random.default_rng(5 * n + m).standard_normal((2, g.n_cells, m))
+        w = (raw[0] + 1j * raw[1]).astype(dtype) if dtype == np.complex128 else raw[0]
+        built = (D.on_components(m).matrix @ w.ravel()).reshape(g.n_cells, m)
+        for k in range(m):
+            ref = D.matrix @ w[:, k]
+            assert built.dtype == ref.dtype and built[:, k].tobytes() == ref.tobytes()
+
     def test_on_components_is_kron(self):
         g = build_grid(2, 1.0, 5)
         D = assemble_diffusion(varying_q(g), g)
@@ -385,6 +402,20 @@ class TestPotentialAssembly:
             assemble_potential(V, 3)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("rule", ["diag_V", "coupled_V", "rotation_V", "upper_triangular_V",
+                                  "degenerate_V", "complex_linear_V"])
+def test_potential_commutes_with_the_diffusion_exactly_when_constant(dim, rule):
+    """trotter_order refuses a constant potential (V.is_constant) as having no
+    splitting error: its block commutes with the assembled diffusion block,
+    bit for bit, and no potential that varies does."""
+    g = build_grid(dim, 2.0, 6)
+    V = sample_field(make_rule(rule, dim)[0], g, "potential")
+    A = assemble_diffusion(varying_q(g, seed=dim), g).on_components(V.rows).matrix
+    P = assemble_potential(V, V.rows).matrix
+    assert (abs(A @ P - P @ A).max() == 0.0) == V.is_constant
+
+
 class TestApply:
     def test_identity(self):
         g = build_grid(1, 1.0, 8)
@@ -443,6 +474,20 @@ class TestSparseLayout:
         assert mat.has_sorted_indices
         assert np.all(np.diff(mat.indptr) >= 0)
         assert A.dims == g.n_cells * 2
+
+    def test_shape_must_fit_the_grid_and_components(self):
+        g = build_grid(1, 1.0, 8)
+        with pytest.raises(AssemblyError, match=r"operator shape \(15, 15\) != \(16, 16\)"):
+            SparseOperator(sp.identity(15, format="csr"), g, 2)
+
+    @pytest.mark.parametrize("extent, m", [(2.0, 2), (1.0, 3)], ids=["other_grid", "other_components"])
+    def test_sum_needs_one_space(self, extent, m):
+        g = build_grid(1, 1.0, 8)
+        A = assemble_diffusion(identity_q(g), g).on_components(2)
+        other = build_grid(1, extent, 8)
+        B = assemble_diffusion(identity_q(other), other).on_components(m)
+        with pytest.raises(AssemblyError, match="operators live on different spaces"):
+            A + B
 
 
 class TestExport:
