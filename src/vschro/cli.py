@@ -3,8 +3,8 @@
 Configs are flat key = value text with section headers ([problem], [run],
 [checks], optional [check.<name>] override sections and [output]); see the
 bundled *.cfg files and the schema walk-through in the README.  A run
-builds and validates the [problem] operator when a requested check judges
-it, executes the requested checks and writes a reproducible report bundle
+builds and validates the [problem] when a requested check judges it,
+executes the requested checks and writes a reproducible report bundle
 (bundle.json, report.txt, report.csv and a manifest of content hashes).
 
 Exit-code contract: 0 all checks passed, 1 at least one check failed,
@@ -308,10 +308,11 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     if seed is not None:
         cfg.seed = int(seed)
     # each check receives the inputs its receiver takes (verify.CHECK_INPUTS),
-    # and [problem] is built only if one of them judges it
-    inputs = {"run": cfg.run, "seed": cfg.seed}
+    # and [problem] is built only if one of them judges it, and then validated first
+    inputs, report = {"run": cfg.run, "seed": cfg.seed}, {}
     if any("problem" in CHECK_INPUTS[name] for name in cfg.checks):
         inputs["problem"] = build_problem_from_config(cfg)
+        report = asdict(inputs["problem"].report)
     results = []
     for name in cfg.checks:
         try:
@@ -322,7 +323,7 @@ def run_experiment(config_path, out_dir=None, seed=None) -> tuple:
     bundle = ReportBundle(
         # where a bundle is written is not part of the run it reproduces
         config={key: value for key, value in asdict(cfg).items() if key != "output_dir"},
-        hypothesis_report=asdict(inputs["problem"].report) if "problem" in inputs else {},
+        hypothesis_report=report,
         results=results,
     )
     emit_report(bundle, cfg.output_dir, formats=("text", "csv"))

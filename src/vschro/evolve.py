@@ -54,6 +54,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -183,7 +184,10 @@ def checked_solve(lu, matrix: sp.spmatrix, norm: float, rows: np.ndarray, fields
     each of the fields equal groups of rows (a block's fields) has normwise
     backward error ||b - matrix @ x|| / (norm ||x||) <= _BACKWARD_TOL over its
     own rows (Higham, Accuracy and Stability of Numerical Algorithms, 7.1),
-    a test that scales with ||A||, as a solve's rounding does.
+    a test that scales with ||A||, as a solve's rounding does.  An x that
+    underflows may miss by 2^-1074 per entry, so the bound adds ||A|| times
+    that; a field whose sums of squares leave [2^-900, 2^900] takes its norms
+    from BLAS nrm2, which scales them (inside, the test is the same bit for bit).
 
     The rows' transpose is the column block SuperLU solves (Fortran-ordered,
     so copied as it is, when the rows are C-contiguous), and x is the
@@ -202,12 +206,19 @@ def checked_solve(lu, matrix: sp.spmatrix, norm: float, rows: np.ndarray, fields
     r = rhs - (matrix @ x.T).T
     per_field = k // fields
     r_sq, x_sq = [0.0] * fields, [0.0] * fields
-    for j, rr, xx in zip(live, np.vecdot(r, r).real.tolist(), np.vecdot(x, x).real.tolist()):
+    with np.errstate(over="ignore"):  # a sum that overflows is taken again below
+        r_rows, x_rows = np.vecdot(r, r).real.tolist(), np.vecdot(x, x).real.tolist()
+    for j, rr, xx in zip(live, r_rows, x_rows):
         r_sq[j // per_field] += rr
         x_sq[j // per_field] += xx
-    for rr, xx in zip(r_sq, x_sq):
-        if not math.sqrt(rr) <= (bound := _BACKWARD_TOL * norm * math.sqrt(xx)):
-            raise SolverError(f"solve residual {math.sqrt(rr):.3e} above {bound:.3e}")
+    under = norm * math.sqrt(per_field * x.shape[1]) * 2.0 ** -1074
+    for f, (rr, xx) in enumerate(zip(r_sq, x_sq)):
+        nr, nx = math.sqrt(rr), math.sqrt(xx)
+        if not 2.0 ** -900 <= min(rr, xx) <= max(rr, xx) <= 2.0 ** 900:
+            own = [i for i, j in enumerate(live) if j // per_field == f]
+            nr, nx = (la.norm(a[own].ravel(), check_finite=False) for a in (r, x))
+        if not nr <= (bound := _BACKWARD_TOL * norm * nx + under):
+            raise SolverError(f"solve residual {nr:.3e} above {bound:.3e}")
     if rhs is not rows:
         full = np.zeros(rows.shape, rows.dtype)
         full[live] = x

@@ -31,6 +31,7 @@ from vschro.mesh import Grid
 
 __all__ = [
     "SparseOperator",
+    "checked_faces",
     "assemble_diffusion",
     "assemble_scalar_diffusion",
     "assemble_potential",
@@ -164,20 +165,12 @@ def _stencil_csr(st: dict, grid: Grid) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
-    """Scalar flux-form matrix for div(Q grad .), without the -I.
-
-    Checks the face-averaged Q for positive definiteness.  The stencil is
-    written cell by cell with the rounding of the sparse products
-    -(G0^T W11 G0 + G1^T W22 G1 + 1/2 (G0^T W12 T0 + T0^T W12 G0)
-    + 1/2 (G1^T W12 T1 + T1^T W12 G1)), term by term and in that order, then
-    symmetrized exactly as 1/2 (D + D^T) (the construction is symmetric in
-    exact arithmetic; this removes the last rounding crumbs).  Each offset's
-    per-cell array is made once and then updated in place.
-    """
+def checked_faces(Q: MatrixField, grid: Grid) -> tuple:
+    """The face averages faces[a][k] of q_kk across axis a and, in 2D, cross[a] of q12, once
+    the stencil is known to be finite and the face-averaged Q positive definite."""
     if Q.kind != DIFFUSION or Q.grid != grid:
         raise AssemblyError("Q must be a diffusion field on the target grid")
-    N, d, g, t = grid.n_per_axis, grid.dim, 1.0 / grid.spacing, 0.25 / grid.spacing
+    d, g = grid.dim, 1.0 / grid.spacing
     # the diagonal reaches 2 d max|q| / h^2, and 1/2 (D + D^T) sums it twice
     if not math.isfinite(4.0 * d * float(np.abs(Q.values).max()) * g * g):
         raise AssemblyError(f"extent = {grid.extent!r} is too small for {grid.n_per_axis} cells "
@@ -189,6 +182,22 @@ def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
     if any(np.min(q11) <= 0.0 or np.min(q22) <= 0.0 or np.min(q11 * q22 - q12 * q12) <= 0.0
            for (q11, q22), q12 in zip(faces, cross)):
         raise EllipticityError("face-averaged Q not positive definite")
+    return faces, cross
+
+
+def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
+    """Scalar flux-form matrix for div(Q grad .), without the -I.
+
+    Checks the stencil and the face-averaged Q first (checked_faces).  The
+    stencil is written cell by cell with the rounding of the sparse products
+    -(G0^T W11 G0 + G1^T W22 G1 + 1/2 (G0^T W12 T0 + T0^T W12 G0)
+    + 1/2 (G1^T W12 T1 + T1^T W12 G1)), term by term and in that order, then
+    symmetrized exactly as 1/2 (D + D^T) (the construction is symmetric in
+    exact arithmetic; this removes the last rounding crumbs).  Each offset's
+    per-cell array is made once and then updated in place.
+    """
+    faces, cross = checked_faces(Q, grid)
+    N, d, g, t = grid.n_per_axis, grid.dim, 1.0 / grid.spacing, 0.25 / grid.spacing
     S = {}
     for a in range(d):
         for o, v in _face_product((g * faces[a][a]) * g, a, _G_ROW).items():

@@ -1,24 +1,26 @@
 """Assembled problem bundles: coefficients, validator report and operators.
 
-A Problem carries everything the checks and the CLI need for one (Q, V)
-configuration: the sampled coefficient fields, the hypothesis report, the
-scalar diffusion block D, which the splitting path factors as it is, and,
-assembled on first use, the full generator kron(D, I_m) + V.  Shift
-normalization is applied here when requested: a potential whose quadratic
-form only satisfies <V xi, xi> <= beta |xi|^2 is replaced by V - (beta+1) I,
-and the recorded shift lets reports un-rescale by e^{t (1 + shift)} when
-comparing against the unshifted dynamics.
+A Problem holds the sampled Q, V and alpha of one configuration and builds
+the rest once, on first read: the hypothesis report, the scalar diffusion
+block D and the generator kron(D, I_m) + V.  `validate` reads the report
+only; `evolve` and `kernel` read D, `spectrum`, `resolvent` and
+`export-operator` the generator, and `verify` validates once, then runs its
+checks.  build_problem still makes every refusal at build time.  A shift,
+when requested, replaces a potential whose form only satisfies <V xi, xi>
+<= beta |xi|^2 by V - (beta+1) I; the recorded shift lets reports
+un-rescale by e^{t (1 + shift)} against the unshifted dynamics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from vschro.fields import (
     POTENTIAL,
     HypothesisReport,
     MatrixField,
+    admit_alpha,
     hermitian_top_eigenvalue,
     make_rule,
     sample_field,
@@ -26,11 +28,7 @@ from vschro.fields import (
     validate_hypotheses,
 )
 from vschro.mesh import Grid, build_grid
-from vschro.operators import (
-    SparseOperator,
-    assemble_diffusion,
-    assemble_potential,
-)
+from vschro.operators import SparseOperator, assemble_diffusion, assemble_potential, checked_faces
 
 __all__ = ["Problem", "build_problem"]
 
@@ -41,14 +39,19 @@ class Problem:
     m: int
     Q: MatrixField
     V: MatrixField
-    report: HypothesisReport
-    diffusion: SparseOperator = field(repr=False)  # scalar block D - I, m = 1
+    alpha: float
+
+    @cached_property
+    def report(self) -> HypothesisReport:
+        return validate_hypotheses(self.Q, self.V, self.alpha)
+
+    @cached_property
+    def diffusion(self) -> SparseOperator:  # the scalar block D - I, m = 1
+        return assemble_diffusion(self.Q, self.grid)
 
     @cached_property
     def generator(self) -> SparseOperator:
-        """kron(D, I_m) + V as one sparse operator.  Splitting runs never read
-        it, so it is only built (and held in memory) for the spectral and
-        oracle paths."""
+        """kron(D, I_m) + V as one sparse operator."""
         return self.diffusion.on_components(self.m) + assemble_potential(self.V, self.m)
 
     @property
@@ -69,12 +72,12 @@ def build_problem(
     shift: str = "none",
     alpha: float = 0.0,
 ) -> Problem:
-    """Sample named coefficient rules, optionally shift, validate, assemble.
+    """Sample named coefficient rules, optionally shift, and check what Problem builds.
 
     shift = "auto" applies the normalization only when the dissipativity
     margin is positive; "none" leaves the potential as sampled.  The margin
     and the shift come from the top eigenvalue of the Hermitian part of V
-    alone, so the full validator runs once, on the final potential.
+    alone, so the full validator runs at most once, on the final potential.
     """
     grid = build_grid(dim, extent, n_per_axis)
     qr, qkind = make_rule(q_rule, dim, **(q_params or {}))
@@ -91,7 +94,6 @@ def build_problem(
         lam_max = hermitian_top_eigenvalue(V)
         if lam_max + 1.0 > 1e-12:  # the dissipativity margin the validator reports
             V = shift_potential(V, max(0.0, lam_max))
-    return Problem(
-        grid=grid, m=m, Q=Q, V=V, report=validate_hypotheses(Q, V, alpha),
-        diffusion=assemble_diffusion(Q, grid),
-    )
+    admit_alpha(alpha)
+    checked_faces(Q, grid)
+    return Problem(grid=grid, m=m, Q=Q, V=V, alpha=alpha)

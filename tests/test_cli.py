@@ -861,6 +861,62 @@ def test_tiny_box_exits_before_assembly(tmp_path, capsys, body, fragment):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [["validate"], ["spectrum", "--k", "2"]])
+def test_tiny_box_refused_at_build_by_every_command(tmp_path, capsys, command):
+    """validate assembles no operator and spectrum runs no validator; both
+    still refuse the overflowing stencil when the problem is built."""
+    body = QUICK.replace("extent = 6.0", "extent = 3e-153")
+    out = tmp_path / "o"
+    assert main([command[0], "--config", str(write_cfg(tmp_path, body)), "--out", str(out),
+                 *command[1:]]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: problem construction failed: extent = 3e-153 is too small" in err
+    assert not out.exists()
+
+
+def _built(monkeypatch) -> list:
+    """The list of the validator runs ("validate") and diffusion assemblies
+    ("assemble") of every Problem from now on, in order."""
+    import vschro.problems
+
+    seen = []
+    for event, name in (("validate", "validate_hypotheses"), ("assemble", "assemble_diffusion")):
+        def counting(*args, _fn=getattr(vschro.problems, name), _event=event):
+            seen.append(_event)
+            return _fn(*args)
+
+        monkeypatch.setattr(vschro.problems, name, counting)
+    return seen
+
+
+class TestBuiltOnFirstRead:
+    """Each command builds the parts of its Problem that it reads, once."""
+
+    def test_validate_assembles_no_operator(self, tmp_path, monkeypatch, capsys):
+        seen = _built(monkeypatch)
+        assert main(["validate", "--config", str(write_cfg(tmp_path, QUICK))]) == EXIT_OK
+        assert seen == ["validate"] and "eta1 = 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flags", [("spectrum", ["--k", "2"]), ("resolvent", []),
+                                                ("kernel", ["--t", "0.01"]), ("evolve", []),
+                                                ("export-operator", [])])
+    def test_operator_commands_run_no_validator(self, tmp_path, monkeypatch, command, flags):
+        seen = _built(monkeypatch)
+        assert main(_quick(tmp_path, command, *flags)) == EXIT_OK
+        assert seen == ["assemble"]
+
+    def test_compactness_runs_no_validator(self, monkeypatch):
+        seen = _built(monkeypatch)
+        verify.run_compactness_contrast(h_target=0.1)
+        assert seen == ["assemble"] * 4  # rotation and degenerate, at R and 2R
+
+    def test_verify_validates_once_before_its_checks(self, tmp_path, monkeypatch):
+        seen = _built(monkeypatch)
+        bundle, code = run_experiment(write_cfg(tmp_path, QUICK), out_dir=tmp_path / "o")
+        assert code == EXIT_OK and seen == ["validate", "assemble"]
+        assert bundle.hypothesis_report["offdiag_min"] == 0.0
+
+
 def _setting(section, key, token):
     """QUICK with [section] key = token; a [check.<name>] key runs only that check."""
     parser = configparser.ConfigParser()
@@ -1202,6 +1258,16 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["spectrum", "--config", str(cfg), "--k", "6", "--out", str(out)]) == EXIT_OK
         assert len((out / "eigenvalues.csv").read_text().splitlines()) == 1 + 6
+
+    def test_evolve_whose_solutions_underflow(self, tmp_path):
+        # tau = 1e249: the first solution is about 1e-250, whose squares
+        # underflow (a bound of 0 refused it, exit 3), the second is 0
+        body = (QUICK.replace("n_per_axis = 64", "n_per_axis = 16").replace("c=-1.0", "c=0.0")
+                .replace("n_steps = 20", "n_steps = 10").replace("t_final = 0.2", "t_final = 1e250"))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(write_cfg(tmp_path, body)), "--out", str(out),
+                     "--dump-snapshots", "5"]) == EXIT_OK
+        assert len(list(out.glob("field_step*.csv"))) == 3
 
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -613,6 +613,57 @@ class TestZeroColumns:
         assert widths == [1]  # the corrupted column is the live one
 
 
+class _Factor:
+    """Stands in for a factor whose solve returns scale * b."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def solve(self, rhs):
+        return self.scale * rhs
+
+
+class TestBackwardErrorRange:
+    """checked_solve where a field's sums of squares leave float64's normal range."""
+
+    def _step_matrix(self, tau):
+        g = build_grid(1, 8.0, 16)
+        D = assemble_diffusion(identity_q(g), g).matrix
+        return (sp.identity(g.n_cells, format="csr") - tau * D).tocsc()
+
+    def test_solutions_that_underflow_pass(self):
+        # tau = 1e249 divides each solution by about 1 + tau: the first is
+        # about 1e-250, whose squares underflow (a bound of 0 refused it), and
+        # the second underflows to 0 itself
+        lhs = self._step_matrix(1e249)
+        lu, norm = sparse_lu(lhs), matrix_norm(lhs)
+        x = checked_solve(lu, lhs, norm, np.random.default_rng(3).standard_normal((2, 16)), 1)
+        assert 0.0 < np.abs(x).max() < 1e-240
+        assert not checked_solve(lu, lhs, norm, x, 1).any()
+
+    def test_corrupted_solve_of_tiny_solutions_is_refused(self, corrupt_factors):
+        lhs = self._step_matrix(1e249)
+        corrupt_factors(by=1e-252)  # 1% of the 1e-250 solution
+        lu = vschro.evolve.sparse_lu(lhs)
+        with pytest.raises(SolverError, match="residual"):
+            checked_solve(lu, lhs, matrix_norm(lhs), np.ones((2, 16)), 1)
+
+    def test_zero_solution_of_normal_data_is_refused(self):
+        # the underflow allowance is ||A|| 2^-1074 per entry, not a floor on ||r||
+        lhs = self._step_matrix(0.1)
+        with pytest.raises(SolverError, match="residual"):
+            checked_solve(_Factor(0.0), lhs, matrix_norm(lhs), np.ones((2, 16)), 1)
+
+    def test_huge_solution_keeps_a_finite_bound(self):
+        # with x ~ 1e300 the squares overflow: an infinite bound passed the
+        # doubled solution, whose residual is -b
+        lhs = sp.identity(16, format="csc")
+        b = np.full((2, 16), 1e300)
+        np.testing.assert_array_equal(checked_solve(_Factor(1.0), lhs, 1.0, b, 1), b)
+        with pytest.raises(SolverError, match=r"residual 5\.657e\+300 above"):
+            checked_solve(_Factor(2.0), lhs, 1.0, b, 1)
+
+
 def per_cell_stepper(V, tau):
     """A _PotentialStepper whose cache is one matrix_exp batch over every
     cell, without V.distinct."""

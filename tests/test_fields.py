@@ -367,7 +367,34 @@ class TestSinglePass:
         monkeypatch.setattr(vschro.problems, "validate_hypotheses", counting)
         p = build_problem(1, 8.0, 64, 2, v_rule="rotation_V", v_params={"r": 1.5},
                           shift="auto", alpha=0.45)
-        assert len(calls) == 1 and calls[0][1] is p.V and p.V.shift == 1.0
+        assert calls == []  # the report is built on first read
+        report = p.report
+        assert len(calls) == 1 and calls[0][1] is p.V and calls[0][2] == 0.45 and p.V.shift == 1.0
+        assert p.report is report and len(calls) == 1
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"alpha": 0.7}, r"alpha must lie in \[0, 0.5\), got 0.7"),
+        ({"extent": 3e-153}, "the diffusion stencil overflows"),
+        ({"q_rule": "anisotropic_Q", "q_params": {"ratio": -1.0}}, "face-averaged Q has eta1"),
+    ], ids=["alpha", "stencil_overflow", "face_ellipticity"])
+    def test_refused_at_build_without_validating_or_assembling(self, monkeypatch, kwargs, match):
+        import vschro.problems
+
+        for name in ("validate_hypotheses", "assemble_diffusion"):
+            monkeypatch.setattr(vschro.problems, name, None)  # a call would be a TypeError
+        with pytest.raises(ValueError, match=match):
+            build_problem(**{"dim": 1, "extent": 8.0, "n_per_axis": 64, "m": 2, **kwargs})
+
+    @pytest.mark.parametrize("dim, n", [(1, 2000), (2, 96)], ids=["1d", "2d"])
+    def test_growth_equals_the_matmul_reference(self, dim, n):
+        # the validator sums over the inner index, chunk by chunk (2D: 9216
+        # cells, three chunks); the reference is one @ over every cell
+        p = build_problem(dim, 6.0, n, 2, v_rule="rotation_V", v_params={"r": 1.5}, shift="auto",
+                          alpha=0.45)
+        P = distinct_matrix_powers(p.V, -0.45)[p.V.distinct[1]]
+        prod = cell_gradient(p.grid, p.V.values).astype(np.complex128) @ P[:, None, :, :]
+        ref = float(np.sqrt((np.abs(prod) ** 2).sum(axis=(-2, -1))).max())
+        assert np.isfinite(ref) and p.report.growth_sup == ref
 
     @pytest.mark.parametrize("dim, n, v_rule, v_params, alpha, shifted", [
         (1, 200, "rotation_V", {"r": 1.5}, 0.45, True),

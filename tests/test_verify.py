@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import exp1, expi
 
 import vschro.evolve
@@ -113,6 +114,19 @@ class TestOracles:
         finally:
             np.random.set_state(state)
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("make_problem", [rotation_r15, lambda: rotation_2d(24)],
+                             ids=["rotation_r15", "2d_24"])
+    def test_real_oracle_is_the_complex_runs_real_part(self, make_problem):
+        # a real generator on real data runs expm_multiply in float64; the run
+        # on the same data as complex128 gives the same real part, bit for bit
+        p = make_problem()
+        f = trotter_input(p.grid, p.m)
+        assert f.is_real and np.isrealobj(p.generator.matrix)
+        ref = expm_multiply(0.5 * p.generator.matrix, f.values.ravel())
+        assert ref.dtype == np.complex128 and not ref.imag.any()
+        out = expm_apply(p.generator, 0.5, f).values.ravel()
+        assert out.real.tobytes() == ref.real.tobytes() and not out.imag.any()
 
     def test_sparse_oracle_above_old_dense_cap(self):
         # 6000 unknowns, past the 5000 the dense oracle allowed: the semigroup
