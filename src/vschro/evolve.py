@@ -60,7 +60,7 @@ import scipy.sparse.linalg as spla
 
 from vschro.fields import MatrixField, matrix_exp
 from vschro.mesh import Grid, VectorField, values_lp_norms
-from vschro.operators import SparseOperator, assemble_scalar_diffusion
+from vschro.operators import SparseOperator, assemble_scalar_diffusion, scaled_shift
 
 __all__ = [
     "SplitConfig",
@@ -82,6 +82,8 @@ _BLOCK_COLUMNS = 8
 # normwise backward-error tolerance of every checked solve, 10 eps: honest
 # solves measured at most 5.4e-16, corrupted factors at least 3.6e-10
 _BACKWARD_TOL = 2.2e-15
+# lines of a sparse matrix whose |a_ij| matrix_norm takes at once
+_NORM_LINES = 8192
 
 
 class SolverError(RuntimeError):
@@ -171,11 +173,22 @@ def _complex_rows(x: np.ndarray) -> np.ndarray:
 
 
 def matrix_norm(matrix: sp.spmatrix) -> float:
-    """max(||A||_1, ||A||_inf) of a square CSR or CSC matrix, as |A| 1 and 1 |A| on
-    its own index arrays (abs(A) copies them); taken before the factor is made."""
-    absolute = type(matrix)((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
-    ones = np.ones(matrix.shape[0])
-    return float(max((absolute @ ones).max(initial=0.0), (ones @ absolute).max(initial=0.0)))
+    """max(||A||_1, ||A||_inf) of a square CSR or CSC matrix, bit for bit
+    |A| 1 and 1 |A| as sparse products sum them: each stored line's |a_ij|
+    (a CSR row's, a CSC column's) added in order, and the other axis's
+    accumulated in stored order.  |A| is taken _NORM_LINES lines at a time,
+    not copied whole; taken before the factor is made."""
+    n = matrix.shape[0]
+    ptr, idx = matrix.indptr, matrix.indices
+    top, across, ones = 0.0, np.zeros(n), np.ones(n)
+    for start in range(0, n, _NORM_LINES):
+        stop = min(start + _NORM_LINES, n)
+        lo, hi = ptr[start], ptr[stop]
+        part = np.abs(matrix.data[lo:hi])
+        lines = sp.csr_matrix((part, idx[lo:hi], ptr[start:stop + 1] - lo), shape=(stop - start, n))
+        top = max(top, (lines @ ones).max(initial=0.0))
+        np.add.at(across, idx[lo:hi], part)
+    return float(max(top, across.max(initial=0.0)))
 
 
 def checked_solve(lu, matrix: sp.spmatrix, norm: float, rows: np.ndarray, fields: int) -> np.ndarray:
@@ -231,15 +244,16 @@ class _DiffusionStepper:
 
     The scalar block I - tau D (Crank-Nicolson: I - tau/2 D, applied after
     I + tau/2 D) is factored once; checked_solve solves a block's rows as
-    right-hand-side columns, so the factor stays real.
+    right-hand-side columns, so the factor stays real.  Each step matrix is
+    one data array on D's own index arrays (operators.scaled_shift); D is
+    symmetric bit for bit, so I - tau D is read as CSC as it stands.
     """
 
     def __init__(self, D: sp.csr_matrix, tau: float, cfg: SplitConfig):
         crank = cfg.substep == "crank_nicolson"
         theta = 0.5 * tau if crank else tau
-        ident = sp.identity(D.shape[0], format="csr")
-        self.lhs = (ident - theta * D).tocsc()
-        self.rhs_mat = (ident + theta * D).tocsr() if crank else None
+        self.lhs = scaled_shift(D, 1.0, -theta).T
+        self.rhs_mat = scaled_shift(D, 1.0, theta) if crank else None
         self.norm = matrix_norm(self.lhs)
         self.lu = sparse_lu(self.lhs)
 

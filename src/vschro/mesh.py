@@ -161,14 +161,37 @@ def values_lp_norms(values: np.ndarray, ps, cell_measure: float) -> list:
     A cell's amplitude adds |u_j|^2 in component order j = 0, 1, ..., so it
     does not depend on the layout; the sums over cells rely on numpy's
     pairwise summation, so the result is deterministic for fixed data.
+
+    A field whose largest amplitude leaves [2^-240, 2^240] (about 1e-72 to
+    1e72), past which the squares and fourth powers of its amplitudes may
+    leave float64's normal range, takes the norms of its values scaled by a
+    power of two, scaled back: the same bits wherever they are normal (for
+    p other than 1, 2 and inf, to pow's rounding).  Data in range is not
+    scaled.
     """
     if not len(ps):
         return []
+    with np.errstate(over="ignore"):  # a square that overflows is taken again below
+        amp = _squared_amplitudes(values)
+    k = 0
+    if not 2.0 ** -480 <= amp.max(initial=0.0) <= 2.0 ** 480:
+        big = float(np.abs(values).max(initial=0.0))
+        if 0.0 < big < math.inf:  # not a zero field, nor one with an inf or a nan
+            k = math.frexp(big)[1]  # |values| / 2^k < 1, scaled in two exact halves
+            amp = _squared_amplitudes(values * 2.0 ** (-k // 2) * 2.0 ** (-k - (-k // 2)))
+    np.sqrt(amp, out=amp)
+    norms = [_amplitude_lp_norm(amp, p, cell_measure) for p in ps]
+    if not k:
+        return norms
+    with np.errstate(over="ignore"):  # a norm past float64's range is inf
+        return [float(np.ldexp(x, k)) for x in norms]
+
+
+def _squared_amplitudes(values: np.ndarray) -> np.ndarray:
     amp = np.abs(values[:, 0]) ** 2
     for j in range(1, values.shape[1]):
         amp += np.abs(values[:, j]) ** 2
-    np.sqrt(amp, out=amp)
-    return [_amplitude_lp_norm(amp, p, cell_measure) for p in ps]
+    return amp
 
 
 def _amplitude_lp_norm(amp: np.ndarray, p, cell_measure: float) -> float:

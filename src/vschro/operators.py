@@ -8,6 +8,8 @@ differences and enter in explicitly symmetrized pairs, so the block is
 symmetric negative definite by construction, not just up to O(h).
 assemble_scalar_diffusion writes -G^T W_Q G directly as its cell stencil,
 without forming G, and assemble_diffusion alone subtracts the identity.
+The block is symmetric bit for bit, so its CSR arrays are also its CSC
+arrays, and scaled_shift builds s I + c D (a diffusion step matrix) on them.
 
 The potential block is block-diagonal multiplication: the m x m matrix V(x_i)
 couples the components of cell i.  Unknown ordering is cell-major, index =
@@ -225,14 +227,31 @@ def assemble_scalar_diffusion(Q: MatrixField, grid: Grid) -> sp.csr_matrix:
     return _stencil_csr(S, grid)
 
 
+def _add_to_diagonal(M: sp.spmatrix, s: float) -> None:
+    """M += s I in place, on M's stored diagonal: a diffusion block always
+    stores it, -(sum of the face q) / h^2 < 0."""
+    M.setdiag(M.diagonal() + s)
+
+
 def assemble_diffusion(Q: MatrixField, grid: Grid) -> SparseOperator:
     """The scalar block D - I of A = [div(Q grad u_k) - u_k], D the bare
     block of assemble_scalar_diffusion; A acts as it on each of the m
     components: A = kron(D - I, I_m) (SparseOperator.on_components)."""
     D = assemble_scalar_diffusion(Q, grid)
-    # in place: the diagonal, -(sum of the face q) / h^2 < 0, is always stored
-    D.setdiag(D.diagonal() - 1.0)
+    _add_to_diagonal(D, -1.0)
     return SparseOperator(D, grid, 1)
+
+
+def scaled_shift(D: sp.csr_matrix, s: float, c: float) -> sp.csr_matrix:
+    """s I + c D for a diffusion block D (either assembler's), on D's own
+    indices and indptr: one new data array c D.data, whose stored diagonal
+    then takes s in place.  Bit for bit the CSR arrays of s I + c D as sparse
+    sums form them, unless an entry rounds to exactly 0, which they drop and
+    this keeps.  As D is symmetric bit for bit, .T is the same matrix in CSC,
+    on the same arrays."""
+    A = sp.csr_matrix((c * D.data, D.indices, D.indptr), shape=D.shape)
+    _add_to_diagonal(A, s)
+    return A
 
 
 def assemble_potential(V: MatrixField, m: int) -> SparseOperator:

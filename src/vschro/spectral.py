@@ -61,10 +61,11 @@ def _real_if_real(lam: complex):
 
 
 def _start_vector(seed: int, dim: int, dtype) -> np.ndarray:
-    """ARPACK's seeded complex start vector; its real part for a real run."""
+    """ARPACK's seeded complex start vector; for a real run its real part,
+    the first draw, alone."""
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v0.real.copy() if dtype.kind == "f" else v0
+    real = rng.standard_normal(dim)
+    return real if dtype.kind == "f" else real + 1j * rng.standard_normal(dim)
 
 
 def solve_resolvent(L: SparseOperator, lam: complex, rhs: VectorField) -> VectorField:

@@ -1261,13 +1261,18 @@ class TestExitCodes:
 
     def test_evolve_whose_solutions_underflow(self, tmp_path):
         # tau = 1e249: the first solution is about 1e-250, whose squares
-        # underflow (a bound of 0 refused it, exit 3), the second is 0
+        # underflow (a bound of 0 refused it, exit 3, and its norms read 0),
+        # the second is 0
         body = (QUICK.replace("n_per_axis = 64", "n_per_axis = 16").replace("c=-1.0", "c=0.0")
                 .replace("n_steps = 20", "n_steps = 10").replace("t_final = 0.2", "t_final = 1e250"))
         out = tmp_path / "o"
         assert main(["evolve", "--config", str(write_cfg(tmp_path, body)), "--out", str(out),
                      "--dump-snapshots", "5"]) == EXIT_OK
         assert len(list(out.glob("field_step*.csv"))) == 3
+        first = [row.split(",") for row in (out / "norms.csv").read_text().splitlines()
+                 if row.startswith("1e+249,")]
+        assert [p for _, p, _ in first] == ["1", "2", "4", "inf"]
+        assert all(1e-251 < float(norm) < 1e-248 for _, _, norm in first)
 
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from vschro.evolve import (
 )
 from vschro.fields import MatrixField, make_rule, matrix_exp, sample_field, shift_potential
 from vschro.mesh import VectorField, _amplitude_lp_norm, build_grid, lp_norm
-from vschro.operators import assemble_diffusion, assemble_potential
+from vschro.operators import SparseOperator, assemble_diffusion, assemble_potential, assemble_scalar_diffusion
 from vschro.problems import build_problem
 from vschro.verify import run_positivity_check
 
@@ -974,6 +975,110 @@ class TestScalarBlock:
         for k in range(m):
             one = trotter_evolve(D, V1, VectorField(g, vals[:, k:k + 1]), cfg).final.values
             np.testing.assert_allclose(out[:, k], one[:, 0], rtol=1e-13, atol=1e-15)
+
+
+def q_field(grid, rule):
+    """A diffusion field of a (name, params) rule, or "varying": a smooth
+    per-cell Q with, in 2D, a q12 of either sign."""
+    if rule != "varying":
+        return sample_field(make_rule(rule[0], grid.dim, **rule[1])[0], grid, "diffusion")
+
+    def q(x):
+        s = 1.0 + 0.5 * np.sin(x.sum(axis=1))
+        if grid.dim == 1:
+            return s[:, None, None]
+        t = 1.0 + 0.5 * np.cos(x[:, 0])
+        c = 0.6 * np.sqrt(s * t) * np.sin(x[:, 1])
+        return np.stack([np.stack([s, c], -1), np.stack([c, t], -1)], -2)
+
+    return sample_field(q, grid, "diffusion")
+
+
+def same_arrays(A, B):
+    """A and B are the same sparse matrix in the same format, array for array
+    and bit for bit."""
+    return (A.format == B.format and A.data.dtype == B.data.dtype
+            and A.data.tobytes() == B.data.tobytes()
+            and np.array_equal(A.indices, B.indices) and np.array_equal(A.indptr, B.indptr))
+
+
+def reference_norm(matrix):
+    """max(||A||_1, ||A||_inf) as the sparse products |A| 1 and 1 |A| on a
+    full copy of |A|."""
+    absolute = type(matrix)((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
+    ones = np.ones(matrix.shape[0])
+    return float(max((absolute @ ones).max(initial=0.0), (ones @ absolute).max(initial=0.0)))
+
+
+_STEP_Q = {"1d_identity_Q": (1, ("identity_Q", {})),
+           "1d_anisotropic_Q": (1, ("anisotropic_Q", {"ratio": 0.25})),
+           "1d_varying": (1, "varying"),
+           "2d_identity_Q": (2, ("identity_Q", {})),
+           "2d_anisotropic_Q": (2, ("anisotropic_Q", {"theta": 0.4543, "ratio": 0.5})),
+           "2d_cross_Q": (2, ("cross_Q", {"q12": 0.3})),
+           "2d_cross_Q_zero": (2, ("cross_Q", {"q12": 0.0})),
+           "2d_varying": (2, "varying")}
+
+
+class TestStepMatrix:
+    """Each step matrix is one data array on D's own index arrays, bit for
+    bit the sparse sums I -/+ theta D, and matrix_norm takes the norm the
+    sparse products |A| 1 and 1 |A| give, without a full |A|."""
+
+    @pytest.mark.parametrize("substep", ["backward_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("dim, rule", _STEP_Q.values(), ids=_STEP_Q)
+    def test_step_matrices_equal_the_sparse_sums(self, substep, dim, rule):
+        g = build_grid(dim, 3.0, 40 if dim == 1 else 11)
+        Q = q_field(g, rule)
+        crank = substep == "crank_nicolson"
+        theta = 0.035 if crank else 0.07
+        ident = sp.identity(g.n_cells, format="csr")
+        # split_step's block D - I and heat_step's bare D
+        for D in (assemble_diffusion(Q, g).matrix, assemble_scalar_diffusion(Q, g)):
+            stepper = _DiffusionStepper(D, 0.07, SplitConfig(substep=substep))
+            assert same_arrays(stepper.lhs, (ident - theta * D).tocsc())
+            if crank:
+                assert same_arrays(stepper.rhs_mat, (ident + theta * D).tocsr())
+            else:
+                assert stepper.rhs_mat is None
+            assert stepper.norm == reference_norm(stepper.lhs)
+
+    @pytest.mark.parametrize("substep, bound", [("backward_euler", 2.0), ("crank_nicolson", 2.6)])
+    def test_step_matrix_shares_d_index_arrays(self, substep, bound):
+        """At 128^2 the build's traced peak stays under bound times D's bytes.
+        (Forming I - theta D as sparse sums, converting it to CSC and copying
+        |A| for its norm peaked at 2.45 and 3.44 times.)"""
+        g = build_grid(2, 3.2, 128)
+        D = assemble_diffusion(identity_q(g), g).matrix
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            stepper = _DiffusionStepper(D, 0.01, SplitConfig(substep=substep))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        for A in [A for A in (stepper.lhs, stepper.rhs_mat) if A is not None]:
+            assert np.shares_memory(A.indices, D.indices) and np.shares_memory(A.indptr, D.indptr)
+            assert not np.shares_memory(A.data, D.data)
+        assert peak < bound * (D.data.nbytes + D.indices.nbytes + D.indptr.nbytes)
+
+    @pytest.mark.parametrize("dim, n", [(1, 300), (2, 96)])  # 2D: 18432 rows, three chunks of rows
+    def test_matrix_norm_equals_the_sparse_products(self, dim, n):
+        g = build_grid(dim, 3.0, n)
+        D = assemble_diffusion(q_field(g, "varying"), g)
+        rng = np.random.default_rng(61)
+        V = MatrixField(g, "potential", rng.standard_normal((g.n_cells, 2, 2)))
+        L = SparseOperator(D.on_components(2).matrix + assemble_potential(V, 2).matrix, g, 2)
+        matrices = [L.matrix, L.matrix.tocsc(), L.shifted(1.5), L.shifted(1.5 + 2.0j), L.shifted(-0.5j)]
+        for substep in ("backward_euler", "crank_nicolson"):
+            stepper = _DiffusionStepper(D.matrix, 0.07, SplitConfig(substep=substep))
+            matrices += [A for A in (stepper.lhs, stepper.rhs_mat) if A is not None]
+        for A in matrices:
+            assert matrix_norm(A) == reference_norm(A)
+        # the random potential leaves ||L||_1 and ||L||_inf apart, so both sums count
+        absolute = abs(L.matrix)
+        assert absolute.sum(axis=0).max() != absolute.sum(axis=1).max()
 
 
 # The structural claims hold to rounding: each is checked to 8 machine

@@ -112,6 +112,29 @@ class TestNorms:
         with pytest.raises(ValueError):
             values_lp_norms(values, (2, 0.5), g.cell_measure)
 
+    @pytest.mark.parametrize("k", [-900, -830, -250, 250, 600, 900])
+    def test_fields_past_the_square_range_are_scaled(self, k):
+        # below 2^-240 or above 2^240 the norms are those of the values
+        # scaled back by a power of two: p = 1, 2 and inf are the in-range
+        # norms times 2^k bit for bit; at 2^-830 the squares underflowed and
+        # every norm read 0, at 2^600 they overflowed (and warned)
+        g = build_grid(2, 3.0, 17)
+        values = random_field(g, 3, seed=12).values
+        ps = (1, 2, 4, math.inf)
+        ref = values_lp_norms(values, ps, g.cell_measure)
+        got = values_lp_norms(values * 2.0 ** k, ps, g.cell_measure)
+        assert got[:2] + got[3:] == [math.ldexp(x, k) for x in ref[:2] + ref[3:]]
+        assert got[2] == pytest.approx(math.ldexp(ref[2], k), rel=1e-15)
+
+    def test_zero_and_nonfinite_fields_are_not_scaled(self):
+        g = build_grid(1, 3.0, 8)
+        values = np.zeros((8, 2))
+        assert values_lp_norms(values, (1, 2, math.inf), g.cell_measure) == [0.0, 0.0, 0.0]
+        values[3, 1] = math.inf
+        assert values_lp_norms(values, (1, 2, math.inf), g.cell_measure) == [math.inf] * 3
+        values[3, 1] = math.nan
+        assert all(map(math.isnan, values_lp_norms(values, (1, 2, math.inf), g.cell_measure)))
+
     def test_norm_squared_equals_self_pairing(self):
         g = build_grid(1, 3.0, 16)
         f = random_field(g, 3, seed=7)

@@ -256,6 +256,45 @@ def test_assembly_transient_is_a_small_multiple_of_the_matrix(rule, params):
     assert peak < 3.5 * (D.data.nbytes + D.indices.nbytes + D.indptr.nbytes)
 
 
+def smooth_q(grid, a, k, c):
+    """q(x) as a callable: 1 + a sin(k sum x) on the diagonal and, in 2D, a
+    second diagonal entry and a q12 of either sign with q12^2 < q11 q22."""
+    def q(x):
+        s = 1.0 + a * np.sin(k * x.sum(axis=1))
+        if grid.dim == 1:
+            return s[:, None, None]
+        t = 1.0 + a * np.cos(k * x[:, 0])
+        q12 = c * np.sqrt(s * t) * np.sin(k * x[:, 1])
+        return np.stack([np.stack([s, q12], -1), np.stack([q12, t], -1)], -2)
+
+    return sample_field(q, grid, "diffusion")
+
+
+@pytest.mark.parametrize("rule", ["identity_Q", "anisotropic_Q", "cross_Q", "cross_Q_zero", "q(x)"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scalar_diffusion_is_bit_symmetric(rule, data):
+    """data, indices and indptr equal those of the transpose's CSR, which is
+    what lets a step matrix read D's CSR arrays as CSC."""
+    dim = 2 if rule.startswith("cross_Q") else data.draw(st.sampled_from([1, 2]), label="dim")
+    g = build_grid(dim, data.draw(st.floats(0.5, 8.0), label="extent"),
+                   data.draw(st.integers(3, 14), label="n"))
+    if rule == "q(x)":
+        Q = smooth_q(g, data.draw(st.floats(0.0, 0.9)), data.draw(st.floats(0.1, 3.0)),
+                     data.draw(st.floats(-0.95, 0.95)))
+    else:
+        params = {"identity_Q": {}, "cross_Q_zero": {"q12": 0.0},
+                  "cross_Q": {"q12": data.draw(st.floats(-0.95, 0.95).filter(bool), label="q12")},
+                  "anisotropic_Q": {"ratio": data.draw(st.floats(0.05, 5.0), label="ratio")}}[rule]
+        if rule == "anisotropic_Q" and dim == 2:
+            params["theta"] = data.draw(st.floats(0.0, math.pi), label="theta")
+        Q = sample_field(make_rule(rule.removesuffix("_zero"), dim, **params)[0], g, "diffusion")
+    D = assemble_scalar_diffusion(Q, g)
+    T = D.T.tocsr()
+    assert D.data.tobytes() == T.data.tobytes()
+    assert np.array_equal(D.indices, T.indices) and np.array_equal(D.indptr, T.indptr)
+
+
 def branch_face_average(grid, cellvals, axis):
     """Reference: face means written out per dimension and axis."""
     N = grid.n_per_axis

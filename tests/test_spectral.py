@@ -301,6 +301,14 @@ class TestArithmeticField:
         assert max(abs(lam - shift) for lam in res.eigenvalues) <= sixth_nearest * (1 + 1e-9)
         assert max(res.residuals) <= 1e-8
 
+    @pytest.mark.parametrize("seed", [1234, 99])  # resolvent_norm's and eigenpairs' seeds
+    def test_real_start_vector_is_the_complex_draws_real_part(self, seed):
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        real = spectral._start_vector(seed, 300, np.dtype(np.float64))
+        assert real.dtype == np.float64 and real.tobytes() == v0.real.tobytes()
+        assert spectral._start_vector(seed, 300, np.dtype(np.complex128)).tobytes() == v0.tobytes()
+
     def test_real_eigenvalues_have_zero_imaginary_part(self):
         g = build_grid(1, 5.0, 100)
         res = eigenpairs(assemble_diffusion(identity_q(g), g), k=5)
